@@ -235,6 +235,16 @@ def _run_verify_invariants(args) -> int:
     return 0 if ok else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hh",
@@ -247,9 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", help="catalog name, e.g. d5-surface")
         p.add_argument("--format", choices=("json", "table"), default="json")
         if with_report:
-            p.add_argument("--max-degree", type=int, default=6,
+            p.add_argument("--max-degree", type=_nonnegative_int, default=6,
                            help="highest (co)homological degree (default 6)")
-            p.add_argument("--weight-cutoff", type=int, default=None,
+            p.add_argument("--weight-cutoff", type=_nonnegative_int,
+                           default=None,
                            help="scan window length (default 3d)")
             p.add_argument("--mode",
                            choices=("structural", "graded", "both"),
@@ -273,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bar-oracle",
                        help="bar-complex dims for C[z]/<z^k> (k <= 4)")
     b.add_argument("--k", type=int, required=True)
-    b.add_argument("--max-degree", type=int, default=3)
+    b.add_argument("--max-degree", type=_nonnegative_int, default=3)
     b.add_argument("--format", choices=("json", "table"), default="json")
 
     c = sub.add_parser("catalog", help="list or show catalog entries")

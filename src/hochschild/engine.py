@@ -35,13 +35,16 @@ from .grading import (
     euler_identity_holds,
 )
 from .ideals import INFINITE, GroebnerBasis, buchberger, colon_ideal, ideal_equals
-from .koszul import KoszulComplex, chain_complex, cochain_complex
+from .koszul import KoszulComplex, chain_complex, cochain_complex, module, shift
 from .linalg import rank_dense
 from .poly import MonomialOrder, Polynomial, monomial_mul
 
 
 class PreconditionError(ValueError):
     """A computation's mathematical preconditions are not met."""
+
+
+_UNSET = object()   # route not searched yet; None means no valid route
 
 
 @dataclass
@@ -130,7 +133,7 @@ class Analysis:
             self.milnor = INFINITE
             self.milnor_basis = None
             self.milnor_quotient = None
-        self._routes: dict = {}
+        self._route = _UNSET
         self._slice_rank_cache: dict = {}
         self._nonzero_divisor_cache: dict = {}
 
@@ -147,30 +150,25 @@ class Analysis:
 
     def route(self) -> Route | None:
         """Find and validate an elimination route, cached."""
-        if "route" in self._routes:
-            return self._routes["route"]
-        route = self._find_route()
-        self._routes["route"] = route
-        return route
+        if self._route is _UNSET:
+            self._route = self._find_route()
+        return self._route
 
     def _find_route(self) -> Route | None:
-        n, f = self.n, self.f
+        """Try each ordering (i, *back): back-substitute the partials of
+        back from last to first, each of which must be a non-zero-divisor
+        modulo f and the partials already used; the first ordering that
+        passes is built."""
         if any(g.is_zero() for g in self.grad):
             return None
-        if n == 1:
-            return self._build_route(1, ())
-        if n == 2:
-            for i, j in ((1, 2), (2, 1)):
-                if self._is_unit_colon([f], self.grad[j - 1]):
-                    return self._build_route(i, (j,))
-            return None
-        for i, j, k in permutations((1, 2, 3)):
-            if not self._is_unit_colon([f], self.grad[k - 1]):
-                continue
-            fk = [f, self.grad[k - 1]]
-            if not self._is_unit_colon(fk, self.grad[j - 1]):
-                continue
-            return self._build_route(i, (j, k))
+        for i, *back in permutations(range(1, self.n + 1)):
+            gens = [self.f]
+            for j in reversed(back):
+                if not self._is_unit_colon(gens, self.grad[j - 1]):
+                    break
+                gens.append(self.grad[j - 1])
+            else:
+                return self._build_route(i, tuple(back))
         return None
 
     def _build_route(self, i: int, back: tuple) -> Route | None:
@@ -398,6 +396,10 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
         raise ValueError("direction must be cohomology or homology")
     if mode not in ("structural", "graded", "both"):
         raise ValueError("mode must be structural, graded or both")
+    if p_max < 0:
+        raise ValueError("p_max must be >= 0")
+    if cutoff is not None and cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     an = analysis or Analysis(f, order)
     d = an.ws.degree
     if cutoff is None:
@@ -472,11 +474,8 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
 
 
 def _window(an: Analysis, direction: str, p: int, cutoff: int) -> tuple:
-    build = cochain_complex if direction == "cohomology" else chain_complex
-    # shifts depend only on the module layout; recompute cheaply
-    cx = build(an.f, p)
-    cx.assign_weights(an.ws)
-    lo = min(cx.modules[p].shifts)
+    side = "cochain" if direction == "cohomology" else "chain"
+    lo = min(shift(side, an.ws, e) for e in module(an.n, p))
     return (lo, lo + cutoff)
 
 

@@ -2,19 +2,39 @@
 
 For a hypersurface algebra A = C[z1..zn]/<f> the Hochschild cochain
 complex is quasi-isomorphic to a complex of finite free A-modules built
-on one even generator b1 and odd generators eta_1..eta_n, with every
-differential entry an integer multiple of a partial derivative of f.
-The chain complex is the dual picture on a1 and xi_1..xi_n, where the
-even generator a1 contributes degree-dependent integer factors p.
+on one even generator b1 and odd generators eta_1..eta_n; the chain
+complex is the dual picture on a1 and xi_1..xi_n (Buenos Aires Cyclic
+Homology Group, Hochschild and cyclic homology of hypersurfaces,
+Adv. Math. 95, 1992).  Both are generated from one rule:
 
-Modules are listed by homological degree 0..p_max.  For the cochain
-complex diffs[p] maps modules[p] to modules[p+1]; for the chain complex
-diffs[p] maps modules[p+1] to modules[p].
+* Layout.  Module p has one component even^m * odd_S for every odd
+  tuple S with |S| = j, j = p (mod 2), j <= min(n, p), and m = (p - j)/2,
+  listed by j, then by S.  An odd tuple is a cyclic run
+  (i, i+1, .., i+j-1) of indices mod n, i = 1..n, one per set; for
+  n <= 3 every subset is such a run, so the pairs are (1,2), (2,3), (3,1).
+* Cochain differential, degree p -> p+1: right contraction with grad f,
+  raising the power of b1,
+      b1^m eta_S -> sum_k (-1)^(j-k) d_{S_k} f  b1^(m+1) eta_{S minus S_k}.
+* Chain differential, degree p -> p-1: m * (df ^ .), lowering the power
+  of a1,
+      a1^m xi_S -> m * sum_{i not in S} d_i f  a1^(m-1) xi_i xi_S.
+* Signs.  An odd tuple produced by either rule is rewritten as the basis
+  tuple of its set, times the parity of the permutation between them.
+* Shifts (internal weights, for f of weights w and degree d): on the
+  cochain side eta_i carries d - w_i and b1 carries 0; on the chain side
+  xi_i carries w_i and a1 carries d.  Every differential then preserves
+  the grading.
+
+Every differential entry is an integer multiple of a partial derivative
+of f.  Modules are listed by homological degree 0..p_max.  For the
+cochain complex diffs[p] maps modules[p] to modules[p+1]; for the chain
+complex diffs[p] maps modules[p+1] to modules[p].
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from itertools import combinations
+from typing import NamedTuple
 
 from .grading import WeightSystem
 from .poly import Polynomial
@@ -22,7 +42,7 @@ from .poly import Polynomial
 
 class BasisElement(NamedTuple):
     power: int        # exponent of the even generator (b1 or a1)
-    odd: tuple        # strictly increasing-in-cyclic-order odd indices
+    odd: tuple        # odd indices, a cyclic run mod n
 
     def label(self, even_name: str, odd_name: str) -> str:
         parts = []
@@ -105,20 +125,13 @@ class KoszulComplex:
                             "d o d != 0 between degrees %d and %d" % (p, p + 2))
 
     def assign_weights(self, ws: WeightSystem) -> None:
-        """Attach internal weights making every differential preserve
-        the grading: eta_i carries d - w_i and b1 carries 0 on the
-        cochain side; xi_i carries w_i and a1 carries d on the chain
-        side.  Entry weights are validated against the shifts."""
-        d, w = ws.degree, ws.weights
-        new_modules = []
-        for module in self.modules:
-            shifts = []
-            for elem in module.elements:
-                if self.direction == "cochain":
-                    shifts.append(sum(d - w[i - 1] for i in elem.odd))
-                else:
-                    shifts.append(elem.power * d + sum(w[i - 1] for i in elem.odd))
-            new_modules.append(FreeModule(module.elements, tuple(shifts)))
+        """Attach internal weights by the shift rule (see `shift`).
+        Entry weights are validated against the shifts."""
+        new_modules = [FreeModule(m.elements,
+                                  tuple(shift(self.direction, ws, e)
+                                        for e in m.elements))
+                       for m in self.modules]
+        w = ws.weights
         # validate: entry at (r, c) must be homogeneous of weight
         # shift_domain[c] - shift_codomain[r]
         for p, mat in enumerate(self.diffs):
@@ -166,122 +179,85 @@ def _matmul(a, b):
     return out
 
 
-def _cochain_modules(n: int, p: int):
-    if p == 0:
-        return (BasisElement(0, ()),)
-    if n == 1:
-        if p % 2 == 0:
-            return (BasisElement(p // 2, ()),)
-        return (BasisElement(p // 2, (1,)),)
-    if n == 2:
-        q = p // 2
-        if p % 2 == 0:
-            return (BasisElement(q, ()), BasisElement(q - 1, (1, 2)))
-        return (BasisElement(q, (1,)), BasisElement(q, (2,)))
-    q = p // 2
-    if p == 1:
-        return (BasisElement(0, (1,)), BasisElement(0, (2,)), BasisElement(0, (3,)))
-    if p % 2 == 0:
-        return (BasisElement(q, ()), BasisElement(q - 1, (1, 2)),
-                BasisElement(q - 1, (2, 3)), BasisElement(q - 1, (3, 1)))
-    return (BasisElement(q, (1,)), BasisElement(q, (2,)),
-            BasisElement(q, (3,)), BasisElement(q - 1, (1, 2, 3)))
+def _check_variables(n: int) -> None:
+    if n not in (1, 2, 3):
+        raise ValueError("only 1 to 3 variables supported")
 
 
-def _chain_modules(n: int, p: int):
-    if p == 0:
-        return (BasisElement(0, ()),)
-    if n == 1:
-        if p % 2 == 0:
-            return (BasisElement(p // 2, ()),)
-        return (BasisElement(p // 2, (1,)),)
-    if n == 2:
-        q = p // 2
-        if p % 2 == 0:
-            return (BasisElement(q, ()), BasisElement(q - 1, (1, 2)))
-        return (BasisElement(q, (1,)), BasisElement(q, (2,)))
-    q = p // 2
-    if p == 1:
-        return (BasisElement(0, (1,)), BasisElement(0, (2,)), BasisElement(0, (3,)))
-    if p % 2 == 0:
-        return (BasisElement(q, ()), BasisElement(q - 1, (1, 2)),
-                BasisElement(q - 1, (2, 3)), BasisElement(q - 1, (3, 1)))
-    return (BasisElement(q, (1,)), BasisElement(q, (2,)),
-            BasisElement(q, (3,)), BasisElement(q - 1, (1, 2, 3)))
+def _odd_tuples(n: int, j: int) -> tuple:
+    """The odd basis tuples of length j: cyclic runs, first run per set."""
+    runs: dict = {}
+    for i in range(n):
+        run = tuple((i + k) % n + 1 for k in range(j))
+        runs.setdefault(frozenset(run), run)
+    return tuple(runs.values())
+
+
+def module(n: int, p: int) -> tuple:
+    """Basis elements of homological degree p, in either direction."""
+    _check_variables(n)
+    return tuple(BasisElement((p - j) // 2, odd)
+                 for j in range(p % 2, min(n, p) + 1, 2)
+                 for odd in _odd_tuples(n, j))
+
+
+def shift(direction: str, ws: WeightSystem, elem: BasisElement) -> int:
+    """Internal weight of a basis element of the given direction."""
+    d, w = ws.degree, ws.weights
+    if direction == "cochain":
+        return sum(d - w[i - 1] for i in elem.odd)
+    return elem.power * d + sum(w[i - 1] for i in elem.odd)
+
+
+def _parity_sign(odd: tuple, basis_odd: tuple) -> int:
+    perm = [basis_odd.index(i) for i in odd]
+    inversions = sum(a > b for a, b in combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
+def _images(direction: str, n: int, elem: BasisElement):
+    """d(elem) as (coefficient, partial index, power, odd tuple) terms,
+    the odd tuple not yet rewritten in the basis orientation."""
+    m, odd = elem
+    if direction == "cochain":
+        j = len(odd)
+        for k, i in enumerate(odd):
+            yield (-1) ** (j - 1 - k), i, m + 1, odd[:k] + odd[k + 1:]
+    elif m:
+        for i in range(1, n + 1):
+            if i not in odd:
+                yield m, i, m - 1, (i,) + odd
+
+
+def _differential(direction: str, grad, source: tuple, target: tuple):
+    """Matrix of d from source to target: one row per target element."""
+    n = len(grad)
+    row_of = {(e.power, frozenset(e.odd)): (r, e.odd)
+              for r, e in enumerate(target)}
+    mat = [[Polynomial.zero(n)] * len(source) for _ in target]
+    for c, elem in enumerate(source):
+        for coeff, i, power, odd in _images(direction, n, elem):
+            r, basis_odd = row_of[(power, frozenset(odd))]
+            mat[r][c] = coeff * _parity_sign(odd, basis_odd) * grad[i - 1]
+    return mat
+
+
+def _build(direction: str, f: Polynomial, p_max: int) -> KoszulComplex:
+    _check_variables(f.n)
+    grad = f.gradient()
+    layout = [module(f.n, p) for p in range(p_max + 1)]
+    diffs = []
+    for lower, upper in zip(layout, layout[1:]):
+        source, target = ((lower, upper) if direction == "cochain"
+                          else (upper, lower))
+        diffs.append(_differential(direction, grad, source, target))
+    return KoszulComplex(direction, f, [FreeModule(e, None) for e in layout],
+                         diffs)
 
 
 def cochain_complex(f: Polynomial, p_max: int) -> KoszulComplex:
-    n = f.n
-    if n not in (1, 2, 3):
-        raise ValueError("only 1 to 3 variables supported")
-    Z = Polynomial.zero(n)
-    D = f.gradient()
-    modules = [FreeModule(_cochain_modules(n, p), None) for p in range(p_max + 1)]
-    diffs = []
-    for p in range(p_max):
-        if n == 1:
-            mat = [[Z]] if p % 2 == 0 else [[D[0]]]
-        elif n == 2:
-            if p == 0:
-                mat = [[Z], [Z]]
-            elif p % 2 == 0:
-                mat = [[Z, D[1]], [Z, -D[0]]]
-            else:
-                mat = [[D[0], D[1]], [Z, Z]]
-        else:
-            if p == 0:
-                mat = [[Z], [Z], [Z]]
-            elif p == 1:
-                mat = [[D[0], D[1], D[2]], [Z, Z, Z], [Z, Z, Z], [Z, Z, Z]]
-            elif p % 2 == 0:
-                mat = [[Z, D[1], Z, -D[2]],
-                       [Z, -D[0], D[2], Z],
-                       [Z, Z, -D[1], D[0]],
-                       [Z, Z, Z, Z]]
-            else:
-                mat = [[D[0], D[1], D[2], Z],
-                       [Z, Z, Z, D[2]],
-                       [Z, Z, Z, D[0]],
-                       [Z, Z, Z, D[1]]]
-        diffs.append(mat)
-    return KoszulComplex("cochain", f, modules, diffs)
+    return _build("cochain", f, p_max)
 
 
 def chain_complex(f: Polynomial, p_max: int) -> KoszulComplex:
-    n = f.n
-    if n not in (1, 2, 3):
-        raise ValueError("only 1 to 3 variables supported")
-    Z = Polynomial.zero(n)
-    D = f.gradient()
-    modules = [FreeModule(_chain_modules(n, p), None) for p in range(p_max + 1)]
-    diffs = []
-    # diffs[p] maps degree p+1 down to degree p
-    for p in range(p_max):
-        deg = p + 1
-        q = deg // 2
-        if n == 1:
-            mat = [[q * D[0]]] if deg % 2 == 0 else [[Z]]
-        elif n == 2:
-            if deg == 1:
-                mat = [[Z, Z]]
-            elif deg % 2 == 0:
-                mat = [[q * D[0], Z], [q * D[1], Z]]
-            else:
-                mat = [[Z, Z], [-q * D[1], q * D[0]]]
-        else:
-            if deg == 1:
-                mat = [[Z, Z, Z]]
-            elif deg == 2:
-                mat = [[D[0], Z, Z, Z], [D[1], Z, Z, Z], [D[2], Z, Z, Z]]
-            elif deg % 2 == 0:
-                mat = [[q * D[0], Z, Z, Z],
-                       [q * D[1], Z, Z, Z],
-                       [q * D[2], Z, Z, Z],
-                       [Z, (q - 1) * D[2], (q - 1) * D[0], (q - 1) * D[1]]]
-            else:
-                mat = [[Z, Z, Z, Z],
-                       [-q * D[1], q * D[0], Z, Z],
-                       [Z, -q * D[2], q * D[1], Z],
-                       [q * D[2], Z, -q * D[0], Z]]
-        diffs.append(mat)
-    return KoszulComplex("chain", f, modules, diffs)
+    return _build("chain", f, p_max)

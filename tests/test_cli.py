@@ -150,3 +150,16 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--poly", "z1^3+z2^2", "--max-degree", "-1"),
+    ("homology", "--poly", "z1^3+z2^2", "--weight-cutoff", "-3"),
+    ("bar-oracle", "--k", "3", "--max-degree", "-1"),
+])
+def test_negative_degree_or_cutoff_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be >= 0" in captured.err

@@ -1,5 +1,6 @@
 import pytest
 
+from hochschild.catalog import catalog_instance, catalog_names
 from hochschild.engine import (
     Analysis,
     PreconditionError,
@@ -8,6 +9,7 @@ from hochschild.engine import (
     verify_infinite_part,
 )
 from hochschild.grading import NotWeightedHomogeneousError
+from hochschild.koszul import chain_complex, cochain_complex
 from hochschild.poly import Polynomial
 
 
@@ -129,3 +131,24 @@ def test_smooth_surface_has_zero_finite_parts():
     assert r.milnor == 0
     assert r.crosscheck == "agree"
     assert all(d.finite_dim == 0 for d in r.degrees if d.finite_dim is not None)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_structural_window_is_lowest_module_shift(name):
+    an = Analysis(catalog_instance(name).f)
+    d = an.ws.degree
+    for direction, build in (("cohomology", cochain_complex),
+                             ("homology", chain_complex)):
+        cx = build(an.f, 6)
+        cx.assign_weights(an.ws)
+        r = analyze(an.f, direction=direction, p_max=6, mode="structural",
+                    analysis=an)
+        for p, deg in enumerate(r.degrees):
+            lo = min(cx.modules[p].shifts)
+            assert deg.window == (lo, lo + 3 * d)
+
+
+@pytest.mark.parametrize("kwargs", [{"p_max": -1}, {"cutoff": -1}])
+def test_negative_degree_or_cutoff_rejected(kwargs):
+    with pytest.raises(ValueError):
+        analyze(curve_a(2), **kwargs)

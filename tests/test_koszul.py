@@ -147,3 +147,28 @@ def test_weight_assignment_rejects_inhomogeneous_entry():
     cx.diffs[1][0][0] = cx.diffs[1][0][0] + z2   # wrong weight
     with pytest.raises(AssertionError):
         cx.assign_weights(ws)
+
+
+def test_layout_and_matrices_n1():
+    f = Polynomial(1, {(4,): 1})
+    d1 = f.diff(1)
+    Z = Polynomial.zero(1)
+    coc = cochain_complex(f, 5)
+    chn = chain_complex(f, 5)
+    for cx in (coc, chn):
+        assert [m.elements for m in cx.modules] == [
+            (BasisElement(0, ()),), (BasisElement(0, (1,)),),
+            (BasisElement(1, ()),), (BasisElement(1, (1,)),),
+            (BasisElement(2, ()),), (BasisElement(2, (1,)),)]
+    assert coc.labels(5) == ("b1^2*eta1",)
+    assert chn.labels(4) == ("a1^2",)
+    # cochain: eta1 * b1^q -> d1 f * b1^(q+1); b1^q -> 0
+    assert coc.diffs == [[[Z]], [[d1]], [[Z]], [[d1]], [[Z]]]
+    # chain: a1^q -> q * d1 f * xi1 * a1^(q-1); xi1 * a1^q -> 0
+    assert chn.diffs == [[[Z]], [[d1]], [[Z]], [[2 * d1]], [[Z]]]
+    ws = detect_weights(f)          # weight (1,), degree 4
+    coc.assign_weights(ws)
+    chn.assign_weights(ws)
+    assert [m.shifts for m in coc.modules] == [(0,), (3,)] * 3
+    assert [m.shifts for m in chn.modules] == [(0,), (1,), (4,), (5,),
+                                               (8,), (9,)]
