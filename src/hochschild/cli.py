@@ -156,7 +156,15 @@ def _run_milnor(args) -> int:
         raise CliError(str(exc), 1)
     value = "infinite" if mu is INFINITE else mu
     payload = {"f": f.to_str(), "milnor": value}
-    _emit(args, payload, "milnor = %s" % value)
+    table = "milnor = %s" % value
+    try:
+        detect_weights(f)
+    except NotWeightedHomogeneousError:
+        note = ("global dim C[z]/<grad f>: f is not weighted homogeneous, "
+                "so this need not be the local Milnor number at 0")
+        payload["notes"] = [note]
+        table += "\n" + note
+    _emit(args, payload, table)
     return 0
 
 

@@ -15,7 +15,11 @@ Two independent routes to the same numbers:
 
 * The graded oracle slices every module by internal weight, restricts
   the differential matrices to each finite-dimensional slice over the
-  standard monomial basis of A, and computes exact ranks.
+  standard monomial basis of A, and computes exact ranks.  Every matrix
+  entry is k * d_i f for an integer k (checked by `verify_entries`), so
+  a slice is assembled sparse from cached normal forms of d_i f * z^m,
+  and its rank is cached by the slice's content: a slice that repeats,
+  such as those of the 2-periodic tail, is ranked once.
 
 When both run, every slice in the scan window is compared and the
 report carries an "agree"/"disagree" verdict.
@@ -26,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 from . import ideals
 from .grading import (
@@ -36,7 +41,7 @@ from .grading import (
 )
 from .ideals import INFINITE, GroebnerBasis, buchberger, colon_ideal, ideal_equals
 from .koszul import KoszulComplex, chain_complex, cochain_complex, module, shift
-from .linalg import rank_dense
+from .linalg import rank_sparse
 from .poly import MonomialOrder, Polynomial, monomial_mul
 
 
@@ -62,6 +67,15 @@ class Route:
     dim: int
     graded: dict        # internal weight t -> dim (K/J)_t
     basis: tuple        # monomial exponent tuples, std(J) minus std(K)
+
+
+class _SliceMap(NamedTuple):
+    """One differential as the oracle slices it."""
+    ranks: dict       # s - base -> rank, shared by equal signatures
+    base: int         # first domain shift
+    dom: tuple        # domain component shifts
+    cod: tuple        # codomain component shifts
+    columns: tuple    # per domain component: (row, i, k / first k) terms
 
 
 @dataclass
@@ -134,7 +148,10 @@ class Analysis:
             self.milnor_basis = None
             self.milnor_quotient = None
         self._route = _UNSET
-        self._slice_rank_cache: dict = {}
+        # graded-oracle caches (see _slice_map and _image)
+        self._slice_maps: dict = {}      # complex -> per-degree _SliceMaps
+        self._ranks: dict = {}           # signature -> {s - base: rank}
+        self._images = [{} for _ in range(self.n)]   # per partial
         self._nonzero_divisor_cache: dict = {}
 
     # ---- route search -------------------------------------------------
@@ -193,61 +210,95 @@ class Analysis:
     # ---- graded oracle ------------------------------------------------
 
     def complex(self, direction: str, p_max: int) -> KoszulComplex:
+        """Build, check and weight a complex, and record its slice maps
+        for `oracle_dim`."""
         build = cochain_complex if direction == "cohomology" else chain_complex
         cx = build(self.f, p_max)
-        cx.verify_entries()
+        terms = cx.verify_entries()
         cx.verify_d_squared_zero()
         cx.assign_weights(self.ws)
+        leaving, landing = {}, {}
+        for k, columns in enumerate(terms):
+            src, tgt = cx.ends(k)
+            leaving[src] = landing[tgt] = self._slice_map(
+                columns, cx.modules[src].shifts, cx.modules[tgt].shifts)
+        self._slice_maps[cx] = (leaving, landing)
         return cx
 
-    def slice_basis(self, cx: KoszulComplex, p: int, s: int):
-        """Basis of the weight-s slice of module p: (component, monomial)."""
-        module = cx.modules[p]
-        out = []
-        for c, shift in enumerate(module.shifts):
-            for mono in self.A.basis(s - shift):
-                out.append((c, mono))
-        return out
+    def _slice_map(self, columns, dom: tuple, cod: tuple) -> _SliceMap:
+        """Key a differential by its content.  Each column's (row, i, k)
+        terms are divided by the column's first k, which scales the
+        column and leaves every slice rank unchanged.  The signature is
+        those terms plus the shifts relative to the first domain shift
+        `base`; the slice at weight s is then a function of the
+        signature and s - base, so differentials of equal signature
+        share one rank table keyed by s - base."""
+        base = dom[0]
+        normed = tuple(tuple((r, i, _ratio(k, col[0][2])) for r, i, k in col)
+                       for col in columns)
+        signature = (normed, tuple(t - base for t in dom),
+                     tuple(t - base for t in cod))
+        ranks = self._ranks.setdefault(signature, {})
+        return _SliceMap(ranks, base, dom, cod, normed)
 
-    def _slice_rank(self, cx: KoszulComplex, mat, dom_p: int, cod_p: int,
-                    s: int) -> int:
-        key = (cx.direction, dom_p, s)
-        hit = self._slice_rank_cache.get(key)
-        if hit is not None:
-            return hit
-        dom = self.slice_basis(cx, dom_p, s)
-        cod = self.slice_basis(cx, cod_p, s)
-        cod_index = {be: r for r, be in enumerate(cod)}
-        rows = [[Fraction(0)] * len(dom) for _ in cod]
-        for col, (c, mono) in enumerate(dom):
-            for r in range(len(mat)):
-                entry = mat[r][c]
-                if entry.is_zero():
+    def _image(self, i: int, mono: tuple) -> tuple:
+        """normal_form(d_i f * z^mono) as (exponents, coefficient) pairs,
+        integral coefficients stored as int."""
+        cache = self._images[i - 1]
+        image = cache.get(mono)
+        if image is None:
+            g = self.grad[i - 1]
+            nf = self.gb_f.normal_form(
+                Polynomial(self.n, {monomial_mul(e, mono): v
+                                    for e, v in g.terms.items()}))
+            image = tuple((e, v.numerator if v.denominator == 1 else v)
+                          for e, v in nf.terms.items())
+            cache[mono] = image
+        return image
+
+    def _slice_rank(self, m: _SliceMap | None, s: int) -> int:
+        """Rank of the differential m restricted to weight s.  The table
+        is keyed by content, never by degree, so periodicity is not
+        assumed: the 2-periodic tail hits it because its matrices
+        repeat."""
+        if m is None:
+            return 0
+        rank = m.ranks.get(s - m.base)
+        if rank is None:
+            basis = self.A.basis
+            row_of = {}
+            for r, t in enumerate(m.cod):
+                for mono in basis(s - t):
+                    row_of[(r, mono)] = len(row_of)
+            cols = []
+            for terms, t in zip(m.columns, m.dom):
+                if not terms:
                     continue
-                image = self.gb_f.normal_form(
-                    Polynomial(self.n,
-                               {monomial_mul(e, mono): v
-                                for e, v in entry.terms.items()}))
-                for exps, v in image.terms.items():
-                    rows[cod_index[(r, exps)]][col] += v
-        rank = rank_dense(rows) if rows and dom else 0
-        self._slice_rank_cache[key] = rank
+                for mono in basis(s - t):
+                    col = {}
+                    for r, i, k in terms:
+                        for exps, v in self._image(i, mono):
+                            col[row_of[(r, exps)]] = k * v
+                    if col:
+                        cols.append(col)
+            rank = rank_sparse(cols) if cols else 0
+            m.ranks[s - m.base] = rank
         return rank
 
     def oracle_dim(self, cx: KoszulComplex, p: int, s: int) -> int:
-        total = len(self.slice_basis(cx, p, s))
+        """dim of the weight-s slice of degree-p (co)homology; cx must
+        come from `complex`."""
+        total = sum(self.A.dim(s - t) for t in cx.modules[p].shifts)
         if total == 0:
             return 0
-        rank_out = 0
-        out = cx.outgoing(p)
-        if out is not None:
-            rank_out = self._slice_rank(cx, out, p, cx.domain_degree(p), s)
-        rank_in = 0
-        inc = cx.incoming(p)
-        if inc is not None:
-            src = p + 1 if cx.direction == "chain" else p - 1
-            rank_in = self._slice_rank(cx, inc, src, p, s)
-        return total - rank_out - rank_in
+        leaving, landing = self._slice_maps[cx]
+        return (total - self._slice_rank(leaving.get(p), s)
+                - self._slice_rank(landing.get(p), s))
+
+
+def _ratio(k: int, k0: int):
+    """k / k0, as an int when exact."""
+    return k // k0 if k % k0 == 0 else Fraction(k, k0)
 
 
 # ---- classifier -------------------------------------------------------

@@ -28,7 +28,9 @@ def detect_weights(f: Polynomial) -> WeightSystem:
     a of f.  A one-dimensional solution space is scaled to coprime
     positive integers.  If the system is underdetermined (fewer distinct
     exponent relations than unknowns) the minimal positive integer
-    completion is returned and flagged.
+    completion is returned and flagged.  When every solution has
+    degree 0 (the degree coordinate vanishes on the whole nullspace),
+    no positive completion exists and f is rejected at once.
     """
     if f.is_zero() or f.is_constant():
         raise NotWeightedHomogeneousError("no weight system for a constant")
@@ -39,6 +41,9 @@ def detect_weights(f: Polynomial) -> WeightSystem:
     if not basis:
         raise NotWeightedHomogeneousError("no nonzero weight system solves "
                                           "the homogeneity equations")
+    if all(vec[n] == 0 for vec in basis):
+        raise NotWeightedHomogeneousError(
+            "homogeneity equations force degree 0")
     if len(basis) == 1:
         vec = basis[0]
         denlcm = 1

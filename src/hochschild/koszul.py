@@ -79,36 +79,35 @@ class KoszulComplex:
                      else ("a", "xi"))
         return tuple(e.label(even + "1", odd) for e in self.modules[p].elements)
 
-    def outgoing(self, p: int):
-        """Matrix of the differential leaving homological degree p."""
-        if self.direction == "cochain":
-            return self.diffs[p] if p < len(self.diffs) else None
-        return self.diffs[p - 1] if p >= 1 else None
+    def ends(self, k: int) -> tuple:
+        """(source, target) homological degrees of diffs[k]."""
+        return (k, k + 1) if self.direction == "cochain" else (k + 1, k)
 
-    def incoming(self, p: int):
-        """Matrix of the differential landing in homological degree p."""
-        if self.direction == "cochain":
-            return self.diffs[p - 1] if p >= 1 else None
-        return self.diffs[p] if p < len(self.diffs) else None
+    def verify_entries(self) -> list:
+        """Every nonzero entry must be an integer multiple k * d_i f.
 
-    def domain_degree(self, p: int) -> int:
-        """Homological degree the outgoing matrix maps to / incoming
-        comes from, by direction."""
-        return p + 1 if self.direction == "cochain" else p - 1
-
-    def verify_entries(self) -> None:
-        """Every nonzero entry must be an integer multiple of some d_i f."""
+        Returns what was verified: for each differential, one tuple per
+        column of (row, i, k) terms, one term per nonzero entry.
+        """
         grad = self.f.gradient()
+        out = []
         for mat in self.diffs:
-            for row in mat:
-                for entry in row:
+            columns = [[] for _ in mat[0]]
+            for r, row in enumerate(mat):
+                for c, entry in enumerate(row):
                     if entry.is_zero():
                         continue
-                    if not any(_integer_multiple_of(entry, g) for g in grad
-                               if not g.is_zero()):
+                    for i, g in enumerate(grad, 1):
+                        k = _integer_ratio(entry, g)
+                        if k:
+                            columns[c].append((r, i, k))
+                            break
+                    else:
                         raise AssertionError(
                             "entry %r is not an integer multiple of a "
                             "partial derivative" % (entry,))
+            out.append(tuple(map(tuple, columns)))
+        return out
 
     def verify_d_squared_zero(self) -> None:
         """Consecutive composites vanish identically in C[z]."""
@@ -135,10 +134,8 @@ class KoszulComplex:
         # validate: entry at (r, c) must be homogeneous of weight
         # shift_domain[c] - shift_codomain[r]
         for p, mat in enumerate(self.diffs):
-            if self.direction == "cochain":
-                dom, cod = new_modules[p], new_modules[p + 1]
-            else:
-                dom, cod = new_modules[p + 1], new_modules[p]
+            src, tgt = self.ends(p)
+            dom, cod = new_modules[src], new_modules[tgt]
             for r, row in enumerate(mat):
                 for c, entry in enumerate(row):
                     if entry.is_zero():
@@ -153,15 +150,15 @@ class KoszulComplex:
         self.weights = ws
 
 
-def _integer_multiple_of(entry: Polynomial, g: Polynomial) -> bool:
-    e_exps = set(entry.terms)
-    if e_exps != set(g.terms):
-        return False
-    any_exp = next(iter(e_exps))
+def _integer_ratio(entry: Polynomial, g: Polynomial) -> int:
+    """k when entry == k * g for a nonzero integer k, else 0."""
+    if set(entry.terms) != set(g.terms):
+        return 0
+    any_exp = next(iter(entry.terms))
     ratio = entry.terms[any_exp] / g.terms[any_exp]
-    if ratio.denominator != 1 or ratio == 0:
-        return False
-    return entry == ratio * g
+    if ratio.denominator != 1 or entry != ratio * g:
+        return 0
+    return ratio.numerator
 
 
 def _matmul(a, b):

@@ -1,9 +1,10 @@
 """Exact rank computations over the rationals.
 
-Two routines: a dense fraction-free Bareiss elimination for the small
-matrices coming out of graded complex slices, and a sparse Gaussian
-elimination over Fraction for the large but very sparse bar-complex
-differentials.  Both are exact; no floating point anywhere.
+Two routines: a sparse Gaussian elimination over Fraction, which ranks
+the graded complex slices and the bar-complex differentials (both are
+mostly zero), and a dense fraction-free Bareiss elimination, kept as the
+independent reference that the tests compare the sparse path against.
+Both are exact; no floating point anywhere.
 """
 
 from __future__ import annotations

@@ -31,6 +31,28 @@ def test_milnor_finite(capsys):
     assert json.loads(out)["milnor"] == 8
 
 
+def test_milnor_says_global_when_not_weighted_homogeneous(capsys):
+    # the local Milnor number at 0 is 1; the global count is 5
+    poly = "z1^2+z2^2+z3^2+z1*z2*z3"
+    code, out, _ = run(capsys, "milnor", "--poly", poly)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["milnor"] == 5
+    assert len(payload["notes"]) == 1 and "global" in payload["notes"][0]
+    code, out, _ = run(capsys, "milnor", "--poly", poly, "--format", "table")
+    assert code == 0
+    assert out.splitlines()[0] == "milnor = 5"
+    assert "global" in out
+
+
+def test_milnor_weighted_homogeneous_has_no_note(capsys):
+    code, out, _ = run(capsys, "milnor", "--catalog", "e8-curve")
+    assert json.loads(out) == {"f": "z1^3 + z2^5", "milnor": 8}
+    code, out, _ = run(capsys, "milnor", "--catalog", "e8-curve",
+                       "--format", "table")
+    assert out == "milnor = 8\n"
+
+
 def test_cohomology_json_shape(capsys):
     code, out, _ = run(capsys, "cohomology", "--catalog", "a2-curve")
     assert code == 0

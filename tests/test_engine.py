@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hochschild.catalog import catalog_instance, catalog_names
@@ -10,6 +12,8 @@ from hochschild.engine import (
 )
 from hochschild.grading import NotWeightedHomogeneousError
 from hochschild.koszul import chain_complex, cochain_complex
+from hochschild.linalg import rank_dense
+from hochschild.parsing import parse_polynomial
 from hochschild.poly import Polynomial
 
 
@@ -152,3 +156,49 @@ def test_structural_window_is_lowest_module_shift(name):
 def test_negative_degree_or_cutoff_rejected(kwargs):
     with pytest.raises(ValueError):
         analyze(curve_a(2), **kwargs)
+
+
+def _dense_slice_rank(an, mat, dom, cod, s):
+    """Rank of mat on the weight-s slice, assembled densely from the
+    Polynomial entries with no cache: the reference for the oracle's
+    sparse, cached and content-keyed path."""
+    def basis(shifts):
+        return [(c, mono) for c, t in enumerate(shifts)
+                for mono in an.A.basis(s - t)]
+    dom_basis, cod_basis = basis(dom), basis(cod)
+    if not dom_basis or not cod_basis:
+        return 0
+    row_of = {be: r for r, be in enumerate(cod_basis)}
+    rows = [[Fraction(0)] * len(dom_basis) for _ in cod_basis]
+    for col, (c, mono) in enumerate(dom_basis):
+        for r, row in enumerate(mat):
+            image = an.gb_f.normal_form(row[c] * Polynomial.monomial(an.n, mono))
+            for exps, v in image.terms.items():
+                rows[row_of[(r, exps)]][col] += v
+    return rank_dense(rows)
+
+
+@pytest.mark.parametrize("direction", ["cohomology", "homology"])
+@pytest.mark.parametrize("f", [catalog_instance("d5-curve").f,
+                               catalog_instance("e6-surface").f,
+                               parse_polynomial("z1^4+z2^4+z3^4+z1*z2*z3^2")],
+                         ids=["d5-curve", "e6-surface", "mixed-surface"])
+def test_oracle_matches_dense_reference(f, direction):
+    p_max = 4
+    an = Analysis(f)
+    r = analyze(f, direction=direction, p_max=p_max, mode="graded",
+                analysis=an)
+    build = cochain_complex if direction == "cohomology" else chain_complex
+    cx = build(f, p_max + 1)
+    cx.assign_weights(an.ws)
+    shifts = [m.shifts for m in cx.modules]
+    for p, deg in enumerate(r.degrees):
+        lo, hi = deg.window
+        for s in range(lo, hi + 1):
+            expected = sum(an.A.dim(s - t) for t in shifts[p])
+            for k, mat in enumerate(cx.diffs):
+                src, tgt = cx.ends(k)
+                if p in (src, tgt):
+                    expected -= _dense_slice_rank(an, mat, shifts[src],
+                                                  shifts[tgt], s)
+            assert deg.oracle_graded.get(s, 0) == expected

@@ -83,3 +83,17 @@ def test_graded_quotient_unit_ideal_is_empty():
     quotient = GradedQuotient(gb, (1, 1))
     assert quotient.dim(0) == 0
     assert quotient.dim(3) == 0
+
+
+def test_detect_weights_degree_zero_rejected_before_search(monkeypatch):
+    # w1+w2+w3 = d and 2(w1+w2+w3) = d force d = 0: no positive
+    # completion exists, so the bounded search must not run
+    import hochschild.grading as grading
+
+    def no_search(*args):
+        raise AssertionError("brute-force search ran")
+
+    monkeypatch.setattr(grading, "_consistent_weights", no_search)
+    f = Polynomial(3, {(1, 1, 1): 1, (2, 2, 2): 1})
+    with pytest.raises(NotWeightedHomogeneousError, match="degree 0"):
+        detect_weights(f)

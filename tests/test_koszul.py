@@ -105,8 +105,16 @@ def test_chain_matrices_n3():
                                               (0, 0, 3): 1})])
 def test_d_squared_zero_and_entry_structure(build, f):
     cx = build(f, 8)
-    cx.verify_entries()
+    terms = cx.verify_entries()
     cx.verify_d_squared_zero()
+    # the returned (row, i, k) terms rebuild every matrix exactly
+    grad = f.gradient()
+    for mat, columns in zip(cx.diffs, terms):
+        rebuilt = [[Polynomial.zero(f.n)] * len(columns) for _ in mat]
+        for c, column in enumerate(columns):
+            for r, i, k in column:
+                rebuilt[r][c] = k * grad[i - 1]
+        assert rebuilt == mat
 
 
 def test_sign_flip_breaks_d_squared_zero():
