@@ -14,7 +14,11 @@ import json
 import sys
 
 from . import bar, catalog, engine
-from .grading import NotWeightedHomogeneousError, detect_weights
+from .grading import (
+    NotWeightedHomogeneousError,
+    detect_weights,
+    is_weighted_homogeneous,
+)
 from .ideals import INFINITE, buchberger, milnor_number
 from .parsing import ParseError, parse_polynomial
 from .poly import MonomialOrder, Polynomial
@@ -157,9 +161,7 @@ def _run_milnor(args) -> int:
     value = "infinite" if mu is INFINITE else mu
     payload = {"f": f.to_str(), "milnor": value}
     table = "milnor = %s" % value
-    try:
-        detect_weights(f)
-    except NotWeightedHomogeneousError:
+    if not is_weighted_homogeneous(f):
         note = ("global dim C[z]/<grad f>: f is not weighted homogeneous, "
                 "so this need not be the local Milnor number at 0")
         payload["notes"] = [note]

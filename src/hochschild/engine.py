@@ -78,6 +78,14 @@ class _SliceMap(NamedTuple):
     columns: tuple    # per domain component: (row, i, k / first k) terms
 
 
+class SlicedComplex(NamedTuple):
+    """A checked, weighted complex with its differentials keyed by
+    source and by target degree, as `Analysis.oracle_dim` reads them."""
+    cx: KoszulComplex
+    leaving: dict     # source degree -> _SliceMap
+    landing: dict     # target degree -> _SliceMap
+
+
 @dataclass
 class DegreeReport:
     p: int
@@ -149,7 +157,6 @@ class Analysis:
             self.milnor_quotient = None
         self._route = _UNSET
         # graded-oracle caches (see _slice_map and _image)
-        self._slice_maps: dict = {}      # complex -> per-degree _SliceMaps
         self._ranks: dict = {}           # signature -> {s - base: rank}
         self._images = [{} for _ in range(self.n)]   # per partial
         self._nonzero_divisor_cache: dict = {}
@@ -209,8 +216,8 @@ class Analysis:
 
     # ---- graded oracle ------------------------------------------------
 
-    def complex(self, direction: str, p_max: int) -> KoszulComplex:
-        """Build, check and weight a complex, and record its slice maps
+    def complex(self, direction: str, p_max: int) -> SlicedComplex:
+        """Build, check and weight a complex, and key its differentials
         for `oracle_dim`."""
         build = cochain_complex if direction == "cohomology" else chain_complex
         cx = build(self.f, p_max)
@@ -222,8 +229,7 @@ class Analysis:
             src, tgt = cx.ends(k)
             leaving[src] = landing[tgt] = self._slice_map(
                 columns, cx.modules[src].shifts, cx.modules[tgt].shifts)
-        self._slice_maps[cx] = (leaving, landing)
-        return cx
+        return SlicedComplex(cx, leaving, landing)
 
     def _slice_map(self, columns, dom: tuple, cod: tuple) -> _SliceMap:
         """Key a differential by its content.  Each column's (row, i, k)
@@ -285,19 +291,19 @@ class Analysis:
             m.ranks[s - m.base] = rank
         return rank
 
-    def oracle_dim(self, cx: KoszulComplex, p: int, s: int) -> int:
-        """dim of the weight-s slice of degree-p (co)homology; cx must
-        come from `complex`."""
-        total = sum(self.A.dim(s - t) for t in cx.modules[p].shifts)
+    def oracle_dim(self, sc: SlicedComplex, p: int, s: int) -> int:
+        """dim of the weight-s slice of degree-p (co)homology of the
+        complex `complex` returned."""
+        total = sum(self.A.dim(s - t) for t in sc.cx.modules[p].shifts)
         if total == 0:
             return 0
-        leaving, landing = self._slice_maps[cx]
-        return (total - self._slice_rank(leaving.get(p), s)
-                - self._slice_rank(landing.get(p), s))
+        return (total - self._slice_rank(sc.leaving.get(p), s)
+                - self._slice_rank(sc.landing.get(p), s))
 
 
 def _ratio(k: int, k0: int):
-    """k / k0, as an int when exact."""
+    """k / k0, as an int when exact: int entries keep slice assembly
+    and elimination off the slower Fraction arithmetic."""
     return k // k0 if k % k0 == 0 else Fraction(k, k0)
 
 
@@ -466,9 +472,9 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
                 raise
             notes.append("classifier disabled: %s" % exc)
 
-    cx = None
+    sliced = None
     if mode in ("graded", "both"):
-        cx = an.complex(direction, p_max + 1)
+        sliced = an.complex(direction, p_max + 1)
 
     degrees = []
     agree = True
@@ -498,10 +504,10 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
                 if val:
                     expected_graded[s] = val
         oracle_graded = None
-        if cx is not None:
+        if sliced is not None:
             oracle_graded = {}
             for s in range(window[0], window[1] + 1):
-                val = an.oracle_dim(cx, p, s)
+                val = an.oracle_dim(sliced, p, s)
                 if val:
                     oracle_graded[s] = val
         if expected_graded is not None and oracle_graded is not None:

@@ -28,16 +28,14 @@ def detect_weights(f: Polynomial) -> WeightSystem:
     a of f.  A one-dimensional solution space is scaled to coprime
     positive integers.  If the system is underdetermined (fewer distinct
     exponent relations than unknowns) the minimal positive integer
-    completion is returned and flagged.  When every solution has
-    degree 0 (the degree coordinate vanishes on the whole nullspace),
-    no positive completion exists and f is rejected at once.
+    completion is returned and flagged.  When no solution has degree
+    and weights all positive, f is rejected at once, before that search.
     """
     if f.is_zero() or f.is_constant():
         raise NotWeightedHomogeneousError("no weight system for a constant")
     n = f.n
     exps = sorted(f.terms)
-    rows = [[Fraction(e) for e in a] + [Fraction(-1)] for a in exps]
-    basis = nullspace(rows)
+    basis = _homogeneity_solutions(f)
     if not basis:
         raise NotWeightedHomogeneousError("no nonzero weight system solves "
                                           "the homogeneity equations")
@@ -60,6 +58,9 @@ def detect_weights(f: Polynomial) -> WeightSystem:
             raise NotWeightedHomogeneousError(
                 "homogeneity equations force a non-positive weight")
         return WeightSystem(tuple(ints[:n]), ints[n], False)
+    if not _has_positive_solution(basis):
+        raise NotWeightedHomogeneousError(
+            "no positive weights solve the homogeneity equations")
     # underdetermined: brute-force the minimal positive completion
     best = None
     for bound in range(1, 41):
@@ -74,6 +75,39 @@ def detect_weights(f: Polynomial) -> WeightSystem:
     for x in w:
         g = gcd(g, x)
     return WeightSystem(tuple(x // g for x in w), d // g, True)
+
+
+def is_weighted_homogeneous(f: Polynomial) -> bool:
+    """True when some positive rational weights make f homogeneous of
+    positive degree; decided exactly, with no search."""
+    if f.is_zero() or f.is_constant():
+        return False
+    basis = _homogeneity_solutions(f)
+    return bool(basis) and _has_positive_solution(basis)
+
+
+def _homogeneity_solutions(f: Polynomial) -> list:
+    """Nullspace basis of sum_i w_i a_i - d = 0 over the exponent
+    vectors a of f, as vectors (w_1, ..., w_n, d)."""
+    return nullspace([[Fraction(e) for e in a] + [Fraction(-1)]
+                      for a in sorted(f.terms)])
+
+
+def _has_positive_solution(basis) -> bool:
+    """True when some combination of the basis vectors is positive in
+    every coordinate.  Fourier-Motzkin elimination of the combination's
+    coefficients: each row asks coordinate j to be > 0, and eliminating
+    a coefficient adds every positive combination of a row that bounds
+    it below with one that bounds it above.  Rows left once all are
+    eliminated read 0 > 0."""
+    rows = [[vec[j] for vec in basis] for j in range(len(basis[0]))]
+    for v in range(len(basis)):
+        low = [r for r in rows if r[v] > 0]
+        high = [r for r in rows if r[v] < 0]
+        rows = [r for r in rows if r[v] == 0]
+        rows += [[-b[v] * x + a[v] * y for x, y in zip(a, b)]
+                 for a in low for b in high]
+    return not rows
 
 
 def _consistent_weights(exps, n, bound):

@@ -51,6 +51,9 @@ def test_milnor_weighted_homogeneous_has_no_note(capsys):
     code, out, _ = run(capsys, "milnor", "--catalog", "e8-curve",
                        "--format", "table")
     assert out == "milnor = 8\n"
+    # weighted homogeneous with w2 = 41 w1, beyond the weight search
+    code, out, _ = run(capsys, "milnor", "--poly", "z1^41*z3+z2*z3")
+    assert code == 0 and "notes" not in json.loads(out)
 
 
 def test_cohomology_json_shape(capsys):

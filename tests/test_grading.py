@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hochschild.grading import (
     GradedQuotient,
@@ -7,6 +9,7 @@ from hochschild.grading import (
     euler_identity_holds,
     exponents_of_weight,
     hilbert_function,
+    is_weighted_homogeneous,
 )
 from hochschild.ideals import buchberger
 from hochschild.poly import MonomialOrder, Polynomial
@@ -85,15 +88,32 @@ def test_graded_quotient_unit_ideal_is_empty():
     assert quotient.dim(3) == 0
 
 
-def test_detect_weights_degree_zero_rejected_before_search(monkeypatch):
-    # w1+w2+w3 = d and 2(w1+w2+w3) = d force d = 0: no positive
-    # completion exists, so the bounded search must not run
+@pytest.mark.parametrize("terms, message", [
+    # w1+w2+w3 = d and 2(w1+w2+w3) = d force d = 0
+    ({(1, 1, 1): 1, (2, 2, 2): 1}, "degree 0"),
+    # 2w1 = d and 2w1 + w2 = d force w2 = 0 while w3 stays free
+    ({(2, 0, 0): 1, (2, 1, 0): 1}, "no positive weights"),
+    # 2w1 + w2 + w3 = d and w1 = d force w2 + w3 = -w1
+    ({(2, 1, 1): 1, (1, 0, 0): 1}, "no positive weights"),
+])
+def test_detect_weights_rejected_before_search(monkeypatch, terms, message):
+    # no positive completion exists, so the bounded search must not run
     import hochschild.grading as grading
 
     def no_search(*args):
         raise AssertionError("brute-force search ran")
 
     monkeypatch.setattr(grading, "_consistent_weights", no_search)
-    f = Polynomial(3, {(1, 1, 1): 1, (2, 2, 2): 1})
-    with pytest.raises(NotWeightedHomogeneousError, match="degree 0"):
-        detect_weights(f)
+    with pytest.raises(NotWeightedHomogeneousError, match=message):
+        detect_weights(Polynomial(3, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=3))
+def test_weighted_homogeneity_agrees_with_search(exps):
+    # small weights solve every system here that has a positive solution
+    import hochschild.grading as grading
+
+    f = Polynomial(3, {e: 1 for e in exps})
+    assert (is_weighted_homogeneous(f)
+            == bool(grading._consistent_weights(sorted(exps), 3, 12)))
