@@ -39,7 +39,7 @@ from .grading import (
     detect_weights,
     euler_identity_holds,
 )
-from .ideals import INFINITE, GroebnerBasis, buchberger, colon_ideal, ideal_equals
+from .ideals import INFINITE, GroebnerBasis, buchberger, colon_ideal
 from .koszul import KoszulComplex, chain_complex, cochain_complex, module, shift
 from .linalg import rank_sparse
 from .poly import MonomialOrder, Polynomial, monomial_mul
@@ -164,11 +164,30 @@ class Analysis:
     # ---- route search -------------------------------------------------
 
     def _is_unit_colon(self, gens, g) -> bool:
-        """True when (<gens> : g) == <gens>."""
+        """True when (<gens> : g) == <gens>, i.e. g is a non-zero-divisor
+        modulo <gens>, decided from one Groebner basis of gens + [g].
+
+        A constant in that basis means the answer is True: either g is
+        a constant (a unit), or gens already hold one (the colon of the
+        unit ideal is the unit ideal); positive-degree weighted
+        homogeneous elements never generate a constant otherwise.
+        Else g is a non-zero-divisor exactly when it cuts the dimension
+        by one: dim C[z]/<gens, g> == n - len(gens) - 1.  That holds
+        because the route search only asks it of f and partials of f,
+        all weighted homogeneous of positive degree for positive
+        weights, with gens a regular sequence (f is, and each partial
+        is appended only after passing this test), so C[z]/<gens> is
+        Cohen-Macaulay of dimension n - len(gens), where a homogeneous
+        g is regular iff it lowers the dimension (Bruns-Herzog,
+        Cohen-Macaulay Rings, Thm. 2.1.2).  `ideals.is_zero_divisor_mod`
+        keeps the colon definition as the reference."""
         key = (tuple(gens), g)
         hit = self._nonzero_divisor_cache.get(key)
         if hit is None:
-            hit = ideal_equals(colon_ideal(gens, g, self.order), gens, self.order)
+            gb = buchberger(list(gens) + [g], self.order)
+            hit = (any(not any(e) for e in gb.leading_exponents())
+                   or ideals.krull_dimension(gb, self.n)
+                   == self.n - len(gens) - 1)
             self._nonzero_divisor_cache[key] = hit
         return hit
 
@@ -344,6 +363,7 @@ class _Classifier:
             raise PreconditionError("no valid elimination route: some "
                                     "back-substitution divisor is a zero "
                                     "divisor in every variable ordering")
+        self._finite_parts: dict = {}   # source -> see _finite
 
     def degree(self, p: int) -> tuple:
         """(kind, finite source, shift, free_formula) for degree p.
@@ -418,22 +438,32 @@ class _Classifier:
 
     def finite_part(self, source: str, shift: int):
         """(total dim, graded dict s->dim, basis labels, top weight)."""
-        a = self.an
-        if source == "milnor":
-            total = a.milnor
-            basis = a.milnor_basis
-            graded_t = {}
-            for m in basis:
-                t = sum(wi * e for wi, e in zip(a.ws.weights, m))
-                graded_t[t] = graded_t.get(t, 0) + 1
-        else:
-            total = self.route.dim
-            basis = self.route.basis
-            graded_t = self.route.graded
-        graded = {t + shift: dim for t, dim in sorted(graded_t.items())}
-        labels = tuple(Polynomial.monomial(a.n, m).to_str() for m in basis)
+        total, graded_t, labels = self._finite(source)
+        graded = {t + shift: dim for t, dim in graded_t}
         top = max(graded) if graded else None
         return total, graded, labels, top
+
+    def _finite(self, source: str) -> tuple:
+        """(total dim, sorted (t, dim) items, basis labels) of a finite
+        source before its shift, computed once per source."""
+        hit = self._finite_parts.get(source)
+        if hit is None:
+            a = self.an
+            if source == "milnor":
+                total = a.milnor
+                basis = a.milnor_basis
+                graded_t = {}
+                for m in basis:
+                    t = sum(wi * e for wi, e in zip(a.ws.weights, m))
+                    graded_t[t] = graded_t.get(t, 0) + 1
+            else:
+                total = self.route.dim
+                basis = self.route.basis
+                graded_t = self.route.graded
+            labels = tuple(Polynomial.monomial(a.n, m).to_str() for m in basis)
+            hit = (total, sorted(graded_t.items()), labels)
+            self._finite_parts[source] = hit
+        return hit
 
 
 # ---- top-level entry point -------------------------------------------

@@ -28,8 +28,11 @@ def detect_weights(f: Polynomial) -> WeightSystem:
     a of f.  A one-dimensional solution space is scaled to coprime
     positive integers.  If the system is underdetermined (fewer distinct
     exponent relations than unknowns) the minimal positive integer
-    completion is returned and flagged.  When no solution has degree
-    and weights all positive, f is rejected at once, before that search.
+    completion with weights up to 40 is returned and flagged; when every
+    positive solution needs a larger weight, an exact positive solution
+    from the Fourier-Motzkin elimination is scaled to coprime integers
+    and flagged instead.  When no solution has degree and weights all
+    positive, f is rejected at once, before any search.
     """
     if f.is_zero() or f.is_constant():
         raise NotWeightedHomogeneousError("no weight system for a constant")
@@ -43,38 +46,40 @@ def detect_weights(f: Polynomial) -> WeightSystem:
         raise NotWeightedHomogeneousError(
             "homogeneity equations force degree 0")
     if len(basis) == 1:
-        vec = basis[0]
-        denlcm = 1
-        for x in vec:
-            denlcm = denlcm * x.denominator // gcd(denlcm, x.denominator)
-        ints = [int(x * denlcm) for x in vec]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        ints = [x // g for x in ints]
+        ints = _coprime_integers(basis[0])
         if ints[n] < 0:
             ints = [-x for x in ints]
         if any(w <= 0 for w in ints[:n]) or ints[n] <= 0:
             raise NotWeightedHomogeneousError(
                 "homogeneity equations force a non-positive weight")
         return WeightSystem(tuple(ints[:n]), ints[n], False)
-    if not _has_positive_solution(basis):
+    point = _positive_point(basis)
+    if point is None:
         raise NotWeightedHomogeneousError(
             "no positive weights solve the homogeneity equations")
-    # underdetermined: brute-force the minimal positive completion
-    best = None
+    # underdetermined: the minimal positive completion with weights up
+    # to 40, when there is one, replaces that point
     for bound in range(1, 41):
         candidates = _consistent_weights(exps, n, bound)
         if candidates:
-            best = min(candidates, key=lambda wd: (sum(wd[0]), wd[0]))
+            w, d = min(candidates, key=lambda wd: (sum(wd[0]), wd[0]))
+            point = list(w) + [d]
             break
-    if best is None:
-        raise NotWeightedHomogeneousError("no small positive weight completion")
-    w, d = best
-    g = d
-    for x in w:
+    ints = _coprime_integers(point)
+    return WeightSystem(tuple(ints[:n]), ints[n], True)
+
+
+def _coprime_integers(vec) -> list:
+    """A rational vector times the positive factor that makes its
+    entries coprime integers."""
+    denlcm = 1
+    for x in vec:
+        denlcm = denlcm * x.denominator // gcd(denlcm, x.denominator)
+    ints = [int(x * denlcm) for x in vec]
+    g = 0
+    for x in ints:
         g = gcd(g, x)
-    return WeightSystem(tuple(x // g for x in w), d // g, True)
+    return [x // g for x in ints]
 
 
 def is_weighted_homogeneous(f: Polynomial) -> bool:
@@ -83,7 +88,7 @@ def is_weighted_homogeneous(f: Polynomial) -> bool:
     if f.is_zero() or f.is_constant():
         return False
     basis = _homogeneity_solutions(f)
-    return bool(basis) and _has_positive_solution(basis)
+    return bool(basis) and _positive_point(basis) is not None
 
 
 def _homogeneity_solutions(f: Polynomial) -> list:
@@ -93,24 +98,49 @@ def _homogeneity_solutions(f: Polynomial) -> list:
                       for a in sorted(f.terms)])
 
 
-def _has_positive_solution(basis) -> bool:
-    """True when some combination of the basis vectors is positive in
-    every coordinate.  Fourier-Motzkin elimination of the combination's
-    coefficients: each row asks coordinate j to be > 0, and eliminating
-    a coefficient adds every positive combination of a row that bounds
-    it below with one that bounds it above.  Rows left once all are
-    eliminated read 0 > 0."""
+def _positive_point(basis):
+    """A combination of the basis vectors that is positive in every
+    coordinate, or None when there is none.  Fourier-Motzkin
+    elimination of the combination's coefficients: each row asks
+    coordinate j to be > 0, and eliminating a coefficient adds every
+    positive combination of a row that bounds it below with one that
+    bounds it above.  Rows left once all are eliminated read 0 > 0.
+    Otherwise back-substitution, last coefficient first, picks each
+    coefficient strictly between its bounds from the rows of its
+    stage, which the later stages guarantee to be consistent."""
+    m = len(basis)
     rows = [[vec[j] for vec in basis] for j in range(len(basis[0]))]
-    for v in range(len(basis)):
+    stages = []
+    for v in range(m):
+        stages.append(rows)
         low = [r for r in rows if r[v] > 0]
         high = [r for r in rows if r[v] < 0]
         rows = [r for r in rows if r[v] == 0]
         rows += [[-b[v] * x + a[v] * y for x, y in zip(a, b)]
                  for a in low for b in high]
-    return not rows
+    if rows:
+        return None
+    lam = [Fraction(0)] * m
+    for v in reversed(range(m)):
+        lower, upper = [], []
+        for r in stages[v]:
+            if r[v]:
+                bound = -sum(r[u] * lam[u] for u in range(v + 1, m)) / r[v]
+                (lower if r[v] > 0 else upper).append(bound)
+        if lower and upper:
+            lam[v] = (max(lower) + min(upper)) / 2
+        elif lower:
+            lam[v] = max(lower) + 1
+        elif upper:
+            lam[v] = min(upper) - 1
+    return [sum(lam[v] * basis[v][j] for v in range(m))
+            for j in range(len(basis[0]))]
 
 
 def _consistent_weights(exps, n, bound):
+    """Every (w, d) with f homogeneous of positive degree d, weights in
+    1..bound and some weight equal to bound: the ones a search with
+    bound - 1 has not tried."""
     out = []
 
     def rec(prefix):
@@ -121,7 +151,11 @@ def _consistent_weights(exps, n, bound):
                 if d > 0:
                     out.append((tuple(prefix), d))
             return
-        for w in range(1, bound + 1):
+        if len(prefix) == n - 1 and max(prefix, default=0) < bound:
+            choices = (bound,)
+        else:
+            choices = range(1, bound + 1)
+        for w in choices:
             rec(prefix + [w])
 
     rec([])

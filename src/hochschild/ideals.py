@@ -4,13 +4,30 @@ Everything runs over exact rationals.  Buchberger uses the normal pair
 selection strategy plus the coprime-leading-term and chain criteria,
 and always returns the reduced monic basis, so two ideals are equal
 exactly when their bases coincide element for element under the same
-order.  Intersections go through the usual auxiliary-variable trick
-with an elimination order; colon ideals divide an intersection through
-by the denominator.
+order.  Each pair is pushed once onto a heap keyed by the degree and
+order key of its lcm, which is stored with it; a set of the queued
+pairs serves the chain criterion.  The selection order cannot change
+the output, because the reduced basis is unique.
+
+Reduction (`_reduce`, shared by Buchberger and
+`GroebnerBasis.normal_form`) works in place on one dict of terms: it
+pops the leading term and adds the scaled tail of the first divisor
+whose leading monomial divides it; the leading monomials cancel
+exactly, so no polynomial temporaries are built.  `divide` keeps the
+textbook loop with quotients and is the reference for it.
+
+Intersections go through the usual auxiliary-variable trick with an
+elimination order; colon ideals divide an intersection through by the
+denominator.  `krull_dimension` reads dim C[z]/I off the leading
+monomials of a basis, as `standard_monomials` reads the finite basis.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import combinations
+from operator import add, le, sub
 from typing import NamedTuple, Sequence
 
 from .poly import (
@@ -31,6 +48,8 @@ class _Infinite:
 
 
 INFINITE = _Infinite()
+
+_ONE = Fraction(1)
 
 
 class DivisionResult(NamedTuple):
@@ -65,22 +84,47 @@ def divide(p: Polynomial, divisors: Sequence[Polynomial],
     return DivisionResult(tuple(quotients), remainder)
 
 
-def _reduce(p: Polynomial, divisors, lts, order) -> Polynomial:
-    """Remainder only; same loop as divide without quotient bookkeeping."""
-    n = p.n
-    rem_terms: dict = {}
-    work = p
-    while not work.is_zero():
-        c, exps = work.leading_term(order)
-        for i, (gc, gexps) in enumerate(lts):
-            if monomial_divides(gexps, exps):
-                factor = Polynomial.monomial(n, monomial_div(exps, gexps), c / gc)
-                work = work - factor * divisors[i]
+def _divisor(terms: dict, key) -> tuple:
+    """(leading exponents, tail) of a nonzero polynomial's terms, the
+    tail scaled by -1/leading coefficient: subtracting c * z^q times the
+    monic divisor adds c * v at z^q * z^e for every tail term (e, v)."""
+    lead = max(terms, key=key)
+    lc = -terms[lead]
+    return lead, tuple((e, v / lc) for e, v in terms.items() if e != lead)
+
+
+def _reduce(terms: dict, divisors, key) -> dict:
+    """Remainder of `terms` on division by `divisors` ((lead, tail)
+    pairs from `_divisor`), computed in place on `terms`: pop the
+    leading term; if some leading monomial divides it (the first listed
+    wins), add its scaled tail, the leading monomials cancelling
+    exactly; otherwise move it to the remainder."""
+    rem = {}
+    while terms:
+        exps = max(terms, key=key)
+        c = terms.pop(exps)
+        for lead, tail in divisors:
+            if all(map(le, lead, exps)):
+                q = tuple(map(sub, exps, lead))
+                for e, v in tail:
+                    m = tuple(map(add, e, q))
+                    x = terms.get(m, 0) + c * v
+                    if x:
+                        terms[m] = x
+                    else:
+                        del terms[m]
                 break
         else:
-            rem_terms[exps] = c
-            work = work - Polynomial.monomial(n, exps, c)
-    return Polynomial(n, rem_terms)
+            rem[exps] = c
+    return rem
+
+
+def _polynomial(n: int, terms: dict) -> Polynomial:
+    """Wrap a dict of nonzero Fraction coefficients without copying."""
+    p = Polynomial.__new__(Polynomial)
+    p.n = n
+    p.terms = terms
+    return p
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -96,18 +140,20 @@ class GroebnerBasis:
     """Reduced monic Groebner basis, elements sorted by leading monomial
     (descending under the basis order) for deterministic output."""
 
-    __slots__ = ("elements", "order", "_lts")
+    __slots__ = ("elements", "order", "_divisors")
 
     def __init__(self, elements: Sequence[Polynomial], order: MonomialOrder):
         self.elements = tuple(elements)
         self.order = order
-        self._lts = tuple(g.leading_term(order) for g in self.elements)
+        self._divisors = tuple(_divisor(g.terms, order.key)
+                               for g in self.elements)
 
     def leading_exponents(self):
-        return tuple(lt.exponents for lt in self._lts)
+        return tuple(lead for lead, _ in self._divisors)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return _reduce(p, self.elements, self._lts, self.order)
+        return _polynomial(p.n, _reduce(dict(p.terms), self._divisors,
+                                        self.order.key))
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -127,70 +173,69 @@ class GroebnerBasis:
 
 def buchberger(generators: Sequence[Polynomial],
                order: MonomialOrder) -> GroebnerBasis:
-    basis = [g for g in generators if not g.is_zero()]
+    key = order.key
+    basis = [_divisor(g.terms, key) for g in generators if not g.is_zero()]
     if not basis:
         return GroebnerBasis((), order)
-    n = basis[0].n
-    lts = [g.leading_term(order) for g in basis]
+    n = generators[0].n
+    queue: list = []    # (sum(lcm), key(lcm), i, j, lcm), each pair once
+    live: set = set()   # pairs (i, j), i > j, still queued
 
-    def pair_key(pair):
-        i, j = pair
-        lcm = monomial_lcm(lts[i].exponents, lts[j].exponents)
-        return (sum(lcm), order.key(lcm))
+    def push(i):
+        ei = basis[i][0]
+        for j in range(i):
+            lcm = tuple(map(max, ei, basis[j][0]))
+            heappush(queue, (sum(lcm), key(lcm), i, j, lcm))
+            live.add((i, j))
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        ei, ej = lts[i].exponents, lts[j].exponents
-        lcm = monomial_lcm(ei, ej)
+    for i in range(len(basis)):
+        push(i)
+    while queue:
+        *_, i, j, lcm = heappop(queue)
+        live.discard((i, j))
+        ei, ej = basis[i][0], basis[j][0]
         # coprime criterion: disjoint leading monomials reduce to zero
         if lcm == monomial_mul(ei, ej):
             continue
         # chain criterion: some k with lt_k | lcm and both mixed pairs done
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if monomial_divides(lts[k].exponents, lcm):
-                a = (max(i, k), min(i, k))
-                b = (max(j, k), min(j, k))
-                if a not in pairs and b not in pairs:
-                    skip = True
-                    break
-        if skip:
+        if any(k != i and k != j and all(map(le, basis[k][0], lcm))
+               and (max(i, k), min(i, k)) not in live
+               and (max(j, k), min(j, k)) not in live
+               for k in range(len(basis))):
             continue
-        rem = _reduce(s_polynomial(basis[i], basis[j], order), basis, lts, order)
-        if not rem.is_zero():
-            basis.append(rem)
-            lts.append(rem.leading_term(order))
-            new = len(basis) - 1
-            pairs.update((new, k) for k in range(new))
+        # S-polynomial of the monic pair: the leading terms cancel, so it
+        # is the difference of the two shifted tails
+        spoly: dict = {}
+        for (lead, tail), sign in ((basis[i], -1), (basis[j], 1)):
+            q = tuple(map(sub, lcm, lead))
+            for e, v in tail:
+                m = tuple(map(add, e, q))
+                x = spoly.get(m, 0) + sign * v
+                if x:
+                    spoly[m] = x
+                else:
+                    del spoly[m]
+        rem = _reduce(spoly, basis, key)
+        if rem:
+            basis.append(_divisor(rem, key))
+            push(len(basis) - 1)
 
     # minimalize: process by ascending leading monomial so any proper
     # divisor is already kept; drop duplicates and divisible leads
-    ordered = sorted(range(len(basis)), key=lambda i: order.key(lts[i].exponents))
-    kept_leads: list = []
-    minimal = []
-    for i in ordered:
-        ei = lts[i].exponents
-        if any(monomial_divides(le, ei) for le in kept_leads):
-            continue
-        kept_leads.append(ei)
-        minimal.append(basis[i])
-    # fully reduce each element against the others and normalize monic
+    basis.sort(key=lambda g: key(g[0]))
+    minimal: list = []
+    for g in basis:
+        if not any(all(map(le, h[0], g[0])) for h in minimal):
+            minimal.append(g)
+    # fully reduce each monic element against the others; its leading
+    # monomial is divisible by no other, so it stays with coefficient 1
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        if others:
-            olts = [h.leading_term(order) for h in others]
-            g = _reduce(g, others, olts, order)
-        if g.is_zero():
-            continue
-        c = g.leading_term(order).coefficient
-        reduced.append(g * (1 / c))
-    reduced.sort(key=lambda g: order.key(g.leading_term(order).exponents),
-                 reverse=True)
+    for i, (lead, tail) in enumerate(minimal):
+        terms = _reduce({e: -v for e, v in tail},
+                        minimal[:i] + minimal[i + 1:], key)
+        terms[lead] = _ONE
+        reduced.append(_polynomial(n, terms))
+    reduced.reverse()
     return GroebnerBasis(reduced, order)
 
 
@@ -232,7 +277,7 @@ def standard_monomials(gb: GroebnerBasis, n: int) -> StandardMonomials:
         i = len(prefix)
         if i == n:
             exps = tuple(prefix)
-            if not any(monomial_divides(le, exps) for le in lead):
+            if not any(monomial_divides(m, exps) for m in lead):
                 out.append(exps)
             return
         for e in range(bounds[i]):
@@ -241,6 +286,21 @@ def standard_monomials(gb: GroebnerBasis, n: int) -> StandardMonomials:
     rec([])
     out.sort(key=gb.order.key)
     return StandardMonomials(True, tuple(out), None)
+
+
+def krull_dimension(gb: GroebnerBasis, n: int) -> int:
+    """dim C[z]/I from a Groebner basis of I: the largest number of
+    variables whose monomials include no leading monomial (a maximal
+    independent set modulo the leading-term ideal).  -1 for the unit
+    ideal.  Searches subsets, largest first, which is cheap for the
+    n <= 4 rings used here."""
+    supports = [{i for i, e in enumerate(exps) if e}
+                for exps in gb.leading_exponents()]
+    for size in range(n, -1, -1):
+        for free in map(set, combinations(range(n), size)):
+            if not any(s <= free for s in supports):
+                return size
+    return -1
 
 
 def quotient_dimension(generators: Sequence[Polynomial],

@@ -42,10 +42,13 @@ class MonomialOrder:
     first and breaks ties by lex; an elimination block order compares
     the front block lexicographically before the back block, which is
     the same as lex with the priority list split accordingly, so it
-    shares the implementation.
+    shares the implementation.  `key` is an attribute chosen once: when
+    the priority is the identity (the default lex order, and the
+    elimination order with front block (0,)), the key of an exponent
+    tuple is the tuple itself.
     """
 
-    __slots__ = ("kind", "n", "priority", "weights")
+    __slots__ = ("kind", "n", "priority", "weights", "key")
 
     def __init__(self, kind: str, n: int, priority: Sequence[int],
                  weights: Sequence[int] | None = None):
@@ -62,6 +65,12 @@ class MonomialOrder:
         self.kind = kind
         self.n = n
         self.priority = tuple(priority)
+        if kind == "weighted":
+            self.key = self._weighted_key
+        elif self.priority == tuple(range(n)):
+            self.key = tuple
+        else:
+            self.key = self._priority_key
 
     @staticmethod
     def lex(n: int, priority: Sequence[int] | None = None) -> "MonomialOrder":
@@ -82,12 +91,13 @@ class MonomialOrder:
         back = tuple(i for i in range(n) if i not in front)
         return MonomialOrder("block", n, front + back)
 
-    def key(self, exps: Exponents):
-        if self.kind == "weighted":
-            w = self.weights
-            total = sum(w[i] * e for i, e in enumerate(exps))
-            return (total,) + tuple(exps[i] for i in self.priority)
+    def _priority_key(self, exps: Exponents):
         return tuple(exps[i] for i in self.priority)
+
+    def _weighted_key(self, exps: Exponents):
+        w = self.weights
+        total = sum(w[i] * e for i, e in enumerate(exps))
+        return (total,) + self._priority_key(exps)
 
     def __repr__(self):
         return "MonomialOrder(%s, n=%d)" % (self.kind, self.n)

@@ -19,6 +19,15 @@ def test_weights_command(capsys):
                        "degree": 8, "underdetermined": False}
 
 
+def test_weights_beyond_search_bound(capsys):
+    code, out, err = run(capsys, "weights", "--poly", "z1^41*z3+z2*z3")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    w1, w2, w3 = payload["weights"]
+    assert w2 == 41 * w1 and payload["degree"] == w2 + w3
+    assert payload["underdetermined"] is True
+
+
 def test_milnor_infinite_is_success(capsys):
     code, out, _ = run(capsys, "milnor", "--poly", "z1^2*z2")
     assert code == 0

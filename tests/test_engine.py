@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
@@ -11,6 +14,7 @@ from hochschild.engine import (
     verify_infinite_part,
 )
 from hochschild.grading import NotWeightedHomogeneousError
+from hochschild.ideals import colon_ideal, ideal_equals
 from hochschild.koszul import chain_complex, cochain_complex
 from hochschild.linalg import rank_dense
 from hochschild.parsing import parse_polynomial
@@ -202,3 +206,55 @@ def test_oracle_matches_dense_reference(f, direction):
                     expected -= _dense_slice_rank(an, mat, shifts[src],
                                                   shifts[tgt], s)
             assert deg.oracle_graded.get(s, 0) == expected
+
+
+def _seeded_weighted_homogeneous(seed, count):
+    """Brieskorn-Pham f plus up to three mixed monomials of the same
+    weighted degree, n = 2 and 3 alternately, coefficients from seed."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = 2 + k % 2
+        a = [rng.randint(2, 6) for _ in range(n)]
+        d = lcm(*a)
+        w = [d // ai for ai in a]
+        mixed = [e for e in product(*(range(ai) for ai in a))
+                 if sum(1 for x in e if x) >= 2
+                 and sum(wi * x for wi, x in zip(w, e)) == d]
+        terms = {tuple(ai if j == i else 0 for j in range(n)): 1
+                 for i, ai in enumerate(a)}
+        for e in rng.sample(mixed, min(k % 4, len(mixed))):
+            terms[e] = rng.choice((-3, -2, -1, 1, 2, 3))
+        out.append(Polynomial(n, terms))
+    return out
+
+
+ROUTE_GROUPS = {
+    "catalog": lambda: [catalog_instance(name).f for name in catalog_names()],
+    "loop": lambda: [parse_polynomial("z1^3*z2+z2^3*z3+z3^3*z1")],
+    "seeded": lambda: _seeded_weighted_homogeneous(20261018, 40),
+}
+
+
+@pytest.mark.parametrize("group", sorted(ROUTE_GROUPS))
+def test_unit_colon_matches_colon_ideal(group):
+    # every non-zero-divisor test the route search makes, decided by
+    # dimension, against the colon definition (<gens> : g) == <gens>
+    outcomes = set()
+    for f in ROUTE_GROUPS[group]():
+        an = Analysis(f)
+        asked = []
+        decide = an._is_unit_colon
+
+        def record(gens, g):
+            hit = decide(gens, g)
+            asked.append((list(gens), g, hit))
+            return hit
+
+        an._is_unit_colon = record
+        an.route()
+        for gens, g, hit in asked:
+            assert hit == ideal_equals(colon_ideal(gens, g, an.order), gens,
+                                       an.order), (f, gens, g)
+            outcomes.add(hit)
+    assert outcomes == {True, False}

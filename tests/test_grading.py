@@ -38,6 +38,17 @@ def test_detect_weights_underdetermined_monomial():
     assert ws.degree == 2
 
 
+def test_detect_weights_beyond_search_bound():
+    # every positive solution has w2 = 41 w1, past the bounded search
+    f = Polynomial(3, {(41, 0, 1): 1, (0, 1, 1): 1})
+    ws = detect_weights(f)
+    assert ws.underdetermined
+    assert ws.weights[1] == 41 * ws.weights[0]
+    assert all(w > 0 for w in ws.weights) and ws.degree > 0
+    assert f.is_weighted_homogeneous(ws.weights)
+    assert euler_identity_holds(f, ws)
+
+
 def test_detect_weights_failure():
     f = Polynomial(1, {(2,): 1, (3,): 1})
     with pytest.raises(NotWeightedHomogeneousError):
@@ -116,4 +127,19 @@ def test_weighted_homogeneity_agrees_with_search(exps):
 
     f = Polynomial(3, {e: 1 for e in exps})
     assert (is_weighted_homogeneous(f)
-            == bool(grading._consistent_weights(sorted(exps), 3, 12)))
+            == any(grading._consistent_weights(sorted(exps), 3, bound)
+                   for bound in range(1, 13)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=3))
+def test_positive_point_solves_the_homogeneity_equations(exps):
+    import hochschild.grading as grading
+
+    f = Polynomial(3, {e: 1 for e in exps})
+    basis = grading._homogeneity_solutions(f)
+    point = grading._positive_point(basis) if basis else None
+    assert (point is not None) == is_weighted_homogeneous(f)
+    if point is not None:
+        assert all(x > 0 for x in point)
+        assert f.weighted_degrees(point[:3]) == {point[3]}

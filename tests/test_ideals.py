@@ -13,6 +13,7 @@ from hochschild.ideals import (
     ideal_equals,
     ideal_intersection,
     is_zero_divisor_mod,
+    krull_dimension,
     milnor_number,
     quotient_dimension,
     s_polynomial,
@@ -208,3 +209,36 @@ def test_groebner_membership_of_products(p, q):
     gb = buchberger([p, q], LEX2)
     assert gb.normal_form(p * q).is_zero()
     assert gb.normal_form(p + q).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_polys, min_size=1, max_size=3), small_polys)
+def test_normal_form_matches_division_remainder(gens, p):
+    # the in-place reduction against the division reference
+    gb = buchberger(gens, LEX2)
+    assert gb.normal_form(p) == divide(p, gb.elements, LEX2).remainder
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(small_polys, min_size=1, max_size=3), st.data())
+def test_buchberger_independent_of_generator_order(gens, data):
+    # the reduced basis is unique, whatever order the pairs are met in
+    with_duplicates = gens + data.draw(st.lists(st.sampled_from(gens),
+                                                max_size=2))
+    shuffled = data.draw(st.permutations(with_duplicates))
+    assert buchberger(shuffled, LEX2).elements == \
+        buchberger(gens, LEX2).elements
+
+
+def test_krull_dimension_goldens():
+    z1, z2 = zvars(2)
+    y1, y2, y3 = zvars(3)
+    assert krull_dimension(buchberger([z1 ** 2, z2 ** 3], LEX2), 2) == 0
+    assert krull_dimension(buchberger([z1 * z2], LEX2), 2) == 1
+    assert krull_dimension(buchberger([y1 * y2], LEX3), 3) == 2
+    # the z2 axis survives <z1^2, z1*z2>
+    assert krull_dimension(buchberger([z1 ** 2, z1 * z2], LEX2), 2) == 1
+    assert krull_dimension(buchberger([y1 ** 2 - y2 * y3], LEX3), 3) == 2
+    assert krull_dimension(buchberger([Polynomial.one(2)], LEX2), 2) == -1
+    assert krull_dimension(buchberger([z1 - 1, z1 * z2], LEX2), 2) == 0
+    assert krull_dimension(buchberger([], LEX3), 3) == 3
