@@ -10,6 +10,7 @@ disagreement, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -255,7 +256,10 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hh` parser, built on first use and then shared: parsing
+    leaves it unchanged, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="hh",
         description="Exact Hochschild (co)homology of hypersurface "

@@ -150,11 +150,9 @@ class Analysis:
         if std.finite:
             self.milnor = len(std.monomials)
             self.milnor_basis = std.monomials
-            self.milnor_quotient = GradedQuotient(self.gb_jac, self.ws.weights)
         else:
             self.milnor = INFINITE
             self.milnor_basis = None
-            self.milnor_quotient = None
         self._route = _UNSET
         # graded-oracle caches (see _slice_map and _image)
         self._ranks: dict = {}           # signature -> {s - base: rank}

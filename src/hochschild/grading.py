@@ -196,6 +196,12 @@ class GradedQuotient:
 
     The standard monomials of exact weight s form a vector space basis
     of the degree-s slice; dim(s) is the Hilbert function value there.
+    The exponent tuples of weight s are built from a memo over suffixes
+    of the variables: those of weight s in variables k.. are (e,) + m
+    for each e and each memoized m of weight s - e*w_k in variables
+    k+1...  Suffixes k >= 1 are memoized; the full tuples are held,
+    filtered and sorted, per weight.  The memo lives as long as the
+    instance.
     """
 
     def __init__(self, gb: GroebnerBasis, weights: Sequence[int]):
@@ -203,6 +209,7 @@ class GradedQuotient:
         self.weights = tuple(weights)
         self.lead = gb.leading_exponents()
         self._basis_cache: dict = {}
+        self._suffixes = [{} for _ in self.weights]   # k -> {s: tuples}
 
     def basis(self, s: int) -> tuple:
         """Standard monomials of weight s, sorted by the basis order."""
@@ -210,11 +217,27 @@ class GradedQuotient:
         if cached is None:
             lead = self.lead
             cached = tuple(sorted(
-                (e for e in exponents_of_weight(self.weights, s)
+                (e for e in self._of_weight(0, s)
                  if not any(monomial_divides(le, e) for le in lead)),
                 key=self.gb.order.key))
             self._basis_cache[s] = cached
         return cached
+
+    def _of_weight(self, k: int, s: int) -> tuple:
+        """Exponent tuples of variables k.. with weight s, in the order
+        of `exponents_of_weight`."""
+        memo = self._suffixes[k]
+        out = memo.get(s)
+        if out is None:
+            w = self.weights[k]
+            if k == len(self.weights) - 1:
+                out = ((s // w,),) if s >= 0 and s % w == 0 else ()
+            else:
+                out = tuple((e,) + m for e in range(s // w + 1)
+                            for m in self._of_weight(k + 1, s - e * w))
+            if k:
+                memo[s] = out
+        return out
 
     def dim(self, s: int) -> int:
         return len(self.basis(s))

@@ -1,10 +1,12 @@
 """Exact rank computations over the rationals.
 
-Two routines: a sparse Gaussian elimination over Fraction, which ranks
-the graded complex slices and the bar-complex differentials (both are
-mostly zero), and a dense fraction-free Bareiss elimination, kept as the
-independent reference that the tests compare the sparse path against.
-Both are exact; no floating point anywhere.
+Two routines, both in integer arithmetic and fraction-free: a sparse
+elimination that ranks the graded complex slices and the bar-complex
+differentials (both are mostly zero), and a dense Bareiss elimination,
+kept as the independent reference that the tests compare the sparse
+path against.  Rational entries are cleared of denominators row by row,
+which leaves the rank unchanged.  Both are exact; no floating point and
+no modular arithmetic anywhere.
 """
 
 from __future__ import annotations
@@ -62,32 +64,60 @@ def rank_dense(rows) -> int:
 
 
 def rank_sparse(rows) -> int:
-    """Rank of a matrix given as sparse rows (dict col -> Fraction).
+    """Rank of a matrix given as sparse rows (dict col -> int or Fraction).
 
-    Plain Gaussian elimination over Fraction; each incoming row is
-    reduced against the pivot rows found so far.  Pivot rows are kept
-    normalized so reduction is a single scaled subtraction per hit.
+    Fraction-free elimination over the integers.  Each incoming row is
+    copied, scaled by the lcm of its denominators, and reduced against
+    the pivot rows found so far: with a and b the pivot's and the row's
+    leading entries divided by their gcd, r := a*r - b*pivot clears the
+    leading column exactly.  Pivot rows are stored primitive (divided
+    by the gcd of their entries, leading entry positive), keyed by
+    leading column.  The caller's dicts are never modified.
     """
-    pivots: dict = {}  # col -> normalized row dict
+    pivots: dict = {}  # leading col -> (leading entry, other items)
     rank = 0
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
+        row = _integer_row(row)
         while row:
             c = min(row)
             pivot = pivots.get(c)
+            b = row.pop(c)
             if pivot is None:
-                inv = Fraction(1) / row[c]
-                pivots[c] = {k: v * inv for k, v in row.items()}
+                g = gcd(b, *row.values())
+                if b < 0:
+                    g = -g
+                pivots[c] = (b // g, tuple((k, v // g)
+                                           for k, v in row.items()))
                 rank += 1
                 break
-            factor = row[c]
-            for k, v in pivot.items():
-                s = row.get(k, 0) - factor * v
+            a, tail = pivot
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+            for k, v in tail:
+                s = row.get(k, 0) - b * v
                 if s:
                     row[k] = s
-                elif k in row:
+                else:
                     del row[k]
     return rank
+
+
+def _integer_row(row) -> dict:
+    """The nonzero entries of a sparse row times the lcm of their
+    denominators, as ints, in a new dict."""
+    den = 1
+    for v in row.values():
+        d = v.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    if den == 1:
+        return {k: v.numerator for k, v in row.items() if v}
+    return {k: v.numerator * (den // v.denominator)
+            for k, v in row.items() if v}
 
 
 def nullspace(rows):

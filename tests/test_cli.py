@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hochschild.cli import main
+from hochschild.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -197,3 +197,16 @@ def test_negative_degree_or_cutoff_exits_2(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "must be >= 0" in captured.err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_keeps_defaults_between_calls(capsys):
+    code, out, _ = run(capsys, "cohomology", "--catalog", "a1-curve",
+                       "--max-degree", "2", "--format", "table")
+    assert code == 0 and out.startswith("f = ")
+    code, out, _ = run(capsys, "cohomology", "--catalog", "a1-curve")
+    assert code == 0
+    assert [d["p"] for d in json.loads(out)["cohomology"]] == list(range(7))

@@ -143,3 +143,28 @@ def test_positive_point_solves_the_homogeneity_equations(exps):
     if point is not None:
         assert all(x > 0 for x in point)
         assert f.weighted_degrees(point[:3]) == {point[3]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 4), min_size=n, max_size=n),
+    st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=3),
+    st.lists(st.integers(-3, 150), min_size=1, max_size=12, unique=True))))
+def test_graded_quotient_basis_matches_reference(case):
+    weights, leads, weights_s = case
+    n = len(weights)
+    gb = buchberger([Polynomial(n, {e: 1}) for e in leads],
+                    MonomialOrder.lex(n))
+    lead = gb.leading_exponents()
+
+    def reference(s):
+        return tuple(sorted(
+            (e for e in exponents_of_weight(weights, s)
+             if not any(all(a <= b for a, b in zip(le, e)) for le in lead)),
+            key=gb.order.key))
+
+    # fill the suffix memo in both orders
+    for order in (sorted(weights_s), sorted(weights_s, reverse=True)):
+        quotient = GradedQuotient(gb, weights)
+        for s in order:
+            assert quotient.basis(s) == reference(s)

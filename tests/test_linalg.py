@@ -60,3 +60,34 @@ def test_rank_plus_nullity(m):
     ncols = len(m[0])
     basis = nullspace(m)
     assert rank_dense(m) + len(basis) == ncols
+
+
+sparse_entries = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.integers(-4, 4).map(Fraction),
+    st.integers(2 ** 64, 2 ** 70).flatmap(lambda x: st.sampled_from((x, -x))),
+)
+sparse_matrices = st.integers(1, 8).flatmap(
+    lambda c: st.tuples(st.just(c), st.lists(
+        st.dictionaries(st.integers(0, c - 1), sparse_entries, max_size=c),
+        max_size=8)))
+combinations = st.lists(st.lists(st.sampled_from(
+    (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), 2 ** 65))), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices, combinations)
+def test_sparse_rank_matches_dense_reference(shape, combos):
+    ncols, rows = shape
+    # dependent rows: combinations of the drawn ones, zeros kept
+    for coefficients in combos:
+        combo = {}
+        for x, row in zip(coefficients, rows):
+            for j, v in row.items():
+                combo[j] = combo.get(j, 0) + x * v
+        rows.append(combo)
+    before = [dict(row) for row in rows]
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    assert rank_sparse(rows) == rank_dense(dense)
+    assert rows == before
