@@ -7,11 +7,15 @@ Two independent routes to the same numbers:
   (or a free summand) plus a finite piece, a finite piece alone, or an
   explicit A-module quotient.  Finite pieces are either the Milnor
   algebra C[z]/<grad f> or a colon-ideal quotient K/J with
-  J = <f> + <all partials but one> and K = (J : remaining partial),
-  which packages the back-substitution argument for the kernel of
-  g . grad f.  Validity of that argument is checked computationally
-  (the back-substitution divisors must not be zero divisors in the
-  relevant quotients) before the classifier is trusted.
+  J = <f> + J'_i, J'_i the partials other than d_i f, and
+  K = (J : d_i f), which packages the back-substitution argument for
+  the kernel of g . grad f.  For isolated f no colon ideal is computed:
+  by the Euler identity J = J'_i + <z_i d_i f>, and d_i f is a
+  non-zero-divisor modulo J'_i because grad f is a regular sequence, so
+  K = <J'_i, z_i>.  The argument is valid exactly when K has finite
+  colength (see `Route`), which is checked before the classifier is
+  trusted.  Dimensions of A itself come from its closed-form Poincare
+  series (`hochschild.series`), not from a monomial basis.
 
 * The graded oracle slices every module by internal weight, restricts
   the differential matrices to each finite-dimensional slice over the
@@ -29,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 from typing import NamedTuple
 
 from . import ideals
@@ -39,10 +42,11 @@ from .grading import (
     detect_weights,
     euler_identity_holds,
 )
-from .ideals import INFINITE, GroebnerBasis, buchberger, colon_ideal
+from .ideals import INFINITE, GroebnerBasis, buchberger
 from .koszul import KoszulComplex, chain_complex, cochain_complex, module, shift
 from .linalg import rank_sparse
-from .poly import MonomialOrder, Polynomial, monomial_mul
+from .poly import MonomialOrder, Polynomial, monomial_mul, monomial_str
+from .series import PoincareSeries
 
 
 class PreconditionError(ValueError):
@@ -56,9 +60,19 @@ _UNSET = object()   # route not searched yet; None means no valid route
 class Route:
     """Validated elimination route for the odd-degree kernel analysis.
 
-    solved is the index i with K = (J : d_i f); back lists the indices
-    used for back-substitution, in order, each verified to be a
-    non-zero-divisor in the quotient where it is inverted.
+    solved is the first index i for which K = <J'_i, z_i> has finite
+    colength, J'_i being the partials other than d_i f; back lists the
+    other indices, ascending, whose partials are back-substituted, and
+    J = <f> + J'_i.  For isolated f, K = (J : d_i f), and the route is
+    valid exactly when K has finite colength: then J'_i, z_i is a
+    regular sequence, so z_i and d_i f are non-zero-divisors modulo
+    J'_i, and so is f, which the Euler identity puts in z_i d_i f + J'_i
+    up to a unit; hence J'_i, f is a regular sequence in any order
+    (homogeneous regular sequences permute; Bruns-Herzog, Cohen-Macaulay
+    Rings, Thm. 2.1.2) and J has finite colength.  Conversely, if some
+    ordering of f and J'_i is regular, z_i is a non-zero-divisor modulo
+    J'_i and K is finite.  gb_j and gb_k are the reduced bases of J and
+    K; basis is std(J) minus std(K).
     """
     solved: int
     back: tuple
@@ -157,79 +171,41 @@ class Analysis:
         # graded-oracle caches (see _slice_map and _image)
         self._ranks: dict = {}           # signature -> {s - base: rank}
         self._images = [{} for _ in range(self.n)]   # per partial
-        self._nonzero_divisor_cache: dict = {}
 
     # ---- route search -------------------------------------------------
 
-    def _is_unit_colon(self, gens, g) -> bool:
-        """True when (<gens> : g) == <gens>, i.e. g is a non-zero-divisor
-        modulo <gens>, decided from one Groebner basis of gens + [g].
-
-        A constant in that basis means the answer is True: either g is
-        a constant (a unit), or gens already hold one (the colon of the
-        unit ideal is the unit ideal); positive-degree weighted
-        homogeneous elements never generate a constant otherwise.
-        Else g is a non-zero-divisor exactly when it cuts the dimension
-        by one: dim C[z]/<gens, g> == n - len(gens) - 1.  That holds
-        because the route search only asks it of f and partials of f,
-        all weighted homogeneous of positive degree for positive
-        weights, with gens a regular sequence (f is, and each partial
-        is appended only after passing this test), so C[z]/<gens> is
-        Cohen-Macaulay of dimension n - len(gens), where a homogeneous
-        g is regular iff it lowers the dimension (Bruns-Herzog,
-        Cohen-Macaulay Rings, Thm. 2.1.2).  `ideals.is_zero_divisor_mod`
-        keeps the colon definition as the reference."""
-        key = (tuple(gens), g)
-        hit = self._nonzero_divisor_cache.get(key)
-        if hit is None:
-            gb = buchberger(list(gens) + [g], self.order)
-            hit = (any(not any(e) for e in gb.leading_exponents())
-                   or ideals.krull_dimension(gb, self.n)
-                   == self.n - len(gens) - 1)
-            self._nonzero_divisor_cache[key] = hit
-        return hit
-
     def route(self) -> Route | None:
-        """Find and validate an elimination route, cached."""
+        """Find the elimination route once; None when f is not isolated
+        or no variable gives one."""
         if self._route is _UNSET:
-            self._route = self._find_route()
+            self._route = (None if self.milnor is INFINITE
+                           else self._find_route())
         return self._route
 
     def _find_route(self) -> Route | None:
-        """Try each ordering (i, *back): back-substitute the partials of
-        back from last to first, each of which must be a non-zero-divisor
-        modulo f and the partials already used; the first ordering that
-        passes is built."""
-        if any(g.is_zero() for g in self.grad):
-            return None
-        for i, *back in permutations(range(1, self.n + 1)):
-            gens = [self.f]
-            for j in reversed(back):
-                if not self._is_unit_colon(gens, self.grad[j - 1]):
-                    break
-                gens.append(self.grad[j - 1])
-            else:
-                return self._build_route(i, tuple(back))
+        """The first i with C[z]/<J'_i, z_i> finite-dimensional, where
+        J'_i holds the partials other than d_i f.  That ideal is K, and
+        J = <f> + J'_i (see `Route`)."""
+        n = self.n
+        for i in range(1, n + 1):
+            back = tuple(j for j in range(1, n + 1) if j != i)
+            others = [self.grad[j - 1] for j in back]
+            gb_k = buchberger(others + [Polynomial.variable(n, i)],
+                              self.order)
+            std_k = ideals.standard_monomials(gb_k, n)
+            if not std_k.finite:
+                continue
+            gb_j = buchberger([self.f] + others, self.order)
+            std_j = ideals.standard_monomials(gb_j, n)
+            in_k = set(std_k.monomials)
+            basis = tuple(m for m in std_j.monomials if m not in in_k)
+            w = self.ws.weights
+            graded: dict = {}
+            for m in basis:
+                t = sum(wi * e for wi, e in zip(w, m))
+                graded[t] = graded.get(t, 0) + 1
+            return Route(i, back, gb_j, gb_k, len(basis), graded, basis)
         return None
-
-    def _build_route(self, i: int, back: tuple) -> Route | None:
-        gens_j = [self.f] + [self.grad[j - 1] for j in back]
-        gb_j = buchberger(gens_j, self.order)
-        std_j = ideals.standard_monomials(gb_j, self.n)
-        if not std_j.finite:
-            return None
-        gens_k = colon_ideal(gens_j, self.grad[i - 1], self.order)
-        gb_k = buchberger(gens_k, self.order)
-        std_k = ideals.standard_monomials(gb_k, self.n)
-        if not std_k.finite:
-            return None
-        basis = tuple(m for m in std_j.monomials if m not in set(std_k.monomials))
-        w = self.ws.weights
-        graded: dict = {}
-        for m in basis:
-            t = sum(wi * e for wi, e in zip(w, m))
-            graded[t] = graded.get(t, 0) + 1
-        return Route(i, back, gb_j, gb_k, len(basis), graded, basis)
 
     # ---- graded oracle ------------------------------------------------
 
@@ -361,6 +337,7 @@ class _Classifier:
             raise PreconditionError("no valid elimination route: some "
                                     "back-substitution divisor is a zero "
                                     "divisor in every variable ordering")
+        self._dim_A = PoincareSeries(a.ws.weights, a.ws.degree).dim
         self._finite_parts: dict = {}   # source -> see _finite
 
     def degree(self, p: int) -> tuple:
@@ -372,7 +349,7 @@ class _Classifier:
         a, n = self.an, self.an.n
         d, w = a.ws.degree, a.ws.weights
         W = sum(w)
-        A = a.A.dim
+        A = self._dim_A
         route = self.route
 
         if p == 0:
@@ -458,7 +435,7 @@ class _Classifier:
                 total = self.route.dim
                 basis = self.route.basis
                 graded_t = self.route.graded
-            labels = tuple(Polynomial.monomial(a.n, m).to_str() for m in basis)
+            labels = tuple(map(monomial_str, basis))
             hit = (total, sorted(graded_t.items()), labels)
             self._finite_parts[source] = hit
         return hit

@@ -18,15 +18,13 @@ textbook loop with quotients and is the reference for it.
 
 Intersections go through the usual auxiliary-variable trick with an
 elimination order; colon ideals divide an intersection through by the
-denominator.  `krull_dimension` reads dim C[z]/I off the leading
-monomials of a basis, as `standard_monomials` reads the finite basis.
+denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
 from operator import add, le, sub
 from typing import NamedTuple, Sequence
 
@@ -286,21 +284,6 @@ def standard_monomials(gb: GroebnerBasis, n: int) -> StandardMonomials:
     rec([])
     out.sort(key=gb.order.key)
     return StandardMonomials(True, tuple(out), None)
-
-
-def krull_dimension(gb: GroebnerBasis, n: int) -> int:
-    """dim C[z]/I from a Groebner basis of I: the largest number of
-    variables whose monomials include no leading monomial (a maximal
-    independent set modulo the leading-term ideal).  -1 for the unit
-    ideal.  Searches subsets, largest first, which is cheap for the
-    n <= 4 rings used here."""
-    supports = [{i for i, e in enumerate(exps) if e}
-                for exps in gb.leading_exponents()]
-    for size in range(n, -1, -1):
-        for free in map(set, combinations(range(n), size)):
-            if not any(s <= free for s in supports):
-                return size
-    return -1
 
 
 def quotient_dimension(generators: Sequence[Polynomial],

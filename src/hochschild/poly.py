@@ -121,6 +121,15 @@ def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def monomial_str(exps: Exponents, names: Sequence[str] | None = None) -> str:
+    """The monomial z^exps in the syntax the expression parser accepts,
+    e.g. "z1^2*z3" for (2, 0, 1), and "1" for the constant monomial."""
+    if names is None:
+        names = ["z%d" % (i + 1) for i in range(len(exps))]
+    return "*".join(name if e == 1 else "%s^%d" % (name, e)
+                    for name, e in zip(names, exps) if e) or "1"
+
+
 class Polynomial:
     __slots__ = ("n", "terms")
 
@@ -316,22 +325,14 @@ class Polynomial:
         """Render in the syntax the expression parser accepts."""
         if not self.terms:
             return "0"
-        if names is None:
-            names = ["z%d" % (i + 1) for i in range(self.n)]
         if order is None:
             order = MonomialOrder.lex(self.n)
         pieces = []
         for exps in sorted(self.terms, key=order.key, reverse=True):
             c = self.terms[exps]
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
-            if not factors or abs(c) != 1:
-                factors.insert(0, str(abs(c)))
-            body = "*".join(factors)
+            body = monomial_str(exps, names)
+            if abs(c) != 1:
+                body = "%s*%s" % (abs(c), body) if any(exps) else str(abs(c))
             pieces.append(("- " if c < 0 else "+ ") + body)
         out = " ".join(pieces)
         if out.startswith("+ "):

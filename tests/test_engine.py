@@ -14,7 +14,12 @@ from hochschild.engine import (
     verify_infinite_part,
 )
 from hochschild.grading import NotWeightedHomogeneousError
-from hochschild.ideals import colon_ideal, ideal_equals
+from hochschild.ideals import (
+    INFINITE,
+    buchberger,
+    colon_ideal,
+    standard_monomials,
+)
 from hochschild.koszul import chain_complex, cochain_complex
 from hochschild.linalg import rank_dense
 from hochschild.parsing import parse_polynomial
@@ -236,25 +241,66 @@ ROUTE_GROUPS = {
 }
 
 
+# which per-variable quotients C[z]/<J'_i, z_i> occur over a group
+ROUTE_OUTCOMES = {"catalog": {True, False}, "loop": {False},
+                  "seeded": {True, False}}
+
+
 @pytest.mark.parametrize("group", sorted(ROUTE_GROUPS))
-def test_unit_colon_matches_colon_ideal(group):
-    # every non-zero-divisor test the route search makes, decided by
-    # dimension, against the colon definition (<gens> : g) == <gens>
+def test_route_ideal_matches_colon_ideal(group):
+    # for isolated f and every variable i, <J'_i, z_i> is the colon
+    # ideal (<f> + J'_i : d_i f), J'_i being the other partials, and the
+    # route solves for the first i whose quotient is finite
     outcomes = set()
     for f in ROUTE_GROUPS[group]():
         an = Analysis(f)
-        asked = []
-        decide = an._is_unit_colon
+        if an.milnor is INFINITE:
+            assert an.route() is None
+            continue
+        bases, finite = [], []
+        for i in range(1, an.n + 1):
+            others = [g for j, g in enumerate(an.grad, 1) if j != i]
+            gb_k = buchberger(others + [Polynomial.variable(an.n, i)],
+                              an.order)
+            colon = colon_ideal([f] + others, an.grad[i - 1], an.order)
+            assert gb_k == buchberger(colon, an.order), (f, i)
+            bases.append(gb_k)
+            finite.append(standard_monomials(gb_k, an.n).finite)
+        route = an.route()
+        if any(finite):
+            i = finite.index(True) + 1
+            assert (route.solved, route.gb_k) == (i, bases[i - 1]), f
+        else:
+            assert route is None, f
+        outcomes.update(finite)
+    assert outcomes == ROUTE_OUTCOMES[group]
 
-        def record(gens, g):
-            hit = decide(gens, g)
-            asked.append((list(gens), g, hit))
-            return hit
 
-        an._is_unit_colon = record
-        an.route()
-        for gens, g, hit in asked:
-            assert hit == ideal_equals(colon_ideal(gens, g, an.order), gens,
-                                       an.order), (f, gens, g)
-            outcomes.add(hit)
-    assert outcomes == {True, False}
+def test_route_requires_isolated_singularity():
+    # f = z2*(z1 + z2)^2 is singular along z1 = -z2.  C[z]/<d2 f, z1> is
+    # finite, yet grad f is no regular sequence, so K = <d2 f, z1> is not
+    # (J : d1 f) and there is no route
+    f = parse_polynomial("z1^2*z2 + 2*z1*z2^2 + z2^3")
+    an = Analysis(f)
+    assert an.milnor is INFINITE
+    gb = buchberger([an.grad[1], Polynomial.variable(2, 1)], an.order)
+    assert standard_monomials(gb, 2).finite
+    assert gb != buchberger(colon_ideal([f, an.grad[1]], an.grad[0],
+                                        an.order), an.order)
+    assert an.route() is None
+    with pytest.raises(PreconditionError, match="non-isolated"):
+        analyze(f, mode="structural")
+    report = analyze(f, mode="both", p_max=2)
+    assert report.notes == ["classifier disabled: non-isolated singularity: "
+                            "Milnor algebra is infinite-dimensional"]
+
+
+def test_loop_singularity_has_no_route():
+    # the benchmark's checks match this text as a precondition failure
+    f = parse_polynomial("z1^3*z2+z2^3*z3+z3^3*z1")
+    message = ("no valid elimination route: some back-substitution "
+               "divisor is a zero divisor in every variable ordering")
+    with pytest.raises(PreconditionError) as exc:
+        analyze(f, mode="structural")
+    assert str(exc.value) == message
+    assert analyze(f, p_max=1).notes == ["classifier disabled: " + message]

@@ -13,7 +13,6 @@ from hochschild.ideals import (
     ideal_equals,
     ideal_intersection,
     is_zero_divisor_mod,
-    krull_dimension,
     milnor_number,
     quotient_dimension,
     s_polynomial,
@@ -228,17 +227,3 @@ def test_buchberger_independent_of_generator_order(gens, data):
     shuffled = data.draw(st.permutations(with_duplicates))
     assert buchberger(shuffled, LEX2).elements == \
         buchberger(gens, LEX2).elements
-
-
-def test_krull_dimension_goldens():
-    z1, z2 = zvars(2)
-    y1, y2, y3 = zvars(3)
-    assert krull_dimension(buchberger([z1 ** 2, z2 ** 3], LEX2), 2) == 0
-    assert krull_dimension(buchberger([z1 * z2], LEX2), 2) == 1
-    assert krull_dimension(buchberger([y1 * y2], LEX3), 3) == 2
-    # the z2 axis survives <z1^2, z1*z2>
-    assert krull_dimension(buchberger([z1 ** 2, z1 * z2], LEX2), 2) == 1
-    assert krull_dimension(buchberger([y1 ** 2 - y2 * y3], LEX3), 3) == 2
-    assert krull_dimension(buchberger([Polynomial.one(2)], LEX2), 2) == -1
-    assert krull_dimension(buchberger([z1 - 1, z1 * z2], LEX2), 2) == 0
-    assert krull_dimension(buchberger([], LEX3), 3) == 3

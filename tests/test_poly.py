@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochschild.poly import MonomialOrder, Polynomial
+from hochschild.poly import MonomialOrder, Polynomial, monomial_str
 
 
 def z(i, n=2):
@@ -138,3 +138,16 @@ def test_order_respects_multiplication(a, b, m):
         assert order.key(am) < order.key(bm)
     # the unit monomial is minimal
     assert order.key((0, 0)) <= order.key(a)
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*[st.integers(0, 12)] * n)))
+def test_monomial_str_matches_to_str(exps):
+    assert monomial_str(exps) == \
+        Polynomial.monomial(len(exps), exps).to_str()
+
+
+def test_monomial_str_constant_and_names():
+    assert monomial_str((0, 0, 0)) == "1"
+    assert monomial_str((2, 0, 1)) == "z1^2*z3"
+    assert monomial_str((1, 3), ("x", "y")) == "x*y^3"
