@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import bar, catalog, engine
 from .grading import (
@@ -101,11 +102,57 @@ def _report_table(report: engine.Report) -> str:
     return "\n".join(lines)
 
 
-def _emit(args, payload, table_text=None):
-    if getattr(args, "format", "json") == "table" and table_text is not None:
-        print(table_text)
+def _json(obj, pad: str = "") -> str:
+    """`obj` as `json.dumps(obj, indent=2)` writes it, nested at indent
+    `pad`, for the types reports are made of: dicts with str keys, lists
+    and tuples, str, int, bool and None.  Anything else raises
+    TypeError.  A list of equal-length rows of plain ints (the
+    `graded_dims` pairs) is written with one %-template."""
+    t = type(obj)
+    if t is str:
+        return _escape(obj)
+    if t is int:
+        return repr(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = pad + "  "
+    if t is dict:
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != {str}:
+            raise TypeError("dict keys must be str: %r" % (list(obj),))
+        return "{\n%s\n%s}" % (",\n".join(
+            [inner + _escape(k) + ": " + _json(v, inner)
+             for k, v in obj.items()]), pad)
+    if t is not list and t is not tuple:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % t.__name__)
+    if not obj:
+        return "[]"
+    if t is list and set(map(type, obj)) == {list}:
+        widths = set(map(len, obj))
+        if len(widths) == 1 and 0 not in widths:
+            cells = tuple(chain.from_iterable(obj))
+            if set(map(type, cells)) == {int}:
+                row = "%s[\n%s\n%s]" % (
+                    inner, ",\n".join([inner + "  %d"] * widths.pop()), inner)
+                return "[\n%s\n%s]" % (
+                    ",\n".join([row] * len(obj)) % cells, pad)
+    return "[\n%s\n%s]" % (",\n".join([inner + _json(v, inner)
+                                         for v in obj]), pad)
+
+
+def _emit(args, payload, table):
+    """Print `payload` as JSON, or under --format table the text that
+    `table()` returns; the table text is built only then."""
+    if args.format == "table":
+        print(table())
     else:
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
 
 
 def _run_homology_command(args, direction: str) -> int:
@@ -117,7 +164,7 @@ def _run_homology_command(args, direction: str) -> int:
                                 mode=args.mode)
     except (engine.PreconditionError, NotWeightedHomogeneousError) as exc:
         raise CliError(str(exc), 1)
-    _emit(args, _report_json(report), _report_table(report))
+    _emit(args, _report_json(report), lambda: _report_table(report))
     if report.crosscheck == "disagree":
         print("crosscheck disagreement between classifier and oracle",
               file=sys.stderr)
@@ -149,7 +196,7 @@ def _run_groebner(args) -> int:
     gb = buchberger(gens, MonomialOrder.lex(n))
     payload = {"generators": [g.to_str() for g in gens],
                "basis": [g.to_str() for g in gb]}
-    _emit(args, payload, "\n".join(g.to_str() for g in gb))
+    _emit(args, payload, lambda: "\n".join(g.to_str() for g in gb))
     return 0
 
 
@@ -167,7 +214,7 @@ def _run_milnor(args) -> int:
                 "so this need not be the local Milnor number at 0")
         payload["notes"] = [note]
         table += "\n" + note
-    _emit(args, payload, table)
+    _emit(args, payload, lambda: table)
     return 0
 
 
@@ -180,9 +227,9 @@ def _run_weights(args) -> int:
     payload = {"f": f.to_str(), "weights": list(ws.weights),
                "degree": ws.degree, "underdetermined": ws.underdetermined}
     _emit(args, payload,
-          "weights = %s, degree = %d%s" % (list(ws.weights), ws.degree,
-                                           " (underdetermined)"
-                                           if ws.underdetermined else ""))
+          lambda: "weights = %s, degree = %d%s" % (
+              list(ws.weights), ws.degree,
+              " (underdetermined)" if ws.underdetermined else ""))
     return 0
 
 
@@ -198,7 +245,7 @@ def _run_bar_oracle(args) -> int:
     payload = {"k": args.k, "max_degree": args.max_degree,
                "cohomology": coh, "homology": hom}
     _emit(args, payload,
-          "cohomology: %s\nhomology:   %s" % (coh, hom))
+          lambda: "cohomology: %s\nhomology:   %s" % (coh, hom))
     return 0
 
 
@@ -217,11 +264,11 @@ def _run_catalog(args) -> int:
             payload["invariants"] = [e.to_str(names=("x", "y"))
                                      for e in entry.invariants]
             payload["original_f"] = entry.original_f.to_str()
-        _emit(args, payload, "%s: f = %s, milnor = %d"
+        _emit(args, payload, lambda: "%s: f = %s, milnor = %d"
               % (entry.name, entry.f.to_str(), entry.expected_milnor))
         return 0
     names = catalog.catalog_names()
-    _emit(args, {"names": names}, "\n".join(names))
+    _emit(args, {"names": names}, lambda: "\n".join(names))
     return 0
 
 
@@ -241,8 +288,8 @@ def _run_verify_invariants(args) -> int:
         ok = ok and holds
         results.append({"name": name, "relation_holds": holds})
     _emit(args, {"results": results},
-          "\n".join("%s: %s" % (r["name"], "ok" if r["relation_holds"]
-                                else "FAIL") for r in results))
+          lambda: "\n".join("%s: %s" % (r["name"], "ok" if r["relation_holds"]
+                                        else "FAIL") for r in results))
     return 0 if ok else 1
 
 

@@ -258,30 +258,35 @@ def standard_monomials(gb: GroebnerBasis, n: int) -> StandardMonomials:
 
     Finite exactly when every variable has a pure power among the
     leading monomials; the first variable without one is the witness.
+
+    The walk fixes one exponent at a time and visits only the
+    staircase.  Coordinate i stops at a cap: the least i-th exponent
+    among the leading monomials whose last nonzero exponent is the i-th
+    and whose earlier exponents divide the prefix, since from there on
+    every tuple is divisible.  A leading monomial ending earlier cannot
+    divide the prefix, or it would have capped an earlier coordinate.
     """
     lead = gb.leading_exponents()
     if any(all(e == 0 for e in exps) for exps in lead):
         return StandardMonomials(True, (), None)
-    bounds = []
+    ending = [[] for _ in range(n)]
+    for exps in lead:
+        ending[max(j for j, e in enumerate(exps) if e)].append(exps)
     for i in range(n):
-        pure = [exps[i] for exps in lead
-                if all(e == 0 for j, e in enumerate(exps) if j != i)]
-        if not pure:
+        if not any(all(e == 0 for e in m[:i]) for m in ending[i]):
             return StandardMonomials(False, None, i + 1)
-        bounds.append(min(pure))
     out = []
 
-    def rec(prefix):
+    def walk(prefix):
         i = len(prefix)
-        if i == n:
-            exps = tuple(prefix)
-            if not any(monomial_divides(m, exps) for m in lead):
-                out.append(exps)
-            return
-        for e in range(bounds[i]):
-            rec(prefix + [e])
+        cap = min(m[i] for m in ending[i] if all(map(le, m, prefix)))
+        if i == n - 1:
+            out.extend([prefix + (e,) for e in range(cap)])
+        else:
+            for e in range(cap):
+                walk(prefix + (e,))
 
-    rec([])
+    walk(())
     out.sort(key=gb.order.key)
     return StandardMonomials(True, tuple(out), None)
 

@@ -262,6 +262,12 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative exponent")
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            p = Polynomial.__new__(Polynomial)
+            p.n = self.n
+            p.terms = {tuple([x * k for x in e]): c ** k}
+            return p
         result = Polynomial.one(self.n)
         base = self
         while k:

@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hochschild.cli import build_parser, main
+from hochschild import cli
+from hochschild.cli import _json, build_parser, main
 
 
 def run(capsys, *argv):
@@ -210,3 +214,104 @@ def test_shared_parser_keeps_defaults_between_calls(capsys):
     code, out, _ = run(capsys, "cohomology", "--catalog", "a1-curve")
     assert code == 0
     assert [d["p"] for d in json.loads(out)["cohomology"]] == list(range(7))
+
+
+# strings: quotes, backslashes, control and non-ASCII characters
+_texts = st.text(alphabet=st.sampled_from(
+    'a"\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600')) | st.text(max_size=8)
+_ints = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+_scalars = st.none() | st.booleans() | _ints | _texts
+# row shapes: equal-length int rows (the fast path) and rows that must
+# leave it, holding a bool, ragged or empty
+_int_rows = st.integers(1, 3).flatmap(lambda w: st.lists(
+    st.lists(_ints, min_size=w, max_size=w), min_size=1, max_size=4))
+_mixed_rows = st.lists(st.lists(_ints | st.booleans(), max_size=3),
+                       max_size=4)
+_json_values = st.recursive(
+    _scalars | _int_rows | _mixed_rows,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example([[0, 1], [2, True]])
+@example([[0, 1], [2]])
+@example([[], []])
+@example({"graded_dims": [[0, 1], [2, 1]], "basis": None})
+@example([(1, 2), (3, 4)])
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, Fraction(1, 2), {1: "a"}, [[0, 1], [2, 0.5]], {"a": [Fraction(1)]},
+])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+_ALL_COMMANDS = [
+    ("cohomology", "--catalog", "a2-curve"),
+    ("cohomology", "--catalog", "d4-surface", "--mode", "structural"),
+    ("homology", "--catalog", "e6-curve", "--max-degree", "4"),
+    ("homology", "--catalog", "d4-surface", "--mode", "structural"),
+    ("cohomology", "--poly", "z1^2*z2", "--max-degree", "2"),
+    ("groebner", "--gens", "z1^2*z2 + z2^3; z1^2 + 3*z2^2"),
+    ("milnor", "--catalog", "e8-curve"),
+    ("milnor", "--poly", "z1^2+z2^2+z3^2+z1*z2*z3"),
+    ("weights", "--poly", "z1^41*z3+z2*z3"),
+    ("bar-oracle", "--k", "3"),
+    ("catalog",),
+    ("catalog", "--name", "d4-surface"),
+    ("verify-invariants",),
+]
+
+
+@pytest.mark.parametrize("argv", _ALL_COMMANDS)
+def test_every_command_prints_json_dumps_bytes(capsys, argv):
+    _, out, _ = run(capsys, *argv)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_report_builds_no_table(capsys, monkeypatch):
+    def refuse(report):
+        raise AssertionError("table text built for a JSON report")
+
+    monkeypatch.setattr(cli, "_report_table", refuse)
+    code, out, _ = run(capsys, "cohomology", "--catalog", "a2-curve")
+    assert code == 0 and json.loads(out)["crosscheck"] == "agree"
+    with pytest.raises(AssertionError):
+        main(["homology", "--catalog", "a2-curve", "--format", "table"])
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("cohomology", "--catalog", "a2-curve", "--max-degree", "3"),
+     "f = z1^3 + z2^2\n"
+     "weights = [2, 3], degree = 6\n"
+     "milnor = 2\n"
+     "HH^0   A                        0:1 2:1 3:1 4:1 5:1 6:1 7:1 8:1 9:1"
+     " 10:1 11:1 12:1 13:1 14:1 15:1 16:1 17:1 18:1\n"
+     "HH^1   A + C^2                  6:1 7:1 8:1 9:1 10:1 11:1 12:1 13:1"
+     " 14:1 15:1 16:1 17:1 18:1 19:1 20:1 21:1\n"
+     "HH^2   C^2                      0:1 2:1\n"
+     "HH^3   C^2                      6:1 8:1\n"
+     "crosscheck: agree\n"),
+    (("groebner", "--gens", "z1^3+z2^2", "--jacobian"), "z1^2\nz2\n"),
+    (("milnor", "--poly", "z1^2+z2^2+z3^2+z1*z2*z3"),
+     "milnor = 5\nglobal dim C[z]/<grad f>: f is not weighted homogeneous,"
+     " so this need not be the local Milnor number at 0\n"),
+    (("weights", "--poly", "z1^41*z3+z2*z3"),
+     "weights = [1, 41, 41], degree = 82 (underdetermined)\n"),
+    (("bar-oracle", "--k", "2", "--max-degree", "2"),
+     "cohomology: [2, 1, 1]\nhomology:   [2, 1, 1]\n"),
+    (("catalog", "--name", "d4-surface"),
+     "d4-surface: f = z1^2 + z2^2*z3 + z3^4, milnor = 5\n"),
+    (("verify-invariants", "--name", "e6-surface"), "e6-surface: ok\n"),
+])
+def test_table_output(capsys, argv, expected):
+    code, out, err = run(capsys, *argv, "--format", "table")
+    assert (code, out, err) == (0, expected, "")

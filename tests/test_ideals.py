@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hochschild.ideals import (
     INFINITE,
+    GroebnerBasis,
+    StandardMonomials,
     buchberger,
     colon_ideal,
     divide,
@@ -18,7 +20,7 @@ from hochschild.ideals import (
     s_polynomial,
     standard_monomials,
 )
-from hochschild.poly import MonomialOrder, Polynomial
+from hochschild.poly import MonomialOrder, Polynomial, monomial_divides
 
 LEX2 = MonomialOrder.lex(2)
 LEX3 = MonomialOrder.lex(3)
@@ -156,6 +158,68 @@ def test_standard_monomials_enumeration():
     std = standard_monomials(gb, 2)
     assert std.finite
     assert set(std.monomials) == {(0, 0), (1, 0), (0, 1), (0, 2)}
+
+
+def _box_standard_monomials(gb, n):
+    """Reference for `standard_monomials`: every exponent tuple in the
+    box below the pure-power bounds, kept when no leading monomial
+    divides it."""
+    lead = gb.leading_exponents()
+    if any(all(e == 0 for e in exps) for exps in lead):
+        return StandardMonomials(True, (), None)
+    bounds = []
+    for i in range(n):
+        pure = [exps[i] for exps in lead
+                if all(e == 0 for j, e in enumerate(exps) if j != i)]
+        if not pure:
+            return StandardMonomials(False, None, i + 1)
+        bounds.append(min(pure))
+    out = []
+
+    def rec(prefix):
+        i = len(prefix)
+        if i == n:
+            exps = tuple(prefix)
+            if not any(monomial_divides(m, exps) for m in lead):
+                out.append(exps)
+            return
+        for e in range(bounds[i]):
+            rec(prefix + [e])
+
+    rec([])
+    out.sort(key=gb.order.key)
+    return StandardMonomials(True, tuple(out), None)
+
+
+@st.composite
+def leading_monomial_bases(draw):
+    """A basis whose leading monomials are random exponent tuples, with
+    a pure power added for every variable but at most one, and under a
+    random lex or weighted order."""
+    n = draw(st.integers(1, 4))
+    leads = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=6))
+    skip = draw(st.none() | st.integers(0, n - 1))
+    for i in range(n):
+        if i != skip:
+            e = draw(st.integers(1, 5))
+            leads.append(tuple(e if j == i else 0 for j in range(n)))
+    priority = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        order = MonomialOrder.lex(n, priority)
+    else:
+        weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        order = MonomialOrder.weighted_lex(weights, priority)
+    return n, GroebnerBasis([Polynomial.monomial(n, e) for e in leads], order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(leading_monomial_bases())
+@example((2, GroebnerBasis([Polynomial.one(2)], LEX2)))
+@example((3, GroebnerBasis([Polynomial.monomial(3, e) for e in
+                            ((2, 0, 0), (1, 1, 0), (0, 0, 3))], LEX3)))
+def test_staircase_walk_matches_box_walk(case):
+    n, gb = case
+    assert standard_monomials(gb, n) == _box_standard_monomials(gb, n)
 
 
 def _random_poly(rng, n, max_deg=6, max_terms=5):

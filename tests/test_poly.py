@@ -85,6 +85,27 @@ def test_pow_matches_repeated_multiplication():
     assert p ** 0 == Polynomial.one(2)
 
 
+@pytest.mark.parametrize("k", [0, 1, 7])
+@pytest.mark.parametrize("coeff", [1, 3, -2, Fraction(-3, 4)])
+def test_pow_of_single_term_matches_repeated_multiplication(coeff, k):
+    p = Polynomial.monomial(3, (2, 0, 1), coeff)
+    expected = Polynomial.one(3)
+    for _ in range(k):
+        expected = expected * p
+    power = p ** k
+    assert power == expected
+    assert all(type(c) is Fraction for c in power.terms.values())
+
+
+def test_pow_of_zero_and_negative_exponent():
+    zero = Polynomial.zero(2)
+    assert zero ** 0 == Polynomial.one(2)
+    assert (zero ** 3).is_zero()
+    for p in (zero, z(1), z(1) + z(2)):
+        with pytest.raises(ValueError):
+            p ** -1
+
+
 def test_weighted_homogeneity_detection():
     z1, z2 = z(1), z(2)
     f = z1 ** 3 + z2 ** 2
