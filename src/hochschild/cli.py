@@ -314,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_poly_options(p, with_report=False):
-        p.add_argument("--poly", help="polynomial in z1, z2, z3")
-        p.add_argument("--catalog", help="catalog name, e.g. d5-surface")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--poly", help="polynomial in z1, z2, z3")
+        source.add_argument("--catalog", help="catalog name, e.g. d5-surface")
         p.add_argument("--format", choices=("json", "table"), default="json")
         if with_report:
             p.add_argument("--max-degree", type=_nonnegative_int, default=6,

@@ -2,20 +2,23 @@
 
 Two independent routes to the same numbers:
 
-* The classifier mirrors the structural analysis of the complexes.  In
-  each homological degree the answer is one of: the algebra A itself, A
-  (or a free summand) plus a finite piece, a finite piece alone, or an
-  explicit A-module quotient.  Finite pieces are either the Milnor
-  algebra C[z]/<grad f> or a colon-ideal quotient K/J with
-  J = <f> + J'_i, J'_i the partials other than d_i f, and
-  K = (J : d_i f), which packages the back-substitution argument for
-  the kernel of g . grad f.  For isolated f no colon ideal is computed:
-  by the Euler identity J = J'_i + <z_i d_i f>, and d_i f is a
-  non-zero-divisor modulo J'_i because grad f is a regular sequence, so
-  K = <J'_i, z_i>.  The argument is valid exactly when K has finite
-  colength (see `Route`), which is checked before the classifier is
-  trusted.  Dimensions of A itself come from its closed-form Poincare
-  series (`hochschild.series`), not from a monomial basis.
+* The classifier follows one rule for every n (`_Classifier.degree`).
+  grad f is a regular sequence and f lies in its ideal (Euler identity),
+  so the Koszul complex of grad f over A has homology only at its two
+  ends.  Hence degree p < n holds the Euler characteristic of free
+  A-modules (plus, in cohomology, a finite piece), and degree p >= n a
+  finite piece alone, alternating with the parity of p between the two
+  ends.  Finite pieces are either the Milnor algebra C[z]/<grad f> or a
+  colon-ideal quotient K/J with J = <f> + J'_i, J'_i the partials other
+  than d_i f, and K = (J : d_i f), which packages the back-substitution
+  argument for the kernel of g . grad f.  For isolated f no colon ideal
+  is computed: by the Euler identity J = J'_i + <z_i d_i f>, and d_i f
+  is a non-zero-divisor modulo J'_i because grad f is a regular
+  sequence, so K = <J'_i, z_i>.  The argument is valid exactly when K
+  has finite colength (see `Route`), which is checked before the
+  classifier is trusted.  Dimensions of A itself come from its
+  closed-form Poincare series (`hochschild.series`), not from a monomial
+  basis.
 
 * The graded oracle slices every module by internal weight, restricts
   the differential matrices to each finite-dimensional slice over the
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 from . import ideals
@@ -71,15 +75,12 @@ class Route:
     (homogeneous regular sequences permute; Bruns-Herzog, Cohen-Macaulay
     Rings, Thm. 2.1.2) and J has finite colength.  Conversely, if some
     ordering of f and J'_i is regular, z_i is a non-zero-divisor modulo
-    J'_i and K is finite.  gb_j and gb_k are the reduced bases of J and
-    K; basis is std(J) minus std(K).
+    J'_i and K is finite.  gb_k is the reduced basis of K; basis is
+    std(J) minus std(K), the monomial basis of K/J.
     """
     solved: int
     back: tuple
-    gb_j: GroebnerBasis
     gb_k: GroebnerBasis
-    dim: int
-    graded: dict        # internal weight t -> dim (K/J)_t
     basis: tuple        # monomial exponent tuples, std(J) minus std(K)
 
 
@@ -195,16 +196,11 @@ class Analysis:
             std_k = ideals.standard_monomials(gb_k, n)
             if not std_k.finite:
                 continue
-            gb_j = buchberger([self.f] + others, self.order)
-            std_j = ideals.standard_monomials(gb_j, n)
+            std_j = ideals.standard_monomials(
+                buchberger([self.f] + others, self.order), n)
             in_k = set(std_k.monomials)
             basis = tuple(m for m in std_j.monomials if m not in in_k)
-            w = self.ws.weights
-            graded: dict = {}
-            for m in basis:
-                t = sum(wi * e for wi, e in zip(w, m))
-                graded[t] = graded.get(t, 0) + 1
-            return Route(i, back, gb_j, gb_k, len(basis), graded, basis)
+            return Route(i, back, gb_k, basis)
         return None
 
     # ---- graded oracle ------------------------------------------------
@@ -337,79 +333,49 @@ class _Classifier:
             raise PreconditionError("no valid elimination route: some "
                                     "back-substitution divisor is a zero "
                                     "divisor in every variable ordering")
-        self._dim_A = PoincareSeries(a.ws.weights, a.ws.degree).dim
+        self.dim_A = PoincareSeries(a.ws.weights, a.ws.degree).dim
         self._finite_parts: dict = {}   # source -> see _finite
 
     def degree(self, p: int) -> tuple:
-        """(kind, finite source, shift, free_formula) for degree p.
+        """(kind, finite source, shift, free part) for degree p.
 
-        finite source is "milnor", "kj" or None; free_formula is a
-        callable s -> expected dimension of the non-finite summand.
+        finite source is "milnor", "kj" or None, placed at weight shift;
+        the free part is a tuple of (sign, t) pairs standing for
+        sum sign * dim A_(s - t).
+
+        One rule serves every n.  The component of module p with j odd
+        generators lies on a strand of the Koszul complex of grad f over
+        A.  grad f is a regular sequence in C[z] and f lies in its ideal
+        (Euler identity), so that complex is exact except at its two
+        ends, where its homology is M_f.  Below degree n the strand
+        through j = p is cut at p (no cochain map into it, no chain map
+        out of it), which leaves the Euler characteristic of its free
+        modules past the cut.  From degree n on no strand is cut and only
+        the two ends remain, one for each parity of p: the Milnor algebra,
+        and the route's K/J.
         """
         a, n = self.an, self.an.n
         d, w = a.ws.degree, a.ws.weights
-        W = sum(w)
-        A = self._dim_A
-        route = self.route
-
+        w_s = w[self.route.solved - 1]
         if p == 0:
-            return ("A", None, 0, lambda s: A(s))
-
+            return ("A", None, None, ((1, 0),))
         if self.direction == "cohomology":
-            if n == 1:
-                if p % 2 == 0:
-                    return ("finite", "milnor", 0, None)
-                return ("finite", "kj", d - w[0], None)
-            if n == 2:
-                c = 2 * d - w[0] - w[1]
-                if p == 1:
-                    return ("A_plus_finite", "kj", d - w[route.solved - 1],
-                            lambda s: A(s - c))
-                if p % 2 == 0:
-                    return ("finite", "milnor", 0, None)
-                return ("finite", "kj", d - w[route.solved - 1], None)
-            # n == 3
-            if p == 1:
-                def free(s):
-                    return (sum(A(s - 2 * d + W - wi) for wi in w)
-                            - A(s - 3 * d + W))
-                return ("free_plus_finite", "kj", d - w[route.solved - 1], free)
-            if p == 2:
-                c = 3 * d - W
-                return ("A_plus_finite", "milnor", 0, lambda s: A(s - c))
-            if p % 2 == 1:
-                return ("finite", "kj", d - w[route.solved - 1], None)
-            return ("finite", "milnor", 0, None)
-
-        # homology
-        q = p // 2
-        if n == 1:
-            if p % 2 == 0:
-                return ("finite", "kj", q * d, None)
-            return ("finite", "milnor", q * d + w[0], None)
-        if n == 2:
-            if p == 1:
-                def quot(s):
-                    return sum(A(s - wi) for wi in w) - A(s - d)
-                return ("module_quotient", None, None, quot)
-            if p % 2 == 0:
-                return ("finite", "milnor", (q - 1) * d + w[0] + w[1], None)
-            j = self.route.back[0]
-            return ("finite", "kj", q * d + w[j - 1], None)
-        # n == 3
-        if p == 1:
-            def quot1(s):
-                return sum(A(s - wi) for wi in w) - A(s - d)
-            return ("module_quotient", None, None, quot1)
-        if p == 2:
-            def quot2(s):
-                pairs = A(s - w[0] - w[1]) + A(s - w[1] - w[2]) + A(s - w[0] - w[2])
-                image = sum(A(s - d - wi) for wi in w) - A(s - 2 * d)
-                return pairs - image
-            return ("module_quotient", None, None, quot2)
-        if p % 2 == 1:
-            return ("finite", "milnor", (q - 1) * d + W, None)
-        return ("finite", "kj", (q - 1) * d + W - w[route.solved - 1], None)
+            source, shift = ("kj", d - w_s) if p % 2 else ("milnor", 0)
+            if p >= n:
+                return ("finite", source, shift, ())
+            free = tuple(((-1) ** (k - p - 1), sum(d - wi for wi in S))
+                         for k in range(p + 1, n + 1)
+                         for S in combinations(w, k))
+            kind = "A_plus_finite" if p == n - 1 else "free_plus_finite"
+            return (kind, source, shift, free)
+        if p < n:
+            free = tuple(((-1) ** (p - k), (p - k) * d + sum(S))
+                         for k in range(p + 1) for S in combinations(w, k))
+            return ("module_quotient", None, None, free)
+        q, r = divmod(p - n, 2)
+        if r == 0:
+            return ("finite", "milnor", q * d + sum(w), ())
+        return ("finite", "kj", (q + 1) * d + sum(w) - w_s, ())
 
     def finite_part(self, source: str, shift: int):
         """(total dim, graded dict s->dim, basis labels, top weight)."""
@@ -423,20 +389,14 @@ class _Classifier:
         source before its shift, computed once per source."""
         hit = self._finite_parts.get(source)
         if hit is None:
-            a = self.an
-            if source == "milnor":
-                total = a.milnor
-                basis = a.milnor_basis
-                graded_t = {}
-                for m in basis:
-                    t = sum(wi * e for wi, e in zip(a.ws.weights, m))
-                    graded_t[t] = graded_t.get(t, 0) + 1
-            else:
-                total = self.route.dim
-                basis = self.route.basis
-                graded_t = self.route.graded
-            labels = tuple(map(monomial_str, basis))
-            hit = (total, sorted(graded_t.items()), labels)
+            basis = (self.an.milnor_basis if source == "milnor"
+                     else self.route.basis)
+            graded_t: dict = {}
+            for m in basis:
+                t = sum(wi * e for wi, e in zip(self.an.ws.weights, m))
+                graded_t[t] = graded_t.get(t, 0) + 1
+            hit = (len(basis), sorted(graded_t.items()),
+                   tuple(map(monomial_str, basis)))
             self._finite_parts[source] = hit
         return hit
 
@@ -491,21 +451,21 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
         finite_dim = None
         basis = None
         top_weight = None
-        free_formula = None
         if classifier is not None:
-            kind, source, shift, free_formula = classifier.degree(p)
+            kind, source, shift, free = classifier.degree(p)
             finite_graded: dict = {}
             if source is not None:
                 finite_dim, finite_graded, basis, top_weight = \
                     classifier.finite_part(source, shift)
-            elif kind in ("A", "module_quotient"):
-                finite_dim = 0 if kind == "A" else None
+            elif kind == "A":
+                finite_dim = 0
             structure = _structure_string(kind, an.n, direction, p, finite_dim)
+            dim_A = classifier.dim_A
             expected_graded = {}
             for s in range(window[0], window[1] + 1):
                 val = finite_graded.get(s, 0)
-                if free_formula is not None:
-                    val += free_formula(s)
+                for sign, t in free:
+                    val += sign * dim_A(s - t)
                 if val:
                     expected_graded[s] = val
         oracle_graded = None

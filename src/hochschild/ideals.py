@@ -153,9 +153,6 @@ class GroebnerBasis:
         return _polynomial(p.n, _reduce(dict(p.terms), self._divisors,
                                         self.order.key))
 
-    def contains(self, p: Polynomial) -> bool:
-        return self.normal_form(p).is_zero()
-
     def __iter__(self):
         return iter(self.elements)
 

@@ -70,10 +70,6 @@ class KoszulComplex:
         self.diffs = list(diffs)
         self.weights: WeightSystem | None = None
 
-    @property
-    def p_max(self) -> int:
-        return len(self.modules) - 1
-
     def labels(self, p: int) -> tuple:
         even, odd = (("b", "eta") if self.direction == "cochain"
                      else ("a", "xi"))

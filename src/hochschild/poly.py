@@ -183,9 +183,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
-    def constant_coefficient(self) -> Fraction:
-        return self.terms.get((0,) * self.n, _ZERO)
-
     def total_degree(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")

@@ -177,6 +177,17 @@ def test_missing_poly_is_usage_error(capsys):
     assert "required" in err
 
 
+@pytest.mark.parametrize("command",
+                         ["cohomology", "homology", "milnor", "weights"])
+def test_poly_and_catalog_together_exit_2(capsys, command):
+    # neither option may silently win over the other
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--poly", "z1^2+z2^3", "--catalog", "a1-curve"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with" in captured.err
+
+
 def test_table_format(capsys):
     code, out, _ = run(capsys, "cohomology", "--catalog", "a1-curve",
                        "--format", "table")

@@ -4,11 +4,14 @@ from itertools import product
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hochschild.catalog import catalog_instance, catalog_names
 from hochschild.engine import (
     Analysis,
     PreconditionError,
+    _Classifier,
     analyze,
     kernel_description,
     verify_infinite_part,
@@ -64,7 +67,6 @@ def test_route_for_d_curve():
     an = Analysis(curve_d(5))
     route = an.route()
     assert route is not None
-    assert route.dim == 5
     # J = <f, d2 f> has colength 10, K has colength 5
     assert len(route.basis) == 5
 
@@ -76,7 +78,7 @@ def test_route_uses_non_zero_divisor_back_substitution():
     route = an.route()
     assert route is not None
     assert route.back == (1,)
-    assert route.dim == 7
+    assert len(route.basis) == 7
 
 
 def test_shared_analysis_between_directions():
@@ -304,3 +306,152 @@ def test_loop_singularity_has_no_route():
         analyze(f, mode="structural")
     assert str(exc.value) == message
     assert analyze(f, p_max=1).notes == ["classifier disabled: " + message]
+
+
+def _table_degree(classifier, p):
+    """The classifier's former per-n table, kept as the reference for
+    the one-rule `_Classifier.degree`: (kind, finite source, shift,
+    free formula s -> dim, or None)."""
+    a, n = classifier.an, classifier.an.n
+    d, w = a.ws.degree, a.ws.weights
+    W = sum(w)
+    A = classifier.dim_A
+    route = classifier.route
+
+    if p == 0:
+        return ("A", None, 0, lambda s: A(s))
+
+    if classifier.direction == "cohomology":
+        if n == 1:
+            if p % 2 == 0:
+                return ("finite", "milnor", 0, None)
+            return ("finite", "kj", d - w[0], None)
+        if n == 2:
+            c = 2 * d - w[0] - w[1]
+            if p == 1:
+                return ("A_plus_finite", "kj", d - w[route.solved - 1],
+                        lambda s: A(s - c))
+            if p % 2 == 0:
+                return ("finite", "milnor", 0, None)
+            return ("finite", "kj", d - w[route.solved - 1], None)
+        # n == 3
+        if p == 1:
+            def free(s):
+                return (sum(A(s - 2 * d + W - wi) for wi in w)
+                        - A(s - 3 * d + W))
+            return ("free_plus_finite", "kj", d - w[route.solved - 1], free)
+        if p == 2:
+            c = 3 * d - W
+            return ("A_plus_finite", "milnor", 0, lambda s: A(s - c))
+        if p % 2 == 1:
+            return ("finite", "kj", d - w[route.solved - 1], None)
+        return ("finite", "milnor", 0, None)
+
+    # homology
+    q = p // 2
+    if n == 1:
+        if p % 2 == 0:
+            return ("finite", "kj", q * d, None)
+        return ("finite", "milnor", q * d + w[0], None)
+    if n == 2:
+        if p == 1:
+            def quot(s):
+                return sum(A(s - wi) for wi in w) - A(s - d)
+            return ("module_quotient", None, None, quot)
+        if p % 2 == 0:
+            return ("finite", "milnor", (q - 1) * d + w[0] + w[1], None)
+        j = route.back[0]
+        return ("finite", "kj", q * d + w[j - 1], None)
+    # n == 3
+    if p == 1:
+        def quot1(s):
+            return sum(A(s - wi) for wi in w) - A(s - d)
+        return ("module_quotient", None, None, quot1)
+    if p == 2:
+        def quot2(s):
+            pairs = A(s - w[0] - w[1]) + A(s - w[1] - w[2]) + A(s - w[0] - w[2])
+            image = sum(A(s - d - wi) for wi in w) - A(s - 2 * d)
+            return pairs - image
+        return ("module_quotient", None, None, quot2)
+    if p % 2 == 1:
+        return ("finite", "milnor", (q - 1) * d + W, None)
+    return ("finite", "kj", (q - 1) * d + W - w[route.solved - 1], None)
+
+
+TABLE_GROUPS = {
+    "catalog": ROUTE_GROUPS["catalog"],
+    "stress": lambda: [parse_polynomial(text) for text in (
+        "z1^4+z2^4+z3^4+z1*z2*z3^2", "z1^4+z1*z2^3+z2*z3^3",
+        "z1^7+z2^11+z3^13", "z1^2+z2^3+z3^5")],
+    "seeded": ROUTE_GROUPS["seeded"],
+    "z1^k": lambda: [Polynomial(1, {(k,): 1}) for k in range(2, 9)],
+}
+
+
+# how many f of each group have a route (the seeded group has 7
+# non-isolated f)
+TABLE_ROUTED = {"catalog": 37, "stress": 4, "seeded": 33, "z1^k": 7}
+
+
+@pytest.mark.parametrize("group", sorted(TABLE_GROUPS))
+def test_degree_rule_matches_reference_table(group):
+    routed = 0
+    for f in TABLE_GROUPS[group]():
+        an = Analysis(f)
+        if an.route() is None:
+            continue
+        routed += 1
+        d = an.ws.degree
+        for direction in ("cohomology", "homology"):
+            classifier = _Classifier(an, direction)
+            for p in range(15):
+                kind, source, shift, free = classifier.degree(p)
+                ref_kind, ref_source, ref_shift, ref_free = \
+                    _table_degree(classifier, p)
+                assert (kind, source) == (ref_kind, ref_source), (f, p)
+                if source is not None:
+                    assert shift == ref_shift, (f, direction, p)
+                for s in range(-5, 8 * d + 1):
+                    value = sum(sign * classifier.dim_A(s - t)
+                                for sign, t in free)
+                    assert value == (ref_free(s) if ref_free else 0), \
+                        (f, direction, p, s)
+    assert routed == TABLE_ROUTED[group]
+
+
+@st.composite
+def _brieskorn_pham_plus_mixed(draw):
+    """sum c_i z_i^a_i plus up to three mixed monomials of the same
+    weighted degree lcm(a), n = 1..3, nonzero integer coefficients."""
+    n = draw(st.integers(1, 3))
+    a = draw(st.lists(st.integers(2, 7 if n < 3 else 4),
+                      min_size=n, max_size=n))
+    d = lcm(*a)
+    w = [d // ai for ai in a]
+    mixed = [e for e in product(*(range(ai) for ai in a))
+             if sum(1 for x in e if x) >= 2
+             and sum(wi * x for wi, x in zip(w, e)) == d]
+    coefficient = st.integers(-3, 3).filter(bool)
+    terms = {tuple(ai if j == i else 0 for j in range(n)): draw(coefficient)
+             for i, ai in enumerate(a)}
+    if mixed:
+        for e in draw(st.lists(st.sampled_from(mixed), max_size=3,
+                               unique=True)):
+            terms[e] = draw(coefficient)
+    return Polynomial(n, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_brieskorn_pham_plus_mixed())
+def test_classifier_agrees_with_oracle(f):
+    # p_max = n + 3 reaches both parities of p >= n in both directions
+    an = Analysis(f)
+    for direction in ("cohomology", "homology"):
+        report = analyze(f, direction=direction, p_max=f.n + 3, mode="both",
+                         analysis=an)
+        if report.classifier_ok:
+            assert report.crosscheck == "agree", (f, direction)
+        else:
+            assert len(report.notes) == 1
+            assert ("non-isolated" in report.notes[0]
+                    or "no valid elimination route" in report.notes[0])
