@@ -23,10 +23,15 @@ Two independent routes to the same numbers:
 * The graded oracle slices every module by internal weight, restricts
   the differential matrices to each finite-dimensional slice over the
   standard monomial basis of A, and computes exact ranks.  Every matrix
-  entry is k * d_i f for an integer k (checked by `verify_entries`), so
-  a slice is assembled sparse from cached normal forms of d_i f * z^m,
-  and its rank is cached by the slice's content: a slice that repeats,
-  such as those of the 2-periodic tail, is ranked once.
+  entry is k * d_i f for an integer k (checked by `verify_entries`).
+  Each differential is cut into strand blocks, the connected pieces of
+  the graph joining every domain component to the codomain components
+  its entries hit, read from those entries; a slice's rank is the sum of
+  its blocks' ranks.  A block slice is assembled sparse from normal
+  forms of d_i f * z^m, each a sum of memoized monomial normal forms
+  (`GroebnerBasis.monomial_normal_form`), and its rank is cached by the
+  block's content: a block that recurs, in another differential or in
+  the 2-periodic tail, is ranked once per weight.
 
 When both run, every slice in the scan window is compared and the
 report carries an "agree"/"disagree" verdict.
@@ -37,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import NamedTuple
 
 from . import ideals
@@ -49,7 +55,7 @@ from .grading import (
 from .ideals import INFINITE, GroebnerBasis, buchberger
 from .koszul import KoszulComplex, chain_complex, cochain_complex, module, shift
 from .linalg import rank_sparse
-from .poly import MonomialOrder, Polynomial, monomial_mul, monomial_str
+from .poly import MonomialOrder, Polynomial, int_or_fraction, monomial_str
 from .series import PoincareSeries
 
 
@@ -65,13 +71,12 @@ class Route:
     """Validated elimination route for the odd-degree kernel analysis.
 
     solved is the first index i for which K = <J'_i, z_i> has finite
-    colength, J'_i being the partials other than d_i f; back lists the
-    other indices, ascending, whose partials are back-substituted, and
-    J = <f> + J'_i.  For isolated f, K = (J : d_i f), and the route is
-    valid exactly when K has finite colength: then J'_i, z_i is a
-    regular sequence, so z_i and d_i f are non-zero-divisors modulo
-    J'_i, and so is f, which the Euler identity puts in z_i d_i f + J'_i
-    up to a unit; hence J'_i, f is a regular sequence in any order
+    colength, J'_i being the partials other than d_i f (the ones
+    back-substituted), and J = <f> + J'_i.  For isolated f,
+    K = (J : d_i f), and the route is valid exactly when K has finite
+    colength: then J'_i, z_i is a regular sequence, so z_i and d_i f are
+    non-zero-divisors modulo J'_i, and so is f, which the Euler identity
+    puts in z_i d_i f + J'_i up to a unit; hence J'_i, f is a regular sequence in any order
     (homogeneous regular sequences permute; Bruns-Herzog, Cohen-Macaulay
     Rings, Thm. 2.1.2) and J has finite colength.  Conversely, if some
     ordering of f and J'_i is regular, z_i is a non-zero-divisor modulo
@@ -79,13 +84,15 @@ class Route:
     std(J) minus std(K), the monomial basis of K/J.
     """
     solved: int
-    back: tuple
     gb_k: GroebnerBasis
     basis: tuple        # monomial exponent tuples, std(J) minus std(K)
 
 
 class _SliceMap(NamedTuple):
-    """One differential as the oracle slices it."""
+    """One strand block of a differential as the oracle slices it: the
+    domain components of one connected piece of the differential and
+    the codomain components their entries hit, rows numbered within the
+    block."""
     ranks: dict       # s - base -> rank, shared by equal signatures
     base: int         # first domain shift
     dom: tuple        # domain component shifts
@@ -94,11 +101,12 @@ class _SliceMap(NamedTuple):
 
 
 class SlicedComplex(NamedTuple):
-    """A checked, weighted complex with its differentials keyed by
-    source and by target degree, as `Analysis.oracle_dim` reads them."""
+    """A checked, weighted complex with each differential cut into its
+    strand blocks, keyed by source and by target degree, as
+    `Analysis.oracle_dim` reads them."""
     cx: KoszulComplex
-    leaving: dict     # source degree -> _SliceMap
-    landing: dict     # target degree -> _SliceMap
+    leaving: dict     # source degree -> tuple of _SliceMap blocks
+    landing: dict     # target degree -> tuple of _SliceMap blocks
 
 
 @dataclass
@@ -172,6 +180,9 @@ class Analysis:
         # graded-oracle caches (see _slice_map and _image)
         self._ranks: dict = {}           # signature -> {s - base: rank}
         self._images = [{} for _ in range(self.n)]   # per partial
+        self._grad_terms = [tuple((e, int_or_fraction(v))
+                                  for e, v in g.terms.items())
+                            for g in self.grad]
 
     # ---- route search -------------------------------------------------
 
@@ -189,8 +200,7 @@ class Analysis:
         J = <f> + J'_i (see `Route`)."""
         n = self.n
         for i in range(1, n + 1):
-            back = tuple(j for j in range(1, n + 1) if j != i)
-            others = [self.grad[j - 1] for j in back]
+            others = [g for j, g in enumerate(self.grad, 1) if j != i]
             gb_k = buchberger(others + [Polynomial.variable(n, i)],
                               self.order)
             std_k = ideals.standard_monomials(gb_k, n)
@@ -200,7 +210,7 @@ class Analysis:
                 buchberger([self.f] + others, self.order), n)
             in_k = set(std_k.monomials)
             basis = tuple(m for m in std_j.monomials if m not in in_k)
-            return Route(i, back, gb_k, basis)
+            return Route(i, gb_k, basis)
         return None
 
     # ---- graded oracle ------------------------------------------------
@@ -216,18 +226,21 @@ class Analysis:
         leaving, landing = {}, {}
         for k, columns in enumerate(terms):
             src, tgt = cx.ends(k)
-            leaving[src] = landing[tgt] = self._slice_map(
-                columns, cx.modules[src].shifts, cx.modules[tgt].shifts)
+            dom, cod = cx.modules[src].shifts, cx.modules[tgt].shifts
+            leaving[src] = landing[tgt] = tuple(
+                self._slice_map(block, tuple(dom[c] for c in cs),
+                                tuple(cod[r] for r in rs))
+                for cs, rs, block in _strand_blocks(columns))
         return SlicedComplex(cx, leaving, landing)
 
     def _slice_map(self, columns, dom: tuple, cod: tuple) -> _SliceMap:
-        """Key a differential by its content.  Each column's (row, i, k)
+        """Key a strand block by its content.  Each column's (row, i, k)
         terms are divided by the column's first k, which scales the
         column and leaves every slice rank unchanged.  The signature is
         those terms plus the shifts relative to the first domain shift
         `base`; the slice at weight s is then a function of the
-        signature and s - base, so differentials of equal signature
-        share one rank table keyed by s - base."""
+        signature and s - base, so blocks of equal signature share one
+        rank table keyed by s - base."""
         base = dom[0]
         normed = tuple(tuple((r, i, _ratio(k, col[0][2])) for r, i, k in col)
                        for col in columns)
@@ -238,47 +251,50 @@ class Analysis:
 
     def _image(self, i: int, mono: tuple) -> tuple:
         """normal_form(d_i f * z^mono) as (exponents, coefficient) pairs,
-        integral coefficients stored as int."""
+        integral coefficients stored as int: the sum over the terms
+        v * z^e of d_i f of v * monomial_normal_form(e + mono)."""
         cache = self._images[i - 1]
         image = cache.get(mono)
         if image is None:
-            g = self.grad[i - 1]
-            nf = self.gb_f.normal_form(
-                Polynomial(self.n, {monomial_mul(e, mono): v
-                                    for e, v in g.terms.items()}))
-            image = tuple((e, v.numerator if v.denominator == 1 else v)
-                          for e, v in nf.terms.items())
+            image = self.gb_f.sparse_normal_form(
+                (tuple(map(add, e, mono)), v)
+                for e, v in self._grad_terms[i - 1])
             cache[mono] = image
         return image
 
-    def _slice_rank(self, m: _SliceMap | None, s: int) -> int:
-        """Rank of the differential m restricted to weight s.  The table
-        is keyed by content, never by degree, so periodicity is not
-        assumed: the 2-periodic tail hits it because its matrices
-        repeat."""
-        if m is None:
-            return 0
-        rank = m.ranks.get(s - m.base)
-        if rank is None:
-            basis = self.A.basis
-            row_of = {}
-            for r, t in enumerate(m.cod):
-                for mono in basis(s - t):
-                    row_of[(r, mono)] = len(row_of)
-            cols = []
-            for terms, t in zip(m.columns, m.dom):
-                if not terms:
-                    continue
-                for mono in basis(s - t):
-                    col = {}
-                    for r, i, k in terms:
-                        for exps, v in self._image(i, mono):
-                            col[row_of[(r, exps)]] = k * v
-                    if col:
-                        cols.append(col)
-            rank = rank_sparse(cols) if cols else 0
-            m.ranks[s - m.base] = rank
-        return rank
+    def _slice_rank(self, blocks: tuple, s: int) -> int:
+        """Rank at weight s of a differential given by its strand blocks:
+        the sum of the blocks' ranks.  Each table is keyed by content,
+        never by degree, so periodicity is not assumed: the 2-periodic
+        tail hits it because its blocks repeat.  A block slice with no
+        rows or no columns has rank 0 and is not assembled."""
+        total = 0
+        basis = self.A.basis
+        for m in blocks:
+            rank = m.ranks.get(s - m.base)
+            if rank is None:
+                rows = []           # per codomain component: mono -> row
+                count = 0
+                for t in m.cod:
+                    monos = basis(s - t)
+                    rows.append(dict(zip(monos, range(count,
+                                                      count + len(monos)))))
+                    count += len(monos)
+                cols = []
+                if count:
+                    for terms, t in zip(m.columns, m.dom):
+                        for mono in basis(s - t):
+                            col = {}
+                            for r, i, k in terms:
+                                row_of = rows[r]
+                                for exps, v in self._image(i, mono):
+                                    col[row_of[exps]] = k * v
+                            if col:
+                                cols.append(col)
+                rank = rank_sparse(cols) if cols else 0
+                m.ranks[s - m.base] = rank
+            total += rank
+        return total
 
     def oracle_dim(self, sc: SlicedComplex, p: int, s: int) -> int:
         """dim of the weight-s slice of degree-p (co)homology of the
@@ -286,8 +302,39 @@ class Analysis:
         total = sum(self.A.dim(s - t) for t in sc.cx.modules[p].shifts)
         if total == 0:
             return 0
-        return (total - self._slice_rank(sc.leaving.get(p), s)
-                - self._slice_rank(sc.landing.get(p), s))
+        return (total - self._slice_rank(sc.leaving.get(p, ()), s)
+                - self._slice_rank(sc.landing.get(p, ()), s))
+
+
+def _strand_blocks(columns) -> list:
+    """The strand blocks of a differential given as columns of
+    (row, i, k) terms, one column per domain component: the connected
+    pieces of the graph joining each domain component to the codomain
+    components its terms hit.  Returns (domain components, codomain
+    components, columns) per block, ordered by first domain component,
+    each column's rows renumbered by position among the block's
+    codomain components.  A zero column and a codomain component no
+    column hits add nothing to any rank and belong to no block."""
+    pieces = []             # (domain components, codomain components)
+    for c, terms in enumerate(columns):
+        if not terms:
+            continue
+        cs, rs = [c], {r for r, _, _ in terms}
+        rest = []
+        for piece in pieces:
+            if piece[1] & rs:
+                cs += piece[0]
+                rs |= piece[1]
+            else:
+                rest.append(piece)
+        pieces = rest + [(cs, rs)]
+    blocks = []
+    for cs, rs in sorted((sorted(cs), sorted(rs)) for cs, rs in pieces):
+        local = {r: j for j, r in enumerate(rs)}
+        blocks.append((tuple(cs), tuple(rs),
+                       tuple(tuple((local[r], i, k) for r, i, k in columns[c])
+                             for c in cs)))
+    return blocks
 
 
 def _ratio(k: int, k0: int):

@@ -16,6 +16,12 @@ whose leading monomial divides it; the leading monomials cancel
 exactly, so no polynomial temporaries are built.  `divide` keeps the
 textbook loop with quotients and is the reference for it.
 
+`GroebnerBasis.monomial_normal_form` applies the same rule to one
+monomial at a time and memoizes each result on the basis, so the
+normal forms of many products sharing reduction chains are sums of
+table entries.  Normal forms are linear, so summing the table over a
+polynomial's terms gives `normal_form`'s remainder.
+
 Intersections go through the usual auxiliary-variable trick with an
 elimination order; colon ideals divide an intersection through by the
 denominator.
@@ -31,6 +37,7 @@ from typing import NamedTuple, Sequence
 from .poly import (
     MonomialOrder,
     Polynomial,
+    int_or_fraction,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -138,13 +145,18 @@ class GroebnerBasis:
     """Reduced monic Groebner basis, elements sorted by leading monomial
     (descending under the basis order) for deterministic output."""
 
-    __slots__ = ("elements", "order", "_divisors")
+    __slots__ = ("elements", "order", "_divisors", "_int_divisors",
+                 "_monomial_nfs")
 
     def __init__(self, elements: Sequence[Polynomial], order: MonomialOrder):
         self.elements = tuple(elements)
         self.order = order
         self._divisors = tuple(_divisor(g.terms, order.key)
                                for g in self.elements)
+        self._int_divisors = tuple(
+            (lead, tuple((e, int_or_fraction(v)) for e, v in tail))
+            for lead, tail in self._divisors)
+        self._monomial_nfs: dict = {}   # exponents -> monomial_normal_form
 
     def leading_exponents(self):
         return tuple(lead for lead, _ in self._divisors)
@@ -152,6 +164,54 @@ class GroebnerBasis:
     def normal_form(self, p: Polynomial) -> Polynomial:
         return _polynomial(p.n, _reduce(dict(p.terms), self._divisors,
                                         self.order.key))
+
+    def monomial_normal_form(self, exps: tuple) -> tuple:
+        """normal_form(z^exps) as (exponents, coefficient) pairs, integral
+        coefficients stored as int, memoized on this basis.
+
+        z^a is its own normal form when no leading monomial divides it;
+        otherwise it is sum v * nf(z^(e + a - lead)) over the scaled tail
+        (e, v) of the first element whose leading monomial divides it,
+        the rule `_reduce` follows.  Every such monomial is smaller than
+        z^a, so the walk ends; it keeps its own stack rather than
+        recursing, since a reduction chain may be thousands of steps.
+        """
+        table = self._monomial_nfs
+        hit = table.get(exps)
+        if hit is not None:
+            return hit
+        stack = [exps]
+        while stack:
+            a = stack[-1]
+            if a in table:
+                stack.pop()
+                continue
+            for lead, tail in self._int_divisors:
+                if all(map(le, lead, a)):
+                    q = tuple(map(sub, a, lead))
+                    terms = [(tuple(map(add, e, q)), v) for e, v in tail]
+                    break
+            else:
+                table[a] = ((a, 1),)
+                stack.pop()
+                continue
+            missing = [m for m, _ in terms if m not in table]
+            if missing:
+                stack.extend(missing)
+                continue
+            table[a] = self.sparse_normal_form(terms)
+            stack.pop()
+        return table[exps]
+
+    def sparse_normal_form(self, terms) -> tuple:
+        """normal_form of sum v * z^e over (e, v) pairs, summed from
+        `monomial_normal_form` and returned the way it returns one."""
+        nf = self.monomial_normal_form
+        acc: dict = {}
+        for m, v in terms:
+            for e, c in nf(m):
+                acc[e] = acc.get(e, 0) + v * c
+        return tuple((e, int_or_fraction(c)) for e, c in acc.items() if c)
 
     def __iter__(self):
         return iter(self.elements)

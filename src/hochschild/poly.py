@@ -28,6 +28,12 @@ def _as_fraction(c) -> Fraction:
     raise TypeError("coefficient must be int or Fraction, got %r" % (c,))
 
 
+def int_or_fraction(c):
+    """c as an int when it is integral, else c: int arithmetic keeps
+    sparse assembly and elimination off the slower Fraction path."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class Term(NamedTuple):
     coefficient: Fraction
     exponents: Exponents

@@ -282,6 +282,42 @@ def test_normal_form_matches_division_remainder(gens, p):
     assert gb.normal_form(p) == divide(p, gb.elements, LEX2).remainder
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_polys, min_size=1, max_size=3),
+       st.tuples(st.integers(0, 9), st.integers(0, 9)), small_polys,
+       st.data())
+def test_monomial_normal_form_matches_normal_form(gens, a, p, data):
+    # the memoized per-monomial table, and sums of it, against
+    # whole-polynomial reduction under a random lex or weighted order; a
+    # second lookup reads the table
+    priority = data.draw(st.permutations(range(2)))
+    if data.draw(st.booleans()):
+        order = MonomialOrder.lex(2, priority)
+    else:
+        weights = data.draw(st.lists(st.integers(1, 4), min_size=2,
+                                     max_size=2))
+        order = MonomialOrder.weighted_lex(weights, priority)
+    gb = buchberger(gens, order)
+    expected = gb.normal_form(Polynomial.monomial(2, a)).terms
+    for _ in range(2):
+        nf = gb.monomial_normal_form(a)
+        assert dict(nf) == expected
+        assert all(type(c) is int for _, c in nf
+                   if Fraction(c).denominator == 1)
+    assert dict(gb.sparse_normal_form(p.terms.items())) == \
+        gb.normal_form(p).terms
+
+
+def test_monomial_normal_form_follows_a_deep_chain():
+    # z1^4000 -> -z1^3998 z2^2 -> ... is a 2000-step chain, deeper than
+    # Python's recursion limit
+    z1, z2 = zvars(2)
+    gb = buchberger([z1 ** 2 + z2 ** 2], LEX2)
+    assert gb.monomial_normal_form((4000, 0)) == (((0, 4000), 1),)
+    assert gb.monomial_normal_form((4001, 0)) == (((1, 4000), 1),)
+    assert gb.monomial_normal_form((4002, 0)) == (((0, 4002), -1),)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(small_polys, min_size=1, max_size=3), st.data())
 def test_buchberger_independent_of_generator_order(gens, data):
