@@ -102,23 +102,26 @@ def _report_table(report: engine.Report) -> str:
     return "\n".join(lines)
 
 
+# JSON text of a scalar, looked up by exact type so that a bool is not
+# written as an int
+_SCALARS = {
+    str: _escape,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _json(obj, pad: str = "") -> str:
     """`obj` as `json.dumps(obj, indent=2)` writes it, nested at indent
     `pad`, for the types reports are made of: dicts with str keys, lists
     and tuples, str, int, bool and None.  Anything else raises
     TypeError.  A list of equal-length rows of plain ints (the
     `graded_dims` pairs) is written with one %-template."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
     t = type(obj)
-    if t is str:
-        return _escape(obj)
-    if t is int:
-        return repr(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
     inner = pad + "  "
     if t is dict:
         if not obj:
@@ -126,8 +129,8 @@ def _json(obj, pad: str = "") -> str:
         if set(map(type, obj)) != {str}:
             raise TypeError("dict keys must be str: %r" % (list(obj),))
         return "{\n%s\n%s}" % (",\n".join(
-            [inner + _escape(k) + ": " + _json(v, inner)
-             for k, v in obj.items()]), pad)
+            [inner + _escape(k) + ": " + text
+             for k, text in zip(obj, _items(obj.values(), inner))]), pad)
     if t is not list and t is not tuple:
         raise TypeError("Object of type %s is not JSON serializable"
                         % t.__name__)
@@ -142,8 +145,19 @@ def _json(obj, pad: str = "") -> str:
                     inner, ",\n".join([inner + "  %d"] * widths.pop()), inner)
                 return "[\n%s\n%s]" % (
                     ",\n".join([row] * len(obj)) % cells, pad)
-    return "[\n%s\n%s]" % (",\n".join([inner + _json(v, inner)
-                                         for v in obj]), pad)
+    return "[\n%s\n%s]" % (",\n".join([inner + text
+                                         for text in _items(obj, inner)]),
+                           pad)
+
+
+def _items(values, pad: str) -> list:
+    """The JSON text of each of `values` at indent `pad`: scalars are
+    written here, containers by `_json`."""
+    out = []
+    for v in values:
+        scalar = _SCALARS.get(type(v))
+        out.append(scalar(v) if scalar else _json(v, pad))
+    return out
 
 
 def _emit(args, payload, table):

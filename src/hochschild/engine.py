@@ -484,14 +484,18 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
                 raise
             notes.append("classifier disabled: %s" % exc)
 
+    windows = [_window(an, direction, p, cutoff) for p in range(p_max + 1)]
     sliced = None
     if mode in ("graded", "both"):
         sliced = an.complex(direction, p_max + 1)
+        # the scan asks for A at s - t, s in a window and t a shift,
+        # and shifts are >= 0 whenever each w_i <= d: one staircase
+        # walk to the highest window top then fills every basis
+        an.A.basis(max(hi for _, hi in windows))
 
     degrees = []
     agree = True
-    for p in range(p_max + 1):
-        window = _window(an, direction, p, cutoff)
+    for p, window in enumerate(windows):
         expected_graded = None
         kind = "oracle"
         structure = None

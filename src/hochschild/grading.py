@@ -6,9 +6,9 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .ideals import GroebnerBasis
+from .ideals import GroebnerBasis, staircase
 from .linalg import nullspace
-from .poly import Polynomial, monomial_divides
+from .poly import Polynomial
 
 
 class NotWeightedHomogeneousError(ValueError):
@@ -192,52 +192,36 @@ def exponents_of_weight(weights: Sequence[int], s: int) -> list:
 
 
 class GradedQuotient:
-    """Graded dimensions of C[z]/I from a Groebner basis of I.
+    """Graded bases of C[z]/I from a Groebner basis of I.
 
     The standard monomials of exact weight s form a vector space basis
     of the degree-s slice; dim(s) is the Hilbert function value there.
-    The exponent tuples of weight s are built from a memo over suffixes
-    of the variables: those of weight s in variables k.. are (e,) + m
-    for each e and each memoized m of weight s - e*w_k in variables
-    k+1...  Suffixes k >= 1 are memoized; the full tuples are held,
-    filtered and sorted, per weight.  The memo lives as long as the
-    instance.
+    They are held in a table by weight, complete up to a top weight.
+    A request above the top extends the table by one `staircase` walk
+    over the band (top, s], which visits only standard monomials; each
+    new weight's monomials are sorted once by the basis order.  A
+    caller that knows the largest weight it will ask for fills the
+    table in one walk by asking for that weight first.  The table lives
+    as long as the instance.
     """
 
     def __init__(self, gb: GroebnerBasis, weights: Sequence[int]):
         self.gb = gb
         self.weights = tuple(weights)
         self.lead = gb.leading_exponents()
-        self._basis_cache: dict = {}
-        self._suffixes = [{} for _ in self.weights]   # k -> {s: tuples}
+        self._top = -1
+        self._table: dict = {}      # weight -> sorted standard monomials
 
     def basis(self, s: int) -> tuple:
         """Standard monomials of weight s, sorted by the basis order."""
-        cached = self._basis_cache.get(s)
-        if cached is None:
-            lead = self.lead
-            cached = tuple(sorted(
-                (e for e in self._of_weight(0, s)
-                 if not any(monomial_divides(le, e) for le in lead)),
-                key=self.gb.order.key))
-            self._basis_cache[s] = cached
-        return cached
-
-    def _of_weight(self, k: int, s: int) -> tuple:
-        """Exponent tuples of variables k.. with weight s, in the order
-        of `exponents_of_weight`."""
-        memo = self._suffixes[k]
-        out = memo.get(s)
-        if out is None:
-            w = self.weights[k]
-            if k == len(self.weights) - 1:
-                out = ((s // w,),) if s >= 0 and s % w == 0 else ()
-            else:
-                out = tuple((e,) + m for e in range(s // w + 1)
-                            for m in self._of_weight(k + 1, s - e * w))
-            if k:
-                memo[s] = out
-        return out
+        if s > self._top:
+            key = self.gb.order.key
+            for weight, monos in staircase(self.lead, self.weights, s,
+                                           self._top).items():
+                monos.sort(key=key)
+                self._table[weight] = tuple(monos)
+            self._top = s
+        return self._table.get(s, ())
 
     def dim(self, s: int) -> int:
         return len(self.basis(s))

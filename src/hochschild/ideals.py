@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain
 from operator import add, le, sub
 from typing import NamedTuple, Sequence
 
@@ -310,11 +311,11 @@ class StandardMonomials(NamedTuple):
     missing_variable: int | None  # 1-based witness when infinite
 
 
-def standard_monomials(gb: GroebnerBasis, n: int) -> StandardMonomials:
-    """Monomials outside the leading-term ideal (Macaulay basis).
-
-    Finite exactly when every variable has a pure power among the
-    leading monomials; the first variable without one is the witness.
+def staircase(lead: Sequence[tuple], weights: Sequence[int], top: int,
+              above: int = -1) -> dict:
+    """The monomials outside the monomial ideal generated by `lead`
+    whose weight under the positive `weights` lies in (above, top], as
+    {weight: [exponent tuples]}.  Empty when `lead` holds 1.
 
     The walk fixes one exponent at a time and visits only the
     staircase.  Coordinate i stops at a cap: the least i-th exponent
@@ -322,29 +323,52 @@ def standard_monomials(gb: GroebnerBasis, n: int) -> StandardMonomials:
     and whose earlier exponents divide the prefix, since from there on
     every tuple is divisible.  A leading monomial ending earlier cannot
     divide the prefix, or it would have capped an earlier coordinate.
+    A coordinate also stops where the weight would pass `top`, and the
+    last coordinate starts where it passes `above`.
+    """
+    buckets: dict = {}
+    if any(not any(m) for m in lead):
+        return buckets
+    n = len(weights)
+    ending = [[] for _ in range(n)]
+    for m in lead:
+        ending[max(j for j, e in enumerate(m) if e)].append(m)
+
+    def walk(prefix, weight):
+        i = len(prefix)
+        w = weights[i]
+        stop = (top - weight) // w + 1
+        for m in ending[i]:
+            if m[i] < stop and all(map(le, m, prefix)):
+                stop = m[i]
+        if i == n - 1:
+            for e in range(max(0, (above - weight) // w + 1), stop):
+                buckets.setdefault(weight + e * w, []).append(prefix + (e,))
+        else:
+            for e in range(stop):
+                walk(prefix + (e,), weight + e * w)
+
+    walk((), 0)
+    return buckets
+
+
+def standard_monomials(gb: GroebnerBasis, n: int) -> StandardMonomials:
+    """Monomials outside the leading-term ideal (Macaulay basis), from
+    one `staircase` walk.
+
+    Finite exactly when every variable has a pure power among the
+    leading monomials (1 counts as one of every variable); the first
+    variable without one is the witness.
     """
     lead = gb.leading_exponents()
-    if any(all(e == 0 for e in exps) for exps in lead):
-        return StandardMonomials(True, (), None)
-    ending = [[] for _ in range(n)]
-    for exps in lead:
-        ending[max(j for j, e in enumerate(exps) if e)].append(exps)
+    pure = {j for m in lead for j, e in enumerate(m) if e == sum(m)}
     for i in range(n):
-        if not any(all(e == 0 for e in m[:i]) for m in ending[i]):
+        if i not in pure:
             return StandardMonomials(False, None, i + 1)
-    out = []
-
-    def walk(prefix):
-        i = len(prefix)
-        cap = min(m[i] for m in ending[i] if all(map(le, m, prefix)))
-        if i == n - 1:
-            out.extend([prefix + (e,) for e in range(cap)])
-        else:
-            for e in range(cap):
-                walk(prefix + (e,))
-
-    walk(())
-    out.sort(key=gb.order.key)
+    # no standard monomial reaches the pure power of any variable, so
+    # each has degree below sum_i max_m m_i
+    buckets = staircase(lead, (1,) * n, sum(map(max, zip(*lead))))
+    out = sorted(chain.from_iterable(buckets.values()), key=gb.order.key)
     return StandardMonomials(True, tuple(out), None)
 
 

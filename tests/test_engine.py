@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hochschild import grading
 from hochschild.catalog import catalog_instance, catalog_names
 from hochschild.engine import (
     Analysis,
@@ -133,6 +134,21 @@ def test_graded_mode_skips_crosscheck():
     assert r.crosscheck == "skipped"
     assert all(d.expected_graded is None for d in r.degrees)
     assert all(d.oracle_graded is not None for d in r.degrees)
+
+
+@pytest.mark.parametrize("direction", ["cohomology", "homology"])
+def test_graded_scan_walks_the_staircase_once(monkeypatch, direction):
+    walks = []
+    walk = grading.staircase
+
+    def counted(lead, weights, top, above=-1):
+        walks.append((top, above))
+        return walk(lead, weights, top, above)
+
+    monkeypatch.setattr(grading, "staircase", counted)
+    r = analyze(parse_polynomial("z1^3+z2^4+z3^5"), direction=direction,
+                p_max=4, mode="graded")
+    assert walks == [(max(d.window[1] for d in r.degrees), -1)]
 
 
 def test_structural_mode_skips_oracle():

@@ -163,7 +163,7 @@ def test_graded_quotient_basis_matches_reference(case):
              if not any(all(a <= b for a, b in zip(le, e)) for le in lead)),
             key=gb.order.key))
 
-    # fill the suffix memo in both orders
+    # grow the table band by band, and fill it in one walk
     for order in (sorted(weights_s), sorted(weights_s, reverse=True)):
         quotient = GradedQuotient(gb, weights)
         for s in order:
