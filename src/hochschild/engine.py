@@ -22,9 +22,14 @@ Two independent routes to the same numbers:
 
 * The graded oracle slices every module by internal weight, restricts
   the differential matrices to each finite-dimensional slice over the
-  standard monomial basis of A, and computes exact ranks.  Every matrix
-  entry is k * d_i f for an integer k (checked by `verify_entries`).
-  Each differential is cut into strand blocks, the connected pieces of
+  standard monomial basis of A, and computes exact ranks: the weight-s
+  slice of degree p is its module total sum_t dim A_(s - t) minus the
+  ranks of the differentials leaving and landing in p.  Every matrix
+  entry is k * d_i f for an integer k (checked by `verify_entries`, and
+  d^2 = 0 is checked on those terms).  The module totals are read from
+  one list of dim A per report.  Each differential is ranked once per
+  weight, shared by its two ends, and not at all where either end's
+  total is 0.  It is cut into strand blocks, the connected pieces of
   the graph joining every domain component to the codomain components
   its entries hit, read from those entries; a slice's rank is the sum of
   its blocks' ranks.  A block slice is assembled sparse from normal
@@ -53,7 +58,7 @@ from .grading import (
     euler_identity_holds,
 )
 from .ideals import INFINITE, GroebnerBasis, buchberger
-from .koszul import KoszulComplex, chain_complex, cochain_complex, module, shift
+from .koszul import chain_complex, cochain_complex, module, shift
 from .linalg import rank_sparse
 from .poly import MonomialOrder, Polynomial, int_or_fraction, monomial_str
 from .series import PoincareSeries
@@ -100,13 +105,28 @@ class _SliceMap(NamedTuple):
     columns: tuple    # per domain component: (row, i, k / first k) terms
 
 
+class _Differential(NamedTuple):
+    """One differential of a sliced complex: its end degrees, its strand
+    blocks, and its rank at each weight asked so far."""
+    src: int
+    tgt: int
+    blocks: tuple     # _SliceMap per strand block
+    ranks: dict       # s -> rank of the whole differential
+
+
 class SlicedComplex(NamedTuple):
-    """A checked, weighted complex with each differential cut into its
-    strand blocks, keyed by source and by target degree, as
-    `Analysis.oracle_dim` reads them."""
-    cx: KoszulComplex
-    leaving: dict     # source degree -> tuple of _SliceMap blocks
-    landing: dict     # target degree -> tuple of _SliceMap blocks
+    """A checked, weighted complex as `Analysis.oracle_dim` reads it.
+
+    Each differential is cut into its strand blocks and keyed by source
+    and by target degree, one `_Differential` shared by both keys, so
+    the rank leaving p at s and the rank landing in p + 1 (or p - 1) at
+    s are one lookup.  totals[p] is (lo, column): column[s - lo] is the
+    module total sum_t dim A_(s - t) over degree p's shifts, for every s
+    at which the scan reads degree p, its own window and its neighbours'
+    windows."""
+    leaving: dict     # source degree -> _Differential
+    landing: dict     # target degree -> _Differential
+    totals: list      # per degree: (lo, module totals from weight lo on)
 
 
 @dataclass
@@ -215,23 +235,41 @@ class Analysis:
 
     # ---- graded oracle ------------------------------------------------
 
-    def complex(self, direction: str, p_max: int) -> SlicedComplex:
-        """Build, check and weight a complex, and key its differentials
-        for `oracle_dim`."""
+    def complex(self, direction: str, windows: list) -> SlicedComplex:
+        """Build, check and weight the complex through one degree past
+        the last window, key its differentials for `oracle_dim`, and
+        fill the module totals the scan of `windows` (one (lo, hi) per
+        degree) reads."""
         build = cochain_complex if direction == "cohomology" else chain_complex
-        cx = build(self.f, p_max)
+        cx = build(self.f, len(windows))
         terms = cx.verify_entries()
-        cx.verify_d_squared_zero()
+        cx.verify_d_squared_zero(terms)
         cx.assign_weights(self.ws)
         leaving, landing = {}, {}
         for k, columns in enumerate(terms):
             src, tgt = cx.ends(k)
             dom, cod = cx.modules[src].shifts, cx.modules[tgt].shifts
-            leaving[src] = landing[tgt] = tuple(
+            leaving[src] = landing[tgt] = _Differential(src, tgt, tuple(
                 self._slice_map(block, tuple(dom[c] for c in cs),
                                 tuple(cod[r] for r in rs))
-                for cs, rs, block in _strand_blocks(columns))
-        return SlicedComplex(cx, leaving, landing)
+                for cs, rs, block in _strand_blocks(columns)), {})
+        # degree q is read on its own window and, as the far end of a
+        # differential, on its neighbours' windows
+        spans = []
+        for q in range(len(cx.modules)):
+            near = windows[max(q - 1, 0):q + 2]
+            spans.append((min(lo for lo, _ in near),
+                          max(hi for _, hi in near)))
+        # the scan asks for A at s - t, s in a window and t a shift,
+        # and shifts are >= 0 whenever each w_i <= d: one staircase
+        # walk to the highest window top then fills every basis, and
+        # dim A is read from it once
+        self.A.basis(max(hi for _, hi in windows))
+        top = max(hi - min(m.shifts) for m, (_, hi) in zip(cx.modules, spans))
+        dims = [len(self.A.basis(s)) for s in range(top + 1)]
+        totals = [(lo, _module_totals(dims, m.shifts, lo, hi))
+                  for m, (lo, hi) in zip(cx.modules, spans)]
+        return SlicedComplex(leaving, landing, totals)
 
     def _slice_map(self, columns, dom: tuple, cod: tuple) -> _SliceMap:
         """Key a strand block by its content.  Each column's (row, i, k)
@@ -252,38 +290,49 @@ class Analysis:
     def _image(self, i: int, mono: tuple) -> tuple:
         """normal_form(d_i f * z^mono) as (exponents, coefficient) pairs,
         integral coefficients stored as int: the sum over the terms
-        v * z^e of d_i f of v * monomial_normal_form(e + mono)."""
+        v * z^e of d_i f of v * monomial_normal_form(e + mono).  A
+        single-term d_i f scales one monomial normal form."""
         cache = self._images[i - 1]
         image = cache.get(mono)
         if image is None:
-            image = self.gb_f.sparse_normal_form(
-                (tuple(map(add, e, mono)), v)
-                for e, v in self._grad_terms[i - 1])
+            terms = self._grad_terms[i - 1]
+            if len(terms) == 1:
+                (e, v), = terms
+                image = tuple((m, int_or_fraction(v * c)) for m, c in
+                              self.gb_f.monomial_normal_form(
+                                  tuple(map(add, e, mono))))
+            else:
+                image = self.gb_f.sparse_normal_form(
+                    (tuple(map(add, e, mono)), v) for e, v in terms)
             cache[mono] = image
         return image
 
-    def _slice_rank(self, blocks: tuple, s: int) -> int:
-        """Rank at weight s of a differential given by its strand blocks:
-        the sum of the blocks' ranks.  Each table is keyed by content,
-        never by degree, so periodicity is not assumed: the 2-periodic
-        tail hits it because its blocks repeat.  A block slice with no
-        rows or no columns has rank 0 and is not assembled."""
+    def _slice_rank(self, d: _Differential, s: int) -> int:
+        """Rank at weight s of a differential: the sum of its strand
+        blocks' ranks.  `oracle_dim` asks once per weight, and only where
+        both ends' module totals are nonzero.  Each block table is keyed
+        by content, never by degree, so periodicity is not assumed: the
+        2-periodic tail hits it because its blocks repeat.  A block slice
+        with no columns has rank 0 and gets no row maps; one with no rows
+        has rank 0 and is not assembled."""
         total = 0
         basis = self.A.basis
-        for m in blocks:
+        for m in d.blocks:
             rank = m.ranks.get(s - m.base)
             if rank is None:
+                domain = [basis(s - t) for t in m.dom]
                 rows = []           # per codomain component: mono -> row
                 count = 0
-                for t in m.cod:
-                    monos = basis(s - t)
-                    rows.append(dict(zip(monos, range(count,
-                                                      count + len(monos)))))
-                    count += len(monos)
+                if any(domain):
+                    for t in m.cod:
+                        monos = basis(s - t)
+                        rows.append(dict(zip(monos, range(
+                            count, count + len(monos)))))
+                        count += len(monos)
                 cols = []
                 if count:
-                    for terms, t in zip(m.columns, m.dom):
-                        for mono in basis(s - t):
+                    for terms, monos in zip(m.columns, domain):
+                        for mono in monos:
                             col = {}
                             for r, i, k in terms:
                                 row_of = rows[r]
@@ -298,12 +347,23 @@ class Analysis:
 
     def oracle_dim(self, sc: SlicedComplex, p: int, s: int) -> int:
         """dim of the weight-s slice of degree-p (co)homology of the
-        complex `complex` returned."""
-        total = sum(self.A.dim(s - t) for t in sc.cx.modules[p].shifts)
+        complex `complex` returned, for s in degree p's window: the
+        module total less the ranks of the differentials leaving and
+        landing in p."""
+        lo, column = sc.totals[p]
+        total = column[s - lo]
         if total == 0:
             return 0
-        return (total - self._slice_rank(sc.leaving.get(p, ()), s)
-                - self._slice_rank(sc.landing.get(p, ()), s))
+        for d in (sc.leaving.get(p), sc.landing.get(p)):
+            if d is None:
+                continue
+            rank = d.ranks.get(s)
+            if rank is None:
+                lo, column = sc.totals[d.tgt if d.src == p else d.src]
+                rank = self._slice_rank(d, s) if column[s - lo] else 0
+                d.ranks[s] = rank
+            total -= rank
+        return total
 
 
 def _strand_blocks(columns) -> list:
@@ -335,6 +395,17 @@ def _strand_blocks(columns) -> list:
                        tuple(tuple((local[r], i, k) for r, i, k in columns[c])
                              for c in cs)))
     return blocks
+
+
+def _module_totals(dims: list, shifts: tuple, lo: int, hi: int) -> list:
+    """sum_t dims[s - t] over the shifts t, for s = lo..hi, where an
+    index below 0 reads 0 (A has no negative weights)."""
+    column = [0] * (hi - lo + 1)
+    for t in shifts:
+        first = max(lo, t)      # lowest s with s - t >= 0
+        column[first - lo:] = map(add, column[first - lo:],
+                                  dims[first - t:hi - t + 1])
+    return column
 
 
 def _ratio(k: int, k0: int):
@@ -487,11 +558,7 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     windows = [_window(an, direction, p, cutoff) for p in range(p_max + 1)]
     sliced = None
     if mode in ("graded", "both"):
-        sliced = an.complex(direction, p_max + 1)
-        # the scan asks for A at s - t, s in a window and t a shift,
-        # and shifts are >= 0 whenever each w_i <= d: one staircase
-        # walk to the highest window top then fills every basis
-        an.A.basis(max(hi for _, hi in windows))
+        sliced = an.complex(direction, windows)
 
     degrees = []
     agree = True

@@ -29,6 +29,12 @@ Every differential entry is an integer multiple of a partial derivative
 of f.  Modules are listed by homological degree 0..p_max.  For the
 cochain complex diffs[p] maps modules[p] to modules[p+1]; for the chain
 complex diffs[p] maps modules[p+1] to modules[p].
+
+d^2 = 0 verification.  `verify_entries` decodes every entry as k * d_i f;
+`verify_d_squared_zero` then checks each composite of consecutive
+differentials on those terms: in every composite entry, the integer
+coefficient of each product d_i f * d_j f (i <= j) must cancel.  That is
+formal cancellation, so it implies the composite vanishes in C[z].
 """
 
 from __future__ import annotations
@@ -105,19 +111,28 @@ class KoszulComplex:
             out.append(tuple(map(tuple, columns)))
         return out
 
-    def verify_d_squared_zero(self) -> None:
-        """Consecutive composites vanish identically in C[z]."""
-        for p in range(len(self.diffs) - 1):
+    def verify_d_squared_zero(self, terms=None) -> None:
+        """Consecutive composites vanish: in every entry of every
+        composite, the coefficients of each product d_i f * d_j f
+        (i <= j) sum to 0.  terms are the (row, i, k) columns
+        `verify_entries` returned for this complex; without them the
+        differentials are decoded afresh."""
+        if terms is None:
+            terms = self.verify_entries()
+        for p in range(len(terms) - 1):
             if self.direction == "cochain":
-                second, first = self.diffs[p + 1], self.diffs[p]
+                second, first = terms[p + 1], terms[p]
             else:
-                second, first = self.diffs[p], self.diffs[p + 1]
-            prod = _matmul(second, first)
-            for row in prod:
-                for entry in row:
-                    if not entry.is_zero():
-                        raise AssertionError(
-                            "d o d != 0 between degrees %d and %d" % (p, p + 2))
+                second, first = terms[p], terms[p + 1]
+            for column in first:
+                acc: dict = {}
+                for mid, j, k1 in column:
+                    for r, i, k2 in second[mid]:
+                        key = (r, i, j) if i <= j else (r, j, i)
+                        acc[key] = acc.get(key, 0) + k1 * k2
+                if any(acc.values()):
+                    raise AssertionError(
+                        "d o d != 0 between degrees %d and %d" % (p, p + 2))
 
     def assign_weights(self, ws: WeightSystem) -> None:
         """Attach internal weights by the shift rule (see `shift`).
@@ -155,21 +170,6 @@ def _integer_ratio(entry: Polynomial, g: Polynomial) -> int:
     if ratio.denominator != 1 or entry != ratio * g:
         return 0
     return ratio.numerator
-
-
-def _matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    n = a[0][0].n
-    out = []
-    for r in range(rows):
-        out_row = []
-        for c in range(cols):
-            acc = Polynomial.zero(n)
-            for k in range(inner):
-                acc = acc + a[r][k] * b[k][c]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
 
 
 def _check_variables(n: int) -> None:

@@ -239,6 +239,73 @@ def test_oracle_matches_dense_reference(f, direction):
             assert deg.oracle_graded.get(s, 0) == expected
 
 
+@pytest.mark.parametrize("direction", ["cohomology", "homology"])
+def test_table_scan_ranks_each_differential_once_per_weight(monkeypatch,
+                                                            direction):
+    f = parse_polynomial("z1^4+z2^4+z3^4+z1*z2*z3^2")
+    calls = []
+    slice_rank = Analysis._slice_rank
+
+    def recorded(self, d, s):
+        calls.append((d.src, d.tgt, s))
+        return slice_rank(self, d, s)
+
+    monkeypatch.setattr(Analysis, "_slice_rank", recorded)
+    an = Analysis(f)
+    r = analyze(f, direction=direction, p_max=6, mode="graded", analysis=an)
+    assert calls and len(set(calls)) == len(calls)
+    build = cochain_complex if direction == "cohomology" else chain_complex
+    cx = build(f, len(r.degrees))
+    cx.assign_weights(an.ws)
+    for src, tgt, s in calls:
+        for q in (src, tgt):
+            assert sum(an.A.dim(s - t) for t in cx.modules[q].shifts), \
+                (src, tgt, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["1/2*z1^3+z2^5", "z1^7+z2^11+z3^13"]),
+       st.lists(st.integers(0, 30), min_size=3, max_size=3),
+       st.integers(1, 3))
+def test_image_matches_normal_form(poly, exps, i):
+    # every partial of these f is one term, the fast path of `_image`
+    an = Analysis(parse_polynomial(poly))
+    i = min(i, an.n)
+    mono = tuple(exps[:an.n])
+    image = an._image(i, mono)
+    expected = an.gb_f.normal_form(an.grad[i - 1]
+                                   * Polynomial.monomial(an.n, mono))
+    assert dict(image) == expected.terms
+    assert len(image) == len(expected.terms)
+    for _, v in image:
+        assert type(v) is int if v.denominator == 1 else type(v) is Fraction
+
+
+@pytest.mark.parametrize("direction", ["cohomology", "homology"])
+def test_oracle_with_a_cochain_shift_of_zero(direction):
+    # weights (45, 90, 2) and d = 90: w_2 = d, so eta_2 carries shift 0,
+    # and d_2 f = 0; A is infinite-dimensional and the scan runs alone
+    f = parse_polynomial("z1^2+z3^45")
+    an = Analysis(f)
+    assert an.ws.weights[1] == an.ws.degree
+    r = analyze(f, direction=direction, p_max=3, cutoff=60, mode="graded",
+                analysis=an)
+    build = cochain_complex if direction == "cohomology" else chain_complex
+    cx = build(f, 4)
+    cx.assign_weights(an.ws)
+    shifts = [m.shifts for m in cx.modules]
+    for p, deg in enumerate(r.degrees):
+        lo, hi = deg.window
+        for s in range(lo, hi + 1):
+            expected = sum(an.A.dim(s - t) for t in shifts[p])
+            for k, mat in enumerate(cx.diffs):
+                src, tgt = cx.ends(k)
+                if p in (src, tgt):
+                    expected -= _dense_slice_rank(
+                        an, mat, shifts[src], shifts[tgt], s)
+            assert deg.oracle_graded.get(s, 0) == expected, (p, s)
+
+
 def test_strand_blocks_of_hand_built_columns():
     # domain components 0 and 2 meet in codomain row 1; component 1 is a
     # zero column; component 3 alone hits rows 0 and 4; rows 2 and 3 are

@@ -13,6 +13,34 @@ def d_curve(k=4):
     return Polynomial(2, {(2, 1): 1, (0, k - 1): 1})
 
 
+def _matmul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    n = a[0][0].n
+    out = []
+    for r in range(rows):
+        out_row = []
+        for c in range(cols):
+            acc = Polynomial.zero(n)
+            for k in range(inner):
+                acc = acc + a[r][k] * b[k][c]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _composites_vanish(cx):
+    """Reference for `verify_d_squared_zero`: every composite of
+    consecutive differentials multiplied out as polynomial matrices."""
+    for p in range(len(cx.diffs) - 1):
+        if cx.direction == "cochain":
+            second, first = cx.diffs[p + 1], cx.diffs[p]
+        else:
+            second, first = cx.diffs[p], cx.diffs[p + 1]
+        if any(not e.is_zero() for row in _matmul(second, first) for e in row):
+            return False
+    return True
+
+
 def test_cochain_module_layout_n2():
     cx = cochain_complex(d_curve(), 5)
     assert cx.modules[0].elements == (BasisElement(0, ()),)
@@ -106,7 +134,10 @@ def test_chain_matrices_n3():
 def test_d_squared_zero_and_entry_structure(build, f):
     cx = build(f, 8)
     terms = cx.verify_entries()
+    cx.verify_d_squared_zero(terms)
     cx.verify_d_squared_zero()
+    # the term check and the polynomial product agree
+    assert _composites_vanish(cx)
     # the returned (row, i, k) terms rebuild every matrix exactly
     grad = f.gradient()
     for mat, columns in zip(cx.diffs, terms):
@@ -121,8 +152,20 @@ def test_sign_flip_breaks_d_squared_zero():
     cx = cochain_complex(d_surface(), 5)
     entry = cx.diffs[2][0][1]
     cx.diffs[2][0][1] = -entry
+    assert not _composites_vanish(cx)
     with pytest.raises(AssertionError):
         cx.verify_d_squared_zero()
+
+
+@pytest.mark.parametrize("build", [cochain_complex, chain_complex])
+def test_flipped_term_breaks_d_squared_zero(build):
+    cx = build(d_surface(), 5)
+    terms = [list(map(list, columns)) for columns in cx.verify_entries()]
+    cx.verify_d_squared_zero(terms)
+    r, i, k = terms[2][1][0]
+    terms[2][1][0] = (r, i, -k)
+    with pytest.raises(AssertionError):
+        cx.verify_d_squared_zero(terms)
 
 
 def test_weight_assignment_cochain():
