@@ -8,11 +8,8 @@ from .ideals import (
     buchberger,
     colon_ideal,
     divide,
-    ideal_equals,
     ideal_intersection,
-    is_zero_divisor_mod,
     milnor_number,
-    normal_form,
     quotient_dimension,
     standard_monomials,
 )
@@ -23,8 +20,7 @@ __all__ = [
     "Analysis", "PreconditionError", "Report", "analyze",
     "NotWeightedHomogeneousError", "WeightSystem", "detect_weights",
     "INFINITE", "GroebnerBasis", "buchberger", "colon_ideal", "divide",
-    "ideal_equals", "ideal_intersection", "is_zero_divisor_mod",
-    "milnor_number", "normal_form", "quotient_dimension",
+    "ideal_intersection", "milnor_number", "quotient_dimension",
     "standard_monomials", "ParseError", "parse_polynomial",
     "MonomialOrder", "Polynomial",
 ]

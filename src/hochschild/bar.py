@@ -26,16 +26,14 @@ class ResourceLimitError(ValueError):
 class FiniteAlgebra:
     """Associative unital algebra given by structure constants.
 
-    table[i][j] is the coefficient vector of e_i * e_j; unit_index
-    names the basis element acting as 1.  Associativity and the unit
-    law are verified on construction.
+    table[i][j] is the coefficient vector of e_i * e_j, and e_0 is the
+    unit.  Associativity and the unit law are verified on construction.
     """
 
-    def __init__(self, table, unit_index: int = 0):
+    def __init__(self, table):
         self.dim = len(table)
         self.table = tuple(tuple(tuple(Fraction(c) for c in vec) for vec in row)
                            for row in table)
-        self.unit_index = unit_index
         self.validate()
 
     def validate(self) -> None:
@@ -43,12 +41,11 @@ class FiniteAlgebra:
         for row in self.table:
             if len(row) != k or any(len(vec) != k for vec in row):
                 raise ValueError("structure constant table is not k x k x k")
-        u = self.unit_index
         for i in range(k):
             expected = tuple(Fraction(1) if m == i else Fraction(0)
                              for m in range(k))
-            if self.table[u][i] != expected or self.table[i][u] != expected:
-                raise ValueError("basis element %d is not a unit" % u)
+            if self.table[0][i] != expected or self.table[i][0] != expected:
+                raise ValueError("basis element 0 is not a unit")
         for i in range(k):
             for j in range(k):
                 for l in range(k):
@@ -182,15 +179,10 @@ def bar_homology_dims(algebra: FiniteAlgebra, p_max: int) -> list:
     return dims
 
 
-def truncated_cohomology_closed_form(k: int, p: int) -> int:
-    """dim HH^p(C[z]/<z^k>): k in degree 0, k-1 in every higher degree
-    (and 0 throughout for the smooth case k = 1 beyond degree 0)."""
-    if p == 0:
-        return k
-    return k - 1
-
-
-def truncated_homology_closed_form(k: int, p: int) -> int:
+def truncated_closed_form(k: int, p: int) -> int:
+    """dim HH^p(C[z]/<z^k>) = dim HH_p(C[z]/<z^k>): k in degree 0, k-1
+    in every higher degree (and 0 throughout for the smooth case k = 1
+    beyond degree 0)."""
     if p == 0:
         return k
     return k - 1

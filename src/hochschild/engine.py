@@ -24,7 +24,7 @@ Two independent routes to the same numbers:
   the differential matrices to each finite-dimensional slice over the
   standard monomial basis of A, and computes exact ranks: the weight-s
   slice of degree p is its module total sum_t dim A_(s - t) minus the
-  ranks of the differentials leaving and landing in p.  Every matrix
+  ranks of the differentials joining p to p - 1 and p + 1.  Every matrix
   entry is k * d_i f for an integer k (checked by `verify_entries`, and
   d^2 = 0 is checked on those terms).  The module totals are read from
   one list of dim A per report.  Each differential is ranked once per
@@ -106,10 +106,8 @@ class _SliceMap(NamedTuple):
 
 
 class _Differential(NamedTuple):
-    """One differential of a sliced complex: its end degrees, its strand
-    blocks, and its rank at each weight asked so far."""
-    src: int
-    tgt: int
+    """One differential of a sliced complex: its strand blocks, and its
+    rank at each weight asked so far."""
     blocks: tuple     # _SliceMap per strand block
     ranks: dict       # s -> rank of the whole differential
 
@@ -117,15 +115,15 @@ class _Differential(NamedTuple):
 class SlicedComplex(NamedTuple):
     """A checked, weighted complex as `Analysis.oracle_dim` reads it.
 
-    Each differential is cut into its strand blocks and keyed by source
-    and by target degree, one `_Differential` shared by both keys, so
-    the rank leaving p at s and the rank landing in p + 1 (or p - 1) at
-    s are one lookup.  totals[p] is (lo, column): column[s - lo] is the
-    module total sum_t dim A_(s - t) over degree p's shifts, for every s
-    at which the scan reads degree p, its own window and its neighbours'
+    diffs[k] is the differential joining degrees k and k + 1, in
+    whichever direction it maps, cut into its strand blocks; degree p
+    reads diffs[p - 1] and diffs[p], so the rank at s of the
+    differential between p and p + 1 is one lookup from either end.
+    totals[p] is (lo, column): column[s - lo] is the module total
+    sum_t dim A_(s - t) over degree p's shifts, for every s at which
+    the scan reads degree p, its own window and its neighbours'
     windows."""
-    leaving: dict     # source degree -> _Differential
-    landing: dict     # target degree -> _Differential
+    diffs: list       # _Differential per pair of adjacent degrees
     totals: list      # per degree: (lo, module totals from weight lo on)
 
 
@@ -173,12 +171,12 @@ class Analysis:
     """Shared exact data for one hypersurface f: weights, Groebner
     bases, graded quotients, and both Koszul complexes."""
 
-    def __init__(self, f: Polynomial, order: MonomialOrder | None = None):
+    def __init__(self, f: Polynomial):
         if f.is_zero() or f.is_constant():
             raise PreconditionError("f must be a nonconstant polynomial")
         self.f = f
         self.n = f.n
-        self.order = order or MonomialOrder.lex(f.n)
+        self.order = MonomialOrder.lex(f.n)
         self.ws = detect_weights(f)
         if not euler_identity_holds(f, self.ws):
             raise AssertionError("Euler identity fails for detected weights")
@@ -237,7 +235,7 @@ class Analysis:
 
     def complex(self, direction: str, windows: list) -> SlicedComplex:
         """Build, check and weight the complex through one degree past
-        the last window, key its differentials for `oracle_dim`, and
+        the last window, cut its differentials for `oracle_dim`, and
         fill the module totals the scan of `windows` (one (lo, hi) per
         degree) reads."""
         build = cochain_complex if direction == "cohomology" else chain_complex
@@ -245,14 +243,14 @@ class Analysis:
         terms = cx.verify_entries()
         cx.verify_d_squared_zero(terms)
         cx.assign_weights(self.ws)
-        leaving, landing = {}, {}
+        diffs = []
         for k, columns in enumerate(terms):
             src, tgt = cx.ends(k)
             dom, cod = cx.modules[src].shifts, cx.modules[tgt].shifts
-            leaving[src] = landing[tgt] = _Differential(src, tgt, tuple(
+            diffs.append(_Differential(tuple(
                 self._slice_map(block, tuple(dom[c] for c in cs),
                                 tuple(cod[r] for r in rs))
-                for cs, rs, block in _strand_blocks(columns)), {})
+                for cs, rs, block in _strand_blocks(columns)), {}))
         # degree q is read on its own window and, as the far end of a
         # differential, on its neighbours' windows
         spans = []
@@ -269,7 +267,7 @@ class Analysis:
         dims = [len(self.A.basis(s)) for s in range(top + 1)]
         totals = [(lo, _module_totals(dims, m.shifts, lo, hi))
                   for m, (lo, hi) in zip(cx.modules, spans)]
-        return SlicedComplex(leaving, landing, totals)
+        return SlicedComplex(diffs, totals)
 
     def _slice_map(self, columns, dom: tuple, cod: tuple) -> _SliceMap:
         """Key a strand block by its content.  Each column's (row, i, k)
@@ -348,18 +346,19 @@ class Analysis:
     def oracle_dim(self, sc: SlicedComplex, p: int, s: int) -> int:
         """dim of the weight-s slice of degree-p (co)homology of the
         complex `complex` returned, for s in degree p's window: the
-        module total less the ranks of the differentials leaving and
-        landing in p."""
+        module total less the ranks of the differentials joining p to
+        p - 1 and to p + 1."""
         lo, column = sc.totals[p]
         total = column[s - lo]
         if total == 0:
             return 0
-        for d in (sc.leaving.get(p), sc.landing.get(p)):
-            if d is None:
+        for k in (p - 1, p):
+            if k < 0:
                 continue
+            d = sc.diffs[k]
             rank = d.ranks.get(s)
             if rank is None:
-                lo, column = sc.totals[d.tgt if d.src == p else d.src]
+                lo, column = sc.totals[k if k < p else k + 1]
                 rank = self._slice_rank(d, s) if column[s - lo] else 0
                 d.ranks[s] = rank
             total -= rank
@@ -448,9 +447,9 @@ class _Classifier:
                                     "algebra is infinite-dimensional")
         self.route = a.route()
         if self.route is None:
-            raise PreconditionError("no valid elimination route: some "
-                                    "back-substitution divisor is a zero "
-                                    "divisor in every variable ordering")
+            raise PreconditionError("no valid elimination route: "
+                                    "C[z]/<J'_i, z_i> is infinite-"
+                                    "dimensional for every i")
         self.dim_A = PoincareSeries(a.ws.weights, a.ws.degree).dim
         self._finite_parts: dict = {}   # source -> see _finite
 
@@ -524,7 +523,6 @@ class _Classifier:
 
 def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
             cutoff: int | None = None, mode: str = "both",
-            order: MonomialOrder | None = None,
             analysis: Analysis | None = None) -> Report:
     """Compute a full (co)homology report for A = C[z]/<f>.
 
@@ -540,7 +538,7 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
         raise ValueError("p_max must be >= 0")
     if cutoff is not None and cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    an = analysis or Analysis(f, order)
+    an = analysis or Analysis(f)
     d = an.ws.degree
     if cutoff is None:
         cutoff = 3 * d

@@ -225,7 +225,3 @@ class GradedQuotient:
 
     def dim(self, s: int) -> int:
         return len(self.basis(s))
-
-
-def hilbert_function(gb: GroebnerBasis, weights: Sequence[int], s: int) -> int:
-    return GradedQuotient(gb, weights).dim(s)

@@ -295,16 +295,6 @@ def buchberger(generators: Sequence[Polynomial],
     return GroebnerBasis(reduced, order)
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return gb.normal_form(p)
-
-
-def ideal_equals(gens_a: Sequence[Polynomial], gens_b: Sequence[Polynomial],
-                 order: MonomialOrder) -> bool:
-    """Structural equality of reduced bases under a common order."""
-    return buchberger(gens_a, order).elements == buchberger(gens_b, order).elements
-
-
 class StandardMonomials(NamedTuple):
     finite: bool
     monomials: tuple | None      # exponent tuples, None when infinite
@@ -440,11 +430,3 @@ def colon_ideal(gens: Sequence[Polynomial], g: Polynomial,
         raise ValueError("colon by zero")
     meet = ideal_intersection(gens, [g], order)
     return tuple(exact_divide(h, g, order) for h in meet)
-
-
-def is_zero_divisor_mod(g: Polynomial, f: Polynomial,
-                        order: MonomialOrder) -> bool:
-    """True when g is a zero divisor in C[z]/<f>, i.e. (<f> : g) != <f>."""
-    if g.is_zero():
-        return True
-    return not ideal_equals(colon_ideal([f], g, order), [f], order)

@@ -7,11 +7,10 @@ complex is the dual picture on a1 and xi_1..xi_n (Buenos Aires Cyclic
 Homology Group, Hochschild and cyclic homology of hypersurfaces,
 Adv. Math. 95, 1992).  Both are generated from one rule:
 
-* Layout.  Module p has one component even^m * odd_S for every odd
-  tuple S with |S| = j, j = p (mod 2), j <= min(n, p), and m = (p - j)/2,
-  listed by j, then by S.  An odd tuple is a cyclic run
-  (i, i+1, .., i+j-1) of indices mod n, i = 1..n, one per set; for
-  n <= 3 every subset is such a run, so the pairs are (1,2), (2,3), (3,1).
+* Layout.  Module p has one component even^m * odd_S for every subset
+  S of 1..n with |S| = j, j = p (mod 2), j <= min(n, p), and
+  m = (p - j)/2, listed by j, then by S.  S is written as an increasing
+  tuple, listed in lexicographic order: the exterior-algebra basis.
 * Cochain differential, degree p -> p+1: right contraction with grad f,
   raising the power of b1,
       b1^m eta_S -> sum_k (-1)^(j-k) d_{S_k} f  b1^(m+1) eta_{S minus S_k}.
@@ -48,7 +47,7 @@ from .poly import Polynomial
 
 class BasisElement(NamedTuple):
     power: int        # exponent of the even generator (b1 or a1)
-    odd: tuple        # odd indices, a cyclic run mod n
+    odd: tuple        # odd indices, increasing
 
     def label(self, even_name: str, odd_name: str) -> str:
         parts = []
@@ -111,14 +110,11 @@ class KoszulComplex:
             out.append(tuple(map(tuple, columns)))
         return out
 
-    def verify_d_squared_zero(self, terms=None) -> None:
+    def verify_d_squared_zero(self, terms) -> None:
         """Consecutive composites vanish: in every entry of every
         composite, the coefficients of each product d_i f * d_j f
         (i <= j) sum to 0.  terms are the (row, i, k) columns
-        `verify_entries` returned for this complex; without them the
-        differentials are decoded afresh."""
-        if terms is None:
-            terms = self.verify_entries()
+        `verify_entries` returned for this complex."""
         for p in range(len(terms) - 1):
             if self.direction == "cochain":
                 second, first = terms[p + 1], terms[p]
@@ -177,21 +173,12 @@ def _check_variables(n: int) -> None:
         raise ValueError("only 1 to 3 variables supported")
 
 
-def _odd_tuples(n: int, j: int) -> tuple:
-    """The odd basis tuples of length j: cyclic runs, first run per set."""
-    runs: dict = {}
-    for i in range(n):
-        run = tuple((i + k) % n + 1 for k in range(j))
-        runs.setdefault(frozenset(run), run)
-    return tuple(runs.values())
-
-
 def module(n: int, p: int) -> tuple:
     """Basis elements of homological degree p, in either direction."""
     _check_variables(n)
     return tuple(BasisElement((p - j) // 2, odd)
                  for j in range(p % 2, min(n, p) + 1, 2)
-                 for odd in _odd_tuples(n, j))
+                 for odd in combinations(range(1, n + 1), j))
 
 
 def shift(direction: str, ws: WeightSystem, elem: BasisElement) -> int:

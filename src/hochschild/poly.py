@@ -42,16 +42,14 @@ class Term(NamedTuple):
 class MonomialOrder:
     """Total order on exponent tuples, exposed through sort keys.
 
-    kind is one of "lex", "weighted", "block".  All three reduce to a
-    key function: lex compares exponents along a variable priority list
-    (highest priority first); weighted compares total weighted degree
-    first and breaks ties by lex; an elimination block order compares
-    the front block lexicographically before the back block, which is
-    the same as lex with the priority list split accordingly, so it
-    shares the implementation.  `key` is an attribute chosen once: when
-    the priority is the identity (the default lex order, and the
-    elimination order with front block (0,)), the key of an exponent
-    tuple is the tuple itself.
+    kind is "lex" or "weighted".  Both reduce to a key function: lex
+    compares exponents along a variable priority list (highest priority
+    first); weighted compares total weighted degree first and breaks
+    ties by lex.  An elimination order, front block before back block,
+    is lex with the front block first in the priority list.  `key` is an
+    attribute chosen once: when the priority is the identity (the
+    default lex order, and the elimination order with front block
+    (0,)), the key of an exponent tuple is the tuple itself.
     """
 
     __slots__ = ("kind", "n", "priority", "weights", "key")
@@ -64,7 +62,7 @@ class MonomialOrder:
             if weights is None or len(weights) != n:
                 raise ValueError("weighted order needs one weight per variable")
             self.weights = tuple(int(w) for w in weights)
-        elif kind in ("lex", "block"):
+        elif kind == "lex":
             self.weights = None
         else:
             raise ValueError("unknown order kind %r" % kind)
@@ -95,7 +93,7 @@ class MonomialOrder:
         """Any monomial containing a front variable beats any without."""
         front = tuple(front)
         back = tuple(i for i in range(n) if i not in front)
-        return MonomialOrder("block", n, front + back)
+        return MonomialOrder.lex(n, front + back)
 
     def _priority_key(self, exps: Exponents):
         return tuple(exps[i] for i in self.priority)
@@ -329,15 +327,13 @@ class Polynomial:
 
     # display
 
-    def to_str(self, names: Sequence[str] | None = None,
-               order: MonomialOrder | None = None) -> str:
-        """Render in the syntax the expression parser accepts."""
+    def to_str(self, names: Sequence[str] | None = None) -> str:
+        """Render in the syntax the expression parser accepts, terms in
+        descending lex order."""
         if not self.terms:
             return "0"
-        if order is None:
-            order = MonomialOrder.lex(self.n)
         pieces = []
-        for exps in sorted(self.terms, key=order.key, reverse=True):
+        for exps in sorted(self.terms, reverse=True):
             c = self.terms[exps]
             body = monomial_str(exps, names)
             if abs(c) != 1:

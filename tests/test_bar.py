@@ -5,8 +5,7 @@ from hochschild.bar import (
     ResourceLimitError,
     bar_cohomology_dims,
     bar_homology_dims,
-    truncated_cohomology_closed_form,
-    truncated_homology_closed_form,
+    truncated_closed_form,
 )
 
 
@@ -40,8 +39,7 @@ def test_bar_dims_match_closed_forms(k):
     A = FiniteAlgebra.truncated_polynomial(k)
     coh = bar_cohomology_dims(A, 3)
     hom = bar_homology_dims(A, 3)
-    assert coh == [truncated_cohomology_closed_form(k, p) for p in range(4)]
-    assert hom == [truncated_homology_closed_form(k, p) for p in range(4)]
+    assert coh == hom == [truncated_closed_form(k, p) for p in range(4)]
 
 
 def test_k3_frozen_dims():

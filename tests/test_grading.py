@@ -8,7 +8,6 @@ from hochschild.grading import (
     detect_weights,
     euler_identity_holds,
     exponents_of_weight,
-    hilbert_function,
     is_weighted_homogeneous,
 )
 from hochschild.ideals import buchberger
@@ -78,7 +77,7 @@ def test_hilbert_function_golden():
     z1 = Polynomial.variable(2, 1)
     gb = buchberger([z1 ** 3], LEX2)
     # weight-6 monomials are z1^3 (in the ideal) and z2^2
-    assert hilbert_function(gb, (2, 3), 6) == 1
+    assert GradedQuotient(gb, (2, 3)).dim(6) == 1
 
 
 def test_graded_quotient_enumeration():
