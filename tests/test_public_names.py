@@ -15,18 +15,11 @@ import pytest
 
 import hochschild
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def _tracing():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing",
-                                                  TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracing = _tracing()
+_spec = importlib.util.spec_from_file_location(
+    "_perfbench_tracing",
+    Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
 
 
 @pytest.mark.parametrize("span, module, name", tracing.FUNCTIONS)
