@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 from . import ideals
@@ -60,7 +60,8 @@ from .grading import (
 from .ideals import INFINITE, GroebnerBasis, buchberger
 from .koszul import chain_complex, cochain_complex, module, shift
 from .linalg import rank_sparse
-from .poly import MonomialOrder, Polynomial, int_or_fraction, monomial_str
+from .poly import (MonomialOrder, Polynomial, exact_quotient,
+                   int_or_fraction, monomial_str)
 from .series import PoincareSeries
 
 
@@ -198,9 +199,6 @@ class Analysis:
         # graded-oracle caches (see _slice_map and _image)
         self._ranks: dict = {}           # signature -> {s - base: rank}
         self._images = [{} for _ in range(self.n)]   # per partial
-        self._grad_terms = [tuple((e, int_or_fraction(v))
-                                  for e, v in g.terms.items())
-                            for g in self.grad]
 
     # ---- route search -------------------------------------------------
 
@@ -265,7 +263,8 @@ class Analysis:
         self.A.basis(max(hi for _, hi in windows))
         top = max(hi - min(m.shifts) for m, (_, hi) in zip(cx.modules, spans))
         dims = [len(self.A.basis(s)) for s in range(top + 1)]
-        totals = [(lo, _module_totals(dims, m.shifts, lo, hi))
+        totals = [(lo, _module_totals(dims, [(1, t) for t in m.shifts],
+                                      lo, hi))
                   for m, (lo, hi) in zip(cx.modules, spans)]
         return SlicedComplex(diffs, totals)
 
@@ -278,7 +277,8 @@ class Analysis:
         signature and s - base, so blocks of equal signature share one
         rank table keyed by s - base."""
         base = dom[0]
-        normed = tuple(tuple((r, i, _ratio(k, col[0][2])) for r, i, k in col)
+        normed = tuple(tuple((r, i, exact_quotient(k, col[0][2]))
+                             for r, i, k in col)
                        for col in columns)
         signature = (normed, tuple(t - base for t in dom),
                      tuple(t - base for t in cod))
@@ -293,7 +293,7 @@ class Analysis:
         cache = self._images[i - 1]
         image = cache.get(mono)
         if image is None:
-            terms = self._grad_terms[i - 1]
+            terms = self.grad[i - 1].terms.items()
             if len(terms) == 1:
                 (e, v), = terms
                 image = tuple((m, int_or_fraction(v * c)) for m, c in
@@ -396,21 +396,17 @@ def _strand_blocks(columns) -> list:
     return blocks
 
 
-def _module_totals(dims: list, shifts: tuple, lo: int, hi: int) -> list:
-    """sum_t dims[s - t] over the shifts t, for s = lo..hi, where an
-    index below 0 reads 0 (A has no negative weights)."""
+def _module_totals(dims: list, terms, lo: int, hi: int) -> list:
+    """sum sign * dims[s - t] over the (sign, t) pairs, sign 1 or -1,
+    for s = lo..hi, where an index below 0 reads 0 (A has no negative
+    weights); dims must reach hi - t for every t."""
     column = [0] * (hi - lo + 1)
-    for t in shifts:
+    for sign, t in terms:
         first = max(lo, t)      # lowest s with s - t >= 0
-        column[first - lo:] = map(add, column[first - lo:],
+        column[first - lo:] = map(add if sign > 0 else sub,
+                                  column[first - lo:],
                                   dims[first - t:hi - t + 1])
     return column
-
-
-def _ratio(k: int, k0: int):
-    """k / k0, as an int when exact: int entries keep slice assembly
-    and elimination off the slower Fraction arithmetic."""
-    return k // k0 if k % k0 == 0 else Fraction(k, k0)
 
 
 # ---- classifier -------------------------------------------------------
@@ -450,7 +446,8 @@ class _Classifier:
             raise PreconditionError("no valid elimination route: "
                                     "C[z]/<J'_i, z_i> is infinite-"
                                     "dimensional for every i")
-        self.dim_A = PoincareSeries(a.ws.weights, a.ws.degree).dim
+        self.series = PoincareSeries(a.ws.weights, a.ws.degree)
+        self.dim_A = self.series.dim
         self._finite_parts: dict = {}   # source -> see _finite
 
     def degree(self, p: int) -> tuple:
@@ -558,6 +555,11 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     if mode in ("graded", "both"):
         sliced = an.complex(direction, windows)
 
+    if classifier is not None:
+        # one dim A list from the series for every expected slice; the
+        # free shifts are >= 0, since each w_i <= d when f is isolated
+        dims = classifier.series.dims(max(hi for _, hi in windows))
+
     degrees = []
     agree = True
     for p, window in enumerate(windows):
@@ -576,12 +578,10 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
             elif kind == "A":
                 finite_dim = 0
             structure = _structure_string(kind, an.n, direction, p, finite_dim)
-            dim_A = classifier.dim_A
             expected_graded = {}
-            for s in range(window[0], window[1] + 1):
-                val = finite_graded.get(s, 0)
-                for sign, t in free:
-                    val += sign * dim_A(s - t)
+            for s, val in enumerate(_module_totals(dims, free, *window),
+                                    window[0]):
+                val += finite_graded.get(s, 0)
                 if val:
                     expected_graded[s] = val
         oracle_graded = None

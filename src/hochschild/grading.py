@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .ideals import GroebnerBasis, staircase
 from .linalg import nullspace
-from .poly import Polynomial
+from .poly import Polynomial, exact_quotient
 
 
 class NotWeightedHomogeneousError(ValueError):
@@ -94,8 +94,7 @@ def is_weighted_homogeneous(f: Polynomial) -> bool:
 def _homogeneity_solutions(f: Polynomial) -> list:
     """Nullspace basis of sum_i w_i a_i - d = 0 over the exponent
     vectors a of f, as vectors (w_1, ..., w_n, d)."""
-    return nullspace([[Fraction(e) for e in a] + [Fraction(-1)]
-                      for a in sorted(f.terms)])
+    return nullspace([list(a) + [-1] for a in sorted(f.terms)])
 
 
 def _positive_point(basis):
@@ -120,15 +119,16 @@ def _positive_point(basis):
                  for a in low for b in high]
     if rows:
         return None
-    lam = [Fraction(0)] * m
+    lam = [0] * m
     for v in reversed(range(m)):
         lower, upper = [], []
         for r in stages[v]:
             if r[v]:
-                bound = -sum(r[u] * lam[u] for u in range(v + 1, m)) / r[v]
+                bound = exact_quotient(
+                    -sum(r[u] * lam[u] for u in range(v + 1, m)), r[v])
                 (lower if r[v] > 0 else upper).append(bound)
         if lower and upper:
-            lam[v] = (max(lower) + min(upper)) / 2
+            lam[v] = exact_quotient(max(lower) + min(upper), 2)
         elif lower:
             lam[v] = max(lower) + 1
         elif upper:
@@ -163,12 +163,10 @@ def _consistent_weights(exps, n, bound):
 
 
 def euler_identity_holds(f: Polynomial, ws: WeightSystem) -> bool:
-    """Check sum_i w_i z_i d_i f == d * f."""
-    n = f.n
-    lhs = Polynomial.zero(n)
-    for i in range(1, n + 1):
-        lhs = lhs + ws.weights[i - 1] * Polynomial.variable(n, i) * f.diff(i)
-    return lhs == ws.degree * f
+    """Check sum_i w_i z_i d_i f == d * f.  The coefficient of z^a on the
+    left is (w . a) c_a, so the identity holds exactly when every
+    exponent vector a of f has weight w . a = d."""
+    return all(sum(map(mul, ws.weights, a)) == ws.degree for a in f.terms)
 
 
 def exponents_of_weight(weights: Sequence[int], s: int) -> list:

@@ -29,7 +29,6 @@ denominator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain
 from operator import add, le, sub
@@ -38,6 +37,7 @@ from typing import NamedTuple, Sequence
 from .poly import (
     MonomialOrder,
     Polynomial,
+    exact_quotient,
     int_or_fraction,
     monomial_div,
     monomial_divides,
@@ -54,8 +54,6 @@ class _Infinite:
 
 
 INFINITE = _Infinite()
-
-_ONE = Fraction(1)
 
 
 class DivisionResult(NamedTuple):
@@ -79,7 +77,8 @@ def divide(p: Polynomial, divisors: Sequence[Polynomial],
         c, exps = work.leading_term(order)
         for i, (gc, gexps) in enumerate(lts):
             if monomial_divides(gexps, exps):
-                factor = Polynomial.monomial(n, monomial_div(exps, gexps), c / gc)
+                factor = Polynomial.monomial(n, monomial_div(exps, gexps),
+                                            exact_quotient(c, gc))
                 quotients[i] = quotients[i] + factor
                 work = work - factor * divisors[i]
                 break
@@ -96,7 +95,8 @@ def _divisor(terms: dict, key) -> tuple:
     monic divisor adds c * v at z^q * z^e for every tail term (e, v)."""
     lead = max(terms, key=key)
     lc = -terms[lead]
-    return lead, tuple((e, v / lc) for e, v in terms.items() if e != lead)
+    return lead, tuple((e, exact_quotient(v, lc))
+                       for e, v in terms.items() if e != lead)
 
 
 def _reduce(terms: dict, divisors, key) -> dict:
@@ -121,12 +121,13 @@ def _reduce(terms: dict, divisors, key) -> dict:
                         del terms[m]
                 break
         else:
-            rem[exps] = c
+            rem[exps] = int_or_fraction(c)
     return rem
 
 
 def _polynomial(n: int, terms: dict) -> Polynomial:
-    """Wrap a dict of nonzero Fraction coefficients without copying."""
+    """Wrap a dict of nonzero coefficients, integral ones int, without
+    copying."""
     p = Polynomial.__new__(Polynomial)
     p.n = n
     p.terms = terms
@@ -137,8 +138,10 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     fc, fe = f.leading_term(order)
     gc, ge = g.leading_term(order)
     lcm = monomial_lcm(fe, ge)
-    mf = Polynomial.monomial(f.n, monomial_div(lcm, fe), 1 / fc)
-    mg = Polynomial.monomial(g.n, monomial_div(lcm, ge), 1 / gc)
+    mf = Polynomial.monomial(f.n, monomial_div(lcm, fe),
+                             exact_quotient(1, fc))
+    mg = Polynomial.monomial(g.n, monomial_div(lcm, ge),
+                             exact_quotient(1, gc))
     return mf * f - mg * g
 
 
@@ -146,17 +149,13 @@ class GroebnerBasis:
     """Reduced monic Groebner basis, elements sorted by leading monomial
     (descending under the basis order) for deterministic output."""
 
-    __slots__ = ("elements", "order", "_divisors", "_int_divisors",
-                 "_monomial_nfs")
+    __slots__ = ("elements", "order", "_divisors", "_monomial_nfs")
 
     def __init__(self, elements: Sequence[Polynomial], order: MonomialOrder):
         self.elements = tuple(elements)
         self.order = order
         self._divisors = tuple(_divisor(g.terms, order.key)
                                for g in self.elements)
-        self._int_divisors = tuple(
-            (lead, tuple((e, int_or_fraction(v)) for e, v in tail))
-            for lead, tail in self._divisors)
         self._monomial_nfs: dict = {}   # exponents -> monomial_normal_form
 
     def leading_exponents(self):
@@ -187,7 +186,7 @@ class GroebnerBasis:
             if a in table:
                 stack.pop()
                 continue
-            for lead, tail in self._int_divisors:
+            for lead, tail in self._divisors:
                 if all(map(le, lead, a)):
                     q = tuple(map(sub, a, lead))
                     terms = [(tuple(map(add, e, q)), v) for e, v in tail]
@@ -289,7 +288,7 @@ def buchberger(generators: Sequence[Polynomial],
     for i, (lead, tail) in enumerate(minimal):
         terms = _reduce({e: -v for e, v in tail},
                         minimal[:i] + minimal[i + 1:], key)
-        terms[lead] = _ONE
+        terms[lead] = 1
         reduced.append(_polynomial(n, terms))
     reduced.reverse()
     return GroebnerBasis(reduced, order)

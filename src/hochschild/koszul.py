@@ -42,7 +42,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .grading import WeightSystem
-from .poly import Polynomial
+from .poly import Polynomial, exact_quotient
 
 
 class BasisElement(NamedTuple):
@@ -162,10 +162,10 @@ def _integer_ratio(entry: Polynomial, g: Polynomial) -> int:
     if set(entry.terms) != set(g.terms):
         return 0
     any_exp = next(iter(entry.terms))
-    ratio = entry.terms[any_exp] / g.terms[any_exp]
-    if ratio.denominator != 1 or entry != ratio * g:
+    ratio = exact_quotient(entry.terms[any_exp], g.terms[any_exp])
+    if type(ratio) is not int or entry != ratio * g:
         return 0
-    return ratio.numerator
+    return ratio
 
 
 def _check_variables(n: int) -> None:

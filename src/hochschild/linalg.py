@@ -1,18 +1,20 @@
-"""Exact rank computations over the rationals.
+"""Exact linear algebra over the rationals.
 
-Two routines, both in integer arithmetic and fraction-free: a sparse
+Two rank routines, both in integer arithmetic and fraction-free: a sparse
 elimination that ranks the graded complex slices and the bar-complex
 differentials (both are mostly zero), and a dense Bareiss elimination,
 kept as the independent reference that the tests compare the sparse
 path against.  Rational entries are cleared of denominators row by row,
-which leaves the rank unchanged.  Both are exact; no floating point and
-no modular arithmetic anywhere.
+which leaves the rank unchanged.  `nullspace` divides only through
+`poly.exact_quotient`.  No floating point and no modular arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from .poly import exact_quotient, int_or_fraction
 
 
 def _integer_rows(rows):
@@ -121,10 +123,13 @@ def _integer_row(row) -> dict:
 
 
 def nullspace(rows):
-    """Basis of the right nullspace of a small dense Fraction matrix."""
+    """Basis of the right nullspace of a small dense matrix of int or
+    Fraction entries, by Gauss-Jordan elimination; each pivot row is
+    normalised with `exact_quotient`.  Basis entries are ints where
+    integral and Fractions otherwise."""
     if not rows:
         return []
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [list(row) for row in rows]
     nrows, ncols = len(m), len(m[0])
     pivot_cols = []
     r = 0
@@ -137,8 +142,8 @@ def nullspace(rows):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        p = m[r][c]
+        m[r] = [exact_quotient(x, p) for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]
@@ -150,9 +155,9 @@ def nullspace(rows):
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = 1
         for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -m[row_idx][fc]
+            vec[pc] = -int_or_fraction(m[row_idx][fc])
         basis.append(vec)
     return basis

@@ -1,12 +1,15 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A polynomial is a dict from exponent tuples to nonzero Fraction
-coefficients.  Instances are treated as immutable; every operation
-returns a fresh polynomial with zero coefficients stripped, so equality
-is plain dict equality.  Monomial orders are separate objects passed to
-the operations that need one (leading terms, division), because a single
-session routinely mixes orders (lex for the ambient ring, an elimination
-order inside ideal intersections).
+A polynomial is a dict from exponent tuples to nonzero coefficients, an
+int when integral and a Fraction otherwise, never a float: operations
+narrow their results and divide only through `exact_quotient`, so
+integral arithmetic stays on the fast int path.  Instances are treated
+as immutable; every operation returns a fresh polynomial with zero
+coefficients stripped, so equality is plain dict equality.  Monomial
+orders are separate objects passed to the operations that need one
+(leading terms, division), because a single session routinely mixes
+orders (lex for the ambient ring, an elimination order inside ideal
+intersections).
 """
 
 from __future__ import annotations
@@ -15,27 +18,40 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 Exponents = tuple  # tuple[int, ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_NAMES = tuple("z%d" % i for i in range(1, 10))   # default variable names
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
+def _coefficient(c) -> int | Fraction:
+    if isinstance(c, (int, Fraction)):
+        return int_or_fraction(c)
     raise TypeError("coefficient must be int or Fraction, got %r" % (c,))
 
 
-def int_or_fraction(c):
+def int_or_fraction(c) -> int | Fraction:
     """c as an int when it is integral, else c: int arithmetic keeps
     sparse assembly and elimination off the slower Fraction path."""
     return c.numerator if c.denominator == 1 else c
 
 
+def exact_quotient(a, b) -> int | Fraction:
+    """a / b for int or Fraction a and nonzero b: an int when b divides
+    a, else a Fraction.  The one division of the package."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return int_or_fraction(a / b)
+
+
+def _narrowed(terms: dict) -> dict:
+    """terms, each integral Fraction value replaced by its int in place."""
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
 class Term(NamedTuple):
-    coefficient: Fraction
+    coefficient: int | Fraction
     exponents: Exponents
 
 
@@ -129,7 +145,8 @@ def monomial_str(exps: Exponents, names: Sequence[str] | None = None) -> str:
     """The monomial z^exps in the syntax the expression parser accepts,
     e.g. "z1^2*z3" for (2, 0, 1), and "1" for the constant monomial."""
     if names is None:
-        names = ["z%d" % (i + 1) for i in range(len(exps))]
+        names = _NAMES if len(exps) <= len(_NAMES) else \
+            ["z%d" % (i + 1) for i in range(len(exps))]
     return "*".join(name if e == 1 else "%s^%d" % (name, e)
                     for name, e in zip(names, exps) if e) or "1"
 
@@ -140,7 +157,7 @@ class Polynomial:
     def __init__(self, n: int, terms: dict | None = None):
         self.n = n
         if terms:
-            self.terms = {e: _as_fraction(c) for e, c in terms.items() if c}
+            self.terms = {e: _coefficient(c) for e, c in terms.items() if c}
         else:
             self.terms = {}
 
@@ -152,8 +169,7 @@ class Polynomial:
 
     @staticmethod
     def constant(n: int, c) -> "Polynomial":
-        c = _as_fraction(c)
-        return Polynomial(n, {(0,) * n: c})
+        return Polynomial(n, {(0,) * n: _coefficient(c)})
 
     @staticmethod
     def one(n: int) -> "Polynomial":
@@ -165,18 +181,18 @@ class Polynomial:
         if not 1 <= i <= n:
             raise ValueError("variable index %d out of range for n=%d" % (i, n))
         exps = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return Polynomial(n, {exps: _ONE})
+        return Polynomial(n, {exps: 1})
 
     @staticmethod
     def monomial(n: int, exps: Sequence[int], coeff=1) -> "Polynomial":
-        return Polynomial(n, {tuple(exps): _as_fraction(coeff)})
+        return Polynomial(n, {tuple(exps): _coefficient(coeff)})
 
     @staticmethod
     def from_terms(n: int, terms: Iterable[tuple]) -> "Polynomial":
         acc: dict = {}
         for coeff, exps in terms:
             exps = tuple(exps)
-            acc[exps] = acc.get(exps, _ZERO) + _as_fraction(coeff)
+            acc[exps] = acc.get(exps, 0) + _coefficient(coeff)
         return Polynomial(n, acc)
 
     # predicates and accessors
@@ -207,14 +223,14 @@ class Polynomial:
             raise ValueError("mixed variable counts %d and %d" % (self.n, other.n))
         acc = dict(self.terms)
         for e, c in other.terms.items():
-            s = acc.get(e, _ZERO) + c
+            s = acc.get(e, 0) + c
             if s:
                 acc[e] = s
             elif e in acc:
                 del acc[e]
         p = Polynomial.__new__(Polynomial)
         p.n = self.n
-        p.terms = acc
+        p.terms = _narrowed(acc)
         return p
 
     __radd__ = __add__
@@ -235,27 +251,22 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return Polynomial.zero(self.n)
-            p = Polynomial.__new__(Polynomial)
-            p.n = self.n
-            p.terms = {e: c * v for e, v in self.terms.items()}
-            return p
+            return Polynomial(self.n, {e: other * v
+                                       for e, v in self.terms.items()})
         if self.n != other.n:
             raise ValueError("mixed variable counts %d and %d" % (self.n, other.n))
         acc: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = monomial_mul(e1, e2)
-                s = acc.get(e, _ZERO) + c1 * c2
+                s = acc.get(e, 0) + c1 * c2
                 if s:
                     acc[e] = s
                 elif e in acc:
                     del acc[e]
         p = Polynomial.__new__(Polynomial)
         p.n = self.n
-        p.terms = acc
+        p.terms = _narrowed(acc)
         return p
 
     __rmul__ = __mul__
@@ -267,7 +278,7 @@ class Polynomial:
             (e, c), = self.terms.items()
             p = Polynomial.__new__(Polynomial)
             p.n = self.n
-            p.terms = {tuple([x * k for x in e]): c ** k}
+            p.terms = {tuple([x * k for x in e]): int_or_fraction(c ** k)}
             return p
         result = Polynomial.one(self.n)
         base = self
@@ -299,7 +310,7 @@ class Polynomial:
             e = exps[j]
             if e:
                 dexps = exps[:j] + (e - 1,) + exps[j + 1:]
-                acc[dexps] = acc.get(dexps, _ZERO) + c * e
+                acc[dexps] = acc.get(dexps, 0) + c * e
         return Polynomial(self.n, acc)
 
     def gradient(self) -> tuple:

@@ -9,6 +9,7 @@ s - d.  No Groebner basis and no monomial enumeration is involved.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Sequence
 
 
@@ -36,3 +37,10 @@ class PoincareSeries:
             self._counts = counts
         d = self.degree
         return counts[s] - (counts[s - d] if s >= d else 0)
+
+    def dims(self, top: int) -> list:
+        """[dim A_s for s = 0..top]."""
+        self.dim(top)                   # grows the table through top
+        counts = self._counts[:top + 1]
+        d = self.degree
+        return counts[:d] + list(map(sub, counts[d:], counts))

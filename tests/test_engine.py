@@ -13,6 +13,7 @@ from hochschild.engine import (
     Analysis,
     PreconditionError,
     _Classifier,
+    _module_totals,
     _strand_blocks,
     analyze,
     kernel_description,
@@ -501,6 +502,21 @@ TABLE_GROUPS = {
 # how many f of each group have a route (the seeded group has 7
 # non-isolated f)
 TABLE_ROUTED = {"catalog": 37, "stress": 4, "seeded": 33, "z1^k": 7}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_module_totals_match_a_direct_sum(data):
+    lo = data.draw(st.integers(0, 15))
+    hi = lo + data.draw(st.integers(0, 12))
+    dims = data.draw(st.lists(st.integers(0, 9), min_size=hi + 1,
+                              max_size=hi + 1))
+    terms = data.draw(st.lists(st.tuples(st.sampled_from((1, -1)),
+                                         st.integers(0, hi + 2)),
+                               max_size=5))
+    expected = [sum(sign * dims[s - t] for sign, t in terms if s >= t)
+                for s in range(lo, hi + 1)]
+    assert _module_totals(dims, terms, lo, hi) == expected
 
 
 @pytest.mark.parametrize("group", sorted(TABLE_GROUPS))

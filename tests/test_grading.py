@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hochschild.grading import (
     GradedQuotient,
     NotWeightedHomogeneousError,
+    WeightSystem,
     detect_weights,
     euler_identity_holds,
     exponents_of_weight,
@@ -65,6 +66,45 @@ def test_euler_identity():
     assert euler_identity_holds(f, ws)
     # wrong degree fails
     assert not euler_identity_holds(f, ws._replace(degree=5))
+    # so does one term of another weight, wherever it is listed
+    assert not euler_identity_holds(f + Polynomial(2, {(1, 1): 1}), ws)
+
+
+def _euler_reference(f, ws):
+    """The identity as polynomials: sum_i w_i z_i d_i f == d * f."""
+    n = f.n
+    lhs = Polynomial.zero(n)
+    for i in range(1, n + 1):
+        lhs = lhs + ws.weights[i - 1] * Polynomial.variable(n, i) * f.diff(i)
+    return lhs == ws.degree * f
+
+
+@st.composite
+def _euler_cases(draw):
+    """(f, weights and degree): up to three monomials of the degree,
+    plus at most one arbitrary monomial, int or rational coefficients."""
+    n = draw(st.integers(1, 3))
+    weights = tuple(draw(st.lists(st.integers(1, 4), min_size=n,
+                                  max_size=n)))
+    degree = draw(st.integers(1, 12))
+    monomials = exponents_of_weight(weights, degree)
+    chosen = draw(st.lists(st.sampled_from(monomials), max_size=3,
+                           unique=True)) if monomials else []
+    chosen += draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+                            max_size=1))
+    coefficients = draw(st.lists(
+        st.one_of(st.integers(-3, 3),
+                  st.fractions(-2, 2, max_denominator=3)).filter(bool),
+        min_size=len(chosen), max_size=len(chosen)))
+    return (Polynomial(n, dict(zip(chosen, coefficients))),
+            WeightSystem(weights, degree, False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_euler_cases())
+def test_euler_check_matches_the_polynomial_identity(case):
+    f, ws = case
+    assert euler_identity_holds(f, ws) == _euler_reference(f, ws)
 
 
 def test_exponents_of_weight():

@@ -38,6 +38,14 @@ def test_series_matches_graded_quotient(case):
     assert [series.dim(s) for s in reversed(window)] == expected[::-1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(weighted_homogeneous(), st.integers(0, 60))
+def test_dims_list_matches_dim(case, top):
+    weights, degree, _ = case
+    assert PoincareSeries(weights, degree).dims(top) == \
+        [PoincareSeries(weights, degree).dim(s) for s in range(top + 1)]
+
+
 def test_series_goldens():
     # z1^3 + z2^2, weights (2, 3), degree 6: A = C[z1] + z2 C[z1]
     series = PoincareSeries((2, 3), 6)
