@@ -14,7 +14,7 @@ from .ideals import (
     standard_monomials,
 )
 from .parsing import ParseError, parse_polynomial
-from .poly import MonomialOrder, Polynomial
+from .poly import Polynomial
 
 __all__ = [
     "Analysis", "PreconditionError", "Report", "analyze",
@@ -22,5 +22,5 @@ __all__ = [
     "INFINITE", "GroebnerBasis", "buchberger", "colon_ideal", "divide",
     "ideal_intersection", "milnor_number", "quotient_dimension",
     "standard_monomials", "ParseError", "parse_polynomial",
-    "MonomialOrder", "Polynomial",
+    "Polynomial",
 ]

@@ -23,7 +23,7 @@ from .grading import (
 )
 from .ideals import INFINITE, buchberger, milnor_number
 from .parsing import ParseError, parse_polynomial
-from .poly import MonomialOrder, Polynomial
+from .poly import Polynomial
 
 
 class CliError(Exception):
@@ -207,7 +207,7 @@ def _run_groebner(args) -> int:
             extended.append(g)
             extended.extend(d for d in g.gradient() if not d.is_zero())
         gens = extended
-    gb = buchberger(gens, MonomialOrder.lex(n))
+    gb = buchberger(gens)
     payload = {"generators": [g.to_str() for g in gens],
                "basis": [g.to_str() for g in gb]}
     _emit(args, payload, lambda: "\n".join(g.to_str() for g in gb))

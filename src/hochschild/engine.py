@@ -60,8 +60,7 @@ from .grading import (
 from .ideals import INFINITE, GroebnerBasis, buchberger
 from .koszul import chain_complex, cochain_complex, module, shift
 from .linalg import rank_sparse
-from .poly import (MonomialOrder, Polynomial, exact_quotient,
-                   int_or_fraction, monomial_str)
+from .poly import Polynomial, exact_quotient, int_or_fraction, monomial_str
 from .series import PoincareSeries
 
 
@@ -177,17 +176,16 @@ class Analysis:
             raise PreconditionError("f must be a nonconstant polynomial")
         self.f = f
         self.n = f.n
-        self.order = MonomialOrder.lex(f.n)
         self.ws = detect_weights(f)
         if not euler_identity_holds(f, self.ws):
             raise AssertionError("Euler identity fails for detected weights")
-        self.gb_f = buchberger([f], self.order)
+        self.gb_f = buchberger([f])
         self.A = GradedQuotient(self.gb_f, self.ws.weights)
         self.grad = f.gradient()
         grad_nz = [g for g in self.grad if not g.is_zero()]
         if not grad_nz:
             raise PreconditionError("gradient of f vanishes identically")
-        self.gb_jac = buchberger(grad_nz, self.order)
+        self.gb_jac = buchberger(grad_nz)
         std = ideals.standard_monomials(self.gb_jac, self.n)
         if std.finite:
             self.milnor = len(std.monomials)
@@ -217,13 +215,12 @@ class Analysis:
         n = self.n
         for i in range(1, n + 1):
             others = [g for j, g in enumerate(self.grad, 1) if j != i]
-            gb_k = buchberger(others + [Polynomial.variable(n, i)],
-                              self.order)
+            gb_k = buchberger(others + [Polynomial.variable(n, i)])
             std_k = ideals.standard_monomials(gb_k, n)
             if not std_k.finite:
                 continue
             std_j = ideals.standard_monomials(
-                buchberger([self.f] + others, self.order), n)
+                buchberger([self.f] + others), n)
             in_k = set(std_k.monomials)
             basis = tuple(m for m in std_j.monomials if m not in in_k)
             return Route(i, gb_k, basis)
@@ -650,18 +647,16 @@ def kernel_description(an: Analysis) -> KernelDescription:
     forms) the finite-part monomial families are added.  Every emitted
     vector is re-verified by reduction mod f.
     """
-    n, f = an.n, an.f
+    n = an.n
     Z = Polynomial.zero(n)
     D = an.grad
     families: list = []
-    if n == 1:
-        families = []
-    elif n == 2:
+    if n == 2:
         families.append(KernelFamily(
             "hamiltonian", (D[1], -D[0]),
             "any monomial multiple stays in the kernel"))
         families.extend(_finite_families_n2(an))
-    else:
+    elif n >= 3:
         families.append(KernelFamily("grad_wedge_e1", (Z, D[2], -D[1]),
                                      "any monomial multiple"))
         families.append(KernelFamily("grad_wedge_e2", (-D[2], Z, D[0]),
@@ -690,7 +685,7 @@ def _separate_exponent(f: Polynomial, i: int):
 
 
 def _finite_families_n2(an: Analysis):
-    n, f = an.n, an.f
+    f = an.f
     z1, z2 = (Polynomial.variable(2, 1), Polynomial.variable(2, 2))
     # separate variables: f = a*z1^k + b*z2^l
     if len(f.terms) == 2:

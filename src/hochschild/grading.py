@@ -197,7 +197,7 @@ class GradedQuotient:
     They are held in a table by weight, complete up to a top weight.
     A request above the top extends the table by one `staircase` walk
     over the band (top, s], which visits only standard monomials; each
-    new weight's monomials are sorted once by the basis order.  A
+    new weight's monomials are sorted once, in lex order.  A
     caller that knows the largest weight it will ask for fills the
     table in one walk by asking for that weight first.  The table lives
     as long as the instance.
@@ -211,12 +211,11 @@ class GradedQuotient:
         self._table: dict = {}      # weight -> sorted standard monomials
 
     def basis(self, s: int) -> tuple:
-        """Standard monomials of weight s, sorted by the basis order."""
+        """Standard monomials of weight s, in ascending lex order."""
         if s > self._top:
-            key = self.gb.order.key
             for weight, monos in staircase(self.lead, self.weights, s,
                                            self._top).items():
-                monos.sort(key=key)
+                monos.sort()
                 self._table[weight] = tuple(monos)
             self._top = s
         return self._table.get(s, ())

@@ -1,13 +1,14 @@
 """Groebner bases and ideal arithmetic in C[z1..zn].
 
-Everything runs over exact rationals.  Buchberger uses the normal pair
-selection strategy plus the coprime-leading-term and chain criteria,
-and always returns the reduced monic basis, so two ideals are equal
-exactly when their bases coincide element for element under the same
-order.  Each pair is pushed once onto a heap keyed by the degree and
-order key of its lcm, which is stored with it; a set of the queued
-pairs serves the chain criterion.  The selection order cannot change
-the output, because the reduced basis is unique.
+Everything runs over exact rationals, and every basis is lex with
+z1 > z2 > ... > zn, the order Python gives exponent tuples.  Buchberger
+uses the normal pair selection strategy plus the coprime-leading-term
+and chain criteria, and always returns the reduced monic basis, so two
+ideals are equal exactly when their bases coincide element for element.
+Each pair is pushed once onto a heap keyed by the degree of its lcm,
+ties broken by the lcm itself; a set of the queued pairs serves the
+chain criterion.  The selection order cannot change the output,
+because the reduced basis is unique.
 
 Reduction (`_reduce`, shared by Buchberger and
 `GroebnerBasis.normal_form`) works in place on one dict of terms: it
@@ -22,9 +23,9 @@ normal forms of many products sharing reduction chains are sums of
 table entries.  Normal forms are linear, so summing the table over a
 polynomial's terms gives `normal_form`'s remainder.
 
-Intersections go through the usual auxiliary-variable trick with an
-elimination order; colon ideals divide an intersection through by the
-denominator.
+Intersections go through the usual auxiliary-variable trick: the new
+variable t comes first, so lex eliminates it; colon ideals divide an
+intersection through by the denominator.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from operator import add, le, sub
 from typing import NamedTuple, Sequence
 
 from .poly import (
-    MonomialOrder,
     Polynomial,
     exact_quotient,
     int_or_fraction,
@@ -61,8 +61,7 @@ class DivisionResult(NamedTuple):
     remainder: Polynomial
 
 
-def divide(p: Polynomial, divisors: Sequence[Polynomial],
-           order: MonomialOrder) -> DivisionResult:
+def divide(p: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     """Multivariate division; ties go to the first listed divisor.
 
     Invariant: p == sum(q_i * divisors_i) + remainder, and no remainder
@@ -71,10 +70,10 @@ def divide(p: Polynomial, divisors: Sequence[Polynomial],
     n = p.n
     quotients = [Polynomial.zero(n) for _ in divisors]
     remainder = Polynomial.zero(n)
-    lts = [g.leading_term(order) for g in divisors]
+    lts = [g.leading_term() for g in divisors]
     work = p
     while not work.is_zero():
-        c, exps = work.leading_term(order)
+        c, exps = work.leading_term()
         for i, (gc, gexps) in enumerate(lts):
             if monomial_divides(gexps, exps):
                 factor = Polynomial.monomial(n, monomial_div(exps, gexps),
@@ -89,17 +88,17 @@ def divide(p: Polynomial, divisors: Sequence[Polynomial],
     return DivisionResult(tuple(quotients), remainder)
 
 
-def _divisor(terms: dict, key) -> tuple:
+def _divisor(terms: dict) -> tuple:
     """(leading exponents, tail) of a nonzero polynomial's terms, the
     tail scaled by -1/leading coefficient: subtracting c * z^q times the
     monic divisor adds c * v at z^q * z^e for every tail term (e, v)."""
-    lead = max(terms, key=key)
+    lead = max(terms)
     lc = -terms[lead]
     return lead, tuple((e, exact_quotient(v, lc))
                        for e, v in terms.items() if e != lead)
 
 
-def _reduce(terms: dict, divisors, key) -> dict:
+def _reduce(terms: dict, divisors) -> dict:
     """Remainder of `terms` on division by `divisors` ((lead, tail)
     pairs from `_divisor`), computed in place on `terms`: pop the
     leading term; if some leading monomial divides it (the first listed
@@ -107,7 +106,7 @@ def _reduce(terms: dict, divisors, key) -> dict:
     exactly; otherwise move it to the remainder."""
     rem = {}
     while terms:
-        exps = max(terms, key=key)
+        exps = max(terms)
         c = terms.pop(exps)
         for lead, tail in divisors:
             if all(map(le, lead, exps)):
@@ -134,9 +133,9 @@ def _polynomial(n: int, terms: dict) -> Polynomial:
     return p
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    fc, fe = f.leading_term(order)
-    gc, ge = g.leading_term(order)
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    fc, fe = f.leading_term()
+    gc, ge = g.leading_term()
     lcm = monomial_lcm(fe, ge)
     mf = Polynomial.monomial(f.n, monomial_div(lcm, fe),
                              exact_quotient(1, fc))
@@ -146,24 +145,21 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
 
 class GroebnerBasis:
-    """Reduced monic Groebner basis, elements sorted by leading monomial
-    (descending under the basis order) for deterministic output."""
+    """Reduced monic lex Groebner basis, elements sorted by descending
+    leading monomial for deterministic output."""
 
-    __slots__ = ("elements", "order", "_divisors", "_monomial_nfs")
+    __slots__ = ("elements", "_divisors", "_monomial_nfs")
 
-    def __init__(self, elements: Sequence[Polynomial], order: MonomialOrder):
+    def __init__(self, elements: Sequence[Polynomial]):
         self.elements = tuple(elements)
-        self.order = order
-        self._divisors = tuple(_divisor(g.terms, order.key)
-                               for g in self.elements)
+        self._divisors = tuple(_divisor(g.terms) for g in self.elements)
         self._monomial_nfs: dict = {}   # exponents -> monomial_normal_form
 
     def leading_exponents(self):
         return tuple(lead for lead, _ in self._divisors)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return _polynomial(p.n, _reduce(dict(p.terms), self._divisors,
-                                        self.order.key))
+        return _polynomial(p.n, _reduce(dict(p.terms), self._divisors))
 
     def monomial_normal_form(self, exps: tuple) -> tuple:
         """normal_form(z^exps) as (exponents, coefficient) pairs, integral
@@ -226,27 +222,25 @@ class GroebnerBasis:
         return "GroebnerBasis([%s])" % ", ".join(g.to_str() for g in self.elements)
 
 
-def buchberger(generators: Sequence[Polynomial],
-               order: MonomialOrder) -> GroebnerBasis:
-    key = order.key
-    basis = [_divisor(g.terms, key) for g in generators if not g.is_zero()]
+def buchberger(generators: Sequence[Polynomial]) -> GroebnerBasis:
+    basis = [_divisor(g.terms) for g in generators if not g.is_zero()]
     if not basis:
-        return GroebnerBasis((), order)
+        return GroebnerBasis(())
     n = generators[0].n
-    queue: list = []    # (sum(lcm), key(lcm), i, j, lcm), each pair once
+    queue: list = []    # (sum(lcm), lcm, i, j), each pair once
     live: set = set()   # pairs (i, j), i > j, still queued
 
     def push(i):
         ei = basis[i][0]
         for j in range(i):
             lcm = tuple(map(max, ei, basis[j][0]))
-            heappush(queue, (sum(lcm), key(lcm), i, j, lcm))
+            heappush(queue, (sum(lcm), lcm, i, j))
             live.add((i, j))
 
     for i in range(len(basis)):
         push(i)
     while queue:
-        *_, i, j, lcm = heappop(queue)
+        _, lcm, i, j = heappop(queue)
         live.discard((i, j))
         ei, ej = basis[i][0], basis[j][0]
         # coprime criterion: disjoint leading monomials reduce to zero
@@ -270,14 +264,14 @@ def buchberger(generators: Sequence[Polynomial],
                     spoly[m] = x
                 else:
                     del spoly[m]
-        rem = _reduce(spoly, basis, key)
+        rem = _reduce(spoly, basis)
         if rem:
-            basis.append(_divisor(rem, key))
+            basis.append(_divisor(rem))
             push(len(basis) - 1)
 
     # minimalize: process by ascending leading monomial so any proper
     # divisor is already kept; drop duplicates and divisible leads
-    basis.sort(key=lambda g: key(g[0]))
+    basis.sort(key=lambda g: g[0])
     minimal: list = []
     for g in basis:
         if not any(all(map(le, h[0], g[0])) for h in minimal):
@@ -287,11 +281,11 @@ def buchberger(generators: Sequence[Polynomial],
     reduced = []
     for i, (lead, tail) in enumerate(minimal):
         terms = _reduce({e: -v for e, v in tail},
-                        minimal[:i] + minimal[i + 1:], key)
+                        minimal[:i] + minimal[i + 1:])
         terms[lead] = 1
         reduced.append(_polynomial(n, terms))
     reduced.reverse()
-    return GroebnerBasis(reduced, order)
+    return GroebnerBasis(reduced)
 
 
 class StandardMonomials(NamedTuple):
@@ -357,17 +351,16 @@ def standard_monomials(gb: GroebnerBasis, n: int) -> StandardMonomials:
     # no standard monomial reaches the pure power of any variable, so
     # each has degree below sum_i max_m m_i
     buckets = staircase(lead, (1,) * n, sum(map(max, zip(*lead))))
-    out = sorted(chain.from_iterable(buckets.values()), key=gb.order.key)
+    out = sorted(chain.from_iterable(buckets.values()))
     return StandardMonomials(True, tuple(out), None)
 
 
-def quotient_dimension(generators: Sequence[Polynomial],
-                       order: MonomialOrder):
+def quotient_dimension(generators: Sequence[Polynomial]):
     """dim_C C[z]/<generators>, or INFINITE."""
     if not generators:
         return INFINITE
     n = generators[0].n
-    gb = buchberger(generators, order)
+    gb = buchberger(generators)
     if not gb.elements:
         return INFINITE
     std = standard_monomials(gb, n)
@@ -376,14 +369,12 @@ def quotient_dimension(generators: Sequence[Polynomial],
     return len(std.monomials)
 
 
-def milnor_number(f: Polynomial, order: MonomialOrder | None = None):
+def milnor_number(f: Polynomial):
     """dim_C C[z]/<grad f>, or INFINITE for non-isolated singularities."""
     grad = [g for g in f.gradient() if not g.is_zero()]
     if not grad:
         raise ValueError("gradient vanishes identically")
-    if order is None:
-        order = MonomialOrder.lex(f.n)
-    return quotient_dimension(grad, order)
+    return quotient_dimension(grad)
 
 
 def _embed_with_t(p: Polynomial) -> Polynomial:
@@ -391,13 +382,12 @@ def _embed_with_t(p: Polynomial) -> Polynomial:
 
 
 def ideal_intersection(gens_a: Sequence[Polynomial],
-                       gens_b: Sequence[Polynomial],
-                       order: MonomialOrder) -> tuple:
+                       gens_b: Sequence[Polynomial]) -> tuple:
     """Generators of <gens_a> ∩ <gens_b>.
 
     Standard elimination: in C[t, z] form t*a_i and (1-t)*b_j, take a
-    Groebner basis under an order where t dominates every z_i, and keep
-    the elements free of t.
+    lex Groebner basis, t first so that it dominates every z_i, and
+    keep the elements free of t.
     """
     if not gens_a or not gens_b:
         return ()
@@ -405,8 +395,7 @@ def ideal_intersection(gens_a: Sequence[Polynomial],
     t = Polynomial.variable(n + 1, 1)
     ext = [t * _embed_with_t(g) for g in gens_a]
     ext += [(Polynomial.one(n + 1) - t) * _embed_with_t(g) for g in gens_b]
-    elim = MonomialOrder.elimination_block(n + 1, (0,))
-    gb = buchberger(ext, elim)
+    gb = buchberger(ext)
     out = []
     for g in gb:
         if all(exps[0] == 0 for exps in g.terms):
@@ -414,18 +403,17 @@ def ideal_intersection(gens_a: Sequence[Polynomial],
     return tuple(out)
 
 
-def exact_divide(p: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:
     """p / g when g divides p exactly; error otherwise."""
-    quotients, remainder = divide(p, [g], order)
+    quotients, remainder = divide(p, [g])
     if not remainder.is_zero():
         raise ValueError("not an exact division")
     return quotients[0]
 
 
-def colon_ideal(gens: Sequence[Polynomial], g: Polynomial,
-                order: MonomialOrder) -> tuple:
+def colon_ideal(gens: Sequence[Polynomial], g: Polynomial) -> tuple:
     """Generators of (<gens> : g) = (<gens> ∩ <g>) / g."""
     if g.is_zero():
         raise ValueError("colon by zero")
-    meet = ideal_intersection(gens, [g], order)
-    return tuple(exact_divide(h, g, order) for h in meet)
+    meet = ideal_intersection(gens, [g])
+    return tuple(exact_divide(h, g) for h in meet)

@@ -49,15 +49,6 @@ class BasisElement(NamedTuple):
     power: int        # exponent of the even generator (b1 or a1)
     odd: tuple        # odd indices, increasing
 
-    def label(self, even_name: str, odd_name: str) -> str:
-        parts = []
-        if self.power == 1:
-            parts.append(even_name)
-        elif self.power > 1:
-            parts.append("%s^%d" % (even_name, self.power))
-        parts.extend("%s%d" % (odd_name, i) for i in self.odd)
-        return "*".join(parts) if parts else "1"
-
 
 class FreeModule(NamedTuple):
     elements: tuple   # BasisElement per component
@@ -74,11 +65,6 @@ class KoszulComplex:
         self.modules = list(modules)
         self.diffs = list(diffs)
         self.weights: WeightSystem | None = None
-
-    def labels(self, p: int) -> tuple:
-        even, odd = (("b", "eta") if self.direction == "cochain"
-                     else ("a", "xi"))
-        return tuple(e.label(even + "1", odd) for e in self.modules[p].elements)
 
     def ends(self, k: int) -> tuple:
         """(source, target) homological degrees of diffs[k]."""

@@ -157,16 +157,12 @@ class _Parser:
         raise ParseError("expected a variable, number or parenthesis", pos)
 
 
-def parse_polynomial(text: str, n: int | None = None) -> Polynomial:
-    """Parse text into a polynomial; the ring size is inferred from the
-    variables used unless n forces a larger ring."""
+def parse_polynomial(text: str) -> Polynomial:
+    """Parse text into a polynomial in as many variables as it uses."""
     tokens = _tokenize(text)
     if len(tokens) == 1:
         raise ParseError("empty expression", 0)
-    varmap, inferred = _variable_map(tokens)
-    size = max(inferred, n or 1)
-    if n is not None and inferred > n:
-        raise ParseError("expression uses more than %d variables" % n, 0)
+    varmap, size = _variable_map(tokens)
     parser = _Parser(tokens, varmap, size)
     result = parser.expr()
     kind, _, pos = parser.peek()

@@ -5,11 +5,9 @@ int when integral and a Fraction otherwise, never a float: operations
 narrow their results and divide only through `exact_quotient`, so
 integral arithmetic stays on the fast int path.  Instances are treated
 as immutable; every operation returns a fresh polynomial with zero
-coefficients stripped, so equality is plain dict equality.  Monomial
-orders are separate objects passed to the operations that need one
-(leading terms, division), because a single session routinely mixes
-orders (lex for the ambient ring, an elimination order inside ideal
-intersections).
+coefficients stripped, so equality is plain dict equality.  The one
+monomial order is lex with z1 > z2 > ... > zn, which is Python's own
+comparison of exponent tuples: leading terms and sorts use it directly.
 """
 
 from __future__ import annotations
@@ -53,74 +51,6 @@ def _narrowed(terms: dict) -> dict:
 class Term(NamedTuple):
     coefficient: int | Fraction
     exponents: Exponents
-
-
-class MonomialOrder:
-    """Total order on exponent tuples, exposed through sort keys.
-
-    kind is "lex" or "weighted".  Both reduce to a key function: lex
-    compares exponents along a variable priority list (highest priority
-    first); weighted compares total weighted degree first and breaks
-    ties by lex.  An elimination order, front block before back block,
-    is lex with the front block first in the priority list.  `key` is an
-    attribute chosen once: when the priority is the identity (the
-    default lex order, and the elimination order with front block
-    (0,)), the key of an exponent tuple is the tuple itself.
-    """
-
-    __slots__ = ("kind", "n", "priority", "weights", "key")
-
-    def __init__(self, kind: str, n: int, priority: Sequence[int],
-                 weights: Sequence[int] | None = None):
-        if sorted(priority) != list(range(n)):
-            raise ValueError("priority must be a permutation of 0..n-1")
-        if kind == "weighted":
-            if weights is None or len(weights) != n:
-                raise ValueError("weighted order needs one weight per variable")
-            self.weights = tuple(int(w) for w in weights)
-        elif kind == "lex":
-            self.weights = None
-        else:
-            raise ValueError("unknown order kind %r" % kind)
-        self.kind = kind
-        self.n = n
-        self.priority = tuple(priority)
-        if kind == "weighted":
-            self.key = self._weighted_key
-        elif self.priority == tuple(range(n)):
-            self.key = tuple
-        else:
-            self.key = self._priority_key
-
-    @staticmethod
-    def lex(n: int, priority: Sequence[int] | None = None) -> "MonomialOrder":
-        """Lex order; default priority z1 > z2 > ... > zn."""
-        return MonomialOrder("lex", n, tuple(priority or range(n)))
-
-    @staticmethod
-    def weighted_lex(weights: Sequence[int],
-                     priority: Sequence[int] | None = None) -> "MonomialOrder":
-        """Compare by weighted degree, ties broken by lex."""
-        n = len(weights)
-        return MonomialOrder("weighted", n, tuple(priority or range(n)), weights)
-
-    @staticmethod
-    def elimination_block(n: int, front: Sequence[int]) -> "MonomialOrder":
-        """Any monomial containing a front variable beats any without."""
-        front = tuple(front)
-        back = tuple(i for i in range(n) if i not in front)
-        return MonomialOrder.lex(n, front + back)
-
-    def _priority_key(self, exps: Exponents):
-        return tuple(exps[i] for i in self.priority)
-
-    def _weighted_key(self, exps: Exponents):
-        w = self.weights
-        total = sum(w[i] * e for i, e in enumerate(exps))
-        return (total,) + self._priority_key(exps)
-
-    def __repr__(self):
-        return "MonomialOrder(%s, n=%d)" % (self.kind, self.n)
 
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -208,10 +138,11 @@ class Polynomial:
             raise ValueError("zero polynomial has no degree")
         return max(sum(e) for e in self.terms)
 
-    def leading_term(self, order: MonomialOrder) -> Term:
+    def leading_term(self) -> Term:
+        """The lex-largest term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=order.key)
+        exps = max(self.terms)
         return Term(self.terms[exps], exps)
 
     # arithmetic

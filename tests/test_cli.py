@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -326,3 +330,20 @@ def test_json_report_builds_no_table(capsys, monkeypatch):
 def test_table_output(capsys, argv, expected):
     code, out, err = run(capsys, *argv, "--format", "table")
     assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("milnor", "--catalog", "e8-curve"), 0),
+    (("cohomology", "--poly", "z1^2*z2", "--mode", "structural"), 1),
+    (("milnor", "--poly", "2z1"), 2),
+])
+def test_module_entry_point_exit_codes(argv, code):
+    # the real process, through the module's __main__ block
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hochschild.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == code, proc.stderr

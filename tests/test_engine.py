@@ -373,10 +373,9 @@ def test_route_ideal_matches_colon_ideal(group):
         bases, finite = [], []
         for i in range(1, an.n + 1):
             others = [g for j, g in enumerate(an.grad, 1) if j != i]
-            gb_k = buchberger(others + [Polynomial.variable(an.n, i)],
-                              an.order)
-            colon = colon_ideal([f] + others, an.grad[i - 1], an.order)
-            assert gb_k == buchberger(colon, an.order), (f, i)
+            gb_k = buchberger(others + [Polynomial.variable(an.n, i)])
+            colon = colon_ideal([f] + others, an.grad[i - 1])
+            assert gb_k == buchberger(colon), (f, i)
             bases.append(gb_k)
             finite.append(standard_monomials(gb_k, an.n).finite)
         route = an.route()
@@ -396,10 +395,9 @@ def test_route_requires_isolated_singularity():
     f = parse_polynomial("z1^2*z2 + 2*z1*z2^2 + z2^3")
     an = Analysis(f)
     assert an.milnor is INFINITE
-    gb = buchberger([an.grad[1], Polynomial.variable(2, 1)], an.order)
+    gb = buchberger([an.grad[1], Polynomial.variable(2, 1)])
     assert standard_monomials(gb, 2).finite
-    assert gb != buchberger(colon_ideal([f, an.grad[1]], an.grad[0],
-                                        an.order), an.order)
+    assert gb != buchberger(colon_ideal([f, an.grad[1]], an.grad[0]))
     assert an.route() is None
     with pytest.raises(PreconditionError, match="non-isolated"):
         analyze(f, mode="structural")

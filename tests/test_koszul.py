@@ -48,7 +48,6 @@ def test_cochain_module_layout_n2():
                                       BasisElement(1, (2,)))
     assert cx.modules[4].elements == (BasisElement(2, ()),
                                       BasisElement(1, (1, 2)))
-    assert cx.labels(4) == ("b1^2", "b1*eta1*eta2")
 
 
 def test_cochain_module_layout_n3():
@@ -210,8 +209,6 @@ def test_layout_and_matrices_n1():
             (BasisElement(0, ()),), (BasisElement(0, (1,)),),
             (BasisElement(1, ()),), (BasisElement(1, (1,)),),
             (BasisElement(2, ()),), (BasisElement(2, (1,)),)]
-    assert coc.labels(5) == ("b1^2*eta1",)
-    assert chn.labels(4) == ("a1^2",)
     # cochain: eta1 * b1^q -> d1 f * b1^(q+1); b1^q -> 0
     assert coc.diffs == [[[Z]], [[d1]], [[Z]], [[d1]], [[Z]]]
     # chain: a1^q -> q * d1 f * xi1 * a1^(q-1); xi1 * a1^q -> 0
