@@ -24,16 +24,17 @@ Two independent routes to the same numbers:
   the differential matrices to each finite-dimensional slice over the
   standard monomial basis of A, and computes exact ranks: the weight-s
   slice of degree p is its module total sum_t dim A_(s - t) minus the
-  ranks of the differentials joining p to p - 1 and p + 1.  Every matrix
-  entry is k * d_i f for an integer k (checked by `verify_entries`, and
-  d^2 = 0 is checked on those terms).  The module totals are read from
-  one list of dim A per report.  Each differential is ranked once per
-  weight, shared by its two ends, and not at all where either end's
-  total is 0.  It is cut into strand blocks, the connected pieces of
-  the graph joining every domain component to the codomain components
-  its entries hit, read from those entries; a slice's rank is the sum of
-  its blocks' ranks.  A block slice is assembled sparse from normal
-  forms of d_i f * z^m, each a sum of memoized monomial normal forms
+  ranks of the differentials joining p to p - 1 and p + 1.  Every
+  differential is generated as (row, i, k) terms, the entry k * d_i f
+  for an integer k (their shape is checked by `verify_entries`, and
+  d^2 = 0 on them).  The module totals are read from one list of dim A
+  per report.  Each differential is ranked once per weight, shared by
+  its two ends, and not at all where either end's total is 0.  It is
+  cut into strand blocks, the connected pieces of the graph joining
+  every domain component to the codomain components its entries hit,
+  read from those entries; a slice's rank is the sum of its blocks'
+  ranks.  A block slice is assembled sparse from normal forms of
+  d_i f * z^m, each a sum of memoized monomial normal forms
   (`GroebnerBasis.monomial_normal_form`), and its rank is cached by the
   block's content: a block that recurs, in another differential or in
   the 2-periodic tail, is ranked once per weight.
@@ -419,13 +420,12 @@ def _structure_string(kind: str, n: int, direction: str, p: int,
         return "A + C^%d" % finite_dim
     if kind == "free_plus_finite":
         return "(grad f ^ A^3) + C^%d" % finite_dim
-    if kind == "module_quotient":
-        if direction == "homology" and p == 1 and n == 2:
-            return "A^2/(A grad f)"
-        if direction == "homology" and p == 1 and n == 3:
-            return "grad f ^ A^3"
-        return "A^3/(grad f ^ A^3)"
-    return "?"
+    # kind == "module_quotient", the last kind `_Classifier.degree` gives
+    if direction == "homology" and p == 1 and n == 2:
+        return "A^2/(A grad f)"
+    if direction == "homology" and p == 1 and n == 3:
+        return "grad f ^ A^3"
+    return "A^3/(grad f ^ A^3)"
 
 
 class _Classifier:

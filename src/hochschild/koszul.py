@@ -13,23 +13,26 @@ Adv. Math. 95, 1992).  Both are generated from one rule:
   tuple, listed in lexicographic order: the exterior-algebra basis.
 * Cochain differential, degree p -> p+1: right contraction with grad f,
   raising the power of b1,
-      b1^m eta_S -> sum_k (-1)^(j-k) d_{S_k} f  b1^(m+1) eta_{S minus S_k}.
+      b1^m eta_S -> sum_k (-1)^(j-k) d_{S_k} f  b1^(m+1) eta_{S minus S_k},
+  k = 1..j.  S minus S_k is still increasing, so that is the sign.
 * Chain differential, degree p -> p-1: m * (df ^ .), lowering the power
   of a1,
-      a1^m xi_S -> m * sum_{i not in S} d_i f  a1^(m-1) xi_i xi_S.
-* Signs.  An odd tuple produced by either rule is rewritten as the basis
-  tuple of its set, times the parity of the permutation between them.
+      a1^m xi_S -> m * sum_{i not in S} (-1)^#{x in S : x < i} d_i f
+                   a1^(m-1) xi_{S plus i},
+  the sign being that of moving xi_i in front of xi_S to its place.
 * Shifts (internal weights, for f of weights w and degree d): on the
   cochain side eta_i carries d - w_i and b1 carries 0; on the chain side
   xi_i carries w_i and a1 carries d.  Every differential then preserves
   the grading.
 
-Every differential entry is an integer multiple of a partial derivative
-of f.  Modules are listed by homological degree 0..p_max.  For the
-cochain complex diffs[p] maps modules[p] to modules[p+1]; for the chain
-complex diffs[p] maps modules[p+1] to modules[p].
+Every differential entry is an integer multiple k * d_i f of a partial
+derivative of f, and that is how it is stored: a differential is a tuple
+of columns, one per source component, each a tuple of (row, i, k) terms
+sorted by row.  Modules are listed by homological degree 0..p_max.  For
+the cochain complex diffs[p] maps modules[p] to modules[p+1]; for the
+chain complex diffs[p] maps modules[p+1] to modules[p].
 
-d^2 = 0 verification.  `verify_entries` decodes every entry as k * d_i f;
+d^2 = 0 verification.  `verify_entries` checks the shape of every term;
 `verify_d_squared_zero` then checks each composite of consecutive
 differentials on those terms: in every composite entry, the integer
 coefficient of each product d_i f * d_j f (i <= j) must cancel.  That is
@@ -42,7 +45,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .grading import WeightSystem
-from .poly import Polynomial, exact_quotient
+from .poly import Polynomial
 
 
 class BasisElement(NamedTuple):
@@ -64,36 +67,31 @@ class KoszulComplex:
         self.n = f.n
         self.modules = list(modules)
         self.diffs = list(diffs)
-        self.weights: WeightSystem | None = None
 
     def ends(self, k: int) -> tuple:
         """(source, target) homological degrees of diffs[k]."""
         return (k, k + 1) if self.direction == "cochain" else (k + 1, k)
 
     def verify_entries(self) -> list:
-        """Every nonzero entry must be an integer multiple k * d_i f.
-
-        Returns what was verified: for each differential, one tuple per
-        column of (row, i, k) terms, one term per nonzero entry.
-        """
-        grad = self.f.gradient()
+        """Check every term (row, i, k) of the entry k * d_i f: k a
+        nonzero int, 1 <= i <= n, row inside the target, rows strictly
+        increasing down a column, so no two terms share an entry
+        (`engine.Analysis._slice_rank` assigns entries, not sums).
+        Returns each differential's columns without the terms whose
+        d_i f is 0."""
+        zero = {i for i, g in enumerate(self.f.gradient(), 1) if g.is_zero()}
         out = []
-        for mat in self.diffs:
-            columns = [[] for _ in mat[0]]
-            for r, row in enumerate(mat):
-                for c, entry in enumerate(row):
-                    if entry.is_zero():
-                        continue
-                    for i, g in enumerate(grad, 1):
-                        k = _integer_ratio(entry, g)
-                        if k:
-                            columns[c].append((r, i, k))
-                            break
-                    else:
-                        raise AssertionError(
-                            "entry %r is not an integer multiple of a "
-                            "partial derivative" % (entry,))
-            out.append(tuple(map(tuple, columns)))
+        for p, columns in enumerate(self.diffs):
+            height = len(self.modules[self.ends(p)[1]].elements)
+            for column in columns:
+                rows = [r for r, _, _ in column]
+                if any(a >= b for a, b in zip(rows, rows[1:])) or any(
+                        type(k) is not int or not k or not 1 <= i <= self.n
+                        or not 0 <= r < height for r, i, k in column):
+                    raise AssertionError("differential %d: malformed "
+                                         "column %r" % (p, column))
+            out.append(tuple(tuple(t for t in column if t[1] not in zero)
+                             for column in columns))
         return out
 
     def verify_d_squared_zero(self, terms) -> None:
@@ -118,40 +116,25 @@ class KoszulComplex:
 
     def assign_weights(self, ws: WeightSystem) -> None:
         """Attach internal weights by the shift rule (see `shift`).
-        Entry weights are validated against the shifts."""
+        Each term (row, i, k) of a column c is validated against the
+        shifts: a nonzero d_i f must have weight shift_dom[c] -
+        shift_cod[row]."""
         new_modules = [FreeModule(m.elements,
                                   tuple(shift(self.direction, ws, e)
                                         for e in m.elements))
                        for m in self.modules]
-        w = ws.weights
-        # validate: entry at (r, c) must be homogeneous of weight
-        # shift_domain[c] - shift_codomain[r]
-        for p, mat in enumerate(self.diffs):
+        degs = [g.weighted_degrees(ws.weights) for g in self.f.gradient()]
+        for p, columns in enumerate(self.diffs):
             src, tgt = self.ends(p)
-            dom, cod = new_modules[src], new_modules[tgt]
-            for r, row in enumerate(mat):
-                for c, entry in enumerate(row):
-                    if entry.is_zero():
-                        continue
-                    expected = dom.shifts[c] - cod.shifts[r]
-                    degs = entry.weighted_degrees(w)
-                    if degs != {expected}:
+            dom, cod = new_modules[src].shifts, new_modules[tgt].shifts
+            for c, column in enumerate(columns):
+                for r, i, k in column:
+                    expected = dom[c] - cod[r]
+                    if degs[i - 1] and degs[i - 1] != {expected}:
                         raise AssertionError(
                             "entry (%d,%d) of differential %d has weight %s, "
-                            "expected %d" % (r, c, p, degs, expected))
+                            "expected %d" % (r, c, p, degs[i - 1], expected))
         self.modules = new_modules
-        self.weights = ws
-
-
-def _integer_ratio(entry: Polynomial, g: Polynomial) -> int:
-    """k when entry == k * g for a nonzero integer k, else 0."""
-    if set(entry.terms) != set(g.terms):
-        return 0
-    any_exp = next(iter(entry.terms))
-    ratio = exact_quotient(entry.terms[any_exp], g.terms[any_exp])
-    if type(ratio) is not int or entry != ratio * g:
-        return 0
-    return ratio
 
 
 def _check_variables(n: int) -> None:
@@ -175,48 +158,34 @@ def shift(direction: str, ws: WeightSystem, elem: BasisElement) -> int:
     return elem.power * d + sum(w[i - 1] for i in elem.odd)
 
 
-def _parity_sign(odd: tuple, basis_odd: tuple) -> int:
-    perm = [basis_odd.index(i) for i in odd]
-    inversions = sum(a > b for a, b in combinations(perm, 2))
-    return -1 if inversions % 2 else 1
-
-
-def _images(direction: str, n: int, elem: BasisElement):
-    """d(elem) as (coefficient, partial index, power, odd tuple) terms,
-    the odd tuple not yet rewritten in the basis orientation."""
-    m, odd = elem
-    if direction == "cochain":
-        j = len(odd)
-        for k, i in enumerate(odd):
-            yield (-1) ** (j - 1 - k), i, m + 1, odd[:k] + odd[k + 1:]
-    elif m:
-        for i in range(1, n + 1):
-            if i not in odd:
-                yield m, i, m - 1, (i,) + odd
-
-
-def _differential(direction: str, grad, source: tuple, target: tuple):
-    """Matrix of d from source to target: one row per target element."""
-    n = len(grad)
-    row_of = {(e.power, frozenset(e.odd)): (r, e.odd)
-              for r, e in enumerate(target)}
-    mat = [[Polynomial.zero(n)] * len(source) for _ in target]
-    for c, elem in enumerate(source):
-        for coeff, i, power, odd in _images(direction, n, elem):
-            r, basis_odd = row_of[(power, frozenset(odd))]
-            mat[r][c] = coeff * _parity_sign(odd, basis_odd) * grad[i - 1]
-    return mat
+def _differential(direction: str, n: int, source: tuple, target: tuple):
+    """d from source to target: one column per source element, each a
+    tuple of (row, i, k) terms sorted by row, standing for the entry
+    k * d_i f."""
+    row_of = {e: r for r, e in enumerate(target)}
+    columns = []
+    for m, odd in source:
+        if direction == "cochain":
+            j = len(odd)
+            terms = [(row_of[m + 1, odd[:k] + odd[k + 1:]], i,
+                      (-1) ** (j - 1 - k))
+                     for k, i in enumerate(odd)]
+        else:
+            terms = [(row_of[m - 1, tuple(sorted(odd + (i,)))], i,
+                      (-1) ** sum(x < i for x in odd) * m)
+                     for i in range(1, n + 1) if m and i not in odd]
+        columns.append(tuple(sorted(terms)))
+    return tuple(columns)
 
 
 def _build(direction: str, f: Polynomial, p_max: int) -> KoszulComplex:
     _check_variables(f.n)
-    grad = f.gradient()
     layout = [module(f.n, p) for p in range(p_max + 1)]
     diffs = []
     for lower, upper in zip(layout, layout[1:]):
         source, target = ((lower, upper) if direction == "cochain"
                           else (upper, lower))
-        diffs.append(_differential(direction, grad, source, target))
+        diffs.append(_differential(direction, f.n, source, target))
     return KoszulComplex(direction, f, [FreeModule(e, None) for e in layout],
                          diffs)
 

@@ -30,6 +30,7 @@ from hochschild.koszul import chain_complex, cochain_complex
 from hochschild.linalg import rank_dense
 from hochschild.parsing import parse_polynomial
 from hochschild.poly import Polynomial
+from test_koszul import _dense
 
 
 def curve_a(k):
@@ -188,9 +189,9 @@ def test_negative_degree_or_cutoff_rejected(kwargs):
 
 
 def _dense_slice_rank(an, mat, dom, cod, s):
-    """Rank of mat on the weight-s slice, assembled densely from the
-    Polynomial entries with no cache: the reference for the oracle's
-    sparse, cached and content-keyed path."""
+    """Rank of mat, one of `_dense`'s matrices, on the weight-s slice,
+    assembled densely from its Polynomial entries with no cache: the
+    reference for the oracle's sparse, cached and content-keyed path."""
     def basis(shifts):
         return [(c, mono) for c, t in enumerate(shifts)
                 for mono in an.A.basis(s - t)]
@@ -225,12 +226,13 @@ def test_oracle_matches_dense_reference(f, direction):
     cx = build(f, p_max + 1)
     cx.assign_weights(an.ws)
     shifts = [m.shifts for m in cx.modules]
+    mats = _dense(cx)
     dense = {}      # (k, s) -> rank of diffs[k] at weight s
     for p, deg in enumerate(r.degrees):
         lo, hi = deg.window
         for s in range(lo, hi + 1):
             expected = sum(an.A.dim(s - t) for t in shifts[p])
-            for k, mat in enumerate(cx.diffs):
+            for k, mat in enumerate(mats):
                 src, tgt = cx.ends(k)
                 if p in (src, tgt):
                     if (k, s) not in dense:
@@ -301,11 +303,12 @@ def test_oracle_with_a_cochain_shift_of_zero(direction):
     cx = build(f, 4)
     cx.assign_weights(an.ws)
     shifts = [m.shifts for m in cx.modules]
+    mats = _dense(cx)
     for p, deg in enumerate(r.degrees):
         lo, hi = deg.window
         for s in range(lo, hi + 1):
             expected = sum(an.A.dim(s - t) for t in shifts[p])
-            for k, mat in enumerate(cx.diffs):
+            for k, mat in enumerate(mats):
                 src, tgt = cx.ends(k)
                 if p in (src, tgt):
                     expected -= _dense_slice_rank(

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from hochschild.grading import detect_weights
@@ -11,6 +14,22 @@ def d_surface(k=4):
 
 def d_curve(k=4):
     return Polynomial(2, {(2, 1): 1, (0, k - 1): 1})
+
+
+def _dense(cx):
+    """Each differential of cx as a matrix of Polynomials, one row per
+    target component: entry (row, c) is k * d_i f for the term
+    (row, i, k) of column c, and 0 where column c has no term."""
+    grad = cx.f.gradient()
+    mats = []
+    for p, columns in enumerate(cx.diffs):
+        height = len(cx.modules[cx.ends(p)[1]].elements)
+        mat = [[Polynomial.zero(cx.n)] * len(columns) for _ in range(height)]
+        for c, column in enumerate(columns):
+            for r, i, k in column:
+                mat[r][c] = k * grad[i - 1]
+        mats.append(mat)
+    return mats
 
 
 def _matmul(a, b):
@@ -31,14 +50,52 @@ def _matmul(a, b):
 def _composites_vanish(cx):
     """Reference for `verify_d_squared_zero`: every composite of
     consecutive differentials multiplied out as polynomial matrices."""
-    for p in range(len(cx.diffs) - 1):
+    mats = _dense(cx)
+    for p in range(len(mats) - 1):
         if cx.direction == "cochain":
-            second, first = cx.diffs[p + 1], cx.diffs[p]
+            second, first = mats[p + 1], mats[p]
         else:
-            second, first = cx.diffs[p], cx.diffs[p + 1]
+            second, first = mats[p], mats[p + 1]
         if any(not e.is_zero() for row in _matmul(second, first) for e in row):
             return False
     return True
+
+
+def _parity_sign(odd: tuple, basis_odd: tuple) -> int:
+    perm = [basis_odd.index(i) for i in odd]
+    inversions = sum(a > b for a, b in combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
+def _images(direction: str, n: int, elem: BasisElement):
+    """d(elem) as (coefficient, partial index, power, odd tuple) terms,
+    the odd tuple not yet rewritten in the basis orientation."""
+    m, odd = elem
+    if direction == "cochain":
+        j = len(odd)
+        for k, i in enumerate(odd):
+            yield (-1) ** (j - 1 - k), i, m + 1, odd[:k] + odd[k + 1:]
+    elif m:
+        for i in range(1, n + 1):
+            if i not in odd:
+                yield m, i, m - 1, (i,) + odd
+
+
+def _reference_columns(cx, p):
+    """diffs[p] by the permutation rule: each image's odd tuple is
+    rewritten as the basis tuple of its set, times the parity of the
+    permutation between them."""
+    src, tgt = cx.ends(p)
+    row_of = {(e.power, frozenset(e.odd)): (r, e.odd)
+              for r, e in enumerate(cx.modules[tgt].elements)}
+    columns = []
+    for elem in cx.modules[src].elements:
+        terms = []
+        for coeff, i, power, odd in _images(cx.direction, cx.n, elem):
+            r, basis_odd = row_of[(power, frozenset(odd))]
+            terms.append((r, i, coeff * _parity_sign(odd, basis_odd)))
+        columns.append(tuple(sorted(terms)))
+    return tuple(columns)
 
 
 def test_cochain_module_layout_n2():
@@ -68,24 +125,24 @@ def test_cochain_matrices_n2():
     f = d_curve()
     d1, d2 = f.diff(1), f.diff(2)
     Z = Polynomial.zero(2)
-    cx = cochain_complex(f, 5)
-    assert cx.diffs[0] == [[Z], [Z]]
-    assert cx.diffs[1] == [[d1, d2], [Z, Z]]
-    assert cx.diffs[2] == [[Z, d2], [Z, -d1]]
-    assert cx.diffs[3] == [[d1, d2], [Z, Z]]
+    mats = _dense(cochain_complex(f, 5))
+    assert mats[0] == [[Z], [Z]]
+    assert mats[1] == [[d1, d2], [Z, Z]]
+    assert mats[2] == [[Z, d2], [Z, -d1]]
+    assert mats[3] == [[d1, d2], [Z, Z]]
 
 
 def test_cochain_matrices_n3():
     f = d_surface()
     d1, d2, d3 = f.gradient()
     Z = Polynomial.zero(3)
-    cx = cochain_complex(f, 5)
-    assert cx.diffs[1] == [[d1, d2, d3], [Z, Z, Z], [Z, Z, Z], [Z, Z, Z]]
-    assert cx.diffs[2] == [[Z, d2, d3, Z],
+    mats = _dense(cochain_complex(f, 5))
+    assert mats[1] == [[d1, d2, d3], [Z, Z, Z], [Z, Z, Z], [Z, Z, Z]]
+    assert mats[2] == [[Z, d2, d3, Z],
                            [Z, -d1, Z, d3],
                            [Z, Z, -d1, -d2],
                            [Z, Z, Z, Z]]
-    assert cx.diffs[3] == [[d1, d2, d3, Z],
+    assert mats[3] == [[d1, d2, d3, Z],
                            [Z, Z, Z, d3],
                            [Z, Z, Z, -d2],
                            [Z, Z, Z, d1]]
@@ -95,30 +152,30 @@ def test_chain_matrices_n2():
     f = d_curve()
     d1, d2 = f.diff(1), f.diff(2)
     Z = Polynomial.zero(2)
-    cx = chain_complex(f, 5)
-    assert cx.diffs[0] == [[Z, Z]]
-    assert cx.diffs[1] == [[d1, Z], [d2, Z]]
-    assert cx.diffs[2] == [[Z, Z], [-d2, d1]]
-    assert cx.diffs[3] == [[2 * d1, Z], [2 * d2, Z]]
-    assert cx.diffs[4] == [[Z, Z], [-2 * d2, 2 * d1]]
+    mats = _dense(chain_complex(f, 5))
+    assert mats[0] == [[Z, Z]]
+    assert mats[1] == [[d1, Z], [d2, Z]]
+    assert mats[2] == [[Z, Z], [-d2, d1]]
+    assert mats[3] == [[2 * d1, Z], [2 * d2, Z]]
+    assert mats[4] == [[Z, Z], [-2 * d2, 2 * d1]]
 
 
 def test_chain_matrices_n3():
     f = d_surface()
     d1, d2, d3 = f.gradient()
     Z = Polynomial.zero(3)
-    cx = chain_complex(f, 7)
-    assert cx.diffs[1] == [[d1, Z, Z, Z], [d2, Z, Z, Z], [d3, Z, Z, Z]]
+    mats = _dense(chain_complex(f, 7))
+    assert mats[1] == [[d1, Z, Z, Z], [d2, Z, Z, Z], [d3, Z, Z, Z]]
     # odd differential with the degree-dependent integer factor p = 1
-    assert cx.diffs[2] == [[Z, Z, Z, Z],
+    assert mats[2] == [[Z, Z, Z, Z],
                            [-d2, d1, Z, Z],
                            [-d3, Z, d1, Z],
                            [Z, -d3, d2, Z]]
-    assert cx.diffs[3] == [[2 * d1, Z, Z, Z],
+    assert mats[3] == [[2 * d1, Z, Z, Z],
                            [2 * d2, Z, Z, Z],
                            [2 * d3, Z, Z, Z],
                            [Z, d3, -d2, d1]]
-    assert cx.diffs[4] == [[Z, Z, Z, Z],
+    assert mats[4] == [[Z, Z, Z, Z],
                            [-2 * d2, 2 * d1, Z, Z],
                            [-2 * d3, Z, 2 * d1, Z],
                            [Z, -2 * d3, 2 * d2, Z]]
@@ -136,20 +193,16 @@ def test_d_squared_zero_and_entry_structure(build, f):
     cx.verify_d_squared_zero(terms)
     # the term check and the polynomial product agree
     assert _composites_vanish(cx)
-    # the returned (row, i, k) terms rebuild every matrix exactly
-    grad = f.gradient()
-    for mat, columns in zip(cx.diffs, terms):
-        rebuilt = [[Polynomial.zero(f.n)] * len(columns) for _ in mat]
-        for c, column in enumerate(columns):
-            for r, i, k in column:
-                rebuilt[r][c] = k * grad[i - 1]
-        assert rebuilt == mat
+    # no partial of these f is 0, so every generated term is returned
+    assert terms == cx.diffs
 
 
 def test_sign_flip_breaks_d_squared_zero():
     cx = cochain_complex(d_surface(), 5)
-    entry = cx.diffs[2][0][1]
-    cx.diffs[2][0][1] = -entry
+    cx.diffs[2] = tuple(map(list, cx.diffs[2]))
+    r, i, k = cx.diffs[2][1][0]         # entry (0, 1) is d_2 f
+    assert (r, i, k) == (0, 2, 1)
+    cx.diffs[2][1][0] = (r, i, -k)
     assert not _composites_vanish(cx)
     with pytest.raises(AssertionError):
         cx.verify_d_squared_zero(cx.verify_entries())
@@ -189,11 +242,15 @@ def test_weight_assignment_chain():
 
 
 def test_weight_assignment_rejects_inhomogeneous_entry():
+    # a term naming a partial of another weight than its entry's
     f = d_surface(4)
-    ws = detect_weights(f)
+    ws = detect_weights(f)          # d_1 f, d_2 f, d_3 f weigh 4, 5, 6
     cx = cochain_complex(f, 5)
-    z2 = Polynomial.variable(3, 2)
-    cx.diffs[1][0][0] = cx.diffs[1][0][0] + z2   # wrong weight
+    cx.diffs[1] = tuple(map(list, cx.diffs[1]))
+    r, i, k = cx.diffs[1][0][0]
+    assert i == 1
+    cx.diffs[1][0][0] = (r, 2, k)
+    cx.verify_entries()             # still well formed
     with pytest.raises(AssertionError):
         cx.assign_weights(ws)
 
@@ -210,12 +267,55 @@ def test_layout_and_matrices_n1():
             (BasisElement(1, ()),), (BasisElement(1, (1,)),),
             (BasisElement(2, ()),), (BasisElement(2, (1,)),)]
     # cochain: eta1 * b1^q -> d1 f * b1^(q+1); b1^q -> 0
-    assert coc.diffs == [[[Z]], [[d1]], [[Z]], [[d1]], [[Z]]]
+    assert _dense(coc) == [[[Z]], [[d1]], [[Z]], [[d1]], [[Z]]]
     # chain: a1^q -> q * d1 f * xi1 * a1^(q-1); xi1 * a1^q -> 0
-    assert chn.diffs == [[[Z]], [[d1]], [[Z]], [[2 * d1]], [[Z]]]
+    assert _dense(chn) == [[[Z]], [[d1]], [[Z]], [[2 * d1]], [[Z]]]
     ws = detect_weights(f)          # weight (1,), degree 4
     coc.assign_weights(ws)
     chn.assign_weights(ws)
     assert [m.shifts for m in coc.modules] == [(0,), (3,)] * 3
     assert [m.shifts for m in chn.modules] == [(0,), (1,), (4,), (5,),
                                                (8,), (9,)]
+
+
+@pytest.mark.parametrize("build", [cochain_complex, chain_complex])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_terms_match_the_permutation_sign_rule(build, n):
+    f = Polynomial(n, {tuple(3 * (a == b) for b in range(n)): 1
+                       for a in range(n)})
+    cx = build(f, 9)
+    for p, columns in enumerate(cx.diffs):
+        assert columns == _reference_columns(cx, p), p
+
+
+@pytest.mark.parametrize("at, term", [
+    (1, (0, 1, -1)),            # a second term on row 0
+    (1, (1, 1, 0)),             # k = 0
+    (1, (1, 1, Fraction(-1))),  # k not an int
+    (1, (1, 1, True)),
+    (1, (1, 0, -1)),            # i out of range
+    (1, (1, 4, -1)),
+    (0, (-1, 2, 1)),            # row out of range, rows still increasing
+    (1, (4, 1, -1)),            # the target has rows 0..3
+])
+def test_verify_entries_rejects_a_malformed_term(at, term):
+    cx = cochain_complex(d_surface(), 5)
+    cx.diffs[2] = tuple(map(list, cx.diffs[2]))
+    column = cx.diffs[2][1]
+    assert column == [(0, 2, 1), (1, 1, -1)]
+    column[at] = term
+    with pytest.raises(AssertionError):
+        cx.verify_entries()
+
+
+def test_verify_entries_drops_the_terms_of_a_zero_partial():
+    f = Polynomial(3, {(2, 0, 0): 1, (0, 0, 45): 1})     # d_2 f = 0
+    for build in (cochain_complex, chain_complex):
+        cx = build(f, 5)
+        terms = cx.verify_entries()
+        assert any(i == 2 for cols in cx.diffs for col in cols
+                   for _, i, _ in col)
+        assert terms == [tuple(tuple(t for t in col if t[1] != 2)
+                               for col in cols) for cols in cx.diffs]
+        cx.verify_d_squared_zero(terms)
+        cx.assign_weights(detect_weights(f))
