@@ -28,13 +28,16 @@ Two independent routes to the same numbers:
   differential is generated as (row, i, k) terms, the entry k * d_i f
   for an integer k (their shape is checked by `verify_entries`, and
   d^2 = 0 on them).  The module totals are read from one list of dim A
-  per report.  Each differential is ranked once per weight, shared by
-  its two ends, and not at all where either end's total is 0.  It is
-  cut into strand blocks, the connected pieces of the graph joining
-  every domain component to the codomain components its entries hit,
-  read from those entries; a slice's rank is the sum of its blocks'
-  ranks.  A block slice is assembled sparse from normal forms of
-  d_i f * z^m, each a sum of memoized monomial normal forms
+  per report.  A degree's window is scanned in one call: each of its
+  two differentials is ranked at every weight of the window where both
+  of its ends' totals are nonzero and its other end has not ranked it
+  yet, so each differential is ranked once per weight, shared by its
+  two ends.  A differential is cut into strand blocks, the connected
+  pieces of the graph joining every domain component to the codomain
+  components its entries hit, read from those entries; a slice's rank
+  is the sum of its blocks' ranks, and the weights are ranked in one
+  pass over the blocks.  A block slice is assembled sparse from normal
+  forms of d_i f * z^m, each a sum of memoized monomial normal forms
   (`GroebnerBasis.monomial_normal_form`), and its rank is cached by the
   block's content: a block that recurs, in another differential or in
   the 2-periodic tail, is ranked once per weight.
@@ -103,12 +106,13 @@ class _SliceMap(NamedTuple):
     base: int         # first domain shift
     dom: tuple        # domain component shifts
     cod: tuple        # codomain component shifts
-    columns: tuple    # per domain component: (row, i, k / first k) terms
+    columns: tuple    # per domain component: (row, images of d_i f, i,
+    #                   k / first k) terms
 
 
 class _Differential(NamedTuple):
     """One differential of a sliced complex: its strand blocks, and its
-    rank at each weight asked so far."""
+    rank at each weight ranked so far."""
     blocks: tuple     # _SliceMap per strand block
     ranks: dict       # s -> rank of the whole differential
 
@@ -118,14 +122,15 @@ class SlicedComplex(NamedTuple):
 
     diffs[k] is the differential joining degrees k and k + 1, in
     whichever direction it maps, cut into its strand blocks; degree p
-    reads diffs[p - 1] and diffs[p], so the rank at s of the
-    differential between p and p + 1 is one lookup from either end.
+    reads diffs[p - 1] and diffs[p], and the ranks the scan of one end
+    computes over its window are read back by the other end.
     totals[p] is (lo, column): column[s - lo] is the module total
     sum_t dim A_(s - t) over degree p's shifts, for every s at which
     the scan reads degree p, its own window and its neighbours'
-    windows."""
+    windows.  windows[p] is degree p's (lo, hi) scan window."""
     diffs: list       # _Differential per pair of adjacent degrees
     totals: list      # per degree: (lo, module totals from weight lo on)
+    windows: list     # per scanned degree: (lo, hi)
 
 
 @dataclass
@@ -231,9 +236,9 @@ class Analysis:
 
     def complex(self, direction: str, windows: list) -> SlicedComplex:
         """Build, check and weight the complex through one degree past
-        the last window, cut its differentials for `oracle_dim`, and
-        fill the module totals the scan of `windows` (one (lo, hi) per
-        degree) reads."""
+        the last window, cut its differentials into strand blocks for
+        `oracle_dim`, and fill the module totals its scans of `windows`
+        (one (lo, hi) per degree) read."""
         build = cochain_complex if direction == "cohomology" else chain_complex
         cx = build(self.f, len(windows))
         terms = cx.verify_entries()
@@ -264,7 +269,7 @@ class Analysis:
         totals = [(lo, _module_totals(dims, [(1, t) for t in m.shifts],
                                       lo, hi))
                   for m, (lo, hi) in zip(cx.modules, spans)]
-        return SlicedComplex(diffs, totals)
+        return SlicedComplex(diffs, totals, windows)
 
     def _slice_map(self, columns, dom: tuple, cod: tuple) -> _SliceMap:
         """Key a strand block by its content.  Each column's (row, i, k)
@@ -273,7 +278,8 @@ class Analysis:
         those terms plus the shifts relative to the first domain shift
         `base`; the slice at weight s is then a function of the
         signature and s - base, so blocks of equal signature share one
-        rank table keyed by s - base."""
+        rank table keyed by s - base.  The block keeps each term with
+        the image cache of its partial, which `_block_rank` reads."""
         base = dom[0]
         normed = tuple(tuple((r, i, exact_quotient(k, col[0][2]))
                              for r, i, k in col)
@@ -281,7 +287,10 @@ class Analysis:
         signature = (normed, tuple(t - base for t in dom),
                      tuple(t - base for t in cod))
         ranks = self._ranks.setdefault(signature, {})
-        return _SliceMap(ranks, base, dom, cod, normed)
+        images = self._images
+        return _SliceMap(ranks, base, dom, cod, tuple(
+            tuple((r, images[i - 1], i, k) for r, i, k in col)
+            for col in normed))
 
     def _image(self, i: int, mono: tuple) -> tuple:
         """normal_form(d_i f * z^mono) as (exponents, coefficient) pairs,
@@ -303,64 +312,76 @@ class Analysis:
             cache[mono] = image
         return image
 
-    def _slice_rank(self, d: _Differential, s: int) -> int:
-        """Rank at weight s of a differential: the sum of its strand
-        blocks' ranks.  `oracle_dim` asks once per weight, and only where
-        both ends' module totals are nonzero.  Each block table is keyed
-        by content, never by degree, so periodicity is not assumed: the
-        2-periodic tail hits it because its blocks repeat.  A block slice
-        with no columns has rank 0 and gets no row maps; one with no rows
-        has rank 0 and is not assembled."""
-        total = 0
-        basis = self.A.basis
-        for m in d.blocks:
-            rank = m.ranks.get(s - m.base)
-            if rank is None:
-                domain = [basis(s - t) for t in m.dom]
-                rows = []           # per codomain component: mono -> row
-                count = 0
-                if any(domain):
-                    for t in m.cod:
-                        monos = basis(s - t)
-                        rows.append(dict(zip(monos, range(
-                            count, count + len(monos)))))
-                        count += len(monos)
-                cols = []
-                if count:
-                    for terms, monos in zip(m.columns, domain):
-                        for mono in monos:
-                            col = {}
-                            for r, i, k in terms:
-                                row_of = rows[r]
-                                for exps, v in self._image(i, mono):
-                                    col[row_of[exps]] = k * v
-                            if col:
-                                cols.append(col)
-                rank = rank_sparse(cols) if cols else 0
-                m.ranks[s - m.base] = rank
-            total += rank
-        return total
+    def oracle_dim(self, sc: SlicedComplex, p: int) -> dict:
+        """{s: dim} of the nonzero weight-s slices of degree-p
+        (co)homology of the complex `complex` returned, over degree p's
+        window: each module total less the ranks of the differentials
+        joining p to p - 1 and to p + 1.
 
-    def oracle_dim(self, sc: SlicedComplex, p: int, s: int) -> int:
-        """dim of the weight-s slice of degree-p (co)homology of the
-        complex `complex` returned, for s in degree p's window: the
-        module total less the ranks of the differentials joining p to
-        p - 1 and to p + 1."""
-        lo, column = sc.totals[p]
-        total = column[s - lo]
-        if total == 0:
-            return 0
+        Each differential is ranked, in one pass over its strand blocks,
+        at the window's weights where both of its ends' module totals
+        are nonzero and it has no rank yet; elsewhere its rank is 0 or
+        already known from the neighbouring degree.  A block's rank
+        table is keyed by content, never by degree, so periodicity is
+        not assumed: the 2-periodic tail hits it because its blocks
+        repeat."""
+        lo, hi = sc.windows[p]
+        start, column = sc.totals[p]
+        dims = column[lo - start:hi - start + 1]
         for k in (p - 1, p):
             if k < 0:
                 continue
             d = sc.diffs[k]
-            rank = d.ranks.get(s)
-            if rank is None:
-                lo, column = sc.totals[k if k < p else k + 1]
-                rank = self._slice_rank(d, s) if column[s - lo] else 0
-                d.ranks[s] = rank
-            total -= rank
-        return total
+            ranks = d.ranks
+            far_start, far = sc.totals[k if k < p else k + 1]
+            todo = [s for s in range(lo, hi + 1) if s not in ranks
+                    and column[s - start] and far[s - far_start]]
+            if todo:
+                span = [0] * len(todo)
+                for table, first, dom, cod, columns in d.blocks:
+                    for j, s in enumerate(todo):
+                        rank = table.get(s - first)
+                        if rank is None:
+                            rank = table[s - first] = self._block_rank(
+                                columns, dom, cod, s)
+                        span[j] += rank
+                for s, rank in zip(todo, span):
+                    ranks[s] = rank
+            dims = [dim - ranks.get(s, 0) for s, dim in enumerate(dims, lo)]
+        return {s: dim for s, dim in enumerate(dims, lo) if dim}
+
+    def _block_rank(self, columns, dom: tuple, cod: tuple, s: int) -> int:
+        """Rank of a strand block's weight-s slice, assembled sparse from
+        the block's columns of (row, images of d_i f, i, k) terms.  An
+        image read from its cache is a dict lookup; only a miss calls
+        `_image`.  A block slice with no columns has rank 0 and gets no
+        row maps; one with no rows has rank 0 and is not assembled."""
+        basis = self.A.basis
+        domain = [basis(s - t) for t in dom]
+        if not any(domain):
+            return 0
+        rows = []           # per codomain component: mono -> row
+        count = 0
+        for t in cod:
+            monos = basis(s - t)
+            rows.append(dict(zip(monos, range(count, count + len(monos)))))
+            count += len(monos)
+        if not count:
+            return 0
+        cols = []
+        for terms, monos in zip(columns, domain):
+            for mono in monos:
+                col = {}
+                for r, images, i, k in terms:
+                    row_of = rows[r]
+                    image = images.get(mono)
+                    if image is None:
+                        image = self._image(i, mono)
+                    for exps, v in image:
+                        col[row_of[exps]] = k * v
+                if col:
+                    cols.append(col)
+        return rank_sparse(cols) if cols else 0
 
 
 def _strand_blocks(columns) -> list:
@@ -583,11 +604,7 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
                     expected_graded[s] = val
         oracle_graded = None
         if sliced is not None:
-            oracle_graded = {}
-            for s in range(window[0], window[1] + 1):
-                val = an.oracle_dim(sliced, p, s)
-                if val:
-                    oracle_graded[s] = val
+            oracle_graded = an.oracle_dim(sliced, p)
         if expected_graded is not None and oracle_graded is not None:
             if expected_graded != oracle_graded:
                 agree = False
@@ -614,27 +631,6 @@ def _window(an: Analysis, direction: str, p: int, cutoff: int) -> tuple:
     return (lo, lo + cutoff)
 
 
-def verify_infinite_part(degree: DegreeReport, an: Analysis,
-                         free_shift: int) -> bool:
-    """Check an oracle scan of an A-plus-finite degree: the excess of
-    each slice over dim A at the shifted weight must be nonnegative,
-    must sum to the recorded finite dimension, and must vanish on the
-    top quarter of the window."""
-    if degree.oracle_graded is None:
-        raise PreconditionError("no oracle data recorded")
-    lo, hi = degree.window
-    total = 0
-    quarter = hi - (hi - lo) // 4
-    for s in range(lo, hi + 1):
-        excess = degree.oracle_graded.get(s, 0) - an.A.dim(s - free_shift)
-        if excess < 0:
-            return False
-        if excess and s > quarter:
-            return False
-        total += excess
-    return total == (degree.finite_dim or 0)
-
-
 # ---- kernel generator families ---------------------------------------
 
 
@@ -642,16 +638,22 @@ def kernel_description(an: Analysis) -> KernelDescription:
     """Explicit generating families for {g : g . grad f = 0 mod f}.
 
     Always includes the gradient families (the Hamiltonian field for
-    n=2, the three wedge fields grad f ^ e_i for n=3).  When f matches
-    a recognized pattern (separate variables, or the D-type normal
-    forms) the finite-part monomial families are added.  Every emitted
+    n=2, the three wedge fields grad f ^ e_i for n=3).  For n=1, f is
+    c*z1^d and the kernel is z1*A, generated by the Euler field over
+    w1, (z1,).  When f matches a recognized pattern (separate
+    variables, or the D-type normal forms) the finite-part monomial
+    families are added.  Every emitted
     vector is re-verified by reduction mod f.
     """
     n = an.n
     Z = Polynomial.zero(n)
     D = an.grad
     families: list = []
-    if n == 2:
+    if n == 1:
+        families.append(KernelFamily(
+            "euler", (Polynomial.variable(1, 1),),
+            "any multiple; z1*A is the whole kernel"))
+    elif n == 2:
         families.append(KernelFamily(
             "hamiltonian", (D[1], -D[0]),
             "any monomial multiple stays in the kernel"))

@@ -169,26 +169,6 @@ def euler_identity_holds(f: Polynomial, ws: WeightSystem) -> bool:
     return all(sum(map(mul, ws.weights, a)) == ws.degree for a in f.terms)
 
 
-def exponents_of_weight(weights: Sequence[int], s: int) -> list:
-    """All exponent tuples with exact weighted degree s."""
-    n = len(weights)
-    out = []
-
-    def rec(i, prefix, remaining):
-        if i == n - 1:
-            w = weights[i]
-            if remaining % w == 0:
-                out.append(tuple(prefix) + (remaining // w,))
-            return
-        w = weights[i]
-        for e in range(remaining // w + 1):
-            rec(i + 1, prefix + [e], remaining - w * e)
-
-    if s >= 0:
-        rec(0, [], s)
-    return out
-
-
 class GradedQuotient:
     """Graded bases of C[z]/I from a Groebner basis of I.
 

@@ -5,7 +5,8 @@ elimination that ranks the graded complex slices and the bar-complex
 differentials (both are mostly zero), and a dense Bareiss elimination,
 kept as the independent reference that the tests compare the sparse
 path against.  Rational entries are cleared of denominators row by row,
-which leaves the rank unchanged.  `nullspace` divides only through
+which leaves the rank unchanged; the sparse path reads a row of nonzero
+ints as given.  `nullspace` divides only through
 `poly.exact_quotient`.  No floating point and no modular arithmetic.
 """
 
@@ -68,44 +69,57 @@ def rank_dense(rows) -> int:
 def rank_sparse(rows) -> int:
     """Rank of a matrix given as sparse rows (dict col -> int or Fraction).
 
-    Fraction-free elimination over the integers.  Each incoming row is
-    copied, scaled by the lcm of its denominators, and reduced against
-    the pivot rows found so far: with a and b the pivot's and the row's
-    leading entries divided by their gcd, r := a*r - b*pivot clears the
-    leading column exactly.  Pivot rows are stored primitive (divided
-    by the gcd of their entries, leading entry positive), keyed by
-    leading column.  The caller's dicts are never modified.
+    Fraction-free elimination over the integers.  A row whose entries
+    are all nonzero ints is read as given; any other row is first copied
+    without its zeros and scaled by the lcm of its denominators, which
+    leaves the rank unchanged.  A row is reduced against the pivot rows
+    found so far: with a and b the pivot's and the row's leading entries
+    divided by their gcd, r := a*r - b*pivot clears the leading column
+    exactly.  A row read as given is copied the first time it is
+    reduced.  A row whose leading column has no pivot becomes the pivot
+    there: as given if it was never copied, else divided by the gcd of
+    its entries.  The caller's dicts are never modified.
     """
-    pivots: dict = {}  # leading col -> (leading entry, other items)
+    pivots: dict = {}  # leading col -> (leading entry, row)
     rank = 0
     for row in rows:
-        row = _integer_row(row)
+        values = row.values()
+        owned = 0 in values or not all(map(_is_int, values))
+        if owned:
+            row = _integer_row(row)
         while row:
             c = min(row)
+            b = row[c]
             pivot = pivots.get(c)
-            b = row.pop(c)
             if pivot is None:
-                g = gcd(b, *row.values())
-                if b < 0:
-                    g = -g
-                pivots[c] = (b // g, tuple((k, v // g)
-                                           for k, v in row.items()))
+                if owned:
+                    g = gcd(*row.values())
+                    if g != 1:
+                        b //= g
+                        row = {k: v // g for k, v in row.items()}
+                pivots[c] = (b, row)
                 rank += 1
                 break
-            a, tail = pivot
+            a, prow = pivot
             g = gcd(a, b)
             if g != 1:
                 a //= g
                 b //= g
             if a != 1:
                 row = {k: a * v for k, v in row.items()}
-            for k, v in tail:
+            elif not owned:
+                row = dict(row)
+            owned = True
+            for k, v in prow.items():
                 s = row.get(k, 0) - b * v
                 if s:
                     row[k] = s
                 else:
                     del row[k]
     return rank
+
+
+_is_int = int.__instancecheck__     # isinstance(v, int), for map
 
 
 def _integer_row(row) -> dict:

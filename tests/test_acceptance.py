@@ -20,12 +20,8 @@ from hochschild.bar import (
     bar_homology_dims,
     truncated_closed_form,
 )
-from hochschild.engine import Analysis, analyze, verify_infinite_part
-from hochschild.grading import (
-    detect_weights,
-    euler_identity_holds,
-    exponents_of_weight,
-)
+from hochschild.engine import Analysis, analyze
+from hochschild.grading import detect_weights, euler_identity_holds
 from hochschild.ideals import (
     buchberger,
     divide,
@@ -35,6 +31,7 @@ from hochschild.ideals import (
 from hochschild.koszul import chain_complex, cochain_complex
 from hochschild.linalg import rank_dense
 from hochschild.poly import Polynomial
+from reference import exponents_of_weight, verify_infinite_part
 
 CURVES = (["a%d-curve" % k for k in range(1, 6)]
           + ["d%d-curve" % k for k in (4, 5, 6)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochschild import grading
+from hochschild import engine, grading
 from hochschild.catalog import catalog_instance, catalog_names
 from hochschild.engine import (
     Analysis,
@@ -17,7 +17,6 @@ from hochschild.engine import (
     _strand_blocks,
     analyze,
     kernel_description,
-    verify_infinite_part,
 )
 from hochschild.grading import NotWeightedHomogeneousError
 from hochschild.ideals import (
@@ -30,6 +29,7 @@ from hochschild.koszul import chain_complex, cochain_complex
 from hochschild.linalg import rank_dense
 from hochschild.parsing import parse_polynomial
 from hochschild.poly import Polynomial
+from reference import verify_infinite_part
 from test_koszul import _dense
 
 
@@ -112,6 +112,19 @@ def test_kernel_families_verified():
         assert desc.families
 
 
+def test_kernel_of_one_variable_is_the_euler_family():
+    # f = z1^4: g * f' = 4 g z1^3 vanishes mod f exactly on z1*A
+    an = Analysis(parse_polynomial("z1^4"))
+    desc = analyze(an.f, analysis=an).kernel
+    z1 = Polynomial.variable(1, 1)
+    assert [(fam.name, fam.vector) for fam in desc.families] == \
+        [("euler", (z1,))]
+    assert desc.verified
+    for j in range(4):
+        g = z1 ** j
+        assert an.gb_f.normal_form(g * an.grad[0]).is_zero() == (j >= 1)
+
+
 def test_kernel_families_d_surface_names():
     desc = kernel_description(Analysis(surface_d(5)))
     names = {fam.name for fam in desc.families}
@@ -188,6 +201,10 @@ def test_negative_degree_or_cutoff_rejected(kwargs):
         analyze(curve_a(2), **kwargs)
 
 
+# its lex-leading term 2*z1^3 makes some normal forms fractional
+NON_MONIC = parse_polynomial("2*z1^3+z1^2*z2+z2^3")
+
+
 def _dense_slice_rank(an, mat, dom, cod, s):
     """Rank of mat, one of `_dense`'s matrices, on the weight-s slice,
     assembled densely from its Polynomial entries with no cache: the
@@ -212,16 +229,29 @@ def _dense_slice_rank(an, mat, dom, cod, s):
 @pytest.mark.parametrize("f", [catalog_instance("d5-curve").f,
                                catalog_instance("e6-surface").f,
                                parse_polynomial("z1^4+z2^4+z3^4+z1*z2*z3^2"),
-                               parse_polynomial("z1^2+z2^3+z3^5")],
+                               parse_polynomial("z1^2+z2^3+z3^5"),
+                               NON_MONIC],
                          ids=["d5-curve", "e6-surface", "mixed-surface",
-                              "e8-surface"])
-def test_oracle_matches_dense_reference(f, direction):
+                              "e8-surface", "non-monic"])
+def test_oracle_matches_dense_reference(monkeypatch, f, direction):
     # p_max 6 makes every strand block recur in a later differential,
     # at another base shift, so shared rank tables are read there
     p_max = 6
     an = Analysis(f)
+    rows = []
+    rank_sparse = engine.rank_sparse
+
+    def recorded(cols):
+        rows.extend(cols)
+        return rank_sparse(cols)
+
+    monkeypatch.setattr(engine, "rank_sparse", recorded)
     r = analyze(f, direction=direction, p_max=p_max, mode="graded",
                 analysis=an)
+    if f == NON_MONIC:
+        # normal forms mod a non-monic f: some slices reach the rank
+        # with Fraction entries
+        assert any(type(v) is Fraction for row in rows for v in row.values())
     build = cochain_complex if direction == "cohomology" else chain_complex
     cx = build(f, p_max + 1)
     cx.assign_weights(an.ws)
@@ -246,28 +276,39 @@ def test_oracle_matches_dense_reference(f, direction):
 def test_table_scan_ranks_each_differential_once_per_weight(monkeypatch,
                                                             direction):
     f = parse_polynomial("z1^4+z2^4+z3^4+z1*z2*z3^2")
-    calls = []
-    sliced = []
-    complex_, slice_rank = Analysis.complex, Analysis._slice_rank
+    ranked = []         # (k, s) per rank of diffs[k] stored at weight s
+    scanned = []        # p per oracle_dim call
+    complex_, oracle_dim = Analysis.complex, Analysis.oracle_dim
+
+    class RecordedRanks(dict):
+        def __init__(self, k):
+            super().__init__()
+            self.k = k
+
+        def __setitem__(self, s, rank):
+            ranked.append((self.k, s))
+            super().__setitem__(s, rank)
 
     def recorded_complex(self, direction, windows):
-        sliced.append(complex_(self, direction, windows))
-        return sliced[-1]
+        sc = complex_(self, direction, windows)
+        for k, d in enumerate(sc.diffs):
+            sc.diffs[k] = d._replace(ranks=RecordedRanks(k))
+        return sc
 
-    def recorded(self, d, s):
-        k = next(k for k, e in enumerate(sliced[-1].diffs) if e is d)
-        calls.append((k, s))
-        return slice_rank(self, d, s)
+    def recorded_oracle_dim(self, sc, p):
+        scanned.append(p)
+        return oracle_dim(self, sc, p)
 
     monkeypatch.setattr(Analysis, "complex", recorded_complex)
-    monkeypatch.setattr(Analysis, "_slice_rank", recorded)
+    monkeypatch.setattr(Analysis, "oracle_dim", recorded_oracle_dim)
     an = Analysis(f)
     r = analyze(f, direction=direction, p_max=6, mode="graded", analysis=an)
-    assert calls and len(set(calls)) == len(calls)
+    assert scanned == list(range(len(r.degrees)))
+    assert ranked and len(set(ranked)) == len(ranked)
     build = cochain_complex if direction == "cohomology" else chain_complex
     cx = build(f, len(r.degrees))
     cx.assign_weights(an.ws)
-    for k, s in calls:
+    for k, s in ranked:
         for q in (k, k + 1):
             assert sum(an.A.dim(s - t) for t in cx.modules[q].shifts), (k, s)
 

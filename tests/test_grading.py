@@ -8,11 +8,11 @@ from hochschild.grading import (
     WeightSystem,
     detect_weights,
     euler_identity_holds,
-    exponents_of_weight,
     is_weighted_homogeneous,
 )
 from hochschild.ideals import buchberger
 from hochschild.poly import Polynomial
+from reference import exponents_of_weight
 
 
 def test_detect_weights_d_surface():

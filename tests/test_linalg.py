@@ -30,6 +30,25 @@ def test_sparse_rank_duplicate_rows():
     assert rank_sparse(rows) == 2
 
 
+def test_sparse_rank_of_mixed_rows_leaves_them_unchanged():
+    # all-int rows are read as given, the others are copied as ints;
+    # both kinds become pivots and both are reduced against either kind
+    rows = [{0: 2, 3: -4},
+            {1: 3, 2: 1},
+            {0: 1, 1: 0, 3: -2},                        # half of row 0
+            {0: Fraction(1, 2), 2: Fraction(2, 3)},
+            {1: Fraction(3, 2), 2: Fraction(1, 2)},     # half of row 1
+            {0: 3, 1: 3, 2: 1, 3: -6},                  # 3/2 row 0 + row 1
+            {0: 3, 2: 4},                               # 6 times row 3
+            {0: 0, 3: Fraction(5, 7)}]
+    before = [dict(row) for row in rows]
+    dense = [[row.get(j, 0) for j in range(4)] for row in rows]
+    assert rank_sparse(rows) == rank_dense(dense) == 4
+    assert rows == before
+    assert [[type(v) for v in row.values()] for row in rows] == \
+        [[type(v) for v in row.values()] for row in before]
+
+
 def test_nullspace_of_rank_deficient_matrix():
     m = [[Fraction(1), Fraction(2), Fraction(3)],
          [Fraction(2), Fraction(4), Fraction(6)]]

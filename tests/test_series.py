@@ -1,10 +1,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochschild.grading import GradedQuotient, exponents_of_weight
+from hochschild.grading import GradedQuotient
 from hochschild.ideals import buchberger
 from hochschild.poly import Polynomial
 from hochschild.series import PoincareSeries
+from reference import exponents_of_weight
 
 
 @st.composite
