@@ -22,7 +22,7 @@ from .grading import (
     is_weighted_homogeneous,
 )
 from .ideals import INFINITE, buchberger, milnor_number
-from .parsing import ParseError, parse_polynomial
+from .parsing import ParseError, parse_polynomial, parse_polynomials
 from .poly import Polynomial
 
 
@@ -192,15 +192,12 @@ def _run_homology_command(args, direction: str) -> int:
 
 def _run_groebner(args) -> int:
     try:
-        gens = [parse_polynomial(s.strip()) for s in args.gens.split(";")
-                if s.strip()]
+        gens = parse_polynomials([s.strip() for s in args.gens.split(";")
+                                  if s.strip()])
     except ParseError as exc:
         raise CliError("parse error: %s" % exc, 2)
     if not gens:
         raise CliError("no generators given", 2)
-    n = max(g.n for g in gens)
-    gens = [Polynomial(n, {e + (0,) * (n - g.n): c
-                           for e, c in g.terms.items()}) for g in gens]
     if args.jacobian:
         extended = []
         for g in gens:

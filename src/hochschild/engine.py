@@ -28,11 +28,10 @@ Two independent routes to the same numbers:
   differential is generated as (row, i, k) terms, the entry k * d_i f
   for an integer k (their shape is checked by `verify_entries`, and
   d^2 = 0 on them).  The module totals are read from one list of dim A
-  per report.  A degree's window is scanned in one call: each of its
-  two differentials is ranked at every weight of the window where both
-  of its ends' totals are nonzero and its other end has not ranked it
-  yet, so each differential is ranked once per weight, shared by its
-  two ends.  A differential is cut into strand blocks, the connected
+  per report.  One call scans every degree's window: each differential
+  is ranked once, at the weights of its two ends' windows where both
+  ends' totals are nonzero, and its ranks are subtracted from both
+  ends.  A differential is cut into strand blocks, the connected
   pieces of the graph joining every domain component to the codomain
   components its entries hit, read from those entries; a slice's rank
   is the sum of its blocks' ranks, and the weights are ranked in one
@@ -61,7 +60,7 @@ from .grading import (
     detect_weights,
     euler_identity_holds,
 )
-from .ideals import INFINITE, GroebnerBasis, buchberger
+from .ideals import INFINITE, buchberger
 from .koszul import chain_complex, cochain_complex, module, shift
 from .linalg import rank_sparse
 from .poly import Polynomial, exact_quotient, int_or_fraction, monomial_str
@@ -89,11 +88,10 @@ class Route:
     (homogeneous regular sequences permute; Bruns-Herzog, Cohen-Macaulay
     Rings, Thm. 2.1.2) and J has finite colength.  Conversely, if some
     ordering of f and J'_i is regular, z_i is a non-zero-divisor modulo
-    J'_i and K is finite.  gb_k is the reduced basis of K; basis is
-    std(J) minus std(K), the monomial basis of K/J.
+    J'_i and K is finite.  basis is std(J) minus std(K), the monomial
+    basis of K/J.
     """
     solved: int
-    gb_k: GroebnerBasis
     basis: tuple        # monomial exponent tuples, std(J) minus std(K)
 
 
@@ -108,29 +106,6 @@ class _SliceMap(NamedTuple):
     cod: tuple        # codomain component shifts
     columns: tuple    # per domain component: (row, images of d_i f, i,
     #                   k / first k) terms
-
-
-class _Differential(NamedTuple):
-    """One differential of a sliced complex: its strand blocks, and its
-    rank at each weight ranked so far."""
-    blocks: tuple     # _SliceMap per strand block
-    ranks: dict       # s -> rank of the whole differential
-
-
-class SlicedComplex(NamedTuple):
-    """A checked, weighted complex as `Analysis.oracle_dim` reads it.
-
-    diffs[k] is the differential joining degrees k and k + 1, in
-    whichever direction it maps, cut into its strand blocks; degree p
-    reads diffs[p - 1] and diffs[p], and the ranks the scan of one end
-    computes over its window are read back by the other end.
-    totals[p] is (lo, column): column[s - lo] is the module total
-    sum_t dim A_(s - t) over degree p's shifts, for every s at which
-    the scan reads degree p, its own window and its neighbours'
-    windows.  windows[p] is degree p's (lo, hi) scan window."""
-    diffs: list       # _Differential per pair of adjacent degrees
-    totals: list      # per degree: (lo, module totals from weight lo on)
-    windows: list     # per scanned degree: (lo, hi)
 
 
 @dataclass
@@ -191,8 +166,7 @@ class Analysis:
         grad_nz = [g for g in self.grad if not g.is_zero()]
         if not grad_nz:
             raise PreconditionError("gradient of f vanishes identically")
-        self.gb_jac = buchberger(grad_nz)
-        std = ideals.standard_monomials(self.gb_jac, self.n)
+        std = ideals.standard_monomials(buchberger(grad_nz), self.n)
         if std.finite:
             self.milnor = len(std.monomials)
             self.milnor_basis = std.monomials
@@ -229,47 +203,10 @@ class Analysis:
                 buchberger([self.f] + others), n)
             in_k = set(std_k.monomials)
             basis = tuple(m for m in std_j.monomials if m not in in_k)
-            return Route(i, gb_k, basis)
+            return Route(i, basis)
         return None
 
     # ---- graded oracle ------------------------------------------------
-
-    def complex(self, direction: str, windows: list) -> SlicedComplex:
-        """Build, check and weight the complex through one degree past
-        the last window, cut its differentials into strand blocks for
-        `oracle_dim`, and fill the module totals its scans of `windows`
-        (one (lo, hi) per degree) read."""
-        build = cochain_complex if direction == "cohomology" else chain_complex
-        cx = build(self.f, len(windows))
-        terms = cx.verify_entries()
-        cx.verify_d_squared_zero(terms)
-        cx.assign_weights(self.ws)
-        diffs = []
-        for k, columns in enumerate(terms):
-            src, tgt = cx.ends(k)
-            dom, cod = cx.modules[src].shifts, cx.modules[tgt].shifts
-            diffs.append(_Differential(tuple(
-                self._slice_map(block, tuple(dom[c] for c in cs),
-                                tuple(cod[r] for r in rs))
-                for cs, rs, block in _strand_blocks(columns)), {}))
-        # degree q is read on its own window and, as the far end of a
-        # differential, on its neighbours' windows
-        spans = []
-        for q in range(len(cx.modules)):
-            near = windows[max(q - 1, 0):q + 2]
-            spans.append((min(lo for lo, _ in near),
-                          max(hi for _, hi in near)))
-        # the scan asks for A at s - t, s in a window and t a shift,
-        # and shifts are >= 0 whenever each w_i <= d: one staircase
-        # walk to the highest window top then fills every basis, and
-        # dim A is read from it once
-        self.A.basis(max(hi for _, hi in windows))
-        top = max(hi - min(m.shifts) for m, (_, hi) in zip(cx.modules, spans))
-        dims = [len(self.A.basis(s)) for s in range(top + 1)]
-        totals = [(lo, _module_totals(dims, [(1, t) for t in m.shifts],
-                                      lo, hi))
-                  for m, (lo, hi) in zip(cx.modules, spans)]
-        return SlicedComplex(diffs, totals, windows)
 
     def _slice_map(self, columns, dom: tuple, cod: tuple) -> _SliceMap:
         """Key a strand block by its content.  Each column's (row, i, k)
@@ -312,43 +249,71 @@ class Analysis:
             cache[mono] = image
         return image
 
-    def oracle_dim(self, sc: SlicedComplex, p: int) -> dict:
-        """{s: dim} of the nonzero weight-s slices of degree-p
-        (co)homology of the complex `complex` returned, over degree p's
-        window: each module total less the ranks of the differentials
-        joining p to p - 1 and to p + 1.
+    def oracle_dim(self, direction: str, windows: list) -> list:
+        """One {s: dim} per degree p of `windows`, each a (lo, hi) scan
+        window: the nonzero weight-s slices of degree-p (co)homology,
+        each the module total sum_t dim A_(s - t) over degree p's shifts
+        less the ranks of the differentials joining p to p - 1 and to
+        p + 1.
 
-        Each differential is ranked, in one pass over its strand blocks,
-        at the window's weights where both of its ends' module totals
-        are nonzero and it has no rank yet; elsewhere its rank is 0 or
-        already known from the neighbouring degree.  A block's rank
-        table is keyed by content, never by degree, so periodicity is
-        not assumed: the 2-periodic tail hits it because its blocks
-        repeat."""
-        lo, hi = sc.windows[p]
-        start, column = sc.totals[p]
-        dims = column[lo - start:hi - start + 1]
-        for k in (p - 1, p):
-            if k < 0:
+        The complex is built, checked and weighted through one degree
+        past the last window.  Each differential is ranked once, in one
+        pass over its strand blocks, at the weights of its two ends'
+        windows where both ends' module totals are nonzero; elsewhere
+        its rank is 0.  A block's rank table is keyed by content, never
+        by degree, so periodicity is not assumed: the 2-periodic tail
+        hits it because its blocks repeat."""
+        build = cochain_complex if direction == "cohomology" else chain_complex
+        cx = build(self.f, len(windows))
+        terms = cx.verify_entries()
+        cx.verify_d_squared_zero(terms)
+        cx.assign_weights(self.ws)
+        # degree q is read on its own window and, as the far end of a
+        # differential, on its neighbours' windows
+        spans = []
+        for q in range(len(cx.modules)):
+            near = windows[max(q - 1, 0):q + 2]
+            spans.append((min(lo for lo, _ in near),
+                          max(hi for _, hi in near)))
+        # the scan asks for A at s - t, s in a window and t a shift,
+        # and shifts are >= 0 whenever each w_i <= d: one staircase
+        # walk to the highest window top then fills every basis, and
+        # dim A is read from it once
+        self.A.basis(max(hi for _, hi in windows))
+        top = max(hi - min(m.shifts) for m, (_, hi) in zip(cx.modules, spans))
+        dims = [len(self.A.basis(s)) for s in range(top + 1)]
+        totals = [(lo, _module_totals(dims, [(1, t) for t in m.shifts],
+                                      lo, hi))
+                  for m, (lo, hi) in zip(cx.modules, spans)]
+        graded = [column[lo - start:hi - start + 1]
+                  for (lo, hi), (start, column) in zip(windows, totals)]
+        for k, columns in enumerate(terms):
+            ends = windows[k:k + 2]
+            (near_lo, near), (far_lo, far) = totals[k], totals[k + 1]
+            weights = set().union(*(range(lo, hi + 1) for lo, hi in ends))
+            todo = [s for s in sorted(weights)
+                    if near[s - near_lo] and far[s - far_lo]]
+            if not todo:
                 continue
-            d = sc.diffs[k]
-            ranks = d.ranks
-            far_start, far = sc.totals[k if k < p else k + 1]
-            todo = [s for s in range(lo, hi + 1) if s not in ranks
-                    and column[s - start] and far[s - far_start]]
-            if todo:
-                span = [0] * len(todo)
-                for table, first, dom, cod, columns in d.blocks:
-                    for j, s in enumerate(todo):
-                        rank = table.get(s - first)
-                        if rank is None:
-                            rank = table[s - first] = self._block_rank(
-                                columns, dom, cod, s)
-                        span[j] += rank
-                for s, rank in zip(todo, span):
-                    ranks[s] = rank
-            dims = [dim - ranks.get(s, 0) for s, dim in enumerate(dims, lo)]
-        return {s: dim for s, dim in enumerate(dims, lo) if dim}
+            src, tgt = cx.ends(k)
+            dom, cod = cx.modules[src].shifts, cx.modules[tgt].shifts
+            ranks = [0] * len(todo)
+            for cs, rs, block in _strand_blocks(columns):
+                table, first, bdom, bcod, bcols = self._slice_map(
+                    block, tuple(dom[c] for c in cs),
+                    tuple(cod[r] for r in rs))
+                for j, s in enumerate(todo):
+                    rank = table.get(s - first)
+                    if rank is None:
+                        rank = table[s - first] = self._block_rank(
+                            bcols, bdom, bcod, s)
+                    ranks[j] += rank
+            for (lo, hi), g in zip(ends, graded[k:k + 2]):
+                for s, rank in zip(todo, ranks):
+                    if lo <= s <= hi:
+                        g[s - lo] -= rank
+        return [{s: dim for s, dim in enumerate(g, lo) if dim}
+                for (lo, _), g in zip(windows, graded)]
 
     def _block_rank(self, columns, dom: tuple, cod: tuple, s: int) -> int:
         """Rank of a strand block's weight-s slice, assembled sparse from
@@ -465,7 +430,6 @@ class _Classifier:
                                     "C[z]/<J'_i, z_i> is infinite-"
                                     "dimensional for every i")
         self.series = PoincareSeries(a.ws.weights, a.ws.degree)
-        self.dim_A = self.series.dim
         self._finite_parts: dict = {}   # source -> see _finite
 
     def degree(self, p: int) -> tuple:
@@ -569,9 +533,9 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
             notes.append("classifier disabled: %s" % exc)
 
     windows = [_window(an, direction, p, cutoff) for p in range(p_max + 1)]
-    sliced = None
+    oracle = None
     if mode in ("graded", "both"):
-        sliced = an.complex(direction, windows)
+        oracle = an.oracle_dim(direction, windows)
 
     if classifier is not None:
         # one dim A list from the series for every expected slice; the
@@ -602,9 +566,7 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
                 val += finite_graded.get(s, 0)
                 if val:
                     expected_graded[s] = val
-        oracle_graded = None
-        if sliced is not None:
-            oracle_graded = an.oracle_dim(sliced, p)
+        oracle_graded = None if oracle is None else oracle[p]
         if expected_graded is not None and oracle_graded is not None:
             if expected_graded != oracle_graded:
                 agree = False

@@ -175,10 +175,10 @@ class GradedQuotient:
     The standard monomials of exact weight s form a vector space basis
     of the degree-s slice; dim(s) is the Hilbert function value there.
     They are held in a table by weight, complete up to a top weight.
-    A request above the top extends the table by one `staircase` walk
-    over the band (top, s], which visits only standard monomials; each
-    new weight's monomials are sorted once, in lex order.  A
-    caller that knows the largest weight it will ask for fills the
+    A request above the top replaces the table by one `staircase` walk
+    from weight 0 through the request, which visits only standard
+    monomials; each weight's monomials are sorted once, in lex order.
+    A caller that knows the largest weight it will ask for fills the
     table in one walk by asking for that weight first.  The table lives
     as long as the instance.
     """
@@ -193,10 +193,8 @@ class GradedQuotient:
     def basis(self, s: int) -> tuple:
         """Standard monomials of weight s, in ascending lex order."""
         if s > self._top:
-            for weight, monos in staircase(self.lead, self.weights, s,
-                                           self._top).items():
-                monos.sort()
-                self._table[weight] = tuple(monos)
+            self._table = {weight: tuple(sorted(monos)) for weight, monos
+                           in staircase(self.lead, self.weights, s).items()}
             self._top = s
         return self._table.get(s, ())
 

@@ -294,10 +294,10 @@ class StandardMonomials(NamedTuple):
     missing_variable: int | None  # 1-based witness when infinite
 
 
-def staircase(lead: Sequence[tuple], weights: Sequence[int], top: int,
-              above: int = -1) -> dict:
+def staircase(lead: Sequence[tuple], weights: Sequence[int],
+              top: int) -> dict:
     """The monomials outside the monomial ideal generated by `lead`
-    whose weight under the positive `weights` lies in (above, top], as
+    whose weight under the positive `weights` is at most `top`, as
     {weight: [exponent tuples]}.  Empty when `lead` holds 1.
 
     The walk fixes one exponent at a time and visits only the
@@ -306,8 +306,7 @@ def staircase(lead: Sequence[tuple], weights: Sequence[int], top: int,
     and whose earlier exponents divide the prefix, since from there on
     every tuple is divisible.  A leading monomial ending earlier cannot
     divide the prefix, or it would have capped an earlier coordinate.
-    A coordinate also stops where the weight would pass `top`, and the
-    last coordinate starts where it passes `above`.
+    A coordinate also stops where the weight would pass `top`.
     """
     buckets: dict = {}
     if any(not any(m) for m in lead):
@@ -325,7 +324,7 @@ def staircase(lead: Sequence[tuple], weights: Sequence[int], top: int,
             if m[i] < stop and all(map(le, m, prefix)):
                 stop = m[i]
         if i == n - 1:
-            for e in range(max(0, (above - weight) // w + 1), stop):
+            for e in range(stop):
                 buckets.setdefault(weight + e * w, []).append(prefix + (e,))
         else:
             for e in range(stop):

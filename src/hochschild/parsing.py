@@ -8,8 +8,9 @@ Grammar:
 
 Variables are z1, z2, z3 (the number of ring variables is the maximal
 index used) or x, y in invariant contexts; the two alphabets cannot be
-mixed.  Rationals are nat or nat/nat.  There is no implicit
-multiplication and no unary minus except a single leading sign.
+mixed, within one polynomial or across polynomials parsed together.
+Rationals are nat or nat/nat.  There is no implicit multiplication and
+no unary minus except a single leading sign.
 """
 
 from __future__ import annotations
@@ -157,15 +158,23 @@ class _Parser:
         raise ParseError("expected a variable, number or parenthesis", pos)
 
 
+def parse_polynomials(texts) -> list:
+    """Parse each text into a polynomial over one ring, the variables
+    all of the texts use, which must come from one alphabet."""
+    tokens = [_tokenize(text) for text in texts]
+    varmap, size = _variable_map([tok for toks in tokens for tok in toks])
+    out = []
+    for toks in tokens:
+        if len(toks) == 1:
+            raise ParseError("empty expression", 0)
+        parser = _Parser(toks, varmap, size)
+        out.append(parser.expr())
+        kind, _, pos = parser.peek()
+        if kind != "end":
+            raise ParseError("trailing input", pos)
+    return out
+
+
 def parse_polynomial(text: str) -> Polynomial:
     """Parse text into a polynomial in as many variables as it uses."""
-    tokens = _tokenize(text)
-    if len(tokens) == 1:
-        raise ParseError("empty expression", 0)
-    varmap, size = _variable_map(tokens)
-    parser = _Parser(tokens, varmap, size)
-    result = parser.expr()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise ParseError("trailing input", pos)
-    return result
+    return parse_polynomials([text])[0]

@@ -115,6 +115,14 @@ def test_groebner_jacobian_flag(capsys):
     assert json.loads(out)["basis"] == ["z1^2", "z2"]
 
 
+@pytest.mark.parametrize("gens", ["x^2+z1", "x^2;z1*z2"])
+def test_groebner_rejects_mixed_alphabets(capsys, gens):
+    # within one generator or across two, x must not be read as z1
+    code, out, err = run(capsys, "groebner", "--gens", gens)
+    assert (code, out) == (2, "")
+    assert "cannot mix z-variables with x, y" in err
+
+
 def test_bar_oracle_command(capsys):
     code, out, _ = run(capsys, "bar-oracle", "--k", "3")
     assert code == 0

@@ -25,7 +25,7 @@ from hochschild.ideals import (
     colon_ideal,
     standard_monomials,
 )
-from hochschild.koszul import chain_complex, cochain_complex
+from hochschild.koszul import KoszulComplex, chain_complex, cochain_complex
 from hochschild.linalg import rank_dense
 from hochschild.parsing import parse_polynomial
 from hochschild.poly import Polynomial
@@ -156,14 +156,14 @@ def test_graded_scan_walks_the_staircase_once(monkeypatch, direction):
     walks = []
     walk = grading.staircase
 
-    def counted(lead, weights, top, above=-1):
-        walks.append((top, above))
-        return walk(lead, weights, top, above)
+    def counted(lead, weights, top):
+        walks.append(top)
+        return walk(lead, weights, top)
 
     monkeypatch.setattr(grading, "staircase", counted)
     r = analyze(parse_polynomial("z1^3+z2^4+z3^5"), direction=direction,
                 p_max=4, mode="graded")
-    assert walks == [(max(d.window[1] for d in r.degrees), -1)]
+    assert walks == [max(d.window[1] for d in r.degrees)]
 
 
 def test_structural_mode_skips_oracle():
@@ -276,35 +276,45 @@ def test_oracle_matches_dense_reference(monkeypatch, f, direction):
 def test_table_scan_ranks_each_differential_once_per_weight(monkeypatch,
                                                             direction):
     f = parse_polynomial("z1^4+z2^4+z3^4+z1*z2*z3^2")
-    ranked = []         # (k, s) per rank of diffs[k] stored at weight s
-    scanned = []        # p per oracle_dim call
-    complex_, oracle_dim = Analysis.complex, Analysis.oracle_dim
+    scans = []          # direction per oracle_dim call
+    current = []        # k of the differential the scan is ranking
+    ranked = set()      # (k, s) per weight s a block of diffs[k] is read at
+    assembled = []      # (rank table, s - base) per block slice assembled
+    oracle_dim, slice_map = Analysis.oracle_dim, Analysis._slice_map
+    ends = KoszulComplex.ends
 
-    class RecordedRanks(dict):
-        def __init__(self, k):
-            super().__init__()
-            self.k = k
+    class RecordedTable:
+        def __init__(self, table, k, base):
+            self.table, self.k, self.base = table, k, base
 
-        def __setitem__(self, s, rank):
-            ranked.append((self.k, s))
-            super().__setitem__(s, rank)
+        def get(self, key):
+            ranked.add((self.k, key + self.base))
+            return self.table.get(key)
 
-    def recorded_complex(self, direction, windows):
-        sc = complex_(self, direction, windows)
-        for k, d in enumerate(sc.diffs):
-            sc.diffs[k] = d._replace(ranks=RecordedRanks(k))
-        return sc
+        def __setitem__(self, key, rank):
+            assembled.append((id(self.table), key))
+            self.table[key] = rank
 
-    def recorded_oracle_dim(self, sc, p):
-        scanned.append(p)
-        return oracle_dim(self, sc, p)
+    def recorded_oracle_dim(self, direction, windows):
+        scans.append(direction)
+        return oracle_dim(self, direction, windows)
 
-    monkeypatch.setattr(Analysis, "complex", recorded_complex)
+    def recorded_ends(self, k):
+        # the scan reads a differential's ends just before cutting it
+        current[:] = [k]
+        return ends(self, k)
+
+    def recorded_slice_map(self, columns, dom, cod):
+        sm = slice_map(self, columns, dom, cod)
+        return sm._replace(ranks=RecordedTable(sm.ranks, current[0], sm.base))
+
     monkeypatch.setattr(Analysis, "oracle_dim", recorded_oracle_dim)
+    monkeypatch.setattr(Analysis, "_slice_map", recorded_slice_map)
+    monkeypatch.setattr(KoszulComplex, "ends", recorded_ends)
     an = Analysis(f)
     r = analyze(f, direction=direction, p_max=6, mode="graded", analysis=an)
-    assert scanned == list(range(len(r.degrees)))
-    assert ranked and len(set(ranked)) == len(ranked)
+    assert scans == [direction]
+    assert assembled and len(set(assembled)) == len(assembled)
     build = cochain_complex if direction == "cohomology" else chain_complex
     cx = build(f, len(r.degrees))
     cx.assign_weights(an.ws)
@@ -418,14 +428,19 @@ def test_route_ideal_matches_colon_ideal(group):
         for i in range(1, an.n + 1):
             others = [g for j, g in enumerate(an.grad, 1) if j != i]
             gb_k = buchberger(others + [Polynomial.variable(an.n, i)])
-            colon = colon_ideal([f] + others, an.grad[i - 1])
-            assert gb_k == buchberger(colon), (f, i)
-            bases.append(gb_k)
+            colon = buchberger(colon_ideal([f] + others, an.grad[i - 1]))
+            assert gb_k == colon, (f, i)
+            bases.append((others, colon))
             finite.append(standard_monomials(gb_k, an.n).finite)
         route = an.route()
         if any(finite):
             i = finite.index(True) + 1
-            assert (route.solved, route.gb_k) == (i, bases[i - 1]), f
+            others, colon = bases[i - 1]
+            std_j = standard_monomials(buchberger([f] + others), an.n)
+            in_k = set(standard_monomials(colon, an.n).monomials)
+            assert route.solved == i, f
+            assert route.basis == tuple(m for m in std_j.monomials
+                                        if m not in in_k), f
         else:
             assert route is None, f
         outcomes.update(finite)
@@ -468,7 +483,7 @@ def _table_degree(classifier, p):
     a, n = classifier.an, classifier.an.n
     d, w = a.ws.degree, a.ws.weights
     W = sum(w)
-    A = classifier.dim_A
+    A = classifier.series.dim
     route = classifier.route
 
     if p == 0:
@@ -580,7 +595,7 @@ def test_degree_rule_matches_reference_table(group):
                 if source is not None:
                     assert shift == ref_shift, (f, direction, p)
                 for s in range(-5, 8 * d + 1):
-                    value = sum(sign * classifier.dim_A(s - t)
+                    value = sum(sign * classifier.series.dim(s - t)
                                 for sign, t in free)
                     assert value == (ref_free(s) if ref_free else 0), \
                         (f, direction, p, s)

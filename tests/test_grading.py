@@ -198,7 +198,7 @@ def test_graded_quotient_basis_matches_reference(case):
             (e for e in exponents_of_weight(weights, s)
              if not any(all(a <= b for a, b in zip(le, e)) for le in lead))))
 
-    # grow the table band by band, and fill it in one walk
+    # re-walk the table at each higher request, and fill it in one walk
     for order in (sorted(weights_s), sorted(weights_s, reverse=True)):
         quotient = GradedQuotient(gb, weights)
         for s in order:

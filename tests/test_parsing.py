@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochschild.parsing import ParseError, parse_polynomial
+from hochschild.parsing import ParseError, parse_polynomial, parse_polynomials
 from hochschild.poly import Polynomial
 
 
@@ -26,6 +26,12 @@ def test_parentheses_and_powers():
 def test_variable_count_inferred_from_max_index():
     assert parse_polynomial("z2^3").n == 2
     assert parse_polynomial("z3 + z1").n == 3
+
+
+def test_polynomials_parsed_together_share_one_ring():
+    assert parse_polynomials(["z1^2", "z3", "3"]) == [
+        Polynomial(3, {(2, 0, 0): 1}), Polynomial.variable(3, 3),
+        Polynomial.constant(3, 3)]
 
 
 def test_xy_variables():
