@@ -246,9 +246,8 @@ def _run_weights(args) -> int:
 
 def _run_bar_oracle(args) -> int:
     try:
-        algebra = bar.FiniteAlgebra.truncated_polynomial(args.k)
-        coh = bar.bar_cohomology_dims(algebra, args.max_degree)
-        hom = bar.bar_homology_dims(algebra, args.max_degree)
+        coh = bar.bar_cohomology_dims(args.k, args.max_degree)
+        hom = bar.bar_homology_dims(args.k, args.max_degree)
     except bar.ResourceLimitError as exc:
         raise CliError(str(exc), 1)
     except ValueError as exc:
@@ -356,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bar-oracle",
                        help="bar-complex dims for C[z]/<z^k> (k <= 4)")
-    b.add_argument("--k", type=int, required=True)
+    b.add_argument("--k", type=int, required=True,
+                   help="the algebra is C[z]/<z^k>; 1 <= k <= 4")
     b.add_argument("--max-degree", type=_nonnegative_int, default=3)
     b.add_argument("--format", choices=("json", "table"), default="json")
 

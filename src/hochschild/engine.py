@@ -164,8 +164,6 @@ class Analysis:
         self.A = GradedQuotient(self.gb_f, self.ws.weights)
         self.grad = f.gradient()
         grad_nz = [g for g in self.grad if not g.is_zero()]
-        if not grad_nz:
-            raise PreconditionError("gradient of f vanishes identically")
         std = ideals.standard_monomials(buchberger(grad_nz), self.n)
         if std.finite:
             self.milnor = len(std.monomials)

@@ -6,8 +6,11 @@ differentials (both are mostly zero), and a dense Bareiss elimination,
 kept as the independent reference that the tests compare the sparse
 path against.  Rational entries are cleared of denominators row by row,
 which leaves the rank unchanged; the sparse path reads a row of nonzero
-ints as given.  `nullspace` divides only through
-`poly.exact_quotient`.  No floating point and no modular arithmetic.
+ints as given.  The bar oracle's entries are ints, so Fraction rows
+reach `rank_sparse` only from the graded oracle, where a slice entry is
+not integral (as for f with a non-integral coefficient).  `nullspace`
+divides only through `poly.exact_quotient`.  No floating point and no
+modular arithmetic.
 """
 
 from __future__ import annotations

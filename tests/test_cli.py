@@ -344,6 +344,8 @@ def test_table_output(capsys, argv, expected):
     (("milnor", "--catalog", "e8-curve"), 0),
     (("cohomology", "--poly", "z1^2*z2", "--mode", "structural"), 1),
     (("milnor", "--poly", "2z1"), 2),
+    # rejected by the resource guard before any table is built
+    (("bar-oracle", "--k", "100"), 1),
 ])
 def test_module_entry_point_exit_codes(argv, code):
     # the real process, through the module's __main__ block
