@@ -36,10 +36,16 @@ Two independent routes to the same numbers:
   components its entries hit, read from those entries; a slice's rank
   is the sum of its blocks' ranks, and the weights are ranked in one
   pass over the blocks.  A block slice is assembled sparse from normal
-  forms of d_i f * z^m, each a sum of memoized monomial normal forms
-  (`GroebnerBasis.monomial_normal_form`), and its rank is cached by the
-  block's content: a block that recurs, in another differential or in
-  the 2-periodic tail, is ranked once per weight.
+  forms of d_i f * z^m held as positions in the bases of A: a standard
+  product is read from the position index of `GradedQuotient`, any
+  other is divisible by the leading monomial of f and takes one
+  reduction step, and only a tail product that is still not standard
+  takes a memoized monomial normal form
+  (`GroebnerBasis.monomial_normal_form`).  A row is its codomain
+  component's offset, read from the dim A list, plus a position.  A
+  block slice's rank is cached by the block's content: a block that
+  recurs, in another differential or in the 2-periodic tail, is ranked
+  once per weight.
 
 When both run, every slice in the scan window is compared and the
 report carries an "agree"/"disagree" verdict.
@@ -162,6 +168,10 @@ class Analysis:
             raise AssertionError("Euler identity fails for detected weights")
         self.gb_f = buchberger([f])
         self.A = GradedQuotient(self.gb_f, self.ws.weights)
+        # the one monic f as (leading exponents, tail scaled by -1): the
+        # reduction step of `_image`
+        (monic,) = self.gb_f
+        self._step = ideals._divisor(monic.terms)
         self.grad = f.gradient()
         grad_nz = [g for g in self.grad if not g.is_zero()]
         std = ideals.standard_monomials(buchberger(grad_nz), self.n)
@@ -228,23 +238,44 @@ class Analysis:
             for col in normed))
 
     def _image(self, i: int, mono: tuple) -> tuple:
-        """normal_form(d_i f * z^mono) as (exponents, coefficient) pairs,
-        integral coefficients stored as int: the sum over the terms
-        v * z^e of d_i f of v * monomial_normal_form(e + mono).  A
-        single-term d_i f scales one monomial normal form."""
+        """normal_form(d_i f * z^mono) as (position, coefficient) pairs,
+        each position that of a standard monomial in `self.A.basis` of
+        its weight, integral coefficients stored as int.  `self.A` must
+        be filled through the product's weight.
+
+        Each term v * z^e of d_i f gives a = e + mono.  A standard z^a
+        is read from the position index.  Otherwise the leading monomial
+        of f divides z^a, and one reduction step replaces it by the
+        scaled tail of f times z^(a - lead), whose products are read
+        from the index in turn; only a product that is still not
+        standard takes `GroebnerBasis.monomial_normal_form`."""
         cache = self._images[i - 1]
         image = cache.get(mono)
         if image is None:
-            terms = self.grad[i - 1].terms.items()
-            if len(terms) == 1:
-                (e, v), = terms
-                image = tuple((m, int_or_fraction(v * c)) for m, c in
-                              self.gb_f.monomial_normal_form(
-                                  tuple(map(add, e, mono))))
-            else:
-                image = self.gb_f.sparse_normal_form(
-                    (tuple(map(add, e, mono)), v) for e, v in terms)
-            cache[mono] = image
+            position = self.A.position
+            lead, tail = self._step
+            acc: dict = {}
+            for e, v in self.grad[i - 1].terms.items():
+                a = tuple(map(add, e, mono))
+                r = position.get(a)
+                if r is not None:
+                    acc[r] = acc.get(r, 0) + v
+                    continue
+                q = tuple(map(sub, a, lead))
+                if min(q) < 0:
+                    raise LookupError("standard monomial %r lies above the "
+                                      "filled basis of A" % (a,))
+                for t, c in tail:
+                    b = tuple(map(add, t, q))
+                    r = position.get(b)
+                    if r is not None:
+                        acc[r] = acc.get(r, 0) + v * c
+                        continue
+                    for x, y in self.gb_f.monomial_normal_form(b):
+                        r = position[x]
+                        acc[r] = acc.get(r, 0) + v * c * y
+            image = cache[mono] = tuple((r, int_or_fraction(c))
+                                        for r, c in acc.items() if c)
         return image
 
     def oracle_dim(self, direction: str, windows: list) -> list:
@@ -304,7 +335,7 @@ class Analysis:
                     rank = table.get(s - first)
                     if rank is None:
                         rank = table[s - first] = self._block_rank(
-                            bcols, bdom, bcod, s)
+                            bcols, bdom, bcod, s, dims)
                     ranks[j] += rank
             for (lo, hi), g in zip(ends, graded[k:k + 2]):
                 for s, rank in zip(todo, ranks):
@@ -313,22 +344,26 @@ class Analysis:
         return [{s: dim for s, dim in enumerate(g, lo) if dim}
                 for (lo, _), g in zip(windows, graded)]
 
-    def _block_rank(self, columns, dom: tuple, cod: tuple, s: int) -> int:
+    def _block_rank(self, columns, dom: tuple, cod: tuple, s: int,
+                    dims: list) -> int:
         """Rank of a strand block's weight-s slice, assembled sparse from
-        the block's columns of (row, images of d_i f, i, k) terms.  An
-        image read from its cache is a dict lookup; only a miss calls
-        `_image`.  A block slice with no columns has rank 0 and gets no
-        row maps; one with no rows has rank 0 and is not assembled."""
+        the block's columns of (row, images of d_i f, i, k) terms.  Rows
+        are numbered by codomain component, the component at shift t
+        taking dims[s - t] rows from its offset, so an image position
+        plus its component's offset is the row.  An image read from its
+        cache is a dict lookup; only a miss calls `_image`.  A block
+        slice with no columns has rank 0; one with no rows has rank 0
+        and is not assembled."""
         basis = self.A.basis
         domain = [basis(s - t) for t in dom]
         if not any(domain):
             return 0
-        rows = []           # per codomain component: mono -> row
+        offsets = []
         count = 0
         for t in cod:
-            monos = basis(s - t)
-            rows.append(dict(zip(monos, range(count, count + len(monos)))))
-            count += len(monos)
+            offsets.append(count)
+            if s >= t:
+                count += dims[s - t]
         if not count:
             return 0
         cols = []
@@ -336,12 +371,12 @@ class Analysis:
             for mono in monos:
                 col = {}
                 for r, images, i, k in terms:
-                    row_of = rows[r]
+                    offset = offsets[r]
                     image = images.get(mono)
                     if image is None:
                         image = self._image(i, mono)
-                    for exps, v in image:
-                        col[row_of[exps]] = k * v
+                    for pos, v in image:
+                        col[offset + pos] = k * v
                 if col:
                     cols.append(col)
         return rank_sparse(cols) if cols else 0

@@ -175,12 +175,16 @@ class GradedQuotient:
     The standard monomials of exact weight s form a vector space basis
     of the degree-s slice; dim(s) is the Hilbert function value there.
     They are held in a table by weight, complete up to a top weight.
-    A request above the top replaces the table by one `staircase` walk
+    A request above the top extends the table by one `staircase` walk
     from weight 0 through the request, which visits only standard
-    monomials; each weight's monomials are sorted once, in lex order.
-    A caller that knows the largest weight it will ask for fills the
-    table in one walk by asking for that weight first.  The table lives
-    as long as the instance.
+    monomials; each new weight's monomials are sorted once, in lex
+    order, and a weight already in the table keeps its tuple.  The
+    position index maps every standard monomial in the table to its
+    position in `basis` of its weight; it is filled in the same walk,
+    and since a lower weight's tuple never changes, neither do its
+    positions.  A caller that knows the largest weight it will ask for
+    fills the table in one walk by asking for that weight first.  The
+    table and the index live as long as the instance.
     """
 
     def __init__(self, gb: GroebnerBasis, weights: Sequence[int]):
@@ -189,12 +193,17 @@ class GradedQuotient:
         self.lead = gb.leading_exponents()
         self._top = -1
         self._table: dict = {}      # weight -> sorted standard monomials
+        self.position: dict = {}    # standard monomial -> index in basis
 
     def basis(self, s: int) -> tuple:
         """Standard monomials of weight s, in ascending lex order."""
         if s > self._top:
-            self._table = {weight: tuple(sorted(monos)) for weight, monos
-                           in staircase(self.lead, self.weights, s).items()}
+            for weight, monos in staircase(self.lead, self.weights,
+                                           s).items():
+                if weight > self._top:
+                    monos.sort()
+                    self._table[weight] = tuple(monos)
+                    self.position.update(zip(monos, range(len(monos))))
             self._top = s
         return self._table.get(s, ())
 

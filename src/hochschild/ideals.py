@@ -21,7 +21,10 @@ textbook loop with quotients and is the reference for it.
 monomial at a time and memoizes each result on the basis, so the
 normal forms of many products sharing reduction chains are sums of
 table entries.  Normal forms are linear, so summing the table over a
-polynomial's terms gives `normal_form`'s remainder.
+polynomial's terms gives `normal_form`'s remainder.  The graded oracle
+reads standard products from its own position index and takes one
+reduction step by f itself; it calls `monomial_normal_form` only for
+the products that one step leaves non-standard.
 
 Intersections go through the usual auxiliary-variable trick: the new
 variable t comes first, so lex eliminates it; colon ideals divide an

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochschild import engine, grading
+from hochschild import cli, engine, grading
 from hochschild.catalog import catalog_instance, catalog_names
 from hochschild.engine import (
     Analysis,
@@ -323,22 +323,85 @@ def test_table_scan_ranks_each_differential_once_per_weight(monkeypatch,
             assert sum(an.A.dim(s - t) for t in cx.modules[q].shifts), (k, s)
 
 
+# the third f has multi-term partials, a Fraction coefficient, and tail
+# products that one reduction step does not make standard
+_IMAGE_POLYS = ["1/2*z1^3+z2^5", "z1^7+z2^11+z3^13",
+                "z1^3+1/2*z1^2*z2^2+z2^6+z3^25"]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["1/2*z1^3+z2^5", "z1^7+z2^11+z3^13"]),
+@given(st.sampled_from(_IMAGE_POLYS),
        st.lists(st.integers(0, 30), min_size=3, max_size=3),
        st.integers(1, 3))
 def test_image_matches_normal_form(poly, exps, i):
-    # every partial of these f is one term, the fast path of `_image`
+    # mono is arbitrary, standard or not; positions are mapped back
+    # through the basis of the product's weight
     an = Analysis(parse_polynomial(poly))
     i = min(i, an.n)
     mono = tuple(exps[:an.n])
+    weight = (sum(w * e for w, e in zip(an.ws.weights, mono))
+              + an.ws.degree - an.ws.weights[i - 1])
+    basis = an.A.basis(weight)
     image = an._image(i, mono)
     expected = an.gb_f.normal_form(an.grad[i - 1]
                                    * Polynomial.monomial(an.n, mono))
-    assert dict(image) == expected.terms
+    assert {basis[r]: v for r, v in image} == expected.terms
     assert len(image) == len(expected.terms)
     for _, v in image:
         assert type(v) is int if v.denominator == 1 else type(v) is Fraction
+
+
+def test_image_above_the_filled_basis_fails_loudly():
+    # z2^10 is standard, but no basis of A has been filled yet
+    an = Analysis(parse_polynomial("z1^7+z2^11+z3^13"))
+    with pytest.raises(LookupError, match="above the filled basis"):
+        an._image(2, (0, 0, 0))
+
+
+class _CountingBasis:
+    """A Groebner basis that records the exponents passed to
+    `monomial_normal_form` from outside."""
+
+    def __init__(self, gb):
+        self.gb = gb
+        self.calls = []
+
+    def monomial_normal_form(self, exps):
+        self.calls.append(exps)
+        return self.gb.monomial_normal_form(exps)
+
+    def __getattr__(self, name):
+        return getattr(self.gb, name)
+
+
+def test_image_falls_back_only_for_products_that_stay_nonstandard():
+    f = parse_polynomial("z1^3+1/2*z1^2*z2^2+z2^6+z3^25")
+    an = Analysis(f)
+    counting = an.gb_f = _CountingBasis(an.gb_f)
+    fresh = analyze(f, p_max=4, mode="graded")
+    report = analyze(f, p_max=4, mode="graded", analysis=an)
+    assert counting.calls
+    assert not any(m in an.A.position for m in counting.calls)
+    assert [deg.oracle_graded for deg in report.degrees] == \
+        [deg.oracle_graded for deg in fresh.degrees]
+
+
+_SHARED_RUNS = [("cohomology", 4, 20, "both"), ("homology", 9, None, "both"),
+                ("cohomology", 12, None, "graded")]
+
+
+@pytest.mark.parametrize("poly", ["z1^3+1/2*z1^2*z2^2+z2^6+z3^25",
+                                  "z1^7+z2^11+z3^13", "2*z1^3+z1^2*z2+z2^3"])
+def test_shared_analysis_reports_match_fresh_ones(poly):
+    # each run asks for higher weights than the last, so the shared A is
+    # re-walked under images cached as positions
+    f = parse_polynomial(poly)
+    shared = Analysis(f)
+    for direction, p_max, cutoff, mode in _SHARED_RUNS:
+        kwargs = dict(direction=direction, p_max=p_max, cutoff=cutoff,
+                      mode=mode)
+        assert cli._report_json(analyze(f, analysis=shared, **kwargs)) == \
+            cli._report_json(analyze(f, **kwargs))
 
 
 @pytest.mark.parametrize("direction", ["cohomology", "homology"])

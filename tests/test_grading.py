@@ -203,3 +203,26 @@ def test_graded_quotient_basis_matches_reference(case):
         quotient = GradedQuotient(gb, weights)
         for s in order:
             assert quotient.basis(s) == reference(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 4), min_size=n, max_size=n),
+    st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=3),
+    st.lists(st.integers(-3, 150), min_size=1, max_size=12, unique=True))))
+def test_position_index_survives_every_rewalk(case):
+    # `basis` itself is checked against a reference above
+    weights, leads, weights_s = case
+    n = len(weights)
+    gb = buchberger([Polynomial(n, {e: 1}) for e in leads])
+    quotient = GradedQuotient(gb, weights)
+    before = {}
+    for top in sorted(weights_s):
+        quotient.basis(top)
+        expected = {m: basis.index(m)
+                    for basis in map(quotient.basis, range(top + 1))
+                    for m in basis}
+        assert quotient.position == expected
+        # a request above the old top moves no lower weight's position
+        assert all(quotient.position[m] == j for m, j in before.items())
+        before = expected
