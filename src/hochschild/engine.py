@@ -42,10 +42,23 @@ Two independent routes to the same numbers:
   reduction step, and only a tail product that is still not standard
   takes a memoized monomial normal form
   (`GroebnerBasis.monomial_normal_form`).  A row is its codomain
-  component's offset, read from the dim A list, plus a position.  A
-  block slice's rank is cached by the block's content: a block that
-  recurs, in another differential or in the 2-periodic tail, is ranked
-  once per weight.
+  component's offset, read from the dim A list, plus a position.
+
+  A block slice's rank is cached at two levels, both scoped to the
+  block's signature (its column terms and relative shifts, see
+  `_slice_map`), so a block that recurs, in another differential or in
+  the 2-periodic tail, shares both tables.  The first is keyed by the
+  relative weight s - base.  On a miss there, the slice's content key
+  is looked up in the second: the number of standard monomials in each
+  domain component, then one id per (monomial, term) in column order,
+  the id of the image d_i f * z^m interned by `_image`, so equal images
+  get equal ids.  Only a second miss assembles the slice and ranks it.
+  The key is complete: the signature fixes each component's (row, i, k)
+  terms, the counts split the ids into columns and components, and the
+  ids give each term's (position, coefficient) entries, so two slices
+  with one key are one matrix up to an injective renumbering of rows
+  (a row is its component's offset plus a position below that
+  component's dim), and have one rank.
 
 When both run, every slice in the scan window is compared and the
 report carries an "agree"/"disagree" verdict.
@@ -105,13 +118,15 @@ class _SliceMap(NamedTuple):
     """One strand block of a differential as the oracle slices it: the
     domain components of one connected piece of the differential and
     the codomain components their entries hit, rows numbered within the
-    block."""
-    ranks: dict       # s - base -> rank, shared by equal signatures
+    block.  Both rank tables are shared by blocks of equal signature and
+    by no others."""
+    ranks: dict       # s - base -> rank
+    contents: dict    # content key (see `_block_rank`) -> rank
     base: int         # first domain shift
     dom: tuple        # domain component shifts
     cod: tuple        # codomain component shifts
-    columns: tuple    # per domain component: (row, images of d_i f, i,
-    #                   k / first k) terms
+    columns: tuple    # per domain component: (row, image ids of d_i f,
+    #                   i, k / first k) terms
 
 
 @dataclass
@@ -183,8 +198,10 @@ class Analysis:
             self.milnor_basis = None
         self._route = _UNSET
         # graded-oracle caches (see _slice_map and _image)
-        self._ranks: dict = {}           # signature -> {s - base: rank}
-        self._images = [{} for _ in range(self.n)]   # per partial
+        self._tables: dict = {}   # signature -> (ranks, contents)
+        self._images = [{} for _ in range(self.n)]   # per partial: mono -> id
+        self._ids: dict = {}      # image -> id
+        self._interned = []       # id -> image
 
     # ---- route search -------------------------------------------------
 
@@ -223,17 +240,20 @@ class Analysis:
         those terms plus the shifts relative to the first domain shift
         `base`; the slice at weight s is then a function of the
         signature and s - base, so blocks of equal signature share one
-        rank table keyed by s - base.  The block keeps each term with
-        the image cache of its partial, which `_block_rank` reads."""
+        rank table keyed by s - base, and one keyed by slice content.
+        The block keeps each term with the image id cache of its
+        partial, which `_block_rank` reads."""
         base = dom[0]
         normed = tuple(tuple((r, i, exact_quotient(k, col[0][2]))
                              for r, i, k in col)
                        for col in columns)
         signature = (normed, tuple(t - base for t in dom),
                      tuple(t - base for t in cod))
-        ranks = self._ranks.setdefault(signature, {})
+        tables = self._tables.get(signature)
+        if tables is None:
+            tables = self._tables[signature] = ({}, {})
         images = self._images
-        return _SliceMap(ranks, base, dom, cod, tuple(
+        return _SliceMap(*tables, base, dom, cod, tuple(
             tuple((r, images[i - 1], i, k) for r, i, k in col)
             for col in normed))
 
@@ -243,40 +263,53 @@ class Analysis:
         its weight, integral coefficients stored as int.  `self.A` must
         be filled through the product's weight.
 
+        The image is reduced once per (i, mono) and interned: the cache
+        of partial i maps mono to a small int id, equal to the id of
+        every equal image of any partial, and `self._interned[id]` is
+        the image.  `_block_rank` keys slice content by these ids."""
+        cache = self._images[i - 1]
+        iid = cache.get(mono)
+        if iid is None:
+            image = self._reduce(i, mono)
+            iid = self._ids.get(image)
+            if iid is None:
+                iid = self._ids[image] = len(self._interned)
+                self._interned.append(image)
+            cache[mono] = iid
+        return self._interned[iid]
+
+    def _reduce(self, i: int, mono: tuple) -> tuple:
+        """The (position, coefficient) pairs of `_image`, uncached.
+
         Each term v * z^e of d_i f gives a = e + mono.  A standard z^a
         is read from the position index.  Otherwise the leading monomial
         of f divides z^a, and one reduction step replaces it by the
         scaled tail of f times z^(a - lead), whose products are read
         from the index in turn; only a product that is still not
         standard takes `GroebnerBasis.monomial_normal_form`."""
-        cache = self._images[i - 1]
-        image = cache.get(mono)
-        if image is None:
-            position = self.A.position
-            lead, tail = self._step
-            acc: dict = {}
-            for e, v in self.grad[i - 1].terms.items():
-                a = tuple(map(add, e, mono))
-                r = position.get(a)
+        position = self.A.position
+        lead, tail = self._step
+        acc: dict = {}
+        for e, v in self.grad[i - 1].terms.items():
+            a = tuple(map(add, e, mono))
+            r = position.get(a)
+            if r is not None:
+                acc[r] = acc.get(r, 0) + v
+                continue
+            q = tuple(map(sub, a, lead))
+            if min(q) < 0:
+                raise LookupError("standard monomial %r lies above the "
+                                  "filled basis of A" % (a,))
+            for t, c in tail:
+                b = tuple(map(add, t, q))
+                r = position.get(b)
                 if r is not None:
-                    acc[r] = acc.get(r, 0) + v
+                    acc[r] = acc.get(r, 0) + v * c
                     continue
-                q = tuple(map(sub, a, lead))
-                if min(q) < 0:
-                    raise LookupError("standard monomial %r lies above the "
-                                      "filled basis of A" % (a,))
-                for t, c in tail:
-                    b = tuple(map(add, t, q))
-                    r = position.get(b)
-                    if r is not None:
-                        acc[r] = acc.get(r, 0) + v * c
-                        continue
-                    for x, y in self.gb_f.monomial_normal_form(b):
-                        r = position[x]
-                        acc[r] = acc.get(r, 0) + v * c * y
-            image = cache[mono] = tuple((r, int_or_fraction(c))
-                                        for r, c in acc.items() if c)
-        return image
+                for x, y in self.gb_f.monomial_normal_form(b):
+                    r = position[x]
+                    acc[r] = acc.get(r, 0) + v * c * y
+        return tuple((r, int_or_fraction(c)) for r, c in acc.items() if c)
 
     def oracle_dim(self, direction: str, windows: list) -> list:
         """One {s: dim} per degree p of `windows`, each a (lo, hi) scan
@@ -289,9 +322,10 @@ class Analysis:
         past the last window.  Each differential is ranked once, in one
         pass over its strand blocks, at the weights of its two ends'
         windows where both ends' module totals are nonzero; elsewhere
-        its rank is 0.  A block's rank table is keyed by content, never
-        by degree, so periodicity is not assumed: the 2-periodic tail
-        hits it because its blocks repeat."""
+        its rank is 0.  A block's rank tables are keyed by its signature
+        and by slice content, never by degree, so periodicity is not
+        assumed: the 2-periodic tail hits them because its blocks
+        repeat."""
         build = cochain_complex if direction == "cohomology" else chain_complex
         cx = build(self.f, len(windows))
         terms = cx.verify_entries()
@@ -328,14 +362,14 @@ class Analysis:
             dom, cod = cx.modules[src].shifts, cx.modules[tgt].shifts
             ranks = [0] * len(todo)
             for cs, rs, block in _strand_blocks(columns):
-                table, first, bdom, bcod, bcols = self._slice_map(
-                    block, tuple(dom[c] for c in cs),
-                    tuple(cod[r] for r in rs))
+                block = self._slice_map(block, tuple(dom[c] for c in cs),
+                                        tuple(cod[r] for r in rs))
+                table, first = block.ranks, block.base
                 for j, s in enumerate(todo):
                     rank = table.get(s - first)
                     if rank is None:
                         rank = table[s - first] = self._block_rank(
-                            bcols, bdom, bcod, s, dims)
+                            block, s, dims)
                     ranks[j] += rank
             for (lo, hi), g in zip(ends, graded[k:k + 2]):
                 for s, rank in zip(todo, ranks):
@@ -344,42 +378,58 @@ class Analysis:
         return [{s: dim for s, dim in enumerate(g, lo) if dim}
                 for (lo, _), g in zip(windows, graded)]
 
-    def _block_rank(self, columns, dom: tuple, cod: tuple, s: int,
-                    dims: list) -> int:
-        """Rank of a strand block's weight-s slice, assembled sparse from
-        the block's columns of (row, images of d_i f, i, k) terms.  Rows
-        are numbered by codomain component, the component at shift t
-        taking dims[s - t] rows from its offset, so an image position
-        plus its component's offset is the row.  An image read from its
-        cache is a dict lookup; only a miss calls `_image`.  A block
-        slice with no columns has rank 0; one with no rows has rank 0
-        and is not assembled."""
+    def _block_rank(self, block: _SliceMap, s: int, dims: list) -> int:
+        """Rank of a strand block's weight-s slice.  Rows are numbered by
+        codomain component, the component at shift t taking dims[s - t]
+        rows from its offset, so an image position plus its component's
+        offset is the row.  A block slice with no columns or no rows has
+        rank 0 and is not assembled.
+
+        Otherwise the slice's content key is read: the count of standard
+        monomials in each domain component, then the image id of each
+        (monomial, term) in column order, from the block's id caches
+        (only a miss calls `_image`).  A key found in `block.contents`
+        gives the rank; a new key's slice is assembled sparse from the
+        interned images, ranked, and stored under the key."""
         basis = self.A.basis
-        domain = [basis(s - t) for t in dom]
+        domain = [basis(s - t) for t in block.dom]
         if not any(domain):
             return 0
         offsets = []
         count = 0
-        for t in cod:
+        for t in block.cod:
             offsets.append(count)
             if s >= t:
                 count += dims[s - t]
         if not count:
             return 0
-        cols = []
-        for terms, monos in zip(columns, domain):
+        key = list(map(len, domain))
+        for terms, monos in zip(block.columns, domain):
             for mono in monos:
-                col = {}
-                for r, images, i, k in terms:
-                    offset = offsets[r]
-                    image = images.get(mono)
-                    if image is None:
-                        image = self._image(i, mono)
-                    for pos, v in image:
-                        col[offset + pos] = k * v
-                if col:
-                    cols.append(col)
-        return rank_sparse(cols) if cols else 0
+                for _, ids, i, _ in terms:
+                    iid = ids.get(mono)
+                    if iid is None:
+                        self._image(i, mono)
+                        iid = ids[mono]
+                    key.append(iid)
+        key = tuple(key)
+        rank = block.contents.get(key)
+        if rank is None:
+            interned = self._interned
+            cols = []
+            j = len(domain)
+            for terms, monos in zip(block.columns, domain):
+                for _ in monos:
+                    col = {}
+                    for r, _, _, k in terms:
+                        offset = offsets[r]
+                        for pos, v in interned[key[j]]:
+                            col[offset + pos] = k * v
+                        j += 1
+                    if col:
+                        cols.append(col)
+            rank = block.contents[key] = rank_sparse(cols) if cols else 0
+        return rank
 
 
 def _strand_blocks(columns) -> list:

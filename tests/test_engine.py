@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from hochschild.ideals import (
     standard_monomials,
 )
 from hochschild.koszul import KoszulComplex, chain_complex, cochain_complex
-from hochschild.linalg import rank_dense
+from hochschild.linalg import rank_dense, rank_sparse
 from hochschild.parsing import parse_polynomial
 from hochschild.poly import Polynomial
 from reference import verify_infinite_part
@@ -203,6 +204,8 @@ def test_negative_degree_or_cutoff_rejected(kwargs):
 
 # its lex-leading term 2*z1^3 makes some normal forms fractional
 NON_MONIC = parse_polynomial("2*z1^3+z1^2*z2+z2^3")
+# its multi-term partials give no two block slices equal content
+MIXED_SURFACE = parse_polynomial("z1^4+z2^4+z3^4+z1*z2*z3^2")
 
 
 def _dense_slice_rank(an, mat, dom, cod, s):
@@ -228,26 +231,43 @@ def _dense_slice_rank(an, mat, dom, cod, s):
 @pytest.mark.parametrize("direction", ["cohomology", "homology"])
 @pytest.mark.parametrize("f", [catalog_instance("d5-curve").f,
                                catalog_instance("e6-surface").f,
-                               parse_polynomial("z1^4+z2^4+z3^4+z1*z2*z3^2"),
+                               MIXED_SURFACE,
                                parse_polynomial("z1^2+z2^3+z3^5"),
-                               NON_MONIC],
+                               NON_MONIC,
+                               parse_polynomial("z1^3+z2^4+z3^5"),
+                               parse_polynomial("z1^2*z2")],
                          ids=["d5-curve", "e6-surface", "mixed-surface",
-                              "e8-surface", "non-monic"])
+                              "e8-surface", "non-monic", "brieskorn-345",
+                              "non-isolated"])
 def test_oracle_matches_dense_reference(monkeypatch, f, direction):
     # p_max 6 makes every strand block recur in a later differential,
     # at another base shift, so shared rank tables are read there
     p_max = 6
     an = Analysis(f)
     rows = []
-    rank_sparse = engine.rank_sparse
+    ranked = []             # one entry per slice that reaches the rank
+    assembled = []          # one entry per block slice with columns and rows
+    rank_sparse, block_rank = engine.rank_sparse, Analysis._block_rank
 
     def recorded(cols):
+        ranked.append(len(cols))
         rows.extend(cols)
         return rank_sparse(cols)
 
+    def recorded_block_rank(self, block, s, dims):
+        if (any(self.A.basis(s - t) for t in block.dom)
+                and any(dims[s - t] for t in block.cod if s >= t)):
+            assembled.append(s)
+        return block_rank(self, block, s, dims)
+
     monkeypatch.setattr(engine, "rank_sparse", recorded)
+    monkeypatch.setattr(Analysis, "_block_rank", recorded_block_rank)
     r = analyze(f, direction=direction, p_max=p_max, mode="graded",
                 analysis=an)
+    # equal slice content at another relative weight is ranked once
+    assert len(ranked) <= len(assembled)
+    if f != MIXED_SURFACE:
+        assert len(ranked) < len(assembled)
     if f == NON_MONIC:
         # normal forms mod a non-monic f: some slices reach the rank
         # with Fraction entries
@@ -441,6 +461,67 @@ def test_strand_blocks_of_hand_built_columns():
         ((3,), (0, 4), (((1, 1, 1), (0, 2, 3)),)),
     ]
     assert _strand_blocks(((), ())) == []
+
+
+def _hand_built_analysis(basis, images):
+    """An Analysis whose A has the standard monomials `basis[w]` at
+    weight w and whose d_i f * z^mono reduces to `images[i, mono]`; its
+    image and rank caches are real.  Each reduction is a new tuple, so
+    equal images are equal by content only."""
+    an = Analysis(parse_polynomial("z1^2+z2^2"))
+    an.A = SimpleNamespace(basis=lambda w: basis.get(w, []))
+    an._reduce = lambda i, mono: tuple(list(images[i, mono]))
+    return an
+
+
+def _fresh_slice_rank(an, columns, dom, s, images):
+    """rank_sparse of the weight-s slice of a block given as columns of
+    (row, i, k) terms, assembled here with no cache and rows keyed
+    (codomain component, position)."""
+    cols = [{(r, pos): k * v for r, i, k in terms for pos, v in images[i, mono]}
+            for terms, t in zip(columns, dom) for mono in an.A.basis(s - t)]
+    return rank_sparse(cols)
+
+
+def test_block_rank_content_key_is_complete(monkeypatch):
+    calls = []
+
+    def recorded(cols):
+        calls.append(len(cols))
+        return rank_sparse(cols)
+
+    monkeypatch.setattr(engine, "rank_sparse", recorded)
+    x, y = ((0, 1),), ((1, 1),)
+    dims = [2] * 8
+    # one block at three weights: at s = 2 and s = 3 component 0 holds
+    # two monomials, at s = 6 component 1 holds one with two terms, and
+    # all three read the image ids of x, y in that order
+    basis = {1: [(1, 0)], 2: [(2, 0), (1, 1)], 3: [(3, 0), (2, 1)]}
+    images = {(1, (2, 0)): x, (1, (1, 1)): y, (1, (3, 0)): x,
+              (1, (2, 1)): y, (1, (1, 0)): x, (2, (1, 0)): y}
+    an = _hand_built_analysis(basis, images)
+    columns = (((0, 1, 1),), ((0, 1, 1), (1, 2, 1)))
+    block = an._slice_map(columns, (0, 5), (0, 0))
+    for s, rank in ((2, 2), (6, 1), (3, 2)):
+        assert an._block_rank(block, s, dims) == rank
+        assert _fresh_slice_rank(an, columns, (0, 5), s, images) == rank
+    # s = 3 has the content of s = 2 under other monomials
+    assert len(calls) == 2
+    # signatures that differ in one k, or in the rows their terms hit,
+    # over the same image at every (monomial, term)
+    basis = {1: [(1, 0)], 2: [(2, 0), (1, 1)]}
+    images = {(i, mono): x for i in (1, 2) for monos in basis.values()
+              for mono in monos}
+    an = _hand_built_analysis(basis, images)
+    signatures = [
+        ((((0, 1, 1), (1, 2, 1)), ((0, 1, 1), (1, 2, 1))), (0, 0), 1),
+        ((((0, 1, 1), (1, 2, 1)), ((0, 1, 1), (1, 2, -1))), (0, 0), 2),
+        ((((0, 1, 1),), ((1, 1, 1),)), (0, 0), 2),
+        ((((0, 1, 1),), ((0, 1, 1),)), (0,), 1)]
+    for columns, cod, rank in signatures:
+        block = an._slice_map(columns, (0, 1), cod)
+        assert an._block_rank(block, 2, dims) == rank
+        assert _fresh_slice_rank(an, columns, (0, 1), 2, images) == rank
 
 
 def _seeded_weighted_homogeneous(seed, count):
