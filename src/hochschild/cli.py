@@ -21,7 +21,7 @@ from .grading import (
     detect_weights,
     is_weighted_homogeneous,
 )
-from .ideals import INFINITE, buchberger, milnor_number
+from .ideals import INFINITE, WalkLimitError, buchberger, milnor_number
 from .parsing import ParseError, parse_polynomial, parse_polynomials
 from .poly import Polynomial
 
@@ -176,7 +176,8 @@ def _run_homology_command(args, direction: str) -> int:
                                 p_max=args.max_degree,
                                 cutoff=args.weight_cutoff,
                                 mode=args.mode)
-    except (engine.PreconditionError, NotWeightedHomogeneousError) as exc:
+    except (engine.PreconditionError, NotWeightedHomogeneousError,
+            WalkLimitError) as exc:
         raise CliError(str(exc), 1)
     _emit(args, _report_json(report), lambda: _report_table(report))
     if report.crosscheck == "disagree":

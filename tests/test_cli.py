@@ -42,6 +42,19 @@ def test_milnor_infinite_is_success(capsys):
     assert json.loads(out)["milnor"] == "infinite"
 
 
+@pytest.mark.parametrize("argv", [
+    ["milnor"],
+    ["cohomology", "--mode", "structural", "--max-degree", "0"],
+    ["homology", "--mode", "graded", "--max-degree", "0"],
+])
+def test_huge_milnor_basis_is_refused_before_the_walk(capsys, argv):
+    # 10^11 - 2 standard monomials: exit 1 with the bound, in no time
+    code, out, err = run(capsys, *argv, "--poly", "z1^99999999999")
+    assert (code, out) == (1, "")
+    assert err == ("error: the standard monomial basis may hold up to "
+                   "99999999998 monomials, above the limit of 2000000\n")
+
+
 def test_milnor_finite(capsys):
     code, out, _ = run(capsys, "milnor", "--catalog", "e8-curve")
     assert code == 0

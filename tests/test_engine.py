@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochschild import cli, engine, grading
+from hochschild import cli, engine, grading, ideals
 from hochschild.catalog import catalog_instance, catalog_names
 from hochschild.engine import (
     Analysis,
     PreconditionError,
-    _Classifier,
+    _degree,
     _module_totals,
     _strand_blocks,
     analyze,
@@ -30,6 +30,7 @@ from hochschild.koszul import KoszulComplex, chain_complex, cochain_complex
 from hochschild.linalg import rank_dense, rank_sparse
 from hochschild.parsing import parse_polynomial
 from hochschild.poly import Polynomial
+from hochschild.series import PoincareSeries
 from reference import verify_infinite_part
 from test_koszul import _dense
 
@@ -609,6 +610,18 @@ def test_route_requires_isolated_singularity():
                             "Milnor algebra is infinite-dimensional"]
 
 
+def test_route_walk_past_the_limit_raises_every_time(monkeypatch):
+    # the Milnor box of z1^3+z2^4 is 2 * 3 and fits; std(<f, z2^3>) has
+    # box 3 * 3, so the route search is refused, and is not remembered
+    # as "no route"
+    monkeypatch.setattr(ideals, "MAX_STANDARD_MONOMIALS", 6)
+    an = Analysis(parse_polynomial("z1^3+z2^4"))
+    assert an.milnor == 6
+    for _ in range(2):
+        with pytest.raises(ideals.WalkLimitError):
+            an.route()
+
+
 def test_loop_singularity_has_no_route():
     # the benchmark's checks match this text as a precondition failure
     f = parse_polynomial("z1^3*z2+z2^3*z3+z3^3*z1")
@@ -620,20 +633,19 @@ def test_loop_singularity_has_no_route():
     assert analyze(f, p_max=1).notes == ["classifier disabled: " + message]
 
 
-def _table_degree(classifier, p):
+def _table_degree(an, direction, A, p):
     """The classifier's former per-n table, kept as the reference for
-    the one-rule `_Classifier.degree`: (kind, finite source, shift,
-    free formula s -> dim, or None)."""
-    a, n = classifier.an, classifier.an.n
-    d, w = a.ws.degree, a.ws.weights
+    the one-rule `_degree`: (kind, finite source, shift, free formula
+    s -> dim, or None), with A(s) = dim A_s."""
+    n = an.n
+    d, w = an.ws.degree, an.ws.weights
     W = sum(w)
-    A = classifier.series.dim
-    route = classifier.route
+    route = an.route()
 
     if p == 0:
         return ("A", None, 0, lambda s: A(s))
 
-    if classifier.direction == "cohomology":
+    if direction == "cohomology":
         if n == 1:
             if p % 2 == 0:
                 return ("finite", "milnor", 0, None)
@@ -729,17 +741,18 @@ def test_degree_rule_matches_reference_table(group):
             continue
         routed += 1
         d = an.ws.degree
+        A = PoincareSeries(an.ws.weights, d).dim
         for direction in ("cohomology", "homology"):
-            classifier = _Classifier(an, direction)
             for p in range(15):
-                kind, source, shift, free = classifier.degree(p)
+                kind, _, source, shift, free = _degree(an, an.route(),
+                                                       direction, p)
                 ref_kind, ref_source, ref_shift, ref_free = \
-                    _table_degree(classifier, p)
+                    _table_degree(an, direction, A, p)
                 assert (kind, source) == (ref_kind, ref_source), (f, p)
                 if source is not None:
                     assert shift == ref_shift, (f, direction, p)
                 for s in range(-5, 8 * d + 1):
-                    value = sum(sign * classifier.series.dim(s - t)
+                    value = sum(sign * A(s - t)
                                 for sign, t in free)
                     assert value == (ref_free(s) if ref_free else 0), \
                         (f, direction, p, s)
@@ -778,6 +791,8 @@ def test_classifier_agrees_with_oracle(f):
                          analysis=an)
         if report.classifier_ok:
             assert report.crosscheck == "agree", (f, direction)
+            if direction == "cohomology":
+                assert report.kernel.verified, f
         else:
             assert len(report.notes) == 1
             assert ("non-isolated" in report.notes[0]

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hochschild import ideals
 from hochschild.ideals import (
     INFINITE,
     GroebnerBasis,
     StandardMonomials,
+    WalkLimitError,
     buchberger,
     colon_ideal,
     divide,
@@ -140,6 +142,27 @@ def test_standard_monomials_witness():
     std = standard_monomials(gb, 2)
     assert not std.finite
     assert std.missing_variable == 2
+
+
+def test_standard_monomials_refuses_a_walk_past_the_limit(monkeypatch):
+    # the bound is the product of the least pure-power exponents: 2 * 3
+    # for <z1^2, z2^3> (6 monomials), 2 * 4 for <z1^2, z1*z2, z2^4>
+    # (only 5), and the walk is refused above the limit, not at it
+    monkeypatch.setattr(ideals, "MAX_STANDARD_MONOMIALS", 6)
+    z1, z2 = zvars(2)
+    assert len(standard_monomials(buchberger([z1 ** 2, z2 ** 3]), 2)
+               .monomials) == 6
+    with pytest.raises(WalkLimitError, match="up to 8 monomials, above "
+                       "the limit of 6"):
+        standard_monomials(buchberger([z1 ** 2, z1 * z2, z2 ** 4]), 2)
+    # an infinite quotient is reported, not refused
+    assert not standard_monomials(buchberger([z1 ** 9]), 2).finite
+
+
+def test_standard_monomials_limit_fires_before_the_walk():
+    huge = buchberger([Polynomial(1, {(10 ** 11,): 1})])
+    with pytest.raises(WalkLimitError, match="up to 100000000000 "):
+        standard_monomials(huge, 1)
 
 
 def test_standard_monomials_enumeration():

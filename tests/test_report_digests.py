@@ -1,0 +1,95 @@
+"""Byte stability of `hh` reports outside the benchmark's inputs.
+
+Each case is one argument list for `hochschild.cli.main`; its exit code
+and the SHA-256 of its stdout and stderr are pinned in
+`report_digests.json`.  The polynomials cover what the benchmark's
+catalog, stress and seeded sets do not: n = 1, the loop and the A1 node
+(no elimination route), a non-isolated f, Fraction, negative and
+non-unit coefficients, and the kernel patterns (Brieskorn-Pham, the D
+curve and the D surface) written with other coefficients.
+
+A deliberate output change re-records the digests:
+
+    PYTHONPATH=src python3 tests/test_report_digests.py --record
+"""
+
+import contextlib
+import functools
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from hochschild import cli
+
+DIGESTS = Path(__file__).with_name("report_digests.json")
+
+POLYNOMIALS = (
+    "z1^3*z2+z2^3*z3+z3^3*z1",
+    "z1*z2",
+    "z1^2*z2",
+    "z1^5",
+    "3*z1^4",
+    "2*z1^3+3*z2^4",
+    "1/2*z1^3+z2^5",
+    "-z1^4+2*z2^6",
+    "z1^2*z2+z2^3",
+    "z1^2*z2+z2^5",
+    "2*z1^2*z2+z2^4",
+    "z1^2*z2-z2^5",
+    "z1^3+z1*z2^3",
+    "z1^2+z2^2*z3+z3^2",
+    "z1^2+z2^2*z3+z3^5",
+    "z1^2+3*z2^2*z3+z3^4",
+    "z1^2+z2^3+z3^7",
+    "2*z1^3+z2^3+5*z3^4",
+    "z1^3+z2^3+z3^3+z1*z2*z3",
+    "z1^3+1/2*z1^2*z2^2+z2^6+z3^3",
+)
+
+
+def cases() -> list:
+    """Every polynomial both ways in each mode, p <= 6.  The polynomial
+    is passed as --poly=..., so a leading minus is not read as an
+    option."""
+    return [[direction, "--poly=" + f, "--max-degree", "6", "--mode", mode]
+            for f in POLYNOMIALS
+            for direction in ("cohomology", "homology")
+            for mode in ("structural", "graded", "both")]
+
+
+def run(argv: list) -> list:
+    """[exit code, SHA-256 of stdout, SHA-256 of stderr] of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code] + [hashlib.sha256(s.getvalue().encode()).hexdigest()
+                     for s in (out, err)]
+
+
+@functools.cache
+def pinned() -> dict:
+    return json.loads(DIGESTS.read_text())
+
+
+def test_every_case_is_pinned():
+    assert sorted(pinned()) == sorted(" ".join(argv) for argv in cases())
+
+
+@pytest.mark.parametrize("argv", cases(), ids=" ".join)
+def test_report_bytes_are_stable(argv):
+    assert run(argv) == pinned()[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_report_digests.py --record")
+    DIGESTS.write_text("{\n%s\n}\n" % ",\n".join(
+        "%s: %s" % (json.dumps(" ".join(argv)), json.dumps(run(argv)))
+        for argv in cases()))
