@@ -15,7 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from .linalg import rank_sparse
+# `linalg.rank_sparse` is looked up at each call, not bound at import:
+# the CLI imports this module on first use, and a name bound then would
+# keep whatever `linalg` held at that moment, such as a profiler's
+# temporary wrapper
+from . import linalg
 
 MAX_DIMENSION = 4
 MAX_DEGREE = 3
@@ -85,14 +89,14 @@ def _dims(k: int, ranks: list) -> list:
 def bar_cohomology_dims(k: int, p_max: int) -> list:
     """dim HH^p(C[z]/<z^k>) for p = 0..p_max."""
     _guard(k, p_max)
-    return _dims(k, [rank_sparse(_cochain_columns(k, p))
+    return _dims(k, [linalg.rank_sparse(_cochain_columns(k, p))
                      for p in range(p_max + 1)])
 
 
 def bar_homology_dims(k: int, p_max: int) -> list:
     """dim HH_p(C[z]/<z^k>) for p = 0..p_max."""
     _guard(k, p_max)
-    return _dims(k, [rank_sparse(_chain_columns(k, p + 1))
+    return _dims(k, [linalg.rank_sparse(_chain_columns(k, p + 1))
                      for p in range(p_max + 1)])
 
 

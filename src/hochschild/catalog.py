@@ -10,7 +10,7 @@ syzygy f(e1, e2, e3) = 0 can be verified exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .poly import Polynomial
 
@@ -23,8 +23,7 @@ def _p3(spec: dict) -> Polynomial:
     return Polynomial(3, {e: c for e, c in spec.items()})
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str              # CLI name, e.g. "d5-surface"
     family: str            # "A", "D", "E6", "E7", "E8"
     variant: str           # "curve" | "surface"
@@ -33,7 +32,7 @@ class CatalogEntry:
     expected_milnor: int
     invariants: tuple | None = None    # (e1, e2, e3) in x, y, surfaces only
     original_f: Polynomial | None = None  # relation with f(e1,e2,e3) = 0
-    flags: tuple = field(default_factory=tuple)
+    flags: tuple = ()
 
 
 def curve_entry(family: str, k: int | None = None) -> CatalogEntry:

@@ -4,7 +4,8 @@ Commands: cohomology, homology, groebner, milnor, weights, bar-oracle,
 catalog, verify-invariants.  Output is deterministic JSON on stdout (or
 a plain table with --format table); diagnostics go to stderr.  Exit
 codes: 0 success, 1 computational precondition failure or crosscheck
-disagreement, 2 usage errors.
+disagreement, 2 usage errors.  `bar` and `catalog` are imported by the
+commands that read them, so a `--poly` report loads neither.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 
-from . import bar, catalog, engine
+from . import engine
 from .grading import (
     NotWeightedHomogeneousError,
     detect_weights,
@@ -34,6 +35,7 @@ class CliError(Exception):
 
 def _resolve_poly(args) -> Polynomial:
     if getattr(args, "catalog", None):
+        from . import catalog
         try:
             return catalog.catalog_instance(args.catalog).f
         except ValueError as exc:
@@ -246,6 +248,7 @@ def _run_weights(args) -> int:
 
 
 def _run_bar_oracle(args) -> int:
+    from . import bar
     try:
         coh = bar.bar_cohomology_dims(args.k, args.max_degree)
         hom = bar.bar_homology_dims(args.k, args.max_degree)
@@ -261,6 +264,7 @@ def _run_bar_oracle(args) -> int:
 
 
 def _run_catalog(args) -> int:
+    from . import catalog
     if args.name:
         try:
             entry = catalog.catalog_instance(args.name)
@@ -284,6 +288,7 @@ def _run_catalog(args) -> int:
 
 
 def _run_verify_invariants(args) -> int:
+    from . import catalog
     names = [args.name] if args.name else \
         [n for n in catalog.catalog_names() if n.endswith("-surface")]
     results = []

@@ -62,11 +62,13 @@ Two independent routes to the same numbers:
 
 When both run, every slice in the scan window is compared and the
 report carries an "agree"/"disagree" verdict.
+
+The report types (`Report`, `DegreeReport`, `KernelDescription`,
+`KernelFamily`, `Route`) are named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import add, mul, sub
@@ -93,8 +95,7 @@ class PreconditionError(ValueError):
 _UNSET = object()   # route not searched yet; None means no valid route
 
 
-@dataclass
-class Route:
+class Route(NamedTuple):
     """Validated elimination route for the odd-degree kernel analysis.
 
     solved is the first index i for which K = <J'_i, z_i> has finite
@@ -129,8 +130,7 @@ class _SliceMap(NamedTuple):
     #                   i, k / first k) terms
 
 
-@dataclass
-class DegreeReport:
+class DegreeReport(NamedTuple):
     p: int
     kind: str                  # "A" | "A_plus_finite" | "free_plus_finite"
     #                            | "module_quotient" | "finite" | "oracle"
@@ -143,8 +143,7 @@ class DegreeReport:
     oracle_graded: dict | None
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     f: Polynomial
     direction: str             # "cohomology" | "homology"
     weights: WeightSystem
@@ -153,18 +152,16 @@ class Report:
     kernel: object | None
     crosscheck: str            # "agree" | "disagree" | "skipped"
     classifier_ok: bool
-    notes: list = field(default_factory=list)
+    notes: list
 
 
-@dataclass
-class KernelFamily:
+class KernelFamily(NamedTuple):
     name: str
     vector: tuple              # one Polynomial per variable
     cofactor_monomials: str    # human note on the multiplier family
 
 
-@dataclass
-class KernelDescription:
+class KernelDescription(NamedTuple):
     families: list
     verified: bool             # each family lies in the kernel; this does
     #                            not say that the families generate it

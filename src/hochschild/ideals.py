@@ -44,7 +44,6 @@ from .poly import (
     int_or_fraction,
     monomial_div,
     monomial_divides,
-    monomial_lcm,
     monomial_mul,
 )
 
@@ -134,17 +133,6 @@ def _polynomial(n: int, terms: dict) -> Polynomial:
     p.n = n
     p.terms = terms
     return p
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    fc, fe = f.leading_term()
-    gc, ge = g.leading_term()
-    lcm = monomial_lcm(fe, ge)
-    mf = Polynomial.monomial(f.n, monomial_div(lcm, fe),
-                             exact_quotient(1, fc))
-    mg = Polynomial.monomial(g.n, monomial_div(lcm, ge),
-                             exact_quotient(1, gc))
-    return mf * f - mg * g
 
 
 class GroebnerBasis:

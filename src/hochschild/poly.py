@@ -67,10 +67,6 @@ def monomial_div(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def monomial_str(exps: Exponents, names: Sequence[str] | None = None) -> str:
     """The monomial z^exps in the syntax the expression parser accepts,
     e.g. "z1^2*z3" for (2, 0, 1), and "1" for the constant monomial."""

@@ -4,6 +4,24 @@ package computes, and checks that only the tests run."""
 from __future__ import annotations
 
 from hochschild.engine import PreconditionError
+from hochschild.poly import Polynomial, exact_quotient, monomial_div
+
+
+def monomial_lcm(a, b) -> tuple:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The S-polynomial of f and g: both scaled to the lcm of their
+    leading monomials with leading coefficient 1, then subtracted."""
+    fc, fe = f.leading_term()
+    gc, ge = g.leading_term()
+    lcm = monomial_lcm(fe, ge)
+    mf = Polynomial.monomial(f.n, monomial_div(lcm, fe),
+                             exact_quotient(1, fc))
+    mg = Polynomial.monomial(g.n, monomial_div(lcm, ge),
+                             exact_quotient(1, gc))
+    return mf * f - mg * g
 
 
 def exponents_of_weight(weights, s: int) -> list:

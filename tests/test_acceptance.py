@@ -21,16 +21,11 @@ from hochschild.bar import (
 )
 from hochschild.engine import Analysis, analyze
 from hochschild.grading import detect_weights, euler_identity_holds
-from hochschild.ideals import (
-    buchberger,
-    divide,
-    milnor_number,
-    s_polynomial,
-)
+from hochschild.ideals import buchberger, divide, milnor_number
 from hochschild.koszul import chain_complex, cochain_complex
 from hochschild.linalg import rank_dense
 from hochschild.poly import Polynomial
-from reference import exponents_of_weight, verify_infinite_part
+from reference import exponents_of_weight, s_polynomial, verify_infinite_part
 
 CURVES = (["a%d-curve" % k for k in range(1, 6)]
           + ["d%d-curve" % k for k in (4, 5, 6)]

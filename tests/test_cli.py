@@ -359,14 +359,57 @@ def test_table_output(capsys, argv, expected):
     (("milnor", "--poly", "2z1"), 2),
     # rejected by the resource guard before any table is built
     (("bar-oracle", "--k", "100"), 1),
+    # the commands that import `catalog` or `bar` when they run
+    (("cohomology", "--catalog", "a2-curve"), 0),
+    (("catalog", "--name", "e8-surface"), 0),
+    (("verify-invariants",), 0),
+    (("bar-oracle", "--k", "3"), 0),
 ])
 def test_module_entry_point_exit_codes(argv, code):
-    # the real process, through the module's __main__ block
+    # the real process, through the module's __main__ block: in-process
+    # tests import `catalog` and `bar` themselves, so only a fresh
+    # interpreter catches a command that uses one it never imports
+    proc = _fresh_python("-m", "hochschild.cli", *argv)
+    assert proc.returncode == code, proc.stderr
+
+
+def _fresh_python(*args):
+    """Run a new interpreter that imports the package from this src/."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "hochschild.cli", *argv],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == code, proc.stderr
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# Prints, as JSON, the modules loaded since the start of the probe:
+# after `import hochschild.cli`, then after each `hh` argument list of
+# argv[1] has run (with its exit code).
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import hochschild.cli
+out = [[None, sorted(set(sys.modules) - before)]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hochschild.cli.main(argv)
+    out.append([code, sorted(set(sys.modules) - before)])
+print(json.dumps(out))
+"""
+
+
+def test_cli_import_and_poly_reports_load_no_bar_catalog_or_dataclasses():
+    # in a fresh interpreter, against the modules loaded before the import
+    argvs = [["cohomology", "--poly", "z1^3+z2^4", "--mode", "structural"],
+             ["milnor", "--poly", "z1^3+z2^4"]]
+    proc = _fresh_python("-c", _IMPORT_PROBE, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    (_, imported), *runs = json.loads(proc.stdout)
+    assert "hochschild.cli" in imported
+    for name in ("dataclasses", "hochschild.bar", "hochschild.catalog"):
+        assert name not in imported
+    for argv, (code, loaded) in zip(argvs, runs):
+        assert code == 0, argv
+        assert "hochschild.bar" not in loaded, argv
+        assert "hochschild.catalog" not in loaded, argv

@@ -17,10 +17,10 @@ from hochschild.ideals import (
     ideal_intersection,
     milnor_number,
     quotient_dimension,
-    s_polynomial,
     standard_monomials,
 )
 from hochschild.poly import Polynomial, monomial_divides
+from reference import s_polynomial
 
 
 def zvars(n):
