@@ -39,10 +39,10 @@ Two independent routes to the same numbers:
   forms of d_i f * z^m held as positions in the bases of A: a standard
   product is read from the position index of `GradedQuotient`, any
   other is divisible by the leading monomial of f and takes one
-  reduction step, and only a tail product that is still not standard
-  takes a memoized monomial normal form
-  (`GroebnerBasis.monomial_normal_form`).  A row is its codomain
-  component's offset, read from the dim A list, plus a position.
+  reduction step, and the tail products that are still not standard
+  are reduced together by `ideals._reduce`, whose remainder is read
+  from the index.  A row is its codomain component's offset, read from
+  the dim A list, plus a position.
 
   A block slice's rank is cached at two levels, both scoped to the
   block's signature (its column terms and relative shifts, see
@@ -85,14 +85,11 @@ from .ideals import INFINITE, buchberger
 from .koszul import chain_complex, cochain_complex, module, shift
 from .linalg import rank_sparse
 from .poly import Polynomial, exact_quotient, int_or_fraction, monomial_str
-from .series import PoincareSeries
+from .series import poincare_dims
 
 
 class PreconditionError(ValueError):
     """A computation's mathematical preconditions are not met."""
-
-
-_UNSET = object()   # route not searched yet; None means no valid route
 
 
 class Route(NamedTuple):
@@ -183,8 +180,7 @@ class Analysis:
         self.A = GradedQuotient(self.gb_f, self.ws.weights)
         # the one monic f as (leading exponents, tail scaled by -1): the
         # reduction step of `_image`
-        (monic,) = self.gb_f
-        self._step = ideals._divisor(monic.terms)
+        (self._step,) = self.gb_f._divisors
         self.grad = f.gradient()
         grad_nz = [g for g in self.grad if not g.is_zero()]
         std = ideals.standard_monomials(buchberger(grad_nz), self.n)
@@ -194,7 +190,6 @@ class Analysis:
         else:
             self.milnor = INFINITE
             self.milnor_basis = None
-        self._route = _UNSET
         # graded-oracle caches (see _slice_map and _image)
         self._tables: dict = {}   # signature -> (ranks, contents)
         self._images = [{} for _ in range(self.n)]   # per partial: mono -> id
@@ -204,14 +199,13 @@ class Analysis:
     # ---- route search -------------------------------------------------
 
     def route(self) -> Route | None:
-        """The elimination route, found once: the first i with
-        C[z]/<J'_i, z_i> finite-dimensional, where J'_i holds the
-        partials other than d_i f.  That ideal is K, and J = <f> + J'_i
-        (see `Route`).  None when f is not isolated or no i gives one."""
+        """The elimination route: the first i with C[z]/<J'_i, z_i>
+        finite-dimensional, where J'_i holds the partials other than
+        d_i f.  That ideal is K, and J = <f> + J'_i (see `Route`).  None
+        when f is not isolated or no i gives one.  Each call searches
+        afresh; `analyze` calls it once per report."""
         if self.milnor is INFINITE:
             return None
-        if self._route is not _UNSET:
-            return self._route
         n = self.n
         for i in range(1, n + 1):
             others = [g for j, g in enumerate(self.grad, 1) if j != i]
@@ -222,10 +216,8 @@ class Analysis:
             std_j = ideals.standard_monomials(
                 buchberger([self.f] + others), n)
             in_k = set(std_k.monomials)
-            self._route = Route(i, tuple(m for m in std_j.monomials
-                                         if m not in in_k))
-            return self._route
-        self._route = None
+            return Route(i, tuple(m for m in std_j.monomials
+                                  if m not in in_k))
         return None
 
     # ---- graded oracle ------------------------------------------------
@@ -282,11 +274,14 @@ class Analysis:
         is read from the position index.  Otherwise the leading monomial
         of f divides z^a, and one reduction step replaces it by the
         scaled tail of f times z^(a - lead), whose products are read
-        from the index in turn; only a product that is still not
-        standard takes `GroebnerBasis.monomial_normal_form`."""
+        from the index in turn.  The products that are still not
+        standard are collected into one dict and reduced by f with
+        `ideals._reduce`; its remainder is standard and read from the
+        index too."""
         position = self.A.position
         lead, tail = self._step
         acc: dict = {}
+        rest: dict = {}     # non-standard tail products -> coefficient
         for e, v in self.grad[i - 1].terms.items():
             a = tuple(map(add, e, mono))
             r = position.get(a)
@@ -303,9 +298,18 @@ class Analysis:
                 if r is not None:
                     acc[r] = acc.get(r, 0) + v * c
                     continue
-                for x, y in self.gb_f.monomial_normal_form(b):
-                    r = position[x]
-                    acc[r] = acc.get(r, 0) + v * c * y
+                x = rest.get(b, 0) + v * c
+                if x:
+                    rest[b] = x
+                else:
+                    del rest[b]
+        if rest:
+            for b, c in ideals._reduce(rest, (self._step,)).items():
+                r = position.get(b)
+                if r is None:
+                    raise LookupError("standard monomial %r lies above the "
+                                      "filled basis of A" % (b,))
+                acc[r] = acc.get(r, 0) + c
         return tuple((r, int_or_fraction(c)) for r, c in acc.items() if c)
 
     def oracle_dim(self, direction: str, windows: list) -> list:
@@ -589,8 +593,8 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     if route is not None:
         # one dim A list from the series for every expected slice; the
         # free shifts are >= 0, since each w_i <= d when f is isolated
-        dims = PoincareSeries(an.ws.weights, d).dims(
-            max(hi for _, hi in windows))
+        dims = poincare_dims(an.ws.weights, d,
+                             max(hi for _, hi in windows))
         parts: dict = {}    # finite source -> `_finite_part`
 
     degrees = []

@@ -10,21 +10,20 @@ ties broken by the lcm itself; a set of the queued pairs serves the
 chain criterion.  The selection order cannot change the output,
 because the reduced basis is unique.
 
-Reduction (`_reduce`, shared by Buchberger and
-`GroebnerBasis.normal_form`) works in place on one dict of terms: it
-pops the leading term and adds the scaled tail of the first divisor
-whose leading monomial divides it; the leading monomials cancel
-exactly, so no polynomial temporaries are built.  `divide` keeps the
-textbook loop with quotients and is the reference for it.
+Reduction (`_reduce`) is the package's one reduction routine, shared
+by Buchberger, `GroebnerBasis.normal_form` and the graded oracle.  It
+works in place on one dict of terms: it pops the leading term and adds
+the scaled tail of the first divisor whose leading monomial divides it;
+the leading monomials cancel exactly, so no polynomial temporaries are
+built, and a chain of thousands of steps needs no recursion.  The
+oracle reads standard products from its own position index, takes one
+reduction step by f itself, and hands `_reduce` only the products that
+one step leaves non-standard.  `divide` keeps the textbook loop with
+quotients and is the reference for it.
 
-`GroebnerBasis.monomial_normal_form` applies the same rule to one
-monomial at a time and memoizes each result on the basis, so the
-normal forms of many products sharing reduction chains are sums of
-table entries.  Normal forms are linear, so summing the table over a
-polynomial's terms gives `normal_form`'s remainder.  The graded oracle
-reads standard products from its own position index and takes one
-reduction step by f itself; it calls `monomial_normal_form` only for
-the products that one step leaves non-standard.
+Every walk over standard monomials (`staircase`) is bounded: one that
+would pass `MAX_STANDARD_MONOMIALS` raises `WalkLimitError` before it
+builds a single standard monomial.
 
 Intersections go through the usual auxiliary-variable trick: the new
 variable t comes first, so lex eliminates it; colon ideals divide an
@@ -139,66 +138,17 @@ class GroebnerBasis:
     """Reduced monic lex Groebner basis, elements sorted by descending
     leading monomial for deterministic output."""
 
-    __slots__ = ("elements", "_divisors", "_monomial_nfs")
+    __slots__ = ("elements", "_divisors")
 
     def __init__(self, elements: Sequence[Polynomial]):
         self.elements = tuple(elements)
         self._divisors = tuple(_divisor(g.terms) for g in self.elements)
-        self._monomial_nfs: dict = {}   # exponents -> monomial_normal_form
 
     def leading_exponents(self):
         return tuple(lead for lead, _ in self._divisors)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         return _polynomial(p.n, _reduce(dict(p.terms), self._divisors))
-
-    def monomial_normal_form(self, exps: tuple) -> tuple:
-        """normal_form(z^exps) as (exponents, coefficient) pairs, integral
-        coefficients stored as int, memoized on this basis.
-
-        z^a is its own normal form when no leading monomial divides it;
-        otherwise it is sum v * nf(z^(e + a - lead)) over the scaled tail
-        (e, v) of the first element whose leading monomial divides it,
-        the rule `_reduce` follows.  Every such monomial is smaller than
-        z^a, so the walk ends; it keeps its own stack rather than
-        recursing, since a reduction chain may be thousands of steps.
-        """
-        table = self._monomial_nfs
-        hit = table.get(exps)
-        if hit is not None:
-            return hit
-        stack = [exps]
-        while stack:
-            a = stack[-1]
-            if a in table:
-                stack.pop()
-                continue
-            for lead, tail in self._divisors:
-                if all(map(le, lead, a)):
-                    q = tuple(map(sub, a, lead))
-                    terms = [(tuple(map(add, e, q)), v) for e, v in tail]
-                    break
-            else:
-                table[a] = ((a, 1),)
-                stack.pop()
-                continue
-            missing = [m for m, _ in terms if m not in table]
-            if missing:
-                stack.extend(missing)
-                continue
-            table[a] = self.sparse_normal_form(terms)
-            stack.pop()
-        return table[exps]
-
-    def sparse_normal_form(self, terms) -> tuple:
-        """normal_form of sum v * z^e over (e, v) pairs, summed from
-        `monomial_normal_form` and returned the way it returns one."""
-        nf = self.monomial_normal_form
-        acc: dict = {}
-        for m, v in terms:
-            for e, c in nf(m):
-                acc[e] = acc.get(e, 0) + v * c
-        return tuple((e, int_or_fraction(c)) for e, c in acc.items() if c)
 
     def __iter__(self):
         return iter(self.elements)
@@ -285,46 +235,6 @@ class StandardMonomials(NamedTuple):
     missing_variable: int | None  # 1-based witness when infinite
 
 
-def staircase(lead: Sequence[tuple], weights: Sequence[int],
-              top: int) -> dict:
-    """The monomials outside the monomial ideal generated by `lead`
-    whose weight under the positive `weights` is at most `top`, as
-    {weight: [exponent tuples]}.  Empty when `lead` holds 1.
-
-    The walk fixes one exponent at a time and visits only the
-    staircase.  Coordinate i stops at a cap: the least i-th exponent
-    among the leading monomials whose last nonzero exponent is the i-th
-    and whose earlier exponents divide the prefix, since from there on
-    every tuple is divisible.  A leading monomial ending earlier cannot
-    divide the prefix, or it would have capped an earlier coordinate.
-    A coordinate also stops where the weight would pass `top`.
-    """
-    buckets: dict = {}
-    if any(not any(m) for m in lead):
-        return buckets
-    n = len(weights)
-    ending = [[] for _ in range(n)]
-    for m in lead:
-        ending[max(j for j, e in enumerate(m) if e)].append(m)
-
-    def walk(prefix, weight):
-        i = len(prefix)
-        w = weights[i]
-        stop = (top - weight) // w + 1
-        for m in ending[i]:
-            if m[i] < stop and all(map(le, m, prefix)):
-                stop = m[i]
-        if i == n - 1:
-            for e in range(stop):
-                buckets.setdefault(weight + e * w, []).append(prefix + (e,))
-        else:
-            for e in range(stop):
-                walk(prefix + (e,), weight + e * w)
-
-    walk((), 0)
-    return buckets
-
-
 # At most this many standard monomials are walked.  A walk of 10^6 took
 # 0.9 s and 100 MB of exponent tuples with three variables, 2.6 s and
 # 285 MB with two, so this stays under 800 MB.
@@ -333,6 +243,65 @@ MAX_STANDARD_MONOMIALS = 2_000_000
 
 class WalkLimitError(ValueError):
     """A standard-monomial walk would pass MAX_STANDARD_MONOMIALS."""
+
+
+def staircase(lead: Sequence[tuple], weights: Sequence[int],
+              top: int) -> dict:
+    """The monomials outside the monomial ideal generated by `lead`
+    whose weight under the positive `weights` is at most `top`, as
+    {weight: [exponent tuples]}.  Empty when `lead` holds 1 or `top`
+    is negative.
+
+    The walk fixes one exponent at a time and visits only the
+    staircase.  Coordinate i stops at a cap: the least i-th exponent
+    among the leading monomials whose last nonzero exponent is the i-th
+    and whose earlier exponents divide the prefix, since from there on
+    every tuple is divisible.  A leading monomial ending earlier cannot
+    divide the prefix, or it would have capped an earlier coordinate.
+    A coordinate also stops where the weight would pass `top`.
+
+    The walk first records each run of the last coordinate, whose
+    length is known from its cap, and raises `WalkLimitError` as soon
+    as the runs hold more than MAX_STANDARD_MONOMIALS monomials; the
+    buckets are built only after the whole walk fits.  Every run holds
+    at least one monomial, so the record is bounded too.
+    """
+    buckets: dict = {}
+    if top < 0 or any(not any(m) for m in lead):
+        return buckets
+    n = len(weights)
+    ending = [[] for _ in range(n)]
+    for m in lead:
+        ending[max(j for j, e in enumerate(m) if e)].append(m)
+    runs = []       # (prefix, weight, length) per last-coordinate run
+    count = 0
+
+    def walk(prefix, weight):
+        nonlocal count
+        i = len(prefix)
+        w = weights[i]
+        stop = (top - weight) // w + 1
+        for m in ending[i]:
+            if m[i] < stop and all(map(le, m, prefix)):
+                stop = m[i]
+        if i < n - 1:
+            for e in range(stop):
+                walk(prefix + (e,), weight + e * w)
+            return
+        count += stop
+        if count > MAX_STANDARD_MONOMIALS:
+            raise WalkLimitError(
+                "the standard monomials of weight at most %d number at "
+                "least %d, above the limit of %d"
+                % (top, count, MAX_STANDARD_MONOMIALS))
+        runs.append((prefix, weight, stop))
+
+    walk((), 0)
+    w = weights[-1]
+    for prefix, weight, stop in runs:
+        for e in range(stop):
+            buckets.setdefault(weight + e * w, []).append(prefix + (e,))
+    return buckets
 
 
 def standard_monomials(gb: GroebnerBasis, n: int) -> StandardMonomials:

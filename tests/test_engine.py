@@ -5,7 +5,7 @@ from math import lcm
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hochschild import cli, engine, grading, ideals
@@ -30,7 +30,7 @@ from hochschild.koszul import KoszulComplex, chain_complex, cochain_complex
 from hochschild.linalg import rank_dense, rank_sparse
 from hochschild.parsing import parse_polynomial
 from hochschild.poly import Polynomial
-from hochschild.series import PoincareSeries
+from hochschild.series import poincare_dims
 from reference import verify_infinite_part
 from test_koszul import _dense
 
@@ -345,15 +345,18 @@ def test_table_scan_ranks_each_differential_once_per_weight(monkeypatch,
 
 
 # the third f has multi-term partials, a Fraction coefficient, and tail
-# products that one reduction step does not make standard
+# products that one reduction step does not make standard; in the
+# fourth such a product reduces on through a chain (15 steps in all
+# from d_1 f * z1^30)
 _IMAGE_POLYS = ["1/2*z1^3+z2^5", "z1^7+z2^11+z3^13",
-                "z1^3+1/2*z1^2*z2^2+z2^6+z3^25"]
+                "z1^3+1/2*z1^2*z2^2+z2^6+z3^25", "z1^2+z2^2"]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_IMAGE_POLYS),
        st.lists(st.integers(0, 30), min_size=3, max_size=3),
        st.integers(1, 3))
+@example("z1^2+z2^2", [30, 0, 0], 1)
 def test_image_matches_normal_form(poly, exps, i):
     # mono is arbitrary, standard or not; positions are mapped back
     # through the basis of the product's weight
@@ -377,32 +380,34 @@ def test_image_above_the_filled_basis_fails_loudly():
     an = Analysis(parse_polynomial("z1^7+z2^11+z3^13"))
     with pytest.raises(LookupError, match="above the filled basis"):
         an._image(2, (0, 0, 0))
+    # 2*z1^31 reduces through a chain to -2*z1*z2^30, standard but not
+    # in the unfilled index
+    an = Analysis(parse_polynomial("z1^2+z2^2"))
+    with pytest.raises(LookupError, match=r"\(1, 30\) lies above the "
+                       "filled basis"):
+        an._image(1, (30, 0))
 
 
-class _CountingBasis:
-    """A Groebner basis that records the exponents passed to
-    `monomial_normal_form` from outside."""
-
-    def __init__(self, gb):
-        self.gb = gb
-        self.calls = []
-
-    def monomial_normal_form(self, exps):
-        self.calls.append(exps)
-        return self.gb.monomial_normal_form(exps)
-
-    def __getattr__(self, name):
-        return getattr(self.gb, name)
-
-
-def test_image_falls_back_only_for_products_that_stay_nonstandard():
+def test_image_falls_back_only_for_products_that_stay_nonstandard(
+        monkeypatch):
+    # only the tail products one reduction step leaves non-standard reach
+    # `ideals._reduce`, at most one call per image; none of them is in
+    # the position index, and the reports match a run without counting
     f = parse_polynomial("z1^3+1/2*z1^2*z2^2+z2^6+z3^25")
-    an = Analysis(f)
-    counting = an.gb_f = _CountingBasis(an.gb_f)
     fresh = analyze(f, p_max=4, mode="graded")
+    an = Analysis(f)
+    calls = []
+    reduce = ideals._reduce
+
+    def counting(terms, divisors):
+        calls.append(tuple(terms))
+        return reduce(terms, divisors)
+
+    monkeypatch.setattr(ideals, "_reduce", counting)
     report = analyze(f, p_max=4, mode="graded", analysis=an)
-    assert counting.calls
-    assert not any(m in an.A.position for m in counting.calls)
+    assert calls
+    assert len(calls) <= sum(map(len, an._images))
+    assert not any(m in an.A.position for terms in calls for m in terms)
     assert [deg.oracle_graded for deg in report.degrees] == \
         [deg.oracle_graded for deg in fresh.degrees]
 
@@ -633,14 +638,13 @@ def test_loop_singularity_has_no_route():
     assert analyze(f, p_max=1).notes == ["classifier disabled: " + message]
 
 
-def _table_degree(an, direction, A, p):
+def _table_degree(an, route, direction, A, p):
     """The classifier's former per-n table, kept as the reference for
     the one-rule `_degree`: (kind, finite source, shift, free formula
     s -> dim, or None), with A(s) = dim A_s."""
     n = an.n
     d, w = an.ws.degree, an.ws.weights
     W = sum(w)
-    route = an.route()
 
     if p == 0:
         return ("A", None, 0, lambda s: A(s))
@@ -737,17 +741,23 @@ def test_degree_rule_matches_reference_table(group):
     routed = 0
     for f in TABLE_GROUPS[group]():
         an = Analysis(f)
-        if an.route() is None:
+        route = an.route()
+        if route is None:
             continue
         routed += 1
         d = an.ws.degree
-        A = PoincareSeries(an.ws.weights, d).dim
+        # every free shift is >= 0, so no argument of A passes 8 * d
+        dims = poincare_dims(an.ws.weights, d, 8 * d)
+
+        def A(s):
+            return dims[s] if s >= 0 else 0
+
         for direction in ("cohomology", "homology"):
             for p in range(15):
-                kind, _, source, shift, free = _degree(an, an.route(),
+                kind, _, source, shift, free = _degree(an, route,
                                                        direction, p)
                 ref_kind, ref_source, ref_shift, ref_free = \
-                    _table_degree(an, direction, A, p)
+                    _table_degree(an, route, direction, A, p)
                 assert (kind, source) == (ref_kind, ref_source), (f, p)
                 if source is not None:
                     assert shift == ref_shift, (f, direction, p)

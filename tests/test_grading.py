@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hochschild import ideals
 from hochschild.grading import (
     GradedQuotient,
     NotWeightedHomogeneousError,
@@ -10,7 +11,7 @@ from hochschild.grading import (
     euler_identity_holds,
     is_weighted_homogeneous,
 )
-from hochschild.ideals import buchberger
+from hochschild.ideals import WalkLimitError, buchberger
 from hochschild.poly import Polynomial
 from reference import exponents_of_weight
 
@@ -127,6 +128,27 @@ def test_graded_quotient_enumeration():
     assert quotient.dim(6) == 1
     assert quotient.dim(7) == 1    # z1^2 z2
     assert quotient.dim(1) == 0
+
+
+def test_graded_quotient_walk_is_refused_past_the_limit(monkeypatch):
+    # C[z1, z2]/<z1^3> with weights (1, 1) has 1, 2, 3, 3, ... standard
+    # monomials of weight 0, 1, 2, 3, ...: 6 through weight 2, 9 through
+    # weight 3.  The walk is refused above the limit, not at it, and a
+    # refused walk leaves the table and the index as they were
+    monkeypatch.setattr(ideals, "MAX_STANDARD_MONOMIALS", 6)
+    z1 = Polynomial.variable(2, 1)
+    quotient = GradedQuotient(buchberger([z1 ** 3]), (1, 1))
+    assert quotient.basis(2) == ((0, 2), (1, 1), (2, 0))
+    state = (quotient._top, dict(quotient._table), dict(quotient.position))
+    for _ in range(2):
+        with pytest.raises(WalkLimitError, match="weight at most 3 number "
+                           "at least 7, above the limit of 6"):
+            quotient.basis(3)
+        assert (quotient._top, quotient._table, quotient.position) == state
+    fresh = GradedQuotient(buchberger([z1 ** 3]), (1, 1))
+    with pytest.raises(WalkLimitError, match="above the limit of 6"):
+        fresh.basis(5)
+    assert (fresh._top, fresh._table, fresh.position) == (-1, {}, {})
 
 
 def test_graded_quotient_unit_ideal_is_empty():

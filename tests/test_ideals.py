@@ -209,11 +209,6 @@ def _permuted(exps, priority):
     return tuple(exps[i] for i in priority)
 
 
-def _permuted_poly(p, priority):
-    return Polynomial(p.n, {_permuted(e, priority): c
-                            for e, c in p.terms.items()})
-
-
 @st.composite
 def leading_monomial_bases(draw):
     """A basis whose leading monomials are random exponent tuples, with
@@ -301,38 +296,14 @@ def test_normal_form_matches_division_remainder(gens, p):
     assert gb.normal_form(p) == divide(p, gb.elements).remainder
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(small_polys, min_size=1, max_size=3),
-       st.tuples(st.integers(0, 9), st.integers(0, 9)), small_polys,
-       st.data())
-def test_monomial_normal_form_matches_normal_form(gens, a, p, data):
-    # the memoized per-monomial table, and sums of it, against
-    # whole-polynomial reduction, the variables of every input permuted
-    # at random (lex with priority pi is plain lex on permuted inputs); a
-    # second lookup reads the table
-    priority = data.draw(st.permutations(range(2)))
-    gens = [_permuted_poly(g, priority) for g in gens]
-    a = _permuted(a, priority)
-    p = _permuted_poly(p, priority)
-    gb = buchberger(gens)
-    expected = gb.normal_form(Polynomial.monomial(2, a)).terms
-    for _ in range(2):
-        nf = gb.monomial_normal_form(a)
-        assert dict(nf) == expected
-        assert all(type(c) is int for _, c in nf
-                   if Fraction(c).denominator == 1)
-    assert dict(gb.sparse_normal_form(p.terms.items())) == \
-        gb.normal_form(p).terms
-
-
-def test_monomial_normal_form_follows_a_deep_chain():
+def test_normal_form_follows_a_deep_chain():
     # z1^4000 -> -z1^3998 z2^2 -> ... is a 2000-step chain, deeper than
     # Python's recursion limit
     z1, z2 = zvars(2)
     gb = buchberger([z1 ** 2 + z2 ** 2])
-    assert gb.monomial_normal_form((4000, 0)) == (((0, 4000), 1),)
-    assert gb.monomial_normal_form((4001, 0)) == (((1, 4000), 1),)
-    assert gb.monomial_normal_form((4002, 0)) == (((0, 4002), -1),)
+    assert gb.normal_form(z1 ** 4000).terms == {(0, 4000): 1}
+    assert gb.normal_form(z1 ** 4001).terms == {(1, 4000): 1}
+    assert gb.normal_form(z1 ** 4002).terms == {(0, 4002): -1}
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from hochschild.grading import GradedQuotient
 from hochschild.ideals import buchberger
 from hochschild.poly import Polynomial
-from hochschild.series import PoincareSeries
+from hochschild.series import poincare_dims
 from reference import exponents_of_weight
 
 
@@ -26,32 +26,32 @@ def weighted_homogeneous(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(weighted_homogeneous())
-def test_series_matches_graded_quotient(case):
+@given(weighted_homogeneous(), st.integers(-2, 4))
+def test_series_matches_graded_quotient(case, factor):
     weights, degree, f = case
     A = GradedQuotient(buchberger([f]), weights)
-    window = range(-5, 4 * degree + 1)
-    expected = [A.dim(s) for s in window]
-    # ascending the table grows in several steps, descending in one jump
-    series = PoincareSeries(weights, degree)
-    assert [series.dim(s) for s in window] == expected
-    series = PoincareSeries(weights, degree)
-    assert [series.dim(s) for s in reversed(window)] == expected[::-1]
+    top = factor * degree
+    assert poincare_dims(weights, degree, top) == \
+        [A.dim(s) for s in range(top + 1)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(weighted_homogeneous(), st.integers(0, 60))
 def test_dims_list_matches_dim(case, top):
+    # any top, not only a multiple of the degree: each entry is the count
+    # of monomials of weight s less that of weight s - d, and the list is
+    # a prefix of the list through any higher top
     weights, degree, _ = case
-    assert PoincareSeries(weights, degree).dims(top) == \
-        [PoincareSeries(weights, degree).dim(s) for s in range(top + 1)]
+    dims = poincare_dims(weights, degree, top)
+    assert dims == [len(exponents_of_weight(weights, s))
+                    - len(exponents_of_weight(weights, s - degree))
+                    for s in range(top + 1)]
+    assert poincare_dims(weights, degree, top + degree + 1)[:top + 1] == dims
 
 
 def test_series_goldens():
     # z1^3 + z2^2, weights (2, 3), degree 6: A = C[z1] + z2 C[z1]
-    series = PoincareSeries((2, 3), 6)
-    assert [series.dim(s) for s in range(-1, 10)] == \
-        [0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1]
+    assert poincare_dims((2, 3), 6, 9) == [1, 0, 1, 1, 1, 1, 1, 1, 1, 1]
     # C[z]/<z^4> is 1, z, z^2, z^3
-    assert [PoincareSeries((1,), 4).dim(s) for s in range(7)] == \
-        [1, 1, 1, 1, 0, 0, 0]
+    assert poincare_dims((1,), 4, 6) == [1, 1, 1, 1, 0, 0, 0]
+    assert poincare_dims((1,), 4, -1) == []
