@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
@@ -398,5 +399,20 @@ def main(argv=None) -> int:
         return exc.code
 
 
+def run() -> int:
+    """`main` as a process of its own: the `hh` script and
+    `python -m hochschild.cli`.  When the reader closes stdout early
+    (`hh ... | head -1`) the command exits 1 with no traceback: stdout
+    is pointed at devnull, as Python's documentation on SIGPIPE
+    advises, so that the flush at exit cannot fail again."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -35,30 +35,30 @@ Two independent routes to the same numbers:
   pieces of the graph joining every domain component to the codomain
   components its entries hit, read from those entries; a slice's rank
   is the sum of its blocks' ranks, and the weights are ranked in one
-  pass over the blocks.  A block slice is assembled sparse from normal
-  forms of d_i f * z^m held as positions in the bases of A: a standard
-  product is read from the position index of `GradedQuotient`, any
-  other is divisible by the leading monomial of f and takes one
-  reduction step, and the tail products that are still not standard
-  are reduced together by `ideals._reduce`, whose remainder is read
-  from the index.  A row is its codomain component's offset, read from
-  the dim A list, plus a position.
+  pass over the blocks.  A block slice is assembled sparse from the
+  multiplication maps M_i(u), d_i f times A_u into A_(u + d - w_i),
+  each reduced once by `Analysis._map` to positions in the bases of A:
+  a standard product is read from the position index of
+  `GradedQuotient`, any other takes one reduction step by f, and the
+  products still not standard go through `ideals._reduce`.  A row is
+  its codomain component's offset, read from the dim A list, plus a
+  position.
 
   A block slice's rank is cached at two levels, both scoped to the
   block's signature (its column terms and relative shifts, see
   `_slice_map`), so a block that recurs, in another differential or in
   the 2-periodic tail, shares both tables.  The first is keyed by the
   relative weight s - base.  On a miss there, the slice's content key
-  is looked up in the second: the number of standard monomials in each
-  domain component, then one id per (monomial, term) in column order,
-  the id of the image d_i f * z^m interned by `_image`, so equal images
-  get equal ids.  Only a second miss assembles the slice and ranks it.
-  The key is complete: the signature fixes each component's (row, i, k)
-  terms, the counts split the ids into columns and components, and the
-  ids give each term's (position, coefficient) entries, so two slices
-  with one key are one matrix up to an injective renumbering of rows
-  (a row is its component's offset plus a position below that
-  component's dim), and have one rank.
+  is looked up in the second: in column order, one id per (domain
+  component at shift t, term of partial i), the id of M_i(s - t), which
+  `_map` interns so that maps of equal content share one id.  Only a
+  second miss assembles the slice and ranks it.  The key is complete:
+  the signature fixes each component's (row, i, k) terms, a map holds
+  one image per domain monomial, so its length is the component's
+  domain count, and the images give each term's (position,
+  coefficient) entries; so two slices with one key are one matrix up
+  to an injective renumbering of rows (a row is its component's offset
+  plus a position below that component's dim), and have one rank.
 
 When both run, every slice in the scan window is compared and the
 report carries an "agree"/"disagree" verdict.
@@ -123,8 +123,8 @@ class _SliceMap(NamedTuple):
     base: int         # first domain shift
     dom: tuple        # domain component shifts
     cod: tuple        # codomain component shifts
-    columns: tuple    # per domain component: (row, image ids of d_i f,
-    #                   i, k / first k) terms
+    columns: tuple    # per domain component: (row, map ids of d_i f by
+    #                   domain weight, i, k / first k) terms
 
 
 class DegreeReport(NamedTuple):
@@ -165,8 +165,9 @@ class KernelDescription(NamedTuple):
 
 
 class Analysis:
-    """Shared exact data for one hypersurface f: weights, Groebner
-    bases, graded quotients, and both Koszul complexes."""
+    """Shared exact data for one hypersurface f: weights, the Groebner
+    basis of f, the graded quotient A, the Milnor number and the graded
+    oracle's caches; `oracle_dim` builds the Koszul complexes."""
 
     def __init__(self, f: Polynomial):
         if f.is_zero() or f.is_constant():
@@ -179,7 +180,7 @@ class Analysis:
         self.gb_f = buchberger([f])
         self.A = GradedQuotient(self.gb_f, self.ws.weights)
         # the one monic f as (leading exponents, tail scaled by -1): the
-        # reduction step of `_image`
+        # reduction step of `_map`
         (self._step,) = self.gb_f._divisors
         self.grad = f.gradient()
         grad_nz = [g for g in self.grad if not g.is_zero()]
@@ -190,11 +191,11 @@ class Analysis:
         else:
             self.milnor = INFINITE
             self.milnor_basis = None
-        # graded-oracle caches (see _slice_map and _image)
+        # graded-oracle caches (see _slice_map and _map)
         self._tables: dict = {}   # signature -> (ranks, contents)
-        self._images = [{} for _ in range(self.n)]   # per partial: mono -> id
-        self._ids: dict = {}      # image -> id
-        self._interned = []       # id -> image
+        self._maps = [[] for _ in range(self.n)]   # per partial: u -> id
+        self._ids = {(): 0}       # map content -> id; 0 for an empty domain
+        self._interned = [()]     # id -> map content
 
     # ---- route search -------------------------------------------------
 
@@ -230,8 +231,8 @@ class Analysis:
         `base`; the slice at weight s is then a function of the
         signature and s - base, so blocks of equal signature share one
         rank table keyed by s - base, and one keyed by slice content.
-        The block keeps each term with the image id cache of its
-        partial, which `_block_rank` reads."""
+        The block keeps each term with the map id cache of its partial,
+        which `_block_rank` reads."""
         base = dom[0]
         normed = tuple(tuple((r, i, exact_quotient(k, col[0][2]))
                              for r, i, k in col)
@@ -241,76 +242,74 @@ class Analysis:
         tables = self._tables.get(signature)
         if tables is None:
             tables = self._tables[signature] = ({}, {})
-        images = self._images
+        maps = self._maps
         return _SliceMap(*tables, base, dom, cod, tuple(
-            tuple((r, images[i - 1], i, k) for r, i, k in col)
+            tuple((r, maps[i - 1], i, k) for r, i, k in col)
             for col in normed))
 
-    def _image(self, i: int, mono: tuple) -> tuple:
-        """normal_form(d_i f * z^mono) as (position, coefficient) pairs,
-        each position that of a standard monomial in `self.A.basis` of
-        its weight, integral coefficients stored as int.  `self.A` must
-        be filled through the product's weight.
+    def _map(self, i: int, u: int) -> int:
+        """The id of M_i(u), multiplication by d_i f from A_u: one image
+        per monomial z^m of `self.A.basis(u)`, in that order, the normal
+        form of d_i f * z^m as (position, coefficient) pairs, positions
+        in the basis of the product's weight, integral coefficients as
+        int.  `self.A` must be filled through weight u + d - w_i.
 
-        The image is reduced once per (i, mono) and interned: the cache
-        of partial i maps mono to a small int id, equal to the id of
-        every equal image of any partial, and `self._interned[id]` is
-        the image.  `_block_rank` keys slice content by these ids."""
-        cache = self._images[i - 1]
-        iid = cache.get(mono)
-        if iid is None:
-            image = self._reduce(i, mono)
-            iid = self._ids.get(image)
-            if iid is None:
-                iid = self._ids[image] = len(self._interned)
-                self._interned.append(image)
-            cache[mono] = iid
-        return self._interned[iid]
-
-    def _reduce(self, i: int, mono: tuple) -> tuple:
-        """The (position, coefficient) pairs of `_image`, uncached.
-
-        Each term v * z^e of d_i f gives a = e + mono.  A standard z^a
-        is read from the position index.  Otherwise the leading monomial
-        of f divides z^a, and one reduction step replaces it by the
-        scaled tail of f times z^(a - lead), whose products are read
-        from the index in turn.  The products that are still not
-        standard are collected into one dict and reduced by f with
-        `ideals._reduce`; its remainder is standard and read from the
-        index too."""
+        Each term v * z^e of d_i f gives a = e + m.  A standard z^a is
+        read from the position index.  Otherwise the leading monomial of
+        f divides z^a, and one reduction step replaces it by the scaled
+        tail of f times z^(a - lead), whose products are read from the
+        index in turn.  An image's products that are still not standard
+        are reduced together by `ideals._reduce`, and its remainder read
+        from the index.  The tuple of images is interned: maps of equal
+        content, at any partial and weight, share one small int id,
+        cached per partial at index u of a list (no int per entry, as a
+        dict would keep); `self._interned[id]` is the map."""
         position = self.A.position
         lead, tail = self._step
-        acc: dict = {}
-        rest: dict = {}     # non-standard tail products -> coefficient
-        for e, v in self.grad[i - 1].terms.items():
-            a = tuple(map(add, e, mono))
-            r = position.get(a)
-            if r is not None:
-                acc[r] = acc.get(r, 0) + v
-                continue
-            q = tuple(map(sub, a, lead))
-            if min(q) < 0:
-                raise LookupError("standard monomial %r lies above the "
-                                  "filled basis of A" % (a,))
-            for t, c in tail:
-                b = tuple(map(add, t, q))
-                r = position.get(b)
+        grad = self.grad[i - 1].terms.items()
+        images = []
+        for mono in self.A.basis(u):
+            acc: dict = {}
+            rest: dict = {}     # non-standard tail products -> coefficient
+            for e, v in grad:
+                a = tuple(map(add, e, mono))
+                r = position.get(a)
                 if r is not None:
-                    acc[r] = acc.get(r, 0) + v * c
+                    acc[r] = acc.get(r, 0) + v
                     continue
-                x = rest.get(b, 0) + v * c
-                if x:
-                    rest[b] = x
-                else:
-                    del rest[b]
-        if rest:
-            for b, c in ideals._reduce(rest, (self._step,)).items():
-                r = position.get(b)
-                if r is None:
+                q = tuple(map(sub, a, lead))
+                if min(q) < 0:
                     raise LookupError("standard monomial %r lies above the "
-                                      "filled basis of A" % (b,))
-                acc[r] = acc.get(r, 0) + c
-        return tuple((r, int_or_fraction(c)) for r, c in acc.items() if c)
+                                      "filled basis of A" % (a,))
+                for t, c in tail:
+                    b = tuple(map(add, t, q))
+                    r = position.get(b)
+                    if r is not None:
+                        acc[r] = acc.get(r, 0) + v * c
+                        continue
+                    x = rest.get(b, 0) + v * c
+                    if x:
+                        rest[b] = x
+                    else:
+                        del rest[b]
+            if rest:
+                for b, c in ideals._reduce(rest, (self._step,)).items():
+                    r = position.get(b)
+                    if r is None:
+                        raise LookupError("standard monomial %r lies above "
+                                          "the filled basis of A" % (b,))
+                    acc[r] = acc.get(r, 0) + c
+            images.append(tuple((r, int_or_fraction(c))
+                                for r, c in acc.items() if c))
+        images = tuple(images)
+        mid = self._ids.get(images)
+        if mid is None:
+            mid = self._ids[images] = len(self._interned)
+            self._interned.append(images)
+        maps = self._maps[i - 1]
+        maps.extend([None] * (u + 1 - len(maps)))
+        maps[u] = mid
+        return mid
 
     def oracle_dim(self, direction: str, windows: list) -> list:
         """One {s: dim} per degree p of `windows`, each a (lo, hi) scan
@@ -383,18 +382,20 @@ class Analysis:
         """Rank of a strand block's weight-s slice.  Rows are numbered by
         codomain component, the component at shift t taking dims[s - t]
         rows from its offset, so an image position plus its component's
-        offset is the row.  A block slice with no columns or no rows has
-        rank 0 and is not assembled.
+        offset is the row.  A block slice with no columns or no rows, as
+        read from dims, has rank 0 and is not assembled.
 
-        Otherwise the slice's content key is read: the count of standard
-        monomials in each domain component, then the image id of each
-        (monomial, term) in column order, from the block's id caches
-        (only a miss calls `_image`).  A key found in `block.contents`
-        gives the rank; a new key's slice is assembled sparse from the
-        interned images, ranked, and stored under the key."""
-        basis = self.A.basis
-        domain = [basis(s - t) for t in block.dom]
-        if not any(domain):
+        Otherwise the slice's content key is read: the id of M_i(s - t)
+        for each domain component at shift t and each of its (row, i, k)
+        terms, in column order, from the block's map id caches (only a
+        miss calls `_map`), or 0, the id of the empty map, where s - t
+        is negative.  A key found in `block.contents` gives the rank; a
+        new key's slice is assembled sparse from the interned maps, one
+        column per domain monomial, ranked, and stored under the key."""
+        for t in block.dom:
+            if s >= t and dims[s - t]:
+                break
+        else:
             return 0
         offsets = []
         count = 0
@@ -404,29 +405,27 @@ class Analysis:
                 count += dims[s - t]
         if not count:
             return 0
-        key = list(map(len, domain))
-        for terms, monos in zip(block.columns, domain):
-            for mono in monos:
-                for _, ids, i, _ in terms:
-                    iid = ids.get(mono)
-                    if iid is None:
-                        self._image(i, mono)
-                        iid = ids[mono]
-                    key.append(iid)
+        key = []
+        for t, terms in zip(block.dom, block.columns):
+            u = s - t
+            if u < 0:
+                key += [0] * len(terms)
+                continue
+            for _, maps, i, _ in terms:
+                mid = maps[u] if u < len(maps) else None
+                key.append(self._map(i, u) if mid is None else mid)
         key = tuple(key)
         rank = block.contents.get(key)
         if rank is None:
             interned = self._interned
             cols = []
-            j = len(domain)
-            for terms, monos in zip(block.columns, domain):
-                for _ in monos:
-                    col = {}
-                    for r, _, _, k in terms:
-                        offset = offsets[r]
-                        for pos, v in interned[key[j]]:
-                            col[offset + pos] = k * v
-                        j += 1
+            ids = iter(key)
+            for terms in block.columns:
+                rows = [(offsets[r], k) for r, _, _, k in terms]
+                for images in zip(*[interned[next(ids)] for _ in terms]):
+                    col = {offset + pos: k * v
+                           for (offset, k), image in zip(rows, images)
+                           for pos, v in image}
                     if col:
                         cols.append(col)
             rank = block.contents[key] = rank_sparse(cols) if cols else 0

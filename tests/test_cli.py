@@ -373,13 +373,33 @@ def test_module_entry_point_exit_codes(argv, code):
     assert proc.returncode == code, proc.stderr
 
 
-def _fresh_python(*args):
-    """Run a new interpreter that imports the package from this src/."""
+def test_closed_stdout_exits_1_without_traceback():
+    # the report is about 480 kB, more than a pipe holds, so the writer
+    # is still writing when the reader closes the pipe after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hochschild.cli", "cohomology", "--poly",
+         "z1^7+z2^11+z3^13", "--mode", "structural"],
+        env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
+
+
+def _fresh_env():
+    """The environment of a new interpreter that imports the package
+    from this src/."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env,
+    return env
+
+
+def _fresh_python(*args):
+    """Run a new interpreter that imports the package from this src/."""
+    return subprocess.run([sys.executable, *args], env=_fresh_env(),
                           capture_output=True, text=True, timeout=120)
 
 

@@ -273,8 +273,14 @@ def test_oracle_matches_dense_reference(monkeypatch, f, direction):
         # normal forms mod a non-monic f: some slices reach the rank
         # with Fraction entries
         assert any(type(v) is Fraction for row in rows for v in row.values())
+    _assert_oracle_matches_dense(an, r, direction)
+
+
+def _assert_oracle_matches_dense(an, r, direction):
+    """Every slice of report r equals its module total less the dense
+    ranks of the differentials at both ends."""
     build = cochain_complex if direction == "cohomology" else chain_complex
-    cx = build(f, p_max + 1)
+    cx = build(an.f, len(r.degrees))
     cx.assign_weights(an.ws)
     shifts = [m.shifts for m in cx.modules]
     mats = _dense(cx)
@@ -290,7 +296,7 @@ def test_oracle_matches_dense_reference(monkeypatch, f, direction):
                         dense[k, s] = _dense_slice_rank(
                             an, mat, shifts[src], shifts[tgt], s)
                     expected -= dense[k, s]
-            assert deg.oracle_graded.get(s, 0) == expected
+            assert deg.oracle_graded.get(s, 0) == expected, (an.f, p, s)
 
 
 @pytest.mark.parametrize("direction", ["cohomology", "homology"])
@@ -346,53 +352,62 @@ def test_table_scan_ranks_each_differential_once_per_weight(monkeypatch,
 
 # the third f has multi-term partials, a Fraction coefficient, and tail
 # products that one reduction step does not make standard; in the
-# fourth such a product reduces on through a chain (15 steps in all
-# from d_1 f * z1^30)
+# fourth, d_1 f * z1*z2^30 takes one step to a standard product
 _IMAGE_POLYS = ["1/2*z1^3+z2^5", "z1^7+z2^11+z3^13",
                 "z1^3+1/2*z1^2*z2^2+z2^6+z3^25", "z1^2+z2^2"]
+
+
+def _map_content(an, i, u):
+    """The images of M_i(u) as {exponents: coefficient} dicts, one per
+    monomial of `an.A.basis(u)`, positions mapped back through the basis
+    of the product weight; A is filled through that weight first."""
+    weight = u + an.ws.degree - an.ws.weights[i - 1]
+    basis = an.A.basis(weight)
+    images = an._interned[an._map(i, u)]
+    assert len(images) == len(an.A.basis(u))
+    for image in images:
+        for _, v in image:
+            assert type(v) is int if v.denominator == 1 else type(v) is Fraction
+    return [{basis[r]: v for r, v in image} for image in images]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_IMAGE_POLYS),
        st.lists(st.integers(0, 30), min_size=3, max_size=3),
        st.integers(1, 3))
-@example("z1^2+z2^2", [30, 0, 0], 1)
+@example("z1^2+z2^2", [1, 30, 0], 1)
 def test_image_matches_normal_form(poly, exps, i):
-    # mono is arbitrary, standard or not; positions are mapped back
-    # through the basis of the product's weight
+    # u is the weight of an arbitrary monomial, standard or not; every
+    # row of M_i(u) is the normal form of d_i f times its monomial
     an = Analysis(parse_polynomial(poly))
     i = min(i, an.n)
-    mono = tuple(exps[:an.n])
-    weight = (sum(w * e for w, e in zip(an.ws.weights, mono))
-              + an.ws.degree - an.ws.weights[i - 1])
-    basis = an.A.basis(weight)
-    image = an._image(i, mono)
-    expected = an.gb_f.normal_form(an.grad[i - 1]
-                                   * Polynomial.monomial(an.n, mono))
-    assert {basis[r]: v for r, v in image} == expected.terms
-    assert len(image) == len(expected.terms)
-    for _, v in image:
-        assert type(v) is int if v.denominator == 1 else type(v) is Fraction
+    u = sum(w * e for w, e in zip(an.ws.weights, exps[:an.n]))
+    rows = _map_content(an, i, u)
+    for mono, row in zip(an.A.basis(u), rows):
+        expected = an.gb_f.normal_form(an.grad[i - 1]
+                                       * Polynomial.monomial(an.n, mono))
+        assert row == expected.terms
 
 
 def test_image_above_the_filled_basis_fails_loudly():
-    # z2^10 is standard, but no basis of A has been filled yet
+    # z2^10 is standard, but the basis of A is filled only through the
+    # domain weight 0
     an = Analysis(parse_polynomial("z1^7+z2^11+z3^13"))
     with pytest.raises(LookupError, match="above the filled basis"):
-        an._image(2, (0, 0, 0))
-    # 2*z1^31 reduces through a chain to -2*z1*z2^30, standard but not
-    # in the unfilled index
+        an._map(2, 0)
+    # 2*z1*z2^30 is standard but lies past the filled weight 30
     an = Analysis(parse_polynomial("z1^2+z2^2"))
     with pytest.raises(LookupError, match=r"\(1, 30\) lies above the "
                        "filled basis"):
-        an._image(1, (30, 0))
+        an._map(1, 30)
 
 
 def test_image_falls_back_only_for_products_that_stay_nonstandard(
         monkeypatch):
     # only the tail products one reduction step leaves non-standard reach
-    # `ideals._reduce`, at most one call per image; none of them is in
-    # the position index, and the reports match a run without counting
+    # `ideals._reduce`, at most one call per image of a map; none of
+    # them is in the position index, and the reports match a run
+    # without counting
     f = parse_polynomial("z1^3+1/2*z1^2*z2^2+z2^6+z3^25")
     fresh = analyze(f, p_max=4, mode="graded")
     an = Analysis(f)
@@ -406,7 +421,8 @@ def test_image_falls_back_only_for_products_that_stay_nonstandard(
     monkeypatch.setattr(ideals, "_reduce", counting)
     report = analyze(f, p_max=4, mode="graded", analysis=an)
     assert calls
-    assert len(calls) <= sum(map(len, an._images))
+    assert len(calls) <= sum(len(an._interned[mid]) for maps in an._maps
+                             for mid in maps if mid is not None)
     assert not any(m in an.A.position for terms in calls for m in terms)
     assert [deg.oracle_graded for deg in report.degrees] == \
         [deg.oracle_graded for deg in fresh.degrees]
@@ -439,21 +455,19 @@ def test_oracle_with_a_cochain_shift_of_zero(direction):
     assert an.ws.weights[1] == an.ws.degree
     r = analyze(f, direction=direction, p_max=3, cutoff=60, mode="graded",
                 analysis=an)
-    build = cochain_complex if direction == "cohomology" else chain_complex
-    cx = build(f, 4)
-    cx.assign_weights(an.ws)
-    shifts = [m.shifts for m in cx.modules]
-    mats = _dense(cx)
-    for p, deg in enumerate(r.degrees):
-        lo, hi = deg.window
-        for s in range(lo, hi + 1):
-            expected = sum(an.A.dim(s - t) for t in shifts[p])
-            for k, mat in enumerate(mats):
-                src, tgt = cx.ends(k)
-                if p in (src, tgt):
-                    expected -= _dense_slice_rank(
-                        an, mat, shifts[src], shifts[tgt], s)
-            assert deg.oracle_graded.get(s, 0) == expected, (p, s)
+    _assert_oracle_matches_dense(an, r, direction)
+
+
+@pytest.mark.parametrize("direction", ["cohomology", "homology"])
+def test_oracle_matches_dense_reference_on_seeded_f(direction):
+    # random weighted-homogeneous f, Brieskorn-Pham plus mixed terms with
+    # coefficients other than 1, n = 2 and 3: every slice of p <= 3 over
+    # two weighted degrees
+    for f in _seeded_weighted_homogeneous(SEEDED_DENSE, 12):
+        an = Analysis(f)
+        r = analyze(f, direction=direction, p_max=3,
+                    cutoff=2 * an.ws.degree, mode="graded", analysis=an)
+        _assert_oracle_matches_dense(an, r, direction)
 
 
 def test_strand_blocks_of_hand_built_columns():
@@ -471,13 +485,17 @@ def test_strand_blocks_of_hand_built_columns():
 
 def _hand_built_analysis(basis, images):
     """An Analysis whose A has the standard monomials `basis[w]` at
-    weight w and whose d_i f * z^mono reduces to `images[i, mono]`; its
-    image and rank caches are real.  Each reduction is a new tuple, so
-    equal images are equal by content only."""
+    weight w and whose d_i f * z^mono reduces to `images[i, mono]`, a
+    single term (position, 1): d_i f is the monomial z2^(100 i), and the
+    position index places each product.  Its map and rank caches are
+    real.  The dims list it returns holds len(basis[w]) at weight w."""
     an = Analysis(parse_polynomial("z1^2+z2^2"))
-    an.A = SimpleNamespace(basis=lambda w: basis.get(w, []))
-    an._reduce = lambda i, mono: tuple(list(images[i, mono]))
-    return an
+    an.grad = [Polynomial(2, {(0, 100 * i): 1}) for i in (1, 2)]
+    position = {(a, b + 100 * i): pos
+                for (i, (a, b)), ((pos, _),) in images.items()}
+    an.A = SimpleNamespace(basis=lambda w: basis.get(w, ()),
+                           position=position)
+    return an, [len(basis.get(w, ())) for w in range(20)]
 
 
 def _fresh_slice_rank(an, columns, dom, s, images):
@@ -489,6 +507,10 @@ def _fresh_slice_rank(an, columns, dom, s, images):
     return rank_sparse(cols)
 
 
+# two codomain monomials at each weight a block's rows are read from
+_ROWS = {w: [(0, w), (1, w - 1)] for w in (12, 13, 16)}
+
+
 def test_block_rank_content_key_is_complete(monkeypatch):
     calls = []
 
@@ -498,32 +520,34 @@ def test_block_rank_content_key_is_complete(monkeypatch):
 
     monkeypatch.setattr(engine, "rank_sparse", recorded)
     x, y = ((0, 1),), ((1, 1),)
-    dims = [2] * 8
-    # one block at three weights: at s = 2 and s = 3 component 0 holds
-    # two monomials, at s = 6 component 1 holds one with two terms, and
-    # all three read the image ids of x, y in that order
-    basis = {1: [(1, 0)], 2: [(2, 0), (1, 1)], 3: [(3, 0), (2, 1)]}
+    # one block at three weights, its rows at weight s + 10: at s = 2 and
+    # s = 3 component 0 holds two monomials, at s = 6 component 1 holds
+    # one with two terms, and all three read the images x, y in that
+    # order
+    basis = {1: [(1, 0)], 2: [(2, 0), (1, 1)], 3: [(3, 0), (2, 1)], **_ROWS}
     images = {(1, (2, 0)): x, (1, (1, 1)): y, (1, (3, 0)): x,
               (1, (2, 1)): y, (1, (1, 0)): x, (2, (1, 0)): y}
-    an = _hand_built_analysis(basis, images)
+    an, dims = _hand_built_analysis(basis, images)
     columns = (((0, 1, 1),), ((0, 1, 1), (1, 2, 1)))
-    block = an._slice_map(columns, (0, 5), (0, 0))
+    block = an._slice_map(columns, (0, 5), (-10, -10))
     for s, rank in ((2, 2), (6, 1), (3, 2)):
         assert an._block_rank(block, s, dims) == rank
         assert _fresh_slice_rank(an, columns, (0, 5), s, images) == rank
-    # s = 3 has the content of s = 2 under other monomials
+    # s = 3 has the content of s = 2 under other monomials: M_1(2) and
+    # M_1(3) are equal maps at two weights and get one id
+    assert an._maps[0][2] == an._maps[0][3] != an._maps[0][1]
     assert len(calls) == 2
     # signatures that differ in one k, or in the rows their terms hit,
     # over the same image at every (monomial, term)
-    basis = {1: [(1, 0)], 2: [(2, 0), (1, 1)]}
+    basis = {1: [(1, 0)], 2: [(2, 0), (1, 1)], **_ROWS}
     images = {(i, mono): x for i in (1, 2) for monos in basis.values()
               for mono in monos}
-    an = _hand_built_analysis(basis, images)
+    an, dims = _hand_built_analysis(basis, images)
     signatures = [
-        ((((0, 1, 1), (1, 2, 1)), ((0, 1, 1), (1, 2, 1))), (0, 0), 1),
-        ((((0, 1, 1), (1, 2, 1)), ((0, 1, 1), (1, 2, -1))), (0, 0), 2),
-        ((((0, 1, 1),), ((1, 1, 1),)), (0, 0), 2),
-        ((((0, 1, 1),), ((0, 1, 1),)), (0,), 1)]
+        ((((0, 1, 1), (1, 2, 1)), ((0, 1, 1), (1, 2, 1))), (-10, -10), 1),
+        ((((0, 1, 1), (1, 2, 1)), ((0, 1, 1), (1, 2, -1))), (-10, -10), 2),
+        ((((0, 1, 1),), ((1, 1, 1),)), (-10, -10), 2),
+        ((((0, 1, 1),), ((0, 1, 1),)), (-10,), 1)]
     for columns, cod, rank in signatures:
         block = an._slice_map(columns, (0, 1), cod)
         assert an._block_rank(block, 2, dims) == rank
@@ -549,6 +573,9 @@ def _seeded_weighted_homogeneous(seed, count):
             terms[e] = rng.choice((-3, -2, -1, 1, 2, 3))
         out.append(Polynomial(n, terms))
     return out
+
+
+SEEDED_DENSE = 20261019
 
 
 ROUTE_GROUPS = {
