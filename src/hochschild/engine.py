@@ -123,8 +123,7 @@ class _SliceMap(NamedTuple):
     base: int         # first domain shift
     dom: tuple        # domain component shifts
     cod: tuple        # codomain component shifts
-    columns: tuple    # per domain component: (row, map ids of d_i f by
-    #                   domain weight, i, k / first k) terms
+    columns: tuple    # per domain component: (row, i, k / first k) terms
 
 
 class DegreeReport(NamedTuple):
@@ -230,9 +229,7 @@ class Analysis:
         those terms plus the shifts relative to the first domain shift
         `base`; the slice at weight s is then a function of the
         signature and s - base, so blocks of equal signature share one
-        rank table keyed by s - base, and one keyed by slice content.
-        The block keeps each term with the map id cache of its partial,
-        which `_block_rank` reads."""
+        rank table keyed by s - base, and one keyed by slice content."""
         base = dom[0]
         normed = tuple(tuple((r, i, exact_quotient(k, col[0][2]))
                              for r, i, k in col)
@@ -242,10 +239,7 @@ class Analysis:
         tables = self._tables.get(signature)
         if tables is None:
             tables = self._tables[signature] = ({}, {})
-        maps = self._maps
-        return _SliceMap(*tables, base, dom, cod, tuple(
-            tuple((r, maps[i - 1], i, k) for r, i, k in col)
-            for col in normed))
+        return _SliceMap(*tables, base, dom, cod, normed)
 
     def _map(self, i: int, u: int) -> int:
         """The id of M_i(u), multiplication by d_i f from A_u: one image
@@ -262,8 +256,10 @@ class Analysis:
         are reduced together by `ideals._reduce`, and its remainder read
         from the index.  The tuple of images is interned: maps of equal
         content, at any partial and weight, share one small int id,
-        cached per partial at index u of a list (no int per entry, as a
-        dict would keep); `self._interned[id]` is the map."""
+        stored per partial at index u of the list `self._maps[i - 1]`
+        (no int per entry, as a dict would keep); `self._interned[id]` is
+        the map.  Each call reduces afresh: `_block_rank` reads that
+        list first and calls `_map` only on a miss."""
         position = self.A.position
         lead, tail = self._step
         grad = self.grad[i - 1].terms.items()
@@ -387,9 +383,9 @@ class Analysis:
 
         Otherwise the slice's content key is read: the id of M_i(s - t)
         for each domain component at shift t and each of its (row, i, k)
-        terms, in column order, from the block's map id caches (only a
-        miss calls `_map`), or 0, the id of the empty map, where s - t
-        is negative.  A key found in `block.contents` gives the rank; a
+        terms, in column order, from the map id caches (only a miss
+        calls `_map`), or 0, the id of the empty map, where s - t is
+        negative.  A key found in `block.contents` gives the rank; a
         new key's slice is assembled sparse from the interned maps, one
         column per domain monomial, ranked, and stored under the key."""
         for t in block.dom:
@@ -406,12 +402,14 @@ class Analysis:
         if not count:
             return 0
         key = []
+        cache = self._maps
         for t, terms in zip(block.dom, block.columns):
             u = s - t
             if u < 0:
                 key += [0] * len(terms)
                 continue
-            for _, maps, i, _ in terms:
+            for _, i, _ in terms:
+                maps = cache[i - 1]
                 mid = maps[u] if u < len(maps) else None
                 key.append(self._map(i, u) if mid is None else mid)
         key = tuple(key)
@@ -421,7 +419,7 @@ class Analysis:
             cols = []
             ids = iter(key)
             for terms in block.columns:
-                rows = [(offsets[r], k) for r, _, _, k in terms]
+                rows = [(offsets[r], k) for r, _, k in terms]
                 for images in zip(*[interned[next(ids)] for _ in terms]):
                     col = {offset + pos: k * v
                            for (offset, k), image in zip(rows, images)

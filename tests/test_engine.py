@@ -389,7 +389,7 @@ def test_image_matches_normal_form(poly, exps, i):
         assert row == expected.terms
 
 
-def test_image_above_the_filled_basis_fails_loudly():
+def test_image_above_the_filled_basis_fails_loudly(monkeypatch):
     # z2^10 is standard, but the basis of A is filled only through the
     # domain weight 0
     an = Analysis(parse_polynomial("z1^7+z2^11+z3^13"))
@@ -400,6 +400,23 @@ def test_image_above_the_filled_basis_fails_loudly():
     with pytest.raises(LookupError, match=r"\(1, 30\) lies above the "
                        "filled basis"):
         an._map(1, 30)
+    # A_5 is z1 alone, and z1 * 3/2*z1^2 takes one step to the tail
+    # product -3*z2^5, standard but past the filled weight 5: it goes
+    # to `ideals._reduce`, whose remainder z2^5 is not in the index
+    an = Analysis(parse_polynomial("1/2*z1^3+z2^5"))
+    calls = []
+    reduce = ideals._reduce
+
+    def counting(terms, divisors):
+        calls.append(dict(terms))
+        return reduce(terms, divisors)
+
+    monkeypatch.setattr(ideals, "_reduce", counting)
+    with pytest.raises(LookupError, match=r"\(0, 5\) lies above the "
+                       "filled basis"):
+        an._map(1, 5)
+    assert an.A.basis(5) == ((1, 0),)
+    assert calls == [{(0, 5): -3}]
 
 
 def test_image_falls_back_only_for_products_that_stay_nonstandard(
