@@ -8,17 +8,16 @@ Two independent routes to the same numbers:
   Hence degree p < n holds the Euler characteristic of free A-modules
   (plus, in cohomology, a finite piece), and degree p >= n a finite
   piece alone, alternating with the parity of p between the two ends.
-  Finite pieces (`_finite_part`) are either the Milnor algebra
-  C[z]/<grad f> or a colon-ideal quotient K/J with J = <f> + J'_i,
-  J'_i the partials other than d_i f, and K = (J : d_i f), which
-  packages the back-substitution argument for the kernel of g . grad f.
-  For isolated f no colon ideal is computed: by the Euler identity
-  J = J'_i + <z_i d_i f>, and d_i f is a non-zero-divisor modulo J'_i
-  because grad f is a regular sequence, so K = <J'_i, z_i>.  The
-  argument is valid exactly when K has finite colength (see `Route`),
-  which `_structural_route` checks before the classifier is trusted.
-  Dimensions of A itself come from its closed-form Poincare series
-  (`hochschild.series`), not from a monomial basis.
+  Finite pieces are either the Milnor algebra C[z]/<grad f> or a
+  colon-ideal quotient K/J with J = <f> + J'_i, J'_i the partials other
+  than d_i f, and K = (J : d_i f), which packages the back-substitution
+  argument for the kernel of g . grad f.  For isolated f no colon ideal
+  is computed: by the Euler identity J = J'_i + <z_i d_i f>, and d_i f
+  is a non-zero-divisor modulo J'_i because grad f is a regular
+  sequence, so K = <J'_i, z_i>.  The argument is valid exactly when K
+  has finite colength (see `Route`), which `_classify` checks before it
+  predicts any degree.  Dimensions of A itself come from its closed-form
+  Poincare series (`hochschild.series`), not from a monomial basis.
 
 * The graded oracle slices every module by internal weight, restricts
   the differential matrices to each finite-dimensional slice over the
@@ -60,8 +59,10 @@ Two independent routes to the same numbers:
   to an injective renumbering of rows (a row is its component's offset
   plus a position below that component's dim), and have one rank.
 
-When both run, every slice in the scan window is compared and the
-report carries an "agree"/"disagree" verdict.
+`_classify` returns one prediction per degree and `oracle_dim` one
+{s: dim} per degree.  When both run, `analyze` compares the two lists:
+the verdict is "agree" exactly when every degree's expected slices
+equal the oracle's, and "disagree" otherwise.
 
 The report types (`Report`, `DegreeReport`, `KernelDescription`,
 `KernelFamily`, `Route`) are named tuples.
@@ -477,19 +478,6 @@ def _module_totals(dims: list, terms, lo: int, hi: int) -> list:
 # ---- classifier -------------------------------------------------------
 
 
-def _structural_route(an: Analysis) -> Route:
-    """The route the classifier reads K/J from, or PreconditionError."""
-    if an.milnor is INFINITE:
-        raise PreconditionError("non-isolated singularity: Milnor "
-                                "algebra is infinite-dimensional")
-    route = an.route()
-    if route is None:
-        raise PreconditionError("no valid elimination route: "
-                                "C[z]/<J'_i, z_i> is infinite-"
-                                "dimensional for every i")
-    return route
-
-
 def _degree(an: Analysis, route: Route, direction: str, p: int) -> tuple:
     """(kind, structure, finite source, shift, free part) for degree p.
 
@@ -536,15 +524,58 @@ def _degree(an: Analysis, route: Route, direction: str, p: int) -> tuple:
     return ("finite", "C^%d", "kj", (q + 1) * d + sum(w) - w_s, ())
 
 
-def _finite_part(an: Analysis, route: Route, source: str) -> tuple:
-    """(total dim, {t: dim}, basis labels) of a finite source before its
-    shift: the Milnor algebra, or the route's K/J."""
-    basis = an.milnor_basis if source == "milnor" else route.basis
-    graded: dict = {}
-    for m in basis:
-        t = sum(map(mul, an.ws.weights, m))
-        graded[t] = graded.get(t, 0) + 1
-    return len(basis), graded, tuple(map(monomial_str, basis))
+def _classify(an: Analysis, direction: str, windows: list) -> list:
+    """The classifier's prediction for each degree p of `windows`:
+    (kind, structure, finite dim, basis labels, top weight, {s: dim}),
+    the last the nonzero expected slices over p's (lo, hi) window.
+    PreconditionError when f is not isolated or has no route.
+
+    A degree's slices are its free part, read from one dim A list of
+    the closed-form series, plus its finite source (the Milnor algebra
+    or the route's K/J) graded by weight and placed at the shift
+    `_degree` gives.  Each source is graded and labelled once."""
+    if an.milnor is INFINITE:
+        raise PreconditionError("non-isolated singularity: Milnor "
+                                "algebra is infinite-dimensional")
+    route = an.route()
+    if route is None:
+        raise PreconditionError("no valid elimination route: "
+                                "C[z]/<J'_i, z_i> is infinite-"
+                                "dimensional for every i")
+    # the free shifts are >= 0, since each w_i <= d when f is isolated
+    dims = poincare_dims(an.ws.weights, an.ws.degree,
+                         max(hi for _, hi in windows))
+    parts: dict = {}    # finite source -> (dim, {t: dim}, labels)
+    classes = []
+    for p, (lo, hi) in enumerate(windows):
+        kind, structure, source, shift, free = _degree(an, route,
+                                                       direction, p)
+        finite_dim = basis = top_weight = None
+        finite: dict = {}
+        if source is not None:
+            if source not in parts:
+                monomials = (an.milnor_basis if source == "milnor"
+                             else route.basis)
+                graded: dict = {}
+                for m in monomials:
+                    t = sum(map(mul, an.ws.weights, m))
+                    graded[t] = graded.get(t, 0) + 1
+                parts[source] = (len(monomials), graded,
+                                 tuple(map(monomial_str, monomials)))
+            finite_dim, graded, basis = parts[source]
+            finite = {t + shift: dim for t, dim in graded.items()}
+            top_weight = max(finite, default=None)
+            structure %= finite_dim
+        elif kind == "A":
+            finite_dim = 0
+        expected = {}
+        for s, val in enumerate(_module_totals(dims, free, lo, hi), lo):
+            val += finite.get(s, 0)
+            if val:
+                expected[s] = val
+        classes.append((kind, structure, finite_dim, basis, top_weight,
+                        expected))
+    return classes
 
 
 # ---- top-level entry point -------------------------------------------
@@ -557,7 +588,9 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
 
     mode selects the computation route: "structural" runs only the
     classifier, "graded" only the weight-by-weight oracle, "both" runs
-    the two independently and records whether they agree.
+    the two independently and records whether they agree; crosscheck
+    is "skipped" unless both ran.  In mode both a classifier
+    precondition failure becomes a note.
     """
     if direction not in ("cohomology", "homology"):
         raise ValueError("direction must be cohomology or homology")
@@ -568,80 +601,32 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     if cutoff is not None and cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     an = analysis or Analysis(f)
-    d = an.ws.degree
     if cutoff is None:
-        cutoff = 3 * d
+        cutoff = 3 * an.ws.degree
+    windows = [_window(an, direction, p, cutoff) for p in range(p_max + 1)]
     notes: list = []
-
-    route = None
-    if mode in ("structural", "both"):
+    classes = oracle = None
+    if mode != "graded":
         try:
-            route = _structural_route(an)
+            classes = _classify(an, direction, windows)
         except PreconditionError as exc:
             if mode == "structural":
                 raise
             notes.append("classifier disabled: %s" % exc)
-
-    windows = [_window(an, direction, p, cutoff) for p in range(p_max + 1)]
-    oracle = None
-    if mode in ("graded", "both"):
+    if mode != "structural":
         oracle = an.oracle_dim(direction, windows)
 
-    if route is not None:
-        # one dim A list from the series for every expected slice; the
-        # free shifts are >= 0, since each w_i <= d when f is isolated
-        dims = poincare_dims(an.ws.weights, d,
-                             max(hi for _, hi in windows))
-        parts: dict = {}    # finite source -> `_finite_part`
-
-    degrees = []
-    agree = True
-    for p, window in enumerate(windows):
-        expected_graded = None
-        kind = "oracle"
-        structure = None
-        finite_dim = None
-        basis = None
-        top_weight = None
-        if route is not None:
-            kind, structure, source, shift, free = _degree(an, route,
-                                                           direction, p)
-            finite_graded: dict = {}
-            if source is not None:
-                if source not in parts:
-                    parts[source] = _finite_part(an, route, source)
-                finite_dim, graded_t, basis = parts[source]
-                finite_graded = {t + shift: dim
-                                 for t, dim in graded_t.items()}
-                top_weight = max(finite_graded, default=None)
-                structure %= finite_dim
-            elif kind == "A":
-                finite_dim = 0
-            expected_graded = {}
-            for s, val in enumerate(_module_totals(dims, free, *window),
-                                    window[0]):
-                val += finite_graded.get(s, 0)
-                if val:
-                    expected_graded[s] = val
-        oracle_graded = None if oracle is None else oracle[p]
-        if expected_graded is not None and oracle_graded is not None:
-            if expected_graded != oracle_graded:
-                agree = False
-        degrees.append(DegreeReport(p, kind, structure, finite_dim, basis,
-                                    top_weight, window, expected_graded,
-                                    oracle_graded))
-
-    if mode == "both" and route is not None:
-        crosscheck = "agree" if agree else "disagree"
-    else:
-        crosscheck = "skipped"
-
-    kernel = None
-    if direction == "cohomology" and route is not None:
-        kernel = kernel_description(an)
-
+    rows = zip(windows, classes or [("oracle",) + (None,) * 5] * len(windows),
+               oracle or [None] * len(windows))
+    degrees = [DegreeReport(p, *found, window, expected, graded)
+               for p, (window, (*found, expected), graded) in enumerate(rows)]
+    crosscheck = ("skipped" if classes is None or oracle is None
+                  else "agree" if [c[-1] for c in classes] == oracle
+                  else "disagree")
+    kernel = (kernel_description(an)
+              if direction == "cohomology" and classes is not None else None)
     return Report(f, direction, an.ws, an.milnor, degrees, kernel,
-                  crosscheck, route is not None, notes)
+                  crosscheck, classes is not None, notes)
 
 
 def _window(an: Analysis, direction: str, p: int, cutoff: int) -> tuple:

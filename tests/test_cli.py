@@ -376,14 +376,15 @@ def test_module_entry_point_exit_codes(argv, code):
 def test_closed_stdout_exits_1_without_traceback():
     # the report is about 480 kB, more than a pipe holds, so the writer
     # is still writing when the reader closes the pipe after one line
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "hochschild.cli", "cohomology", "--poly",
-         "z1^7+z2^11+z3^13", "--mode", "structural"],
-        env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 1
+    with subprocess.Popen(
+            [sys.executable, "-m", "hochschild.cli", "cohomology", "--poly",
+             "z1^7+z2^11+z3^13", "--mode", "structural"],
+            env=_fresh_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
     assert err == ""
 
 

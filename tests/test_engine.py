@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -146,11 +147,46 @@ def test_non_isolated_singularity_structural_mode_fails():
         analyze(f, mode="structural")
 
 
-def test_graded_mode_skips_crosscheck():
+def _refuse(*args):
+    raise AssertionError("called outside its mode")
+
+
+def test_graded_mode_skips_crosscheck(monkeypatch):
+    monkeypatch.setattr(Analysis, "route", _refuse)
+    monkeypatch.setattr(engine, "kernel_description", _refuse)
     r = analyze(curve_a(1), mode="graded", p_max=2)
     assert r.crosscheck == "skipped"
+    assert r.classifier_ok is False and r.kernel is None
+    assert all(d.kind == "oracle" for d in r.degrees)
     assert all(d.expected_graded is None for d in r.degrees)
     assert all(d.oracle_graded is not None for d in r.degrees)
+
+
+@pytest.mark.parametrize("direction", ["cohomology", "homology"])
+def test_a_slice_off_by_one_is_a_disagreement(monkeypatch, capsys,
+                                              direction):
+    # one slice of degree 2 of 4, so a verdict that reads only some
+    # degrees (the first, or the last) misses it
+    oracle_dim = Analysis.oracle_dim
+
+    def off_by_one(self, direction, windows):
+        graded = oracle_dim(self, direction, windows)
+        s = min(graded[2])
+        graded[2][s] += 1
+        return graded
+
+    monkeypatch.setattr(Analysis, "oracle_dim", off_by_one)
+    f = parse_polynomial("z1^3+z2^2")
+    r = analyze(f, direction=direction, p_max=4)
+    assert r.classifier_ok
+    assert [d.p for d in r.degrees
+            if d.expected_graded != d.oracle_graded] == [2]
+    assert r.crosscheck == "disagree"
+    code = cli.main([direction, "--poly", "z1^3+z2^2", "--max-degree", "4"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == "crosscheck disagreement between classifier and oracle\n"
+    assert json.loads(out)["crosscheck"] == "disagree"
 
 
 @pytest.mark.parametrize("direction", ["cohomology", "homology"])
@@ -168,7 +204,8 @@ def test_graded_scan_walks_the_staircase_once(monkeypatch, direction):
     assert walks == [max(d.window[1] for d in r.degrees)]
 
 
-def test_structural_mode_skips_oracle():
+def test_structural_mode_skips_oracle(monkeypatch):
+    monkeypatch.setattr(Analysis, "oracle_dim", _refuse)
     r = analyze(curve_a(1), mode="structural", p_max=2)
     assert r.crosscheck == "skipped"
     assert all(d.oracle_graded is None for d in r.degrees)
