@@ -185,12 +185,8 @@ class Analysis:
         self.grad = f.gradient()
         grad_nz = [g for g in self.grad if not g.is_zero()]
         std = ideals.standard_monomials(buchberger(grad_nz), self.n)
-        if std.finite:
-            self.milnor = len(std.monomials)
-            self.milnor_basis = std.monomials
-        else:
-            self.milnor = INFINITE
-            self.milnor_basis = None
+        self.milnor = INFINITE if std is None else len(std)
+        self.milnor_basis = std
         # graded-oracle caches (see _slice_map and _map)
         self._tables: dict = {}   # signature -> (ranks, contents)
         self._maps = [[] for _ in range(self.n)]   # per partial: u -> id
@@ -212,13 +208,11 @@ class Analysis:
             others = [g for j, g in enumerate(self.grad, 1) if j != i]
             gb_k = buchberger(others + [Polynomial.variable(n, i)])
             std_k = ideals.standard_monomials(gb_k, n)
-            if not std_k.finite:
+            if std_k is None:
                 continue
-            std_j = ideals.standard_monomials(
-                buchberger([self.f] + others), n)
-            in_k = set(std_k.monomials)
-            return Route(i, tuple(m for m in std_j.monomials
-                                  if m not in in_k))
+            in_k = set(std_k)
+            std_j = ideals.standard_monomials(buchberger([self.f] + others), n)
+            return Route(i, tuple(m for m in std_j if m not in in_k))
         return None
 
     # ---- graded oracle ------------------------------------------------
@@ -335,13 +329,13 @@ class Analysis:
             near = windows[max(q - 1, 0):q + 2]
             spans.append((min(lo for lo, _ in near),
                           max(hi for _, hi in near)))
-        # the scan asks for A at s - t, s in a window and t a shift,
-        # and shifts are >= 0 whenever each w_i <= d: one staircase
-        # walk to the highest window top then fills every basis, and
-        # dim A is read from it once
-        self.A.basis(max(hi for _, hi in windows))
+        # the scan asks for A at s - t, s in a window and t a shift, so
+        # at weights up to `top`, which is no higher than the highest
+        # window top whenever each w_i <= d: one staircase walk then
+        # fills every basis, and dim A is read from it once
         top = max(hi - min(m.shifts) for m, (_, hi) in zip(cx.modules, spans))
-        dims = [len(self.A.basis(s)) for s in range(top + 1)]
+        self.A.basis(max(top, max(hi for _, hi in windows)))
+        dims = list(map(len, self.A.bases[:top + 1]))
         totals = [(lo, _module_totals(dims, [(1, t) for t in m.shifts],
                                       lo, hi))
                   for m, (lo, hi) in zip(cx.modules, spans)]

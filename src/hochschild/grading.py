@@ -172,40 +172,30 @@ def euler_identity_holds(f: Polynomial, ws: WeightSystem) -> bool:
 class GradedQuotient:
     """Graded bases of C[z]/I from a Groebner basis of I.
 
-    The standard monomials of exact weight s form a vector space basis
-    of the degree-s slice; dim(s) is the Hilbert function value there.
-    They are held in a table by weight, complete up to a top weight.
-    A request above the top extends the table by one `staircase` walk
-    from weight 0 through the request, which visits only standard
-    monomials; each new weight's monomials are sorted once, in lex
-    order, and a weight already in the table keeps its tuple.  The
-    position index maps every standard monomial in the table to its
-    position in `basis` of its weight; it is filled in the same walk,
-    and since a lower weight's tuple never changes, neither do its
-    positions.  A caller that knows the largest weight it will ask for
-    fills the table in one walk by asking for that weight first.  The
-    table and the index live as long as the instance.
+    The standard monomials of weight s form a vector space basis of the
+    degree-s slice.  `bases[s]` holds them in ascending lex order for
+    every s below `len(bases)`, and the position index maps each of
+    them to its position there.  A request at or above `len(bases)`
+    walks the staircase once, from weight 0 through the request, and
+    replaces both.  The walk lists each weight in lex order (see
+    `staircase`), so a re-walk gives equal tuples at the lower weights
+    and moves no position; a refused walk changes neither.  A caller
+    that knows the largest weight it will ask for fills `bases` in one
+    walk by asking for that weight first.
     """
 
     def __init__(self, gb: GroebnerBasis, weights: Sequence[int]):
-        self.gb = gb
         self.weights = tuple(weights)
         self.lead = gb.leading_exponents()
-        self._top = -1
-        self._table: dict = {}      # weight -> sorted standard monomials
+        self.bases: list = []       # weight -> standard monomials
         self.position: dict = {}    # standard monomial -> index in basis
 
     def basis(self, s: int) -> tuple:
         """Standard monomials of weight s, in ascending lex order."""
-        if s > self._top:
-            for weight, monos in staircase(self.lead, self.weights,
-                                           s).items():
-                if weight > self._top:
-                    monos.sort()
-                    self._table[weight] = tuple(monos)
-                    self.position.update(zip(monos, range(len(monos))))
-            self._top = s
-        return self._table.get(s, ())
-
-    def dim(self, s: int) -> int:
-        return len(self.basis(s))
+        if s >= len(self.bases):
+            buckets = staircase(self.lead, self.weights, s)
+            self.bases = [tuple(buckets.pop(w, ())) for w in range(s + 1)]
+            self.position = {}
+            for monos in self.bases:
+                self.position.update(zip(monos, range(len(monos))))
+        return self.bases[s] if s >= 0 else ()

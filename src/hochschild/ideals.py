@@ -229,12 +229,6 @@ def buchberger(generators: Sequence[Polynomial]) -> GroebnerBasis:
     return GroebnerBasis(reduced)
 
 
-class StandardMonomials(NamedTuple):
-    finite: bool
-    monomials: tuple | None      # exponent tuples, None when infinite
-    missing_variable: int | None  # 1-based witness when infinite
-
-
 # At most this many standard monomials are walked.  A walk of 10^6 took
 # 0.9 s and 100 MB of exponent tuples with three variables, 2.6 s and
 # 285 MB with two, so this stays under 800 MB.
@@ -249,8 +243,8 @@ def staircase(lead: Sequence[tuple], weights: Sequence[int],
               top: int) -> dict:
     """The monomials outside the monomial ideal generated by `lead`
     whose weight under the positive `weights` is at most `top`, as
-    {weight: [exponent tuples]}.  Empty when `lead` holds 1 or `top`
-    is negative.
+    {weight: [exponent tuples]}, each list in strictly ascending lex
+    order.  Empty when `lead` holds 1 or `top` is negative.
 
     The walk fixes one exponent at a time and visits only the
     staircase.  Coordinate i stops at a cap: the least i-th exponent
@@ -265,6 +259,10 @@ def staircase(lead: Sequence[tuple], weights: Sequence[int],
     as the runs hold more than MAX_STANDARD_MONOMIALS monomials; the
     buckets are built only after the whole walk fits.  Every run holds
     at least one monomial, so the record is bounded too.
+
+    The lists need no sort, and `GradedQuotient` relies on that: the
+    prefixes are visited in lex order, and a run's monomials all have
+    different weights, so a run adds at most one to any weight's list.
     """
     buckets: dict = {}
     if top < 0 or any(not any(m) for m in lead):
@@ -304,23 +302,23 @@ def staircase(lead: Sequence[tuple], weights: Sequence[int],
     return buckets
 
 
-def standard_monomials(gb: GroebnerBasis, n: int) -> StandardMonomials:
-    """Monomials outside the leading-term ideal (Macaulay basis), from
-    one `staircase` walk.
+def standard_monomials(gb: GroebnerBasis, n: int) -> tuple | None:
+    """Monomials outside the leading-term ideal (Macaulay basis), in
+    ascending lex order, from one `staircase` walk; None when there are
+    infinitely many.
 
     Finite exactly when every variable has a pure power among the
-    leading monomials (1 counts as one of every variable); the first
-    variable without one is the witness.  No standard monomial reaches
-    the least pure power z_i^(k_i) of any variable, so there are at
-    most prod k_i of them; above MAX_STANDARD_MONOMIALS the walk is
-    refused with `WalkLimitError` before it starts.
+    leading monomials (1 counts as one of every variable).  No standard
+    monomial reaches the least pure power z_i^(k_i) of any variable, so
+    there are at most prod k_i of them; above MAX_STANDARD_MONOMIALS
+    the walk is refused with `WalkLimitError` before it starts.
     """
     lead = gb.leading_exponents()
     box = 1
     for i in range(n):
         powers = [m[i] for m in lead if m[i] == sum(m)]
         if not powers:
-            return StandardMonomials(False, None, i + 1)
+            return None
         box *= min(powers)
     if box > MAX_STANDARD_MONOMIALS:
         raise WalkLimitError(
@@ -328,8 +326,7 @@ def standard_monomials(gb: GroebnerBasis, n: int) -> StandardMonomials:
             "above the limit of %d" % (box, MAX_STANDARD_MONOMIALS))
     # each standard monomial has degree below sum_i max_m m_i
     buckets = staircase(lead, (1,) * n, sum(map(max, zip(*lead))))
-    out = sorted(chain.from_iterable(buckets.values()))
-    return StandardMonomials(True, tuple(out), None)
+    return tuple(sorted(chain.from_iterable(buckets.values())))
 
 
 def quotient_dimension(generators: Sequence[Polynomial]):
@@ -341,9 +338,7 @@ def quotient_dimension(generators: Sequence[Polynomial]):
     if not gb.elements:
         return INFINITE
     std = standard_monomials(gb, n)
-    if not std.finite:
-        return INFINITE
-    return len(std.monomials)
+    return INFINITE if std is None else len(std)
 
 
 def milnor_number(f: Polynomial):

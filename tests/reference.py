@@ -55,7 +55,8 @@ def verify_infinite_part(degree, an, free_shift: int) -> bool:
     total = 0
     quarter = hi - (hi - lo) // 4
     for s in range(lo, hi + 1):
-        excess = degree.oracle_graded.get(s, 0) - an.A.dim(s - free_shift)
+        excess = (degree.oracle_graded.get(s, 0)
+                  - len(an.A.basis(s - free_shift)))
         if excess < 0:
             return False
         if excess and s > quarter:

@@ -239,6 +239,30 @@ def test_negative_degree_or_cutoff_exits_2(capsys, argv):
     assert captured.out == "" and "must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("argv, expected, line", [
+    (("groebner", "--gens", " ; "), 2, "error: no generators given"),
+    (("weights", "--poly", "z1^2*z2^3+z1"), 1,
+     "error: homogeneity equations force a non-positive weight"),
+    (("homology", "--catalog", "a0-curve"), 2,
+     "error: A_k curves need k >= 1"),
+    (("verify-invariants", "--name", "a3-curve"), 2,
+     "error: a3-curve has no invariant data"),
+    (("bar-oracle", "--k", "0"), 2, "error: k must be positive"),
+    # argparse rejects the value itself and exits
+    (("cohomology", "--poly", "z1^2", "--max-degree", "x"), SystemExit(2),
+     "hh cohomology: error: argument --max-degree: invalid int value: 'x'"),
+])
+def test_usage_error_exit_code_and_message(capsys, argv, expected, line):
+    try:
+        outcome = main(list(argv))
+    except SystemExit as exc:
+        outcome = exc
+    assert repr(outcome) == repr(expected)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == line
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -325,7 +325,7 @@ def _assert_oracle_matches_dense(an, r, direction):
     for p, deg in enumerate(r.degrees):
         lo, hi = deg.window
         for s in range(lo, hi + 1):
-            expected = sum(an.A.dim(s - t) for t in shifts[p])
+            expected = sum(len(an.A.basis(s - t)) for t in shifts[p])
             for k, mat in enumerate(mats):
                 src, tgt = cx.ends(k)
                 if p in (src, tgt):
@@ -384,7 +384,8 @@ def test_table_scan_ranks_each_differential_once_per_weight(monkeypatch,
     cx.assign_weights(an.ws)
     for k, s in ranked:
         for q in (k, k + 1):
-            assert sum(an.A.dim(s - t) for t in cx.modules[q].shifts), (k, s)
+            assert any(an.A.basis(s - t)
+                       for t in cx.modules[q].shifts), (k, s)
 
 
 # the third f has multi-term partials, a Fraction coefficient, and tail
@@ -662,16 +663,15 @@ def test_route_ideal_matches_colon_ideal(group):
             colon = buchberger(colon_ideal([f] + others, an.grad[i - 1]))
             assert gb_k == colon, (f, i)
             bases.append((others, colon))
-            finite.append(standard_monomials(gb_k, an.n).finite)
+            finite.append(standard_monomials(gb_k, an.n) is not None)
         route = an.route()
         if any(finite):
             i = finite.index(True) + 1
             others, colon = bases[i - 1]
             std_j = standard_monomials(buchberger([f] + others), an.n)
-            in_k = set(standard_monomials(colon, an.n).monomials)
+            in_k = set(standard_monomials(colon, an.n))
             assert route.solved == i, f
-            assert route.basis == tuple(m for m in std_j.monomials
-                                        if m not in in_k), f
+            assert route.basis == tuple(m for m in std_j if m not in in_k), f
         else:
             assert route is None, f
         outcomes.update(finite)
@@ -686,7 +686,7 @@ def test_route_requires_isolated_singularity():
     an = Analysis(f)
     assert an.milnor is INFINITE
     gb = buchberger([an.grad[1], Polynomial.variable(2, 1)])
-    assert standard_monomials(gb, 2).finite
+    assert standard_monomials(gb, 2) is not None
     assert gb != buchberger(colon_ideal([f, an.grad[1]], an.grad[0]))
     assert an.route() is None
     with pytest.raises(PreconditionError, match="non-isolated"):

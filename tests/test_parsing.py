@@ -60,10 +60,19 @@ def test_no_implicit_multiplication():
         parse_polynomial("3(z1 + 1)")
 
 
-def test_error_positions():
+@pytest.mark.parametrize("text, message, offset", [
+    ("z1 + ", "expected a variable, number or parenthesis", 5),
+    ("z1 $ z2", "unexpected character '$'", 3),
+    ("(z1+z2", "expected ')'", 6),
+    ("", "empty expression", 0),
+    ("   ", "empty expression", 0),
+    ("z1)", "trailing input", 2),
+])
+def test_error_positions(text, message, offset):
     with pytest.raises(ParseError) as err:
-        parse_polynomial("z1 + ")
-    assert err.value.position == 5
+        parse_polynomial(text)
+    assert err.value.position == offset
+    assert str(err.value) == "%s (at offset %d)" % (message, offset)
 
 
 def test_rejects_mixed_alphabets():
