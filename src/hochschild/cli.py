@@ -187,7 +187,7 @@ def _run_homology_command(args, direction: str) -> int:
         print("crosscheck disagreement between classifier and oracle",
               file=sys.stderr)
         return 1
-    if args.mode == "both" and not report.classifier_ok:
+    if report.notes:
         for note in report.notes:
             print(note, file=sys.stderr)
         return 1

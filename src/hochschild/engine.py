@@ -102,12 +102,12 @@ class Route(NamedTuple):
     K = (J : d_i f), and the route is valid exactly when K has finite
     colength: then J'_i, z_i is a regular sequence, so z_i and d_i f are
     non-zero-divisors modulo J'_i, and so is f, which the Euler identity
-    puts in z_i d_i f + J'_i up to a unit; hence J'_i, f is a regular sequence in any order
-    (homogeneous regular sequences permute; Bruns-Herzog, Cohen-Macaulay
-    Rings, Thm. 2.1.2) and J has finite colength.  Conversely, if some
-    ordering of f and J'_i is regular, z_i is a non-zero-divisor modulo
-    J'_i and K is finite.  basis is std(J) minus std(K), the monomial
-    basis of K/J.
+    puts in z_i d_i f + J'_i up to a unit; hence J'_i, f is a regular
+    sequence in any order (homogeneous regular sequences permute;
+    Bruns-Herzog, Cohen-Macaulay Rings, Thm. 2.1.2) and J has finite
+    colength.  Conversely, if some ordering of f and J'_i is regular,
+    z_i is a non-zero-divisor modulo J'_i and K is finite.  basis is
+    std(J) minus std(K), the monomial basis of K/J.
     """
     solved: int
     basis: tuple        # monomial exponent tuples, std(J) minus std(K)
@@ -129,8 +129,6 @@ class _SliceMap(NamedTuple):
 
 class DegreeReport(NamedTuple):
     p: int
-    kind: str                  # "A" | "A_plus_finite" | "free_plus_finite"
-    #                            | "module_quotient" | "finite" | "oracle"
     structure: str | None
     finite_dim: int | None
     basis: tuple | None        # monomial label strings for the finite part
@@ -148,7 +146,6 @@ class Report(NamedTuple):
     degrees: list
     kernel: object | None
     crosscheck: str            # "agree" | "disagree" | "skipped"
-    classifier_ok: bool
     notes: list
 
 
@@ -330,11 +327,11 @@ class Analysis:
             spans.append((min(lo for lo, _ in near),
                           max(hi for _, hi in near)))
         # the scan asks for A at s - t, s in a window and t a shift, so
-        # at weights up to `top`, which is no higher than the highest
-        # window top whenever each w_i <= d: one staircase walk then
-        # fills every basis, and dim A is read from it once
+        # at weights up to `top`, and every image M_i(u) lies at some
+        # s - t' for a codomain shift t': one staircase walk through
+        # `top` fills every basis, and dim A is read from it once
         top = max(hi - min(m.shifts) for m, (_, hi) in zip(cx.modules, spans))
-        self.A.basis(max(top, max(hi for _, hi in windows)))
+        self.A.basis(top)
         dims = list(map(len, self.A.bases[:top + 1]))
         totals = [(lo, _module_totals(dims, [(1, t) for t in m.shifts],
                                       lo, hi))
@@ -473,12 +470,12 @@ def _module_totals(dims: list, terms, lo: int, hi: int) -> list:
 
 
 def _degree(an: Analysis, route: Route, direction: str, p: int) -> tuple:
-    """(kind, structure, finite source, shift, free part) for degree p.
+    """(structure, finite source, shift, free part) for degree p.
 
-    structure is the report's label, with %d where the finite dimension
-    goes; finite source is "milnor", "kj" or None, placed at weight
-    shift; the free part is a tuple of (sign, t) pairs standing for
-    sum sign * dim A_(s - t).
+    structure is the report's label, which names the degree's form,
+    with %d where the finite dimension goes; finite source is "milnor",
+    "kj" or None, placed at weight shift; the free part is a tuple of
+    (sign, t) pairs standing for sum sign * dim A_(s - t).
 
     One rule serves every n.  The component of module p with j odd
     generators lies on a strand of the Koszul complex of grad f over
@@ -493,34 +490,33 @@ def _degree(an: Analysis, route: Route, direction: str, p: int) -> tuple:
     n, d, w = an.n, an.ws.degree, an.ws.weights
     w_s = w[route.solved - 1]
     if p == 0:
-        return ("A", "A", None, None, ((1, 0),))
+        return ("A", None, None, ((1, 0),))
     if direction == "cohomology":
         source, shift = ("kj", d - w_s) if p % 2 else ("milnor", 0)
         if p >= n:
-            return ("finite", "C^%d", source, shift, ())
+            return ("C^%d", source, shift, ())
         free = tuple(((-1) ** (k - p - 1), sum(d - wi for wi in S))
                      for k in range(p + 1, n + 1)
                      for S in combinations(w, k))
         if p == n - 1:
-            return ("A_plus_finite", "A + C^%d", source, shift, free)
-        return ("free_plus_finite", "(grad f ^ A^3) + C^%d", source, shift,
-                free)
+            return ("A + C^%d", source, shift, free)
+        return ("(grad f ^ A^3) + C^%d", source, shift, free)
     if p < n:
         free = tuple(((-1) ** (p - k), (p - k) * d + sum(S))
                      for k in range(p + 1) for S in combinations(w, k))
         structure = ("A^2/(A grad f)" if (p, n) == (1, 2)
                      else "grad f ^ A^3" if (p, n) == (1, 3)
                      else "A^3/(grad f ^ A^3)")
-        return ("module_quotient", structure, None, None, free)
+        return (structure, None, None, free)
     q, r = divmod(p - n, 2)
     if r == 0:
-        return ("finite", "C^%d", "milnor", q * d + sum(w), ())
-    return ("finite", "C^%d", "kj", (q + 1) * d + sum(w) - w_s, ())
+        return ("C^%d", "milnor", q * d + sum(w), ())
+    return ("C^%d", "kj", (q + 1) * d + sum(w) - w_s, ())
 
 
 def _classify(an: Analysis, direction: str, windows: list) -> list:
     """The classifier's prediction for each degree p of `windows`:
-    (kind, structure, finite dim, basis labels, top weight, {s: dim}),
+    (structure, finite dim, basis labels, top weight, {s: dim}),
     the last the nonzero expected slices over p's (lo, hi) window.
     PreconditionError when f is not isolated or has no route.
 
@@ -542,8 +538,7 @@ def _classify(an: Analysis, direction: str, windows: list) -> list:
     parts: dict = {}    # finite source -> (dim, {t: dim}, labels)
     classes = []
     for p, (lo, hi) in enumerate(windows):
-        kind, structure, source, shift, free = _degree(an, route,
-                                                       direction, p)
+        structure, source, shift, free = _degree(an, route, direction, p)
         finite_dim = basis = top_weight = None
         finite: dict = {}
         if source is not None:
@@ -560,15 +555,14 @@ def _classify(an: Analysis, direction: str, windows: list) -> list:
             finite = {t + shift: dim for t, dim in graded.items()}
             top_weight = max(finite, default=None)
             structure %= finite_dim
-        elif kind == "A":
+        elif p == 0:
             finite_dim = 0
         expected = {}
         for s, val in enumerate(_module_totals(dims, free, lo, hi), lo):
             val += finite.get(s, 0)
             if val:
                 expected[s] = val
-        classes.append((kind, structure, finite_dim, basis, top_weight,
-                        expected))
+        classes.append((structure, finite_dim, basis, top_weight, expected))
     return classes
 
 
@@ -584,7 +578,9 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     classifier, "graded" only the weight-by-weight oracle, "both" runs
     the two independently and records whether they agree; crosscheck
     is "skipped" unless both ran.  In mode both a classifier
-    precondition failure becomes a note.
+    precondition failure becomes a note, the only kind of note.  A scan
+    window that reaches past weight MAX_STANDARD_MONOMIALS raises
+    `ideals.WalkLimitError` before anything is listed by weight.
     """
     if direction not in ("cohomology", "homology"):
         raise ValueError("direction must be cohomology or homology")
@@ -598,6 +594,11 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     if cutoff is None:
         cutoff = 3 * an.ws.degree
     windows = [_window(an, direction, p, cutoff) for p in range(p_max + 1)]
+    top = max(hi for _, hi in windows)
+    if top > ideals.MAX_STANDARD_MONOMIALS:
+        raise ideals.WalkLimitError(
+            "the scan window reaches weight %d, above the limit of %d"
+            % (top, ideals.MAX_STANDARD_MONOMIALS))
     notes: list = []
     classes = oracle = None
     if mode != "graded":
@@ -610,7 +611,7 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     if mode != "structural":
         oracle = an.oracle_dim(direction, windows)
 
-    rows = zip(windows, classes or [("oracle",) + (None,) * 5] * len(windows),
+    rows = zip(windows, classes or [(None,) * 5] * len(windows),
                oracle or [None] * len(windows))
     degrees = [DegreeReport(p, *found, window, expected, graded)
                for p, (window, (*found, expected), graded) in enumerate(rows)]
@@ -620,7 +621,7 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     kernel = (kernel_description(an)
               if direction == "cohomology" and classes is not None else None)
     return Report(f, direction, an.ws, an.milnor, degrees, kernel,
-                  crosscheck, classes is not None, notes)
+                  crosscheck, notes)
 
 
 def _window(an: Analysis, direction: str, p: int, cutoff: int) -> tuple:

@@ -55,6 +55,19 @@ def test_huge_milnor_basis_is_refused_before_the_walk(capsys, argv):
                    "99999999998 monomials, above the limit of 2000000\n")
 
 
+@pytest.mark.parametrize("mode", ["both", "graded", "structural"])
+def test_oversized_scan_window_is_refused(capsys, mode):
+    # the window of degree 1 reaches weight 2000001, one past the limit;
+    # nothing is listed by weight before the refusal (CI runs the same
+    # command at a cutoff whose lists would not fit in memory)
+    code, out, err = run(capsys, "cohomology", "--poly", "z1^2",
+                         "--max-degree", "1", "--weight-cutoff", "2000000",
+                         "--mode", mode)
+    assert (code, out) == (1, "")
+    assert err == ("error: the scan window reaches weight 2000001, above "
+                   "the limit of 2000000\n")
+
+
 def test_milnor_finite(capsys):
     code, out, _ = run(capsys, "milnor", "--catalog", "e8-curve")
     assert code == 0
@@ -185,15 +198,28 @@ def test_precondition_error_exit_code(capsys):
     assert "weight" in err
 
 
-def test_non_isolated_cohomology_exit_code(capsys):
-    # classifier preconditions fail (Milnor infinite) in default both mode
+@pytest.mark.parametrize("mode", ["both", "graded", "structural"])
+def test_non_isolated_cohomology_exit_code(capsys, mode):
+    # classifier preconditions fail (Milnor infinite): mode both prints
+    # the report and exits 1 on its note, mode graded never runs the
+    # classifier, and mode structural has no report to print
     code, out, err = run(capsys, "cohomology", "--poly", "z1^2*z2",
-                         "--max-degree", "2")
-    assert code == 1
-    assert "classifier disabled" in err
+                         "--max-degree", "2", "--mode", mode)
+    if mode == "structural":
+        assert (code, out) == (1, "")
+        assert err.startswith("error: non-isolated singularity")
+        return
     payload = json.loads(out)
     assert payload["milnor"] == "infinite"
     assert payload["crosscheck"] == "skipped"
+    if mode == "both":
+        assert code == 1
+        assert err == "classifier disabled: non-isolated singularity: " \
+            "Milnor algebra is infinite-dimensional\n"
+        assert payload["notes"] == [err.rstrip("\n")]
+    else:
+        assert (code, err) == (0, "")
+        assert "notes" not in payload
 
 
 def test_missing_poly_is_usage_error(capsys):

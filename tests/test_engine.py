@@ -156,8 +156,8 @@ def test_graded_mode_skips_crosscheck(monkeypatch):
     monkeypatch.setattr(engine, "kernel_description", _refuse)
     r = analyze(curve_a(1), mode="graded", p_max=2)
     assert r.crosscheck == "skipped"
-    assert r.classifier_ok is False and r.kernel is None
-    assert all(d.kind == "oracle" for d in r.degrees)
+    assert r.notes == [] and r.kernel is None
+    assert all(d.structure is None for d in r.degrees)
     assert all(d.expected_graded is None for d in r.degrees)
     assert all(d.oracle_graded is not None for d in r.degrees)
 
@@ -178,7 +178,7 @@ def test_a_slice_off_by_one_is_a_disagreement(monkeypatch, capsys,
     monkeypatch.setattr(Analysis, "oracle_dim", off_by_one)
     f = parse_polynomial("z1^3+z2^2")
     r = analyze(f, direction=direction, p_max=4)
-    assert r.classifier_ok
+    assert r.notes == []
     assert [d.p for d in r.degrees
             if d.expected_graded != d.oracle_graded] == [2]
     assert r.crosscheck == "disagree"
@@ -189,8 +189,16 @@ def test_a_slice_off_by_one_is_a_disagreement(monkeypatch, capsys,
     assert json.loads(out)["crosscheck"] == "disagree"
 
 
-@pytest.mark.parametrize("direction", ["cohomology", "homology"])
-def test_graded_scan_walks_the_staircase_once(monkeypatch, direction):
+# (f, direction, p_max, highest window top, walk top, monomials walked):
+# the walk reaches only the highest weight s - t the scan reads, well
+# below the homology windows' top
+@pytest.mark.parametrize("poly,direction,p_max,window,top,monomials", [
+    ("z1^3+z2^4+z3^5", "cohomology", 4, 220, 220, 384),
+    ("z1^3+z2^4+z3^5", "homology", 4, 267, 220, 384),
+    ("z1^2+z2^3+z3^5", "homology", 48, 796, 105, 188),
+])
+def test_graded_scan_walks_the_staircase_once(monkeypatch, poly, direction,
+                                              p_max, window, top, monomials):
     walks = []
     walk = grading.staircase
 
@@ -199,9 +207,12 @@ def test_graded_scan_walks_the_staircase_once(monkeypatch, direction):
         return walk(lead, weights, top)
 
     monkeypatch.setattr(grading, "staircase", counted)
-    r = analyze(parse_polynomial("z1^3+z2^4+z3^5"), direction=direction,
-                p_max=4, mode="graded")
-    assert walks == [max(d.window[1] for d in r.degrees)]
+    an = Analysis(parse_polynomial(poly))
+    r = analyze(an.f, direction=direction, p_max=p_max, mode="graded",
+                analysis=an)
+    assert walks == [top]
+    assert max(d.window[1] for d in r.degrees) == window
+    assert sum(map(len, an.A.bases)) == monomials
 
 
 def test_structural_mode_skips_oracle(monkeypatch):
@@ -483,8 +494,9 @@ def test_image_falls_back_only_for_products_that_stay_nonstandard(
         [deg.oracle_graded for deg in fresh.degrees]
 
 
-_SHARED_RUNS = [("cohomology", 4, 20, "both"), ("homology", 9, None, "both"),
-                ("cohomology", 12, None, "graded")]
+# (direction, p_max, cutoff as a multiple of d, mode)
+_SHARED_RUNS = [("cohomology", 4, 1, "both"), ("homology", 9, 3, "both"),
+                ("cohomology", 12, 5, "graded")]
 
 
 @pytest.mark.parametrize("poly", ["z1^3+1/2*z1^2*z2^2+z2^6+z3^25",
@@ -494,11 +506,14 @@ def test_shared_analysis_reports_match_fresh_ones(poly):
     # re-walked under images cached as positions
     f = parse_polynomial(poly)
     shared = Analysis(f)
+    walked = len(shared.A.bases)
     for direction, p_max, cutoff, mode in _SHARED_RUNS:
-        kwargs = dict(direction=direction, p_max=p_max, cutoff=cutoff,
-                      mode=mode)
+        kwargs = dict(direction=direction, p_max=p_max,
+                      cutoff=cutoff * shared.ws.degree, mode=mode)
         assert cli._report_json(analyze(f, analysis=shared, **kwargs)) == \
             cli._report_json(analyze(f, **kwargs))
+        assert len(shared.A.bases) > walked
+        walked = len(shared.A.bases)
 
 
 @pytest.mark.parametrize("direction", ["cohomology", "homology"])
@@ -721,8 +736,8 @@ def test_loop_singularity_has_no_route():
 
 def _table_degree(an, route, direction, A, p):
     """The classifier's former per-n table, kept as the reference for
-    the one-rule `_degree`: (kind, finite source, shift, free formula
-    s -> dim, or None), with A(s) = dim A_s."""
+    the one-rule `_degree`: (structure label, finite source, shift, free
+    formula s -> dim, or None), with A(s) = dim A_s."""
     n = an.n
     d, w = an.ws.degree, an.ws.weights
     W = sum(w)
@@ -733,58 +748,58 @@ def _table_degree(an, route, direction, A, p):
     if direction == "cohomology":
         if n == 1:
             if p % 2 == 0:
-                return ("finite", "milnor", 0, None)
-            return ("finite", "kj", d - w[0], None)
+                return ("C^%d", "milnor", 0, None)
+            return ("C^%d", "kj", d - w[0], None)
         if n == 2:
             c = 2 * d - w[0] - w[1]
             if p == 1:
-                return ("A_plus_finite", "kj", d - w[route.solved - 1],
+                return ("A + C^%d", "kj", d - w[route.solved - 1],
                         lambda s: A(s - c))
             if p % 2 == 0:
-                return ("finite", "milnor", 0, None)
-            return ("finite", "kj", d - w[route.solved - 1], None)
+                return ("C^%d", "milnor", 0, None)
+            return ("C^%d", "kj", d - w[route.solved - 1], None)
         # n == 3
         if p == 1:
             def free(s):
                 return (sum(A(s - 2 * d + W - wi) for wi in w)
                         - A(s - 3 * d + W))
-            return ("free_plus_finite", "kj", d - w[route.solved - 1], free)
+            return ("(grad f ^ A^3) + C^%d", "kj", d - w[route.solved - 1], free)
         if p == 2:
             c = 3 * d - W
-            return ("A_plus_finite", "milnor", 0, lambda s: A(s - c))
+            return ("A + C^%d", "milnor", 0, lambda s: A(s - c))
         if p % 2 == 1:
-            return ("finite", "kj", d - w[route.solved - 1], None)
-        return ("finite", "milnor", 0, None)
+            return ("C^%d", "kj", d - w[route.solved - 1], None)
+        return ("C^%d", "milnor", 0, None)
 
     # homology
     q = p // 2
     if n == 1:
         if p % 2 == 0:
-            return ("finite", "kj", q * d, None)
-        return ("finite", "milnor", q * d + w[0], None)
+            return ("C^%d", "kj", q * d, None)
+        return ("C^%d", "milnor", q * d + w[0], None)
     if n == 2:
         if p == 1:
             def quot(s):
                 return sum(A(s - wi) for wi in w) - A(s - d)
-            return ("module_quotient", None, None, quot)
+            return ("A^2/(A grad f)", None, None, quot)
         if p % 2 == 0:
-            return ("finite", "milnor", (q - 1) * d + w[0] + w[1], None)
+            return ("C^%d", "milnor", (q - 1) * d + w[0] + w[1], None)
         j = 3 - route.solved     # the back-substituted index
-        return ("finite", "kj", q * d + w[j - 1], None)
+        return ("C^%d", "kj", q * d + w[j - 1], None)
     # n == 3
     if p == 1:
         def quot1(s):
             return sum(A(s - wi) for wi in w) - A(s - d)
-        return ("module_quotient", None, None, quot1)
+        return ("grad f ^ A^3", None, None, quot1)
     if p == 2:
         def quot2(s):
             pairs = A(s - w[0] - w[1]) + A(s - w[1] - w[2]) + A(s - w[0] - w[2])
             image = sum(A(s - d - wi) for wi in w) - A(s - 2 * d)
             return pairs - image
-        return ("module_quotient", None, None, quot2)
+        return ("A^3/(grad f ^ A^3)", None, None, quot2)
     if p % 2 == 1:
-        return ("finite", "milnor", (q - 1) * d + W, None)
-    return ("finite", "kj", (q - 1) * d + W - w[route.solved - 1], None)
+        return ("C^%d", "milnor", (q - 1) * d + W, None)
+    return ("C^%d", "kj", (q - 1) * d + W - w[route.solved - 1], None)
 
 
 TABLE_GROUPS = {
@@ -835,11 +850,12 @@ def test_degree_rule_matches_reference_table(group):
 
         for direction in ("cohomology", "homology"):
             for p in range(15):
-                kind, _, source, shift, free = _degree(an, route,
-                                                       direction, p)
-                ref_kind, ref_source, ref_shift, ref_free = \
+                structure, source, shift, free = _degree(an, route,
+                                                         direction, p)
+                ref_structure, ref_source, ref_shift, ref_free = \
                     _table_degree(an, route, direction, A, p)
-                assert (kind, source) == (ref_kind, ref_source), (f, p)
+                assert (structure, source) == (ref_structure, ref_source), \
+                    (f, p)
                 if source is not None:
                     assert shift == ref_shift, (f, direction, p)
                 for s in range(-5, 8 * d + 1):
@@ -880,7 +896,7 @@ def test_classifier_agrees_with_oracle(f):
     for direction in ("cohomology", "homology"):
         report = analyze(f, direction=direction, p_max=f.n + 3, mode="both",
                          analysis=an)
-        if report.classifier_ok:
+        if not report.notes:
             assert report.crosscheck == "agree", (f, direction)
             if direction == "cohomology":
                 assert report.kernel.verified, f
