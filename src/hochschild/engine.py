@@ -33,12 +33,14 @@ Two independent routes to the same numbers:
   ends.  A differential is cut into strand blocks, the connected
   pieces of the graph joining every domain component to the codomain
   components its entries hit, read from those entries; a slice's rank
-  is the sum of its blocks' ranks, and the weights are ranked in one
-  pass over the blocks.  A block slice is assembled sparse from the
-  multiplication maps M_i(u), d_i f times A_u into A_(u + d - w_i),
-  each reduced once by `Analysis._map` to positions in the bases of A:
-  a standard product is read from the position index of
-  `GradedQuotient`, any other takes one reduction step by f, and the
+  is the sum of its blocks' ranks.  The unit of work is one strand
+  block over all the weights of one differential
+  (`Analysis._block_ranks`).  A block slice is assembled sparse from
+  the multiplication maps M_i(u), d_i f times A_u into
+  A_(u + d - w_i), reduced by `Analysis._reduce_maps` in one batch per
+  partial over every u the block's new weights need, to positions in
+  the bases of A: a standard product is read from the position index
+  of `GradedQuotient`, any other takes one reduction step by f, and the
   products still not standard go through `ideals._reduce`.  A row is
   its codomain component's offset, read from the dim A list, plus a
   position.
@@ -47,17 +49,19 @@ Two independent routes to the same numbers:
   block's signature (its column terms and relative shifts, see
   `_slice_map`), so a block that recurs, in another differential or in
   the 2-periodic tail, shares both tables.  The first is keyed by the
-  relative weight s - base.  On a miss there, the slice's content key
-  is looked up in the second: in column order, one id per (domain
-  component at shift t, term of partial i), the id of M_i(s - t), which
-  `_map` interns so that maps of equal content share one id.  Only a
-  second miss assembles the slice and ranks it.  The key is complete:
-  the signature fixes each component's (row, i, k) terms, a map holds
-  one image per domain monomial, so its length is the component's
-  domain count, and the images give each term's (position,
-  coefficient) entries; so two slices with one key are one matrix up
-  to an injective renumbering of rows (a row is its component's offset
-  plus a position below that component's dim), and have one rank.
+  relative weight s - base.  The weights missing there get content
+  keys, looked up in the second: in column order, one id per (domain
+  component at shift t, term of partial i), the id of M_i(s - t),
+  which `_reduce_maps` interns so that maps of equal content share one
+  id; one column of ids per (component, term) over the missing
+  weights, zipped, gives every key.  Only a second miss assembles the
+  slice and ranks it.  The key is complete: the signature fixes each
+  component's (row, i, k) terms, a map holds one image per domain
+  monomial, so its length is the component's domain count, and the
+  images give each term's (position, coefficient) entries; so two
+  slices with one key are one matrix up to an injective renumbering of
+  rows (a row is its component's offset plus a position below that
+  component's dim), and have one rank.
 
 `_classify` returns one prediction per degree and `oracle_dim` one
 {s: dim} per degree.  When both run, `analyze` compares the two lists:
@@ -120,7 +124,7 @@ class _SliceMap(NamedTuple):
     block.  Both rank tables are shared by blocks of equal signature and
     by no others."""
     ranks: dict       # s - base -> rank
-    contents: dict    # content key (see `_block_rank`) -> rank
+    contents: dict    # content key (see `_block_ranks`) -> rank
     base: int         # first domain shift
     dom: tuple        # domain component shifts
     cod: tuple        # codomain component shifts
@@ -177,14 +181,14 @@ class Analysis:
         self.gb_f = buchberger([f])
         self.A = GradedQuotient(self.gb_f, self.ws.weights)
         # the one monic f as (leading exponents, tail scaled by -1): the
-        # reduction step of `_map`
+        # reduction step of `_reduce_maps`
         (self._step,) = self.gb_f._divisors
         self.grad = f.gradient()
         grad_nz = [g for g in self.grad if not g.is_zero()]
         std = ideals.standard_monomials(buchberger(grad_nz), self.n)
         self.milnor = INFINITE if std is None else len(std)
         self.milnor_basis = std
-        # graded-oracle caches (see _slice_map and _map)
+        # graded-oracle caches (see _slice_map and _reduce_maps)
         self._tables: dict = {}   # signature -> (ranks, contents)
         self._maps = [[] for _ in range(self.n)]   # per partial: u -> id
         self._ids = {(): 0}       # map content -> id; 0 for an empty domain
@@ -233,12 +237,16 @@ class Analysis:
             tables = self._tables[signature] = ({}, {})
         return _SliceMap(*tables, base, dom, cod, normed)
 
-    def _map(self, i: int, u: int) -> int:
-        """The id of M_i(u), multiplication by d_i f from A_u: one image
-        per monomial z^m of `self.A.basis(u)`, in that order, the normal
-        form of d_i f * z^m as (position, coefficient) pairs, positions
-        in the basis of the product's weight, integral coefficients as
-        int.  `self.A` must be filled through weight u + d - w_i.
+    def _reduce_maps(self, i: int, us) -> None:
+        """Reduce M_i(u), multiplication by d_i f from A_u, for every u
+        of `us`, in ascending u, and store its id at index u of the list
+        `self._maps[i - 1]` (no int per entry, as a dict would keep).
+        A map holds one image per monomial z^m of A_u, in basis order:
+        the normal form of d_i f * z^m as (position, coefficient) pairs,
+        positions in the basis of the product's weight, integral
+        coefficients as int.  One `self.A.basis` call fills A through
+        the highest u, and every basis is then read from `self.A.bases`;
+        the position index must already reach each u + d - w_i.
 
         Each term v * z^e of d_i f gives a = e + m.  A standard z^a is
         read from the position index.  Otherwise the leading monomial of
@@ -246,58 +254,67 @@ class Analysis:
         tail of f times z^(a - lead), whose products are read from the
         index in turn.  An image's products that are still not standard
         are reduced together by `ideals._reduce`, and its remainder read
-        from the index.  The tuple of images is interned: maps of equal
-        content, at any partial and weight, share one small int id,
-        stored per partial at index u of the list `self._maps[i - 1]`
-        (no int per entry, as a dict would keep); `self._interned[id]` is
-        the map.  Each call reduces afresh: `_block_rank` reads that
-        list first and calls `_map` only on a miss."""
-        position = self.A.position
+        from the index.  When d_i f and the tail of f have int
+        coefficients every sum is an int, and no coefficient is
+        converted.  The tuple of images is interned: maps of equal
+        content, at any partial and weight, share one small int id, and
+        `self._interned[id]` is the map.  Every u is reduced afresh; the
+        caller leaves out the u whose id it already holds."""
+        top = max(us)
+        self.A.basis(top)
+        bases, position = self.A.bases, self.A.position
         lead, tail = self._step
         grad = self.grad[i - 1].terms.items()
-        images = []
-        for mono in self.A.basis(u):
-            acc: dict = {}
-            rest: dict = {}     # non-standard tail products -> coefficient
-            for e, v in grad:
-                a = tuple(map(add, e, mono))
-                r = position.get(a)
-                if r is not None:
-                    acc[r] = acc.get(r, 0) + v
-                    continue
-                q = tuple(map(sub, a, lead))
-                if min(q) < 0:
-                    raise LookupError("standard monomial %r lies above the "
-                                      "filled basis of A" % (a,))
-                for t, c in tail:
-                    b = tuple(map(add, t, q))
-                    r = position.get(b)
-                    if r is not None:
-                        acc[r] = acc.get(r, 0) + v * c
-                        continue
-                    x = rest.get(b, 0) + v * c
-                    if x:
-                        rest[b] = x
-                    else:
-                        del rest[b]
-            if rest:
-                for b, c in ideals._reduce(rest, (self._step,)).items():
-                    r = position.get(b)
-                    if r is None:
-                        raise LookupError("standard monomial %r lies above "
-                                          "the filled basis of A" % (b,))
-                    acc[r] = acc.get(r, 0) + c
-            images.append(tuple((r, int_or_fraction(c))
-                                for r, c in acc.items() if c))
-        images = tuple(images)
-        mid = self._ids.get(images)
-        if mid is None:
-            mid = self._ids[images] = len(self._interned)
-            self._interned.append(images)
+        exact = all(type(v) is int for _, v in grad) and all(
+            type(c) is int for _, c in tail)
+        ids, interned = self._ids, self._interned
         maps = self._maps[i - 1]
-        maps.extend([None] * (u + 1 - len(maps)))
-        maps[u] = mid
-        return mid
+        maps.extend([None] * (top + 1 - len(maps)))
+        for u in sorted(us):
+            images = []
+            for mono in bases[u]:
+                acc: dict = {}
+                rest: dict = {}     # non-standard tail products -> coefficient
+                for e, v in grad:
+                    a = tuple(map(add, e, mono))
+                    r = position.get(a)
+                    if r is not None:
+                        acc[r] = acc.get(r, 0) + v
+                        continue
+                    q = tuple(map(sub, a, lead))
+                    if min(q) < 0:
+                        raise LookupError("standard monomial %r lies above "
+                                          "the filled basis of A" % (a,))
+                    for t, c in tail:
+                        b = tuple(map(add, t, q))
+                        r = position.get(b)
+                        if r is not None:
+                            acc[r] = acc.get(r, 0) + v * c
+                            continue
+                        x = rest.get(b, 0) + v * c
+                        if x:
+                            rest[b] = x
+                        else:
+                            del rest[b]
+                if rest:
+                    for b, c in ideals._reduce(rest, (self._step,)).items():
+                        r = position.get(b)
+                        if r is None:
+                            raise LookupError("standard monomial %r lies "
+                                              "above the filled basis of A"
+                                              % (b,))
+                        acc[r] = acc.get(r, 0) + c
+                if 0 in acc.values():
+                    acc = {r: c for r, c in acc.items() if c}
+                images.append(tuple(acc.items()) if exact else
+                              tuple((r, int_or_fraction(c))
+                                    for r, c in acc.items()))
+            images = tuple(images)
+            mid = ids.get(images)
+            if mid is None:
+                mid = ids[images] = len(interned)
+                interned.append(images)
+            maps[u] = mid
 
     def oracle_dim(self, direction: str, windows: list) -> list:
         """One {s: dim} per degree p of `windows`, each a (lo, hi) scan
@@ -307,13 +324,13 @@ class Analysis:
         p + 1.
 
         The complex is built, checked and weighted through one degree
-        past the last window.  Each differential is ranked once, in one
-        pass over its strand blocks, at the weights of its two ends'
-        windows where both ends' module totals are nonzero; elsewhere
-        its rank is 0.  A block's rank tables are keyed by its signature
-        and by slice content, never by degree, so periodicity is not
-        assumed: the 2-periodic tail hits them because its blocks
-        repeat."""
+        past the last window.  Each differential is ranked once, one
+        call per strand block, at the weights of its two ends' windows
+        where both ends' module totals are nonzero; elsewhere, and in a
+        gap between the two windows, its rank is 0.  A block's rank
+        tables are keyed by its signature and by slice content, never by
+        degree, so periodicity is not assumed: the 2-periodic tail hits
+        them because its blocks repeat."""
         build = cochain_complex if direction == "cohomology" else chain_complex
         cx = build(self.f, len(windows))
         terms = cx.verify_entries()
@@ -341,9 +358,17 @@ class Analysis:
         for k, columns in enumerate(terms):
             ends = windows[k:k + 2]
             (near_lo, near), (far_lo, far) = totals[k], totals[k + 1]
-            weights = set().union(*(range(lo, hi + 1) for lo, hi in ends))
-            todo = [s for s in sorted(weights)
-                    if near[s - near_lo] and far[s - far_lo]]
+            # the weights from the lowest window bottom a through the
+            # highest window top b that lie in an end's window (a gap may
+            # part the two) and where both ends' totals are nonzero
+            a, b = min(lo for lo, _ in ends), max(hi for _, hi in ends)
+            inside = [False] * (b - a + 1)
+            for lo, hi in ends:
+                inside[lo - a:hi - a + 1] = [True] * (hi - lo + 1)
+            todo = [s for s, x, y, z in zip(range(a, b + 1), inside,
+                                            near[a - near_lo:],
+                                            far[a - far_lo:])
+                    if x and y and z]
             if not todo:
                 continue
             src, tgt = cx.ends(k)
@@ -352,74 +377,88 @@ class Analysis:
             for cs, rs, block in _strand_blocks(columns):
                 block = self._slice_map(block, tuple(dom[c] for c in cs),
                                         tuple(cod[r] for r in rs))
-                table, first = block.ranks, block.base
-                for j, s in enumerate(todo):
-                    rank = table.get(s - first)
-                    if rank is None:
-                        rank = table[s - first] = self._block_rank(
-                            block, s, dims)
-                    ranks[j] += rank
+                ranks = list(map(add, ranks,
+                                 self._block_ranks(block, todo, dims)))
+            # one rank per weight from a through b, 0 where unranked,
+            # read by slice under each end's window
+            dense = [0] * (b - a + 1)
+            for s, rank in zip(todo, ranks):
+                dense[s - a] = rank
             for (lo, hi), g in zip(ends, graded[k:k + 2]):
-                for s, rank in zip(todo, ranks):
-                    if lo <= s <= hi:
-                        g[s - lo] -= rank
+                g[:] = map(sub, g, dense[lo - a:hi - a + 1])
         return [{s: dim for s, dim in enumerate(g, lo) if dim}
                 for (lo, _), g in zip(windows, graded)]
 
-    def _block_rank(self, block: _SliceMap, s: int, dims: list) -> int:
-        """Rank of a strand block's weight-s slice.  Rows are numbered by
-        codomain component, the component at shift t taking dims[s - t]
-        rows from its offset, so an image position plus its component's
-        offset is the row.  A block slice with no columns or no rows, as
-        read from dims, has rank 0 and is not assembled.
+    def _block_ranks(self, block: _SliceMap, todo: list, dims: list) -> list:
+        """The rank of a strand block's slice at each weight s of `todo`,
+        read from `block.ranks` by s - base; the weights missing there
+        are ranked together and stored.  Rows are numbered by codomain
+        component, the component at shift t taking dims[s - t] rows from
+        its offset, so an image position plus its component's offset is
+        the row.
 
-        Otherwise the slice's content key is read: the id of M_i(s - t)
-        for each domain component at shift t and each of its (row, i, k)
-        terms, in column order, from the map id caches (only a miss
-        calls `_map`), or 0, the id of the empty map, where s - t is
-        negative.  A key found in `block.contents` gives the rank; a
-        new key's slice is assembled sparse from the interned maps, one
-        column per domain monomial, ranked, and stored under the key."""
-        for t in block.dom:
-            if s >= t and dims[s - t]:
-                break
-        else:
-            return 0
-        offsets = []
-        count = 0
-        for t in block.cod:
-            offsets.append(count)
-            if s >= t:
-                count += dims[s - t]
-        if not count:
-            return 0
-        key = []
+        A slice with no columns or no rows, as read from dims, has rank
+        0 and reduces no map.  For the others, every map M_i(s - t) not
+        yet reduced is reduced, one batch per partial.  A slice's content
+        key is the id of M_i(s - t) for each domain component at shift t
+        and each of its (row, i, k) terms, in column order, or 0, the id
+        of the empty map, where s - t is negative: one column of ids per
+        (component, term), zipped.  A key found in `block.contents` gives
+        the rank; a new key's slice is assembled sparse from the interned
+        maps, one column per domain monomial, ranked, and stored under
+        the key."""
+        table, base = block.ranks, block.base
+        ranks = [table.get(s - base) for s in todo]
+        new = [s for s, rank in zip(todo, ranks) if rank is None]
+        if not new:
+            return ranks
+        found = {}          # s -> rank, for the weights in new
+        live = []
+        for s in new:
+            if any(dims[s - t] for t in block.dom if s >= t) and any(
+                    dims[s - t] for t in block.cod if s >= t):
+                live.append(s)
+            else:
+                table[s - base] = found[s] = 0
         cache = self._maps
+        need: dict = {}     # partial -> domain weights to reduce
         for t, terms in zip(block.dom, block.columns):
-            u = s - t
-            if u < 0:
-                key += [0] * len(terms)
-                continue
+            us = [s - t for s in live if s >= t]
             for _, i, _ in terms:
-                maps = cache[i - 1]
-                mid = maps[u] if u < len(maps) else None
-                key.append(self._map(i, u) if mid is None else mid)
-        key = tuple(key)
-        rank = block.contents.get(key)
-        if rank is None:
-            interned = self._interned
-            cols = []
-            ids = iter(key)
-            for terms in block.columns:
-                rows = [(offsets[r], k) for r, _, k in terms]
-                for images in zip(*[interned[next(ids)] for _ in terms]):
-                    col = {offset + pos: k * v
-                           for (offset, k), image in zip(rows, images)
-                           for pos, v in image}
-                    if col:
-                        cols.append(col)
-            rank = block.contents[key] = rank_sparse(cols) if cols else 0
-        return rank
+                need.setdefault(i, set()).update(us)
+        for i, us in need.items():
+            maps = cache[i - 1]
+            missing = [u for u in us if u >= len(maps) or maps[u] is None]
+            if missing:
+                self._reduce_maps(i, missing)
+        keys = zip(*[[cache[i - 1][s - t] if s >= t else 0 for s in live]
+                     for t, terms in zip(block.dom, block.columns)
+                     for _, i, _ in terms])
+        contents, interned = block.contents, self._interned
+        for s, key in zip(live, keys):
+            rank = contents.get(key)
+            if rank is None:
+                offsets = []
+                count = 0
+                for t in block.cod:
+                    offsets.append(count)
+                    if s >= t:
+                        count += dims[s - t]
+                cols = []
+                ids = iter(key)
+                for terms in block.columns:
+                    rows = [(offsets[r], k) for r, _, k in terms]
+                    for images in zip(*[interned[next(ids)]
+                                        for _ in terms]):
+                        col = {offset + pos: k * v
+                               for (offset, k), image in zip(rows, images)
+                               for pos, v in image}
+                        if col:
+                            cols.append(col)
+                rank = contents[key] = rank_sparse(cols) if cols else 0
+            table[s - base] = found[s] = rank
+        return [found[s] if rank is None else rank
+                for s, rank in zip(todo, ranks)]
 
 
 def _strand_blocks(columns) -> list:

@@ -76,7 +76,7 @@ class KoszulComplex:
         """Check every term (row, i, k) of the entry k * d_i f: k a
         nonzero int, 1 <= i <= n, row inside the target, rows strictly
         increasing down a column, so no two terms share an entry
-        (`engine.Analysis._block_rank` assigns entries, not sums).
+        (`engine.Analysis._block_ranks` assigns entries, not sums).
         Returns each differential's columns without the terms whose
         d_i f is 0."""
         zero = {i for i, g in enumerate(self.f.gradient(), 1) if g.is_zero()}
