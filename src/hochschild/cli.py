@@ -332,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_poly_options(p, with_report=False):
         source = p.add_mutually_exclusive_group()
-        source.add_argument("--poly", help="polynomial in z1, z2, z3")
+        source.add_argument("--poly", help="polynomial in z1, z2, z3; one "
+                            "with a leading minus takes the form "
+                            "--poly=-z1*z2+...")
         source.add_argument("--catalog", help="catalog name, e.g. d5-surface")
         p.add_argument("--format", choices=("json", "table"), default="json")
         if with_report:

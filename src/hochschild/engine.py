@@ -25,43 +25,26 @@ Two independent routes to the same numbers:
   slice of degree p is its module total sum_t dim A_(s - t) minus the
   ranks of the differentials joining p to p - 1 and p + 1.  Every
   differential is generated as (row, i, k) terms, the entry k * d_i f
-  for an integer k (their shape is checked by `verify_entries`, and
-  d^2 = 0 on them).  The module totals are read from one list of dim A
-  per report.  One call scans every degree's window: each differential
-  is ranked once, at the weights of its two ends' windows where both
-  ends' totals are nonzero, and its ranks are subtracted from both
-  ends.  A differential is cut into strand blocks, the connected
-  pieces of the graph joining every domain component to the codomain
-  components its entries hit, read from those entries; a slice's rank
-  is the sum of its blocks' ranks.  The unit of work is one strand
-  block over all the weights of one differential
-  (`Analysis._block_ranks`).  A block slice is assembled sparse from
-  the multiplication maps M_i(u), d_i f times A_u into
-  A_(u + d - w_i), reduced by `Analysis._reduce_maps` in one batch per
-  partial over every u the block's new weights need, to positions in
-  the bases of A: a standard product is read from the position index
-  of `GradedQuotient`, any other takes one reduction step by f, and the
-  products still not standard go through `ideals._reduce`.  A row is
-  its codomain component's offset, read from the dim A list, plus a
-  position.
+  for an integer k (`verify_entries` checks their shape, and d^2 = 0 on
+  them).  One call scans every degree's window; each differential is
+  ranked once, where both ends' totals are nonzero, one strand block
+  (a connected piece of the graph joining domain to codomain components,
+  read from its entries) over all its weights per
+  `Analysis._block_ranks` call; a slice's rank is the sum of its
+  blocks' ranks.  Block slices are assembled sparse from the
+  multiplication maps M_i(u), d_i f times A_u into A_(u + d - w_i),
+  which `Analysis._reduce_maps` reduces to positions in the bases of A,
+  a batch of weights at a time, column by column.
 
-  A block slice's rank is cached at two levels, both scoped to the
-  block's signature (its column terms and relative shifts, see
-  `_slice_map`), so a block that recurs, in another differential or in
-  the 2-periodic tail, shares both tables.  The first is keyed by the
-  relative weight s - base.  The weights missing there get content
-  keys, looked up in the second: in column order, one id per (domain
-  component at shift t, term of partial i), the id of M_i(s - t),
-  which `_reduce_maps` interns so that maps of equal content share one
-  id; one column of ids per (component, term) over the missing
-  weights, zipped, gives every key.  Only a second miss assembles the
-  slice and ranks it.  The key is complete: the signature fixes each
-  component's (row, i, k) terms, a map holds one image per domain
-  monomial, so its length is the component's domain count, and the
-  images give each term's (position, coefficient) entries; so two
-  slices with one key are one matrix up to an injective renumbering of
-  rows (a row is its component's offset plus a position below that
-  component's dim), and have one rank.
+  Block ranks are cached by the block's signature (see `_slice_map`),
+  so a block that recurs, in another differential or in the 2-periodic
+  tail, shares its tables: one by relative weight s - base, and one by
+  slice content, one map id per (domain component at shift t, term of
+  partial i), the id of M_i(s - t), maps of equal content sharing one
+  id.  The content key is complete: the signature fixes each
+  component's (row, i, k) terms and a map holds one image per domain
+  monomial, so two slices with one key are one matrix up to an
+  injective renumbering of rows, and have one rank.
 
 `_classify` returns one prediction per degree and `oracle_dim` one
 {s: dim} per degree.  When both run, `analyze` compares the two lists:
@@ -75,8 +58,8 @@ The report types (`Report`, `DegreeReport`, `KernelDescription`,
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from operator import add, mul, sub
+from itertools import combinations, compress, repeat
+from operator import add, and_, mul, not_, sub
 from typing import NamedTuple
 
 from . import ideals
@@ -238,83 +221,100 @@ class Analysis:
         return _SliceMap(*tables, base, dom, cod, normed)
 
     def _reduce_maps(self, i: int, us) -> None:
-        """Reduce M_i(u), multiplication by d_i f from A_u, for every u
-        of `us`, in ascending u, and store its id at index u of the list
-        `self._maps[i - 1]` (no int per entry, as a dict would keep).
-        A map holds one image per monomial z^m of A_u, in basis order:
-        the normal form of d_i f * z^m as (position, coefficient) pairs,
-        positions in the basis of the product's weight, integral
-        coefficients as int.  One `self.A.basis` call fills A through
-        the highest u, and every basis is then read from `self.A.bases`;
-        the position index must already reach each u + d - w_i.
+        """Reduce M_i(u), multiplication by d_i f != 0 from A_u, for
+        every u of `us`, and store its id at index u of
+        `self._maps[i - 1]` (the complex drops zero partials' terms).  A
+        map holds one image per monomial z^m of A_u, in basis order: the
+        normal form of d_i f * z^m as (position, coefficient) pairs,
+        integral coefficients int.  A is filled through the highest u;
+        the position index must already reach u + d - w_i.
 
-        Each term v * z^e of d_i f gives a = e + m.  A standard z^a is
-        read from the position index.  Otherwise the leading monomial of
-        f divides z^a, and one reduction step replaces it by the scaled
-        tail of f times z^(a - lead), whose products are read from the
-        index in turn.  An image's products that are still not standard
-        are reduced together by `ideals._reduce`, and its remainder read
-        from the index.  When d_i f and the tail of f have int
-        coefficients every sum is an int, and no coefficient is
-        converted.  The tuple of images is interned: maps of equal
-        content, at any partial and weight, share one small int id, and
-        `self._interned[id]` is the map.  Every u is reduced afresh; the
-        caller leaves out the u whose id it already holds."""
-        top = max(us)
-        self.A.basis(top)
+        The batch's monomials, in ascending u, are read as exponent
+        columns: each term of d_i f gives one column of product
+        positions (`_positions`).  An image whose products are all
+        standard is read from those columns; distinct terms give
+        distinct products, so nothing sums.  When d_i f has one term,
+        the products not standard take one reduction step by f
+        column-wise, one column per tail term of f.  The images left
+        take `_image`.  Maps of equal content share one small int id,
+        and `self._interned[id]` is the map."""
+        us = sorted(us)
+        self.A.basis(us[-1])
         bases, position = self.A.bases, self.A.position
-        lead, tail = self._step
-        grad = self.grad[i - 1].terms.items()
-        exact = all(type(v) is int for _, v in grad) and all(
-            type(c) is int for _, c in tail)
+        monos = [m for u in us for m in bases[u]]
+        grad = [(e, int_or_fraction(v))
+                for e, v in self.grad[i - 1].terms.items()]
+        vs = [v for _, v in grad]
+        rows = zip(*_positions(monos, [e for e, _ in grad], position))
+        images = [tuple(zip(row, vs)) if None not in row else None
+                  for row in rows]
+        missed = [j for j, image in enumerate(images) if image is None]
+        if missed and len(grad) == 1:
+            (e, v), = grad
+            lead, tail = self._step
+            step = [tuple(map(sub, map(add, e, t), lead)) for t, _ in tail]
+            cs = [int_or_fraction(v * c) for _, c in tail]
+            rows = zip(*_positions([monos[j] for j in missed], step,
+                                   position))
+            for j, row in zip(missed, rows):
+                if None not in row:
+                    images[j] = tuple(zip(row, cs))
+            missed = [j for j in missed if images[j] is None]
+        for j in missed:
+            images[j] = self._image(grad, monos[j])
         ids, interned = self._ids, self._interned
         maps = self._maps[i - 1]
-        maps.extend([None] * (top + 1 - len(maps)))
-        for u in sorted(us):
-            images = []
-            for mono in bases[u]:
-                acc: dict = {}
-                rest: dict = {}     # non-standard tail products -> coefficient
-                for e, v in grad:
-                    a = tuple(map(add, e, mono))
-                    r = position.get(a)
-                    if r is not None:
-                        acc[r] = acc.get(r, 0) + v
-                        continue
-                    q = tuple(map(sub, a, lead))
-                    if min(q) < 0:
-                        raise LookupError("standard monomial %r lies above "
-                                          "the filled basis of A" % (a,))
-                    for t, c in tail:
-                        b = tuple(map(add, t, q))
-                        r = position.get(b)
-                        if r is not None:
-                            acc[r] = acc.get(r, 0) + v * c
-                            continue
-                        x = rest.get(b, 0) + v * c
-                        if x:
-                            rest[b] = x
-                        else:
-                            del rest[b]
-                if rest:
-                    for b, c in ideals._reduce(rest, (self._step,)).items():
-                        r = position.get(b)
-                        if r is None:
-                            raise LookupError("standard monomial %r lies "
-                                              "above the filled basis of A"
-                                              % (b,))
-                        acc[r] = acc.get(r, 0) + c
-                if 0 in acc.values():
-                    acc = {r: c for r, c in acc.items() if c}
-                images.append(tuple(acc.items()) if exact else
-                              tuple((r, int_or_fraction(c))
-                                    for r, c in acc.items()))
-            images = tuple(images)
-            mid = ids.get(images)
+        maps.extend([None] * (us[-1] + 1 - len(maps)))
+        end = 0
+        for u in us:
+            start, end = end, end + len(bases[u])
+            content = tuple(images[start:end])
+            mid = ids.get(content)
             if mid is None:
-                mid = ids[images] = len(interned)
-                interned.append(images)
+                mid = ids[content] = len(interned)
+                interned.append(content)
             maps[u] = mid
+
+    def _image(self, grad, mono) -> tuple:
+        """d_i f * z^mono, grad the terms of d_i f, term by term: a
+        standard product is read from the position index, any other
+        takes one reduction step by f, and the products still not
+        standard are reduced together by `ideals._reduce`.  LookupError
+        when a remainder lies past the filled basis."""
+        position = self.A.position
+        lead, tail = self._step
+        acc: dict = {}
+        rest: dict = {}     # non-standard tail products -> coefficient
+        for e, v in grad:
+            a = tuple(map(add, e, mono))
+            r = position.get(a)
+            if r is not None:
+                acc[r] = acc.get(r, 0) + v
+                continue
+            q = tuple(map(sub, a, lead))
+            if min(q) < 0:
+                raise LookupError("standard monomial %r lies above the "
+                                  "filled basis of A" % (a,))
+            for t, c in tail:
+                b = tuple(map(add, t, q))
+                r = position.get(b)
+                if r is not None:
+                    acc[r] = acc.get(r, 0) + v * c
+                    continue
+                x = rest.get(b, 0) + v * c
+                if x:
+                    rest[b] = x
+                else:
+                    del rest[b]
+        if rest:
+            rest = ideals._reduce(rest, (self._step,))
+        for b, c in rest.items():
+            r = position.get(b)
+            if r is None:
+                raise LookupError("standard monomial %r lies above the "
+                                  "filled basis of A" % (b,))
+            acc[r] = acc.get(r, 0) + c
+        return tuple((r, int_or_fraction(c)) for r, c in acc.items() if c)
 
     def oracle_dim(self, direction: str, windows: list) -> list:
         """One {s: dim} per degree p of `windows`, each a (lo, hi) scan
@@ -391,35 +391,33 @@ class Analysis:
 
     def _block_ranks(self, block: _SliceMap, todo: list, dims: list) -> list:
         """The rank of a strand block's slice at each weight s of `todo`,
-        read from `block.ranks` by s - base; the weights missing there
-        are ranked together and stored.  Rows are numbered by codomain
-        component, the component at shift t taking dims[s - t] rows from
-        its offset, so an image position plus its component's offset is
-        the row.
+        read from `block.ranks` by s - base; the missing weights are
+        ranked together and stored.  Rows are numbered by codomain
+        component, the one at shift t taking dims[s - t] rows from its
+        offset: a row is that offset plus an image position.
 
-        A slice with no columns or no rows, as read from dims, has rank
-        0 and reduces no map.  For the others, every map M_i(s - t) not
-        yet reduced is reduced, one batch per partial.  A slice's content
-        key is the id of M_i(s - t) for each domain component at shift t
-        and each of its (row, i, k) terms, in column order, or 0, the id
-        of the empty map, where s - t is negative: one column of ids per
-        (component, term), zipped.  A key found in `block.contents` gives
-        the rank; a new key's slice is assembled sparse from the interned
-        maps, one column per domain monomial, ranked, and stored under
-        the key."""
+        One dims column per domain shift and one per codomain shift,
+        zipped, screen the missing weights: a slice with no columns or
+        no rows has rank 0 and reduces no map.  For the others, every
+        map M_i(s - t) not yet reduced is reduced, one batch per
+        partial.  A slice's content key holds the id of M_i(s - t) per
+        domain component at shift t and (row, i, k) term, in column
+        order, 0 (the empty map) where s < t: one id column per
+        (component, term), zipped.  A known key gives the rank; a new
+        key's slice is assembled sparse from the interned maps, one
+        column per domain monomial, ranked and stored."""
         table, base = block.ranks, block.base
         ranks = [table.get(s - base) for s in todo]
         new = [s for s, rank in zip(todo, ranks) if rank is None]
         if not new:
             return ranks
+        dom, cod = ([[dims[s - t] if s >= t else 0 for s in new]
+                     for t in shifts] for shifts in (block.dom, block.cod))
+        screen = list(map(and_, map(any, zip(*dom)), map(any, zip(*cod))))
         found = {}          # s -> rank, for the weights in new
-        live = []
-        for s in new:
-            if any(dims[s - t] for t in block.dom if s >= t) and any(
-                    dims[s - t] for t in block.cod if s >= t):
-                live.append(s)
-            else:
-                table[s - base] = found[s] = 0
+        for s in compress(new, map(not_, screen)):
+            table[s - base] = found[s] = 0
+        live = list(compress(new, screen))
         cache = self._maps
         need: dict = {}     # partial -> domain weights to reduce
         for t, terms in zip(block.dom, block.columns):
@@ -490,6 +488,17 @@ def _strand_blocks(columns) -> list:
                        tuple(tuple((local[r], i, k) for r, i, k in columns[c])
                              for c in cs)))
     return blocks
+
+
+def _positions(monos, offsets, position) -> list:
+    """One column per offset o: the position of z^(m + o) in its
+    weight's basis for each monomial m of `monos`, None where the index
+    has none.  The monomials are read as one exponent column per
+    variable, and each column is shifted whole."""
+    columns = list(zip(*monos))
+    return [map(position.get, zip(*[map(add, c, repeat(x)) if x else c
+                                     for c, x in zip(columns, o)]))
+            for o in offsets]
 
 
 def _module_totals(dims: list, terms, lo: int, hi: int) -> list:
@@ -596,11 +605,11 @@ def _classify(an: Analysis, direction: str, windows: list) -> list:
             structure %= finite_dim
         elif p == 0:
             finite_dim = 0
-        expected = {}
-        for s, val in enumerate(_module_totals(dims, free, lo, hi), lo):
-            val += finite.get(s, 0)
-            if val:
-                expected[s] = val
+        column = _module_totals(dims, free, lo, hi)
+        for s, dim in finite.items():
+            if lo <= s <= hi:
+                column[s - lo] += dim
+        expected = {s: val for s, val in enumerate(column, lo) if val}
         classes.append((structure, finite_dim, basis, top_weight, expected))
     return classes
 

@@ -228,6 +228,27 @@ def test_missing_poly_is_usage_error(capsys):
     assert "required" in err
 
 
+def test_poly_with_a_leading_minus_takes_the_equals_form(capsys,
+                                                         monkeypatch):
+    # after a space argparse reads the value as an option and exits 2;
+    # the --poly= form documented in --help and the README reaches f
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--poly", "-z1*z2+z1*z3-z2^2-z2*z3"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    code, out, err = run(capsys, "cohomology",
+                         "--poly=-z1*z2+z1*z3-z2^2-z2*z3")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["f"] == "-z1*z2 + z1*z3 - z2^2 - z2*z3"
+    assert payload["crosscheck"] == "agree"
+    monkeypatch.setenv("COLUMNS", "80")     # the width argparse wraps at
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--help"])
+    assert exc.value.code == 0
+    assert "--poly=-z1*z2+..." in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command",
                          ["cohomology", "homology", "milnor", "weights"])
 def test_poly_and_catalog_together_exit_2(capsys, command):

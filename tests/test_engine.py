@@ -472,6 +472,76 @@ def test_image_above_the_filled_basis_fails_loudly(monkeypatch):
     assert calls == [{(0, 5): -3}]
 
 
+# the routes of `_reduce_maps` these f take: z1^7+z2^11+z3^13 reads
+# partials 2 and 3 straight from the position columns, and partial 1
+# takes the column step by f; 1/2*z1^3+z2^5 takes the column step with
+# the Fraction 3/2 in d_1 f; z1^3+1/2*z1^2*z2^2+z2^6+z3^25 has
+# two-term partials whose tail products reach the `ideals._reduce`
+# fallback; and in -z1*z2+z1*z3-z2^2-z2*z3 a sum of two products
+# cancels to 0
+_BATCH_POLYS = _IMAGE_POLYS + ["-z1*z2+z1*z3-z2^2-z2*z3"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_BATCH_POLYS),
+       st.lists(st.lists(st.integers(0, 8), min_size=3, max_size=3),
+                min_size=1, max_size=3),
+       st.lists(st.integers(0, 30), max_size=3),
+       st.integers(1, 3))
+@example("z1^7+z2^11+z3^13", [[1, 0, 0], [2, 3, 1]], [1, 2], 1)
+@example("1/2*z1^3+z2^5", [[1, 0, 0], [2, 1, 0]], [1, 2, 4], 1)
+@example("-z1*z2+z1*z3-z2^2-z2*z3", [[1, 0, 0], [1, 1, 2]], [], 2)
+def test_map_batch_matches_normal_form(poly, exps, extra, i):
+    # one batch of several weights, the weights of drawn monomials and
+    # arbitrary ones, so that some A_u are empty: every image of every
+    # M_i(u) is the normal form of d_i f times its monomial
+    an = Analysis(parse_polynomial(poly))
+    i = min(i, an.n)
+    shift = an.ws.degree - an.ws.weights[i - 1]
+    us = sorted({sum(w * e for w, e in zip(an.ws.weights, m[:an.n]))
+                 for m in exps} | set(extra))
+    an.A.basis(us[-1] + shift)
+    an._reduce_maps(i, us[::-1])
+    for u in us:
+        images = an._interned[an._maps[i - 1][u]]
+        assert len(images) == len(an.A.basis(u))
+        basis = an.A.basis(u + shift)
+        for mono, image in zip(an.A.basis(u), images):
+            expected = an.gb_f.normal_form(an.grad[i - 1]
+                                           * Polynomial.monomial(an.n, mono))
+            assert {basis[r]: v for r, v in image} == expected.terms
+            assert len(image) == len(expected.terms)
+            for _, v in image:
+                assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+def test_batch_above_the_filled_basis_fails_loudly(monkeypatch):
+    # in a batch of several weights only the highest u's products lie
+    # past the filled basis; a reduction step keeps the weight, so they
+    # miss both column lookups and the per-image fallback raises, with
+    # the message of a one-weight batch
+    an = Analysis(parse_polynomial("z1^2+z2^2"))
+    with pytest.raises(LookupError, match=r"\(1, 30\) lies above the "
+                       "filled basis"):
+        an._reduce_maps(1, [30, 3, 12])
+    # A is filled through weight 14: d_1 f * 1 and d_1 f * z2 are
+    # standard there, and d_1 f * z1 is past it
+    an = Analysis(parse_polynomial("1/2*z1^3+z2^5"))
+    an.A.basis(14)
+    calls = []
+    reduce = ideals._reduce
+
+    def counting(terms, divisors):
+        calls.append(dict(terms))
+        return reduce(terms, divisors)
+
+    monkeypatch.setattr(ideals, "_reduce", counting)
+    with pytest.raises(LookupError, match=r"\(0, 5\) lies above the "
+                       "filled basis"):
+        an._reduce_maps(1, [5, 0, 3])
+    assert calls == [{(0, 5): -3}]
+
+
 def test_image_falls_back_only_for_products_that_stay_nonstandard(
         monkeypatch):
     # only the tail products one reduction step leaves non-standard reach
@@ -969,3 +1039,30 @@ def test_classifier_agrees_with_oracle(f):
             assert len(report.notes) == 1
             assert ("non-isolated" in report.notes[0]
                     or "no valid elimination route" in report.notes[0])
+
+
+@pytest.mark.parametrize("direction", ["cohomology", "homology"])
+@pytest.mark.parametrize("cutoff", [0, 1, 5])
+@pytest.mark.parametrize("poly", ["z1^7+z2^11+z3^13", "1/2*z1^3+z2^5",
+                                  "z1^3+1/2*z1^2*z2^2+z2^6+z3^25",
+                                  "z1^4+z2^4+z3^4+z1*z2*z3^2"])
+def test_classifier_fill_at_narrow_windows(poly, cutoff, direction):
+    # at these windows some degree's finite part reaches past an edge of
+    # its window, and `_classify` must drop exactly what lies outside
+    f = parse_polynomial(poly)
+    an = Analysis(f)
+    r = analyze(f, direction=direction, p_max=6, cutoff=cutoff, mode="both",
+                analysis=an)
+    assert r.crosscheck == "agree"
+    route = an.route()
+    crossing = 0
+    for deg in r.degrees:
+        lo, hi = deg.window
+        assert all(lo <= s <= hi for s in deg.expected_graded), deg.p
+        _, source, shift, _ = _degree(an, route, direction, deg.p)
+        if source is not None:
+            monos = an.milnor_basis if source == "milnor" else route.basis
+            finite = {sum(w * e for w, e in zip(an.ws.weights, m)) + shift
+                      for m in monos}
+            crossing += not finite <= set(range(lo, hi + 1))
+    assert crossing
