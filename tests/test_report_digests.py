@@ -6,9 +6,16 @@ and the SHA-256 of its stdout and stderr are pinned in
 catalog, stress and seeded sets do not: n = 1, the loop and the A1 node
 (no elimination route), a non-isolated f, Fraction, negative and
 non-unit coefficients, and the kernel patterns (Brieskorn-Pham, the D
-curve and the D surface) written with other coefficients.
+curve and the D surface) written with other coefficients.  `hh groebner`
+is pinned on ideals whose minimal bases have tails to interreduce, and
+`hh milnor` on some of the polynomials.
 
-A deliberate output change re-records the digests:
+New cases are pinned without touching the others; the command exits 1,
+writing nothing, if any existing pin would change:
+
+    PYTHONPATH=src python3 tests/test_report_digests.py --add
+
+A deliberate output change re-records every digest:
 
     PYTHONPATH=src python3 tests/test_report_digests.py --record
 """
@@ -50,15 +57,36 @@ POLYNOMIALS = (
     "z1^3+1/2*z1^2*z2^2+z2^6+z3^3",
 )
 
+GROEBNER = (
+    ["--gens=z1^3-2*z1*z2;z1^2*z2-2*z2^2+z1"],
+    ["--gens=z1^2+z2^2*z3;z1*z2-z3^2;z2^3-z1*z3"],
+    ["--gens=z1^3+z2^3+z3^3+z1*z2*z3", "--jacobian"],
+    ["--gens=z1^3+1/2*z1^2*z2^2+z2^6", "--jacobian"],
+    ["--gens=1/2*z1^2+z2*z3;z2^2-3/4*z1*z3;z3^2-z1*z2"],
+    ["--gens=z1^2*z2+z2^3;z1*z2^2-z1^3+2/3*z2", "--format", "table"],
+    ["--gens=z1^2+z2^2*z3+z3^5", "--jacobian", "--format", "table"],
+)
+
+MILNOR = (
+    "z1^3*z2+z2^3*z3+z3^3*z1",
+    "z1^2*z2",
+    "1/2*z1^3+z2^5",
+    "z1^2+3*z2^2*z3+z3^4",
+    "z1^3+1/2*z1^2*z2^2+z2^6+z3^3",
+)
+
 
 def cases() -> list:
-    """Every polynomial both ways in each mode, p <= 6.  The polynomial
-    is passed as --poly=..., so a leading minus is not read as an
+    """Every polynomial both ways in each mode, p <= 6, then the
+    `groebner` and `milnor` cases.  Polynomials are passed as
+    --poly=... or --gens=..., so a leading minus is not read as an
     option."""
-    return [[direction, "--poly=" + f, "--max-degree", "6", "--mode", mode]
-            for f in POLYNOMIALS
-            for direction in ("cohomology", "homology")
-            for mode in ("structural", "graded", "both")]
+    return ([[direction, "--poly=" + f, "--max-degree", "6", "--mode", mode]
+             for f in POLYNOMIALS
+             for direction in ("cohomology", "homology")
+             for mode in ("structural", "graded", "both")]
+            + [["groebner"] + args for args in GROEBNER]
+            + [["milnor", "--poly=" + f] for f in MILNOR])
 
 
 def run(argv: list) -> list:
@@ -87,9 +115,23 @@ def test_report_bytes_are_stable(argv):
     assert run(argv) == pinned()[" ".join(argv)]
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: test_report_digests.py --record")
+def write(digests: dict) -> None:
     DIGESTS.write_text("{\n%s\n}\n" % ",\n".join(
-        "%s: %s" % (json.dumps(" ".join(argv)), json.dumps(run(argv)))
-        for argv in cases()))
+        "%s: %s" % (json.dumps(key), json.dumps(value))
+        for key, value in digests.items()))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--record"]:
+        write({" ".join(argv): run(argv) for argv in cases()})
+    elif sys.argv[1:] == ["--add"]:
+        old = pinned()
+        new = {" ".join(argv): run(argv) for argv in cases()}
+        changed = [key for key in old if key in new and old[key] != new[key]]
+        if changed:
+            sys.exit("not written: %d pinned case(s) would change, first "
+                     "%r" % (len(changed), changed[0]))
+        write({key: old.get(key, value) for key, value in new.items()})
+        print("pinned %d new case(s)" % len(new.keys() - old.keys()))
+    else:
+        sys.exit("usage: test_report_digests.py --add | --record")
