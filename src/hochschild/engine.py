@@ -70,7 +70,7 @@ from .grading import (
     euler_identity_holds,
 )
 from .ideals import INFINITE, buchberger
-from .koszul import chain_complex, cochain_complex, module, shift
+from .koszul import chain_complex, cochain_complex, lowest_shift
 from .linalg import rank_sparse
 from .poly import Polynomial, exact_quotient, int_or_fraction, monomial_str
 from .series import poincare_dims
@@ -167,8 +167,7 @@ class Analysis:
         # reduction step of `_reduce_maps`
         (self._step,) = self.gb_f._divisors
         self.grad = f.gradient()
-        grad_nz = [g for g in self.grad if not g.is_zero()]
-        std = ideals.standard_monomials(buchberger(grad_nz), self.n)
+        std = ideals.standard_monomials(buchberger(self.grad), self.n)
         self.milnor = INFINITE if std is None else len(std)
         self.milnor_basis = std
         # graded-oracle caches (see _slice_map and _reduce_maps)
@@ -673,8 +672,8 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
 
 
 def _window(an: Analysis, direction: str, p: int, cutoff: int) -> tuple:
-    side = "cochain" if direction == "cohomology" else "chain"
-    lo = min(shift(side, an.ws, e) for e in module(an.n, p))
+    lo = lowest_shift("cochain" if direction == "cohomology" else "chain",
+                      an.ws, p)
     return (lo, lo + cutoff)
 
 

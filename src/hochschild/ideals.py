@@ -3,12 +3,14 @@
 Everything runs over exact rationals, and every basis is lex with
 z1 > z2 > ... > zn, the order Python gives exponent tuples.  Buchberger
 uses the normal pair selection strategy plus the coprime-leading-term
-and chain criteria, and always returns the reduced monic basis, so two
-ideals are equal exactly when their bases coincide element for element.
-Each pair is pushed once onto a heap keyed by the degree of its lcm,
-ties broken by the lcm itself; a set of the queued pairs serves the
-chain criterion.  The selection order cannot change the output,
-because the reduced basis is unique.
+and chain criteria, and stops at the minimal monic basis, whose leading
+monomials and remainders are those of any Groebner basis of the ideal
+(Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.6).  The
+reduced basis is built when `elements` is first read; two ideals are
+equal exactly when those coincide element for element.  Each pair is
+pushed once onto a heap keyed by the degree of its lcm, ties broken by
+the lcm itself; a set of the queued pairs serves the chain criterion.
+The selection order cannot change the output: both bases are unique.
 
 Reduction (`_reduce`) is the package's one reduction routine, shared
 by Buchberger, `GroebnerBasis.normal_form` and the graded oracle.  It
@@ -21,7 +23,7 @@ reduction step by f itself, and hands `_reduce` only the products that
 one step leaves non-standard.  `divide` keeps the textbook loop with
 quotients and is the reference for it.
 
-Every walk over standard monomials (`staircase`) is bounded: one that
+Every walk over standard monomials (`_runs`) is bounded: one that
 would pass `MAX_STANDARD_MONOMIALS` raises `WalkLimitError` before it
 builds a single standard monomial.
 
@@ -33,7 +35,6 @@ intersection through by the denominator.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import chain
 from operator import add, le, sub
 from typing import NamedTuple, Sequence
 
@@ -135,14 +136,27 @@ def _polynomial(n: int, terms: dict) -> Polynomial:
 
 
 class GroebnerBasis:
-    """Reduced monic lex Groebner basis, elements sorted by descending
-    leading monomial for deterministic output."""
+    """Monic lex Groebner basis by descending leading monomial, held
+    minimal in `_divisors`; `elements`, the reduced basis, reduces each
+    tail by the other divisors when first read."""
 
-    __slots__ = ("elements", "_divisors")
+    __slots__ = ("_divisors", "_elements")
 
     def __init__(self, elements: Sequence[Polynomial]):
-        self.elements = tuple(elements)
-        self._divisors = tuple(_divisor(g.terms) for g in self.elements)
+        self._elements = tuple(elements)
+        self._divisors = tuple(_divisor(g.terms) for g in self._elements)
+
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            ds = self._divisors
+            reduced = []
+            for i, (lead, tail) in enumerate(ds):
+                terms = _reduce({e: -v for e, v in tail}, ds[:i] + ds[i + 1:])
+                terms[lead] = 1
+                reduced.append(_polynomial(len(lead), terms))
+            self._elements = tuple(reduced)
+        return self._elements
 
     def leading_exponents(self):
         return tuple(lead for lead, _ in self._divisors)
@@ -167,7 +181,6 @@ def buchberger(generators: Sequence[Polynomial]) -> GroebnerBasis:
     basis = [_divisor(g.terms) for g in generators if not g.is_zero()]
     if not basis:
         return GroebnerBasis(())
-    n = generators[0].n
     queue: list = []    # (sum(lcm), lcm, i, j), each pair once
     live: set = set()   # pairs (i, j), i > j, still queued
 
@@ -217,16 +230,9 @@ def buchberger(generators: Sequence[Polynomial]) -> GroebnerBasis:
     for g in basis:
         if not any(all(map(le, h[0], g[0])) for h in minimal):
             minimal.append(g)
-    # fully reduce each monic element against the others; its leading
-    # monomial is divisible by no other, so it stays with coefficient 1
-    reduced = []
-    for i, (lead, tail) in enumerate(minimal):
-        terms = _reduce({e: -v for e, v in tail},
-                        minimal[:i] + minimal[i + 1:])
-        terms[lead] = 1
-        reduced.append(_polynomial(n, terms))
-    reduced.reverse()
-    return GroebnerBasis(reduced)
+    gb = GroebnerBasis(())
+    gb._divisors, gb._elements = tuple(reversed(minimal)), None
+    return gb
 
 
 # At most this many standard monomials are walked.  A walk of 10^6 took
@@ -239,12 +245,12 @@ class WalkLimitError(ValueError):
     """A standard-monomial walk would pass MAX_STANDARD_MONOMIALS."""
 
 
-def staircase(lead: Sequence[tuple], weights: Sequence[int],
-              top: int) -> dict:
+def _runs(lead, weights, top: int) -> list:
     """The monomials outside the monomial ideal generated by `lead`
-    whose weight under the positive `weights` is at most `top`, as
-    {weight: [exponent tuples]}, each list in strictly ascending lex
-    order.  Empty when `lead` holds 1 or `top` is negative.
+    whose weight under the positive `weights` is at most `top`, as one
+    (prefix, weight of prefix, length) per run prefix + (e,), e below
+    length, of the last coordinate, in ascending lex order.  Empty when
+    `lead` holds 1 or `top` is negative.
 
     The walk fixes one exponent at a time and visits only the
     staircase.  Coordinate i stops at a cap: the least i-th exponent
@@ -254,24 +260,17 @@ def staircase(lead: Sequence[tuple], weights: Sequence[int],
     divide the prefix, or it would have capped an earlier coordinate.
     A coordinate also stops where the weight would pass `top`.
 
-    The walk first records each run of the last coordinate, whose
-    length is known from its cap, and raises `WalkLimitError` as soon
-    as the runs hold more than MAX_STANDARD_MONOMIALS monomials; the
-    buckets are built only after the whole walk fits.  Every run holds
-    at least one monomial, so the record is bounded too.
-
-    The lists need no sort, and `GradedQuotient` relies on that: the
-    prefixes are visited in lex order, and a run's monomials all have
-    different weights, so a run adds at most one to any weight's list.
+    A run's length is known from its cap: the walk raises
+    `WalkLimitError` once the runs hold more than MAX_STANDARD_MONOMIALS
+    monomials, and as each holds one or more, the list is bounded too.
     """
-    buckets: dict = {}
+    runs = []
     if top < 0 or any(not any(m) for m in lead):
-        return buckets
+        return runs
     n = len(weights)
     ending = [[] for _ in range(n)]
     for m in lead:
         ending[max(j for j, e in enumerate(m) if e)].append(m)
-    runs = []       # (prefix, weight, length) per last-coordinate run
     count = 0
 
     def walk(prefix, weight):
@@ -295,8 +294,17 @@ def staircase(lead: Sequence[tuple], weights: Sequence[int],
         runs.append((prefix, weight, stop))
 
     walk((), 0)
+    return runs
+
+
+def staircase(lead: Sequence[tuple], weights: Sequence[int],
+              top: int) -> dict:
+    """The monomials of `_runs` as {weight: [exponent tuples]}, each
+    list in strictly ascending lex order, as `GradedQuotient` needs,
+    with no sort: a run adds at most one monomial to any weight."""
+    buckets: dict = {}
     w = weights[-1]
-    for prefix, weight, stop in runs:
+    for prefix, weight, stop in _runs(lead, weights, top):
         for e in range(stop):
             buckets.setdefault(weight + e * w, []).append(prefix + (e,))
     return buckets
@@ -304,8 +312,7 @@ def staircase(lead: Sequence[tuple], weights: Sequence[int],
 
 def standard_monomials(gb: GroebnerBasis, n: int) -> tuple | None:
     """Monomials outside the leading-term ideal (Macaulay basis), in
-    ascending lex order, from one `staircase` walk; None when there are
-    infinitely many.
+    the ascending lex order of one `_runs` walk; None when infinite.
 
     Finite exactly when every variable has a pure power among the
     leading monomials (1 counts as one of every variable).  No standard
@@ -325,19 +332,16 @@ def standard_monomials(gb: GroebnerBasis, n: int) -> tuple | None:
             "the standard monomial basis may hold up to %d monomials, "
             "above the limit of %d" % (box, MAX_STANDARD_MONOMIALS))
     # each standard monomial has degree below sum_i max_m m_i
-    buckets = staircase(lead, (1,) * n, sum(map(max, zip(*lead))))
-    return tuple(sorted(chain.from_iterable(buckets.values())))
+    return tuple(prefix + (e,) for prefix, _, stop
+                 in _runs(lead, (1,) * n, sum(map(max, zip(*lead))))
+                 for e in range(stop))
 
 
 def quotient_dimension(generators: Sequence[Polynomial]):
     """dim_C C[z]/<generators>, or INFINITE."""
     if not generators:
         return INFINITE
-    n = generators[0].n
-    gb = buchberger(generators)
-    if not gb.elements:
-        return INFINITE
-    std = standard_monomials(gb, n)
+    std = standard_monomials(buchberger(generators), generators[0].n)
     return INFINITE if std is None else len(std)
 
 
@@ -367,12 +371,9 @@ def ideal_intersection(gens_a: Sequence[Polynomial],
     t = Polynomial.variable(n + 1, 1)
     ext = [t * _embed_with_t(g) for g in gens_a]
     ext += [(Polynomial.one(n + 1) - t) * _embed_with_t(g) for g in gens_b]
-    gb = buchberger(ext)
-    out = []
-    for g in gb:
-        if all(exps[0] == 0 for exps in g.terms):
-            out.append(Polynomial(n, {exps[1:]: c for exps, c in g.terms.items()}))
-    return tuple(out)
+    return tuple(Polynomial(n, {exps[1:]: c for exps, c in g.terms.items()})
+                 for g in buchberger(ext)
+                 if all(exps[0] == 0 for exps in g.terms))
 
 
 def exact_divide(p: Polynomial, g: Polynomial) -> Polynomial:

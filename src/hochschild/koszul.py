@@ -23,7 +23,8 @@ Adv. Math. 95, 1992).  Both are generated from one rule:
 * Shifts (internal weights, for f of weights w and degree d): on the
   cochain side eta_i carries d - w_i and b1 carries 0; on the chain side
   xi_i carries w_i and a1 carries d.  Every differential then preserves
-  the grading.
+  the grading.  `lowest_shift` gives a degree's least shift in closed
+  form, without listing its module.
 
 Every differential entry is an integer multiple k * d_i f of a partial
 derivative of f, and that is how it is stored: a differential is a tuple
@@ -156,6 +157,21 @@ def shift(direction: str, ws: WeightSystem, elem: BasisElement) -> int:
     if direction == "cochain":
         return sum(d - w[i - 1] for i in elem.odd)
     return elem.power * d + sum(w[i - 1] for i in elem.odd)
+
+
+def lowest_shift(direction: str, ws: WeightSystem, p: int) -> int:
+    """min(shift(direction, ws, e) for e in module(n, p)) in closed
+    form.  A component with j odd generators, j = p (mod 2) and
+    j <= min(n, p), is lowest on the cochain side when its generators
+    carry the j largest weights, j * d minus their sum, and on the chain
+    side when they carry the j smallest, ((p - j) / 2) * d plus their
+    sum."""
+    n, d, w = len(ws.weights), ws.degree, sorted(ws.weights)
+    _check_variables(n)
+    js = range(p % 2, min(n, p) + 1, 2)
+    if direction == "cochain":
+        return min(j * d - sum(w[n - j:]) for j in js)
+    return min((p - j) // 2 * d + sum(w[:j]) for j in js)
 
 
 def _differential(direction: str, n: int, source: tuple, target: tuple):

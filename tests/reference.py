@@ -4,7 +4,14 @@ package computes, and checks that only the tests run."""
 from __future__ import annotations
 
 from hochschild.engine import PreconditionError
-from hochschild.poly import Polynomial, exact_quotient, monomial_div
+from hochschild.ideals import divide
+from hochschild.koszul import module, shift
+from hochschild.poly import (
+    Polynomial,
+    exact_quotient,
+    monomial_div,
+    monomial_divides,
+)
 
 
 def monomial_lcm(a, b) -> tuple:
@@ -22,6 +29,42 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     mg = Polynomial.monomial(g.n, monomial_div(lcm, ge),
                              exact_quotient(1, gc))
     return mf * f - mg * g
+
+
+def reduced_groebner_basis(gens) -> list:
+    """The reduced monic lex Groebner basis of <gens> by the textbook
+    route, sharing nothing with `ideals.buchberger` but `divide`:
+    Buchberger over every pair, then the elements whose leading monomial
+    another's divides dropped, the rest made monic, and each replaced
+    by its leading monomial plus the remainder of its tail on the
+    others; listed by descending leading monomial."""
+    basis = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    while pairs:
+        i, j = pairs.pop()
+        r = divide(s_polynomial(basis[i], basis[j]), basis).remainder
+        if not r.is_zero():
+            pairs += [(len(basis), k) for k in range(len(basis))]
+            basis.append(r)
+    minimal = []
+    for g in sorted(basis, key=lambda g: g.leading_term().exponents):
+        lead = g.leading_term().exponents
+        if not any(monomial_divides(h.leading_term().exponents, lead)
+                   for h in minimal):
+            minimal.append(exact_quotient(1, g.leading_term().coefficient) * g)
+    out = []
+    for g in reversed(minimal):
+        lead = Polynomial.monomial(g.n, g.leading_term().exponents)
+        others = [h for h in minimal if h is not g]
+        out.append(lead + divide(g - lead, others).remainder)
+    return out
+
+
+def lowest_module_shift(direction: str, ws, p: int) -> int:
+    """The least internal weight among the components of degree p in
+    the given direction, enumerated over `koszul.module` and
+    `koszul.shift`."""
+    return min(shift(direction, ws, e) for e in module(len(ws.weights), p))
 
 
 def exponents_of_weight(weights, s: int) -> list:

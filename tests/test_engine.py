@@ -17,14 +17,16 @@ from hochschild.engine import (
     _degree,
     _module_totals,
     _strand_blocks,
+    _window,
     analyze,
     kernel_description,
 )
-from hochschild.grading import NotWeightedHomogeneousError
+from hochschild.grading import NotWeightedHomogeneousError, WeightSystem
 from hochschild.ideals import (
     INFINITE,
     buchberger,
     colon_ideal,
+    milnor_number,
     standard_monomials,
 )
 from hochschild.koszul import KoszulComplex, chain_complex, cochain_complex
@@ -32,7 +34,7 @@ from hochschild.linalg import rank_dense, rank_sparse
 from hochschild.parsing import parse_polynomial
 from hochschild.poly import Polynomial
 from hochschild.series import poincare_dims
-from reference import verify_infinite_part
+from reference import lowest_module_shift, verify_infinite_part
 from test_koszul import _dense
 
 
@@ -243,6 +245,46 @@ def test_structural_window_is_lowest_module_shift(name):
         for p, deg in enumerate(r.degrees):
             lo = min(cx.modules[p].shifts)
             assert deg.window == (lo, lo + 3 * d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 12), min_size=n, max_size=n),
+    st.integers(1, 12))))
+@example(((2, 3, 9), 6))    # one weight above d
+@example(((7,), 5))
+def test_window_closed_form_matches_the_module_enumeration(case):
+    weights, d = case
+    an = SimpleNamespace(ws=WeightSystem(tuple(weights), d, False))
+    for direction, side in (("cohomology", "cochain"),
+                            ("homology", "chain")):
+        for p in range(13):
+            lo = lowest_module_shift(side, an.ws, p)
+            assert _window(an, direction, p, 5) == (lo, lo + 5)
+
+
+def test_window_keeps_the_variable_count_check():
+    an = SimpleNamespace(ws=WeightSystem((1, 1, 1, 1), 2, False))
+    with pytest.raises(ValueError, match="only 1 to 3 variables"):
+        _window(an, "cohomology", 0, 6)
+
+
+@pytest.mark.parametrize("poly", ["z1^2+3*z2^2*z3+z3^4",
+                                  "z1^3+1/2*z1^2*z2^2+z2^6+z3^3",
+                                  "z1^2*z2+z2^5", "z1^5"])
+def test_structural_reports_read_no_reduced_basis(monkeypatch, poly):
+    # labels depend only on leading monomials and remainders, so the
+    # Milnor number, the route and a structural report never
+    # interreduce a basis
+    def refuse(gb):
+        raise AssertionError("reduced basis read")
+
+    monkeypatch.setattr(ideals.GroebnerBasis, "elements", property(refuse))
+    f = parse_polynomial(poly)
+    assert milnor_number(f) == Analysis(f).milnor
+    for direction in ("cohomology", "homology"):
+        r = analyze(f, direction=direction, mode="structural")
+        assert r.crosscheck == "skipped"
 
 
 @pytest.mark.parametrize("kwargs", [{"p_max": -1}, {"cutoff": -1}])

@@ -20,7 +20,7 @@ from hochschild.ideals import (
     standard_monomials,
 )
 from hochschild.poly import Polynomial, monomial_divides
-from reference import s_polynomial
+from reference import reduced_groebner_basis, s_polynomial
 
 
 def zvars(n):
@@ -161,6 +161,28 @@ def test_standard_monomials_limit_fires_before_the_walk():
     huge = buchberger([Polynomial(1, {(10 ** 11,): 1})])
     with pytest.raises(WalkLimitError, match="up to 100000000000 "):
         standard_monomials(huge, 1)
+
+
+def test_standard_monomials_of_the_unit_ideal_is_empty():
+    z1, z2 = zvars(2)
+    assert standard_monomials(buchberger([Polynomial.one(2)]), 2) == ()
+    assert standard_monomials(buchberger([z1 * z2 + 1, z1]), 2) == ()
+    assert quotient_dimension([z1 + 1, z1]) == 0
+
+
+def test_standard_monomials_refusals_keep_their_messages(monkeypatch):
+    # the box bound refuses before the walk; the walk it shares with
+    # `staircase` refuses on its run count
+    monkeypatch.setattr(ideals, "MAX_STANDARD_MONOMIALS", 6)
+    z1, z2 = zvars(2)
+    with pytest.raises(WalkLimitError) as box:
+        standard_monomials(buchberger([z1 ** 3, z2 ** 3]), 2)
+    assert str(box.value) == ("the standard monomial basis may hold up to "
+                              "9 monomials, above the limit of 6")
+    with pytest.raises(WalkLimitError) as runs:
+        staircase(((3, 0),), (1, 1), 3)
+    assert str(runs.value) == ("the standard monomials of weight at most 3 "
+                               "number at least 7, above the limit of 6")
 
 
 def test_standard_monomials_enumeration():
@@ -325,3 +347,46 @@ def test_buchberger_independent_of_generator_order(gens, data):
     shuffled = data.draw(st.permutations(with_duplicates))
     assert buchberger(shuffled).elements == \
         buchberger(gens).elements
+
+
+coefficients = (st.integers(-3, 3).filter(bool)
+                | st.fractions(-3, 3, max_denominator=4).filter(bool))
+
+
+@st.composite
+def ideals_with_probes(draw):
+    """(generators, probes) in n <= 3 variables, int and Fraction
+    coefficients."""
+    n = draw(st.integers(1, 3))
+
+    def polys(top, size):
+        terms = st.tuples(coefficients, st.tuples(*[st.integers(0, top)] * n))
+        return st.lists(st.lists(terms, min_size=1, max_size=3).map(
+            lambda ts: Polynomial.from_terms(n, ts)), min_size=1,
+            max_size=size)
+
+    return draw(polys(2, 3)), draw(polys(4, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideals_with_probes())
+@example(([Polynomial.from_terms(2, [(1, (2, 0)), (1, (0, 1))]),
+           Polynomial.from_terms(2, [(1, (3, 0))])],
+          [Polynomial.from_terms(2, [(Fraction(1, 2), (4, 1))])]))
+def test_minimal_basis_reads_like_the_reduced_basis(case):
+    # z1^3 in <z1^2 + z2, z1^3> is one element the minimal basis drops
+    gens, probes = case
+    gb = buchberger(gens)
+    leads = gb.leading_exponents()
+    remainders = [gb.normal_form(p) for p in probes]
+    reduced = reduced_groebner_basis(gens)
+    assert leads == tuple(g.leading_term().exponents for g in reduced)
+    for p, r in zip(probes, remainders):
+        assert r == divide(p, reduced).remainder
+        assert all(type(c) is int or c.denominator > 1
+                   for c in r.terms.values())
+    assert gb.elements == tuple(reduced)
+    assert list(gb) == reduced and len(gb) == len(reduced)
+    assert gb == GroebnerBasis(reduced)
+    assert repr(gb) == "GroebnerBasis([%s])" % ", ".join(
+        g.to_str() for g in reduced)
