@@ -31,21 +31,13 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return mf * f - mg * g
 
 
-def reduced_groebner_basis(gens) -> list:
-    """The reduced monic lex Groebner basis of <gens> by the textbook
-    route, sharing nothing with `ideals.buchberger` but `divide`:
-    Buchberger over every pair, then the elements whose leading monomial
-    another's divides dropped, the rest made monic, and each replaced
-    by its leading monomial plus the remainder of its tail on the
-    others; listed by descending leading monomial."""
-    basis = [g for g in gens if not g.is_zero()]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        i, j = pairs.pop()
-        r = divide(s_polynomial(basis[i], basis[j]), basis).remainder
-        if not r.is_zero():
-            pairs += [(len(basis), k) for k in range(len(basis))]
-            basis.append(r)
+def reduce_groebner_basis(basis) -> list:
+    """The reduced monic lex Groebner basis of the ideal that the
+    Groebner basis `basis` generates, by the textbook route, sharing
+    nothing with `ideals` but `divide`: the elements whose leading
+    monomial another's divides dropped, the rest made monic, and each
+    replaced by its leading monomial plus the remainder of its tail on
+    the others; listed by descending leading monomial."""
     minimal = []
     for g in sorted(basis, key=lambda g: g.leading_term().exponents):
         lead = g.leading_term().exponents
