@@ -626,8 +626,10 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     the two independently and records whether they agree; crosscheck
     is "skipped" unless both ran.  In mode both a classifier
     precondition failure becomes a note, the only kind of note.  A scan
-    window that reaches past weight MAX_STANDARD_MONOMIALS raises
-    `ideals.WalkLimitError` before anything is listed by weight.
+    window that reaches past weight MAX_STANDARD_MONOMIALS, or windows
+    that would hold more (degree, weight) slices than that, raise
+    `ideals.WalkLimitError` before anything is listed by weight, and
+    in the second case after listing at most n + 4 windows.
     """
     if direction not in ("cohomology", "homology"):
         raise ValueError("direction must be cohomology or homology")
@@ -640,12 +642,21 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     an = analysis or Analysis(f)
     if cutoff is None:
         cutoff = 3 * an.ws.degree
-    windows = [_window(an, direction, p, cutoff) for p in range(p_max + 1)]
+    limit = ideals.MAX_STANDARD_MONOMIALS
+    slices = (p_max + 1) * (cutoff + 1)
+    # past the slice limit, list only the windows that can reach highest
+    degrees = (range(p_max + 1) if slices <= limit
+               else _top_degrees(an.n, p_max))
+    windows = [_window(an, direction, p, cutoff) for p in degrees]
     top = max(hi for _, hi in windows)
-    if top > ideals.MAX_STANDARD_MONOMIALS:
+    if top > limit:
         raise ideals.WalkLimitError(
             "the scan window reaches weight %d, above the limit of %d"
-            % (top, ideals.MAX_STANDARD_MONOMIALS))
+            % (top, limit))
+    if slices > limit:
+        raise ideals.WalkLimitError(
+            "the report would list %d (degree, weight) slices, above the "
+            "limit of %d" % (slices, limit))
     notes: list = []
     classes = oracle = None
     if mode != "graded":
@@ -675,6 +686,15 @@ def _window(an: Analysis, direction: str, p: int, cutoff: int) -> tuple:
     lo = lowest_shift("cochain" if direction == "cohomology" else "chain",
                       an.ws, p)
     return (lo, lo + cutoff)
+
+
+def _top_degrees(n: int, p_max: int) -> set:
+    """At most n + 4 of the degrees 0..p_max, among them one whose
+    window reaches highest in either direction.  For p >= n,
+    `lowest_shift` depends on p only through its parity on the cochain
+    side, and grows by d every two degrees on the chain side, so past
+    n + 1 only p_max - 1 and p_max can be highest."""
+    return {*range(min(p_max, n + 1) + 1), max(p_max - 1, 0), p_max}
 
 
 # ---- kernel generator families ---------------------------------------

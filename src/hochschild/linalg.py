@@ -4,7 +4,9 @@ Two rank routines, both in integer arithmetic and fraction-free: a sparse
 elimination that ranks the graded complex slices and the bar-complex
 differentials (both are mostly zero), and a dense Bareiss elimination,
 kept as the independent reference that the tests compare the sparse
-path against.  Rational entries are cleared of denominators row by row,
+path against.  The sparse path eliminates the sparsest rows first and
+stops once the rank reaches min(#rows, #distinct keys), which no later
+row can raise.  Rational entries are cleared of denominators row by row,
 which leaves the rank unchanged; the sparse path reads a row of nonzero
 ints as given.  The bar oracle's entries are ints, so Fraction rows
 reach `rank_sparse` only from the graded oracle, where a slice entry is
@@ -72,17 +74,26 @@ def rank_dense(rows) -> int:
 def rank_sparse(rows) -> int:
     """Rank of a matrix given as sparse rows (dict col -> int or Fraction).
 
-    Fraction-free elimination over the integers.  A row whose entries
-    are all nonzero ints is read as given; any other row is first copied
-    without its zeros and scaled by the lcm of its denominators, which
-    leaves the rank unchanged.  A row is reduced against the pivot rows
-    found so far: with a and b the pivot's and the row's leading entries
-    divided by their gcd, r := a*r - b*pivot clears the leading column
-    exactly.  A row read as given is copied the first time it is
-    reduced.  A row whose leading column has no pivot becomes the pivot
-    there: as given if it was never copied, else divided by the gcd of
-    its entries.  The caller's dicts are never modified.
+    Fraction-free elimination over the integers.  The rows are reduced
+    in ascending order of their number of entries, and the elimination
+    stops once the rank reaches min(#rows, #distinct keys): the pivots
+    then span every coordinate a row uses, so every row left lies in
+    their span (a key whose value is 0 only raises the bound).  The
+    order changes which rows become pivots, never the rank.
+
+    A row whose entries are all nonzero ints is read as given; any other
+    row is first copied without its zeros and scaled by the lcm of its
+    denominators, which leaves the rank unchanged.  A row is reduced
+    against the pivot rows found so far: with a and b the pivot's and
+    the row's leading entries divided by their gcd, r := a*r - b*pivot
+    clears the leading column exactly.  A row read as given is copied
+    the first time it is reduced.  A row whose leading column has no
+    pivot becomes the pivot there: as given if it was never copied, else
+    divided by the gcd of its entries.  The caller's list and dicts are
+    never modified.
     """
+    rows = sorted(rows, key=len)
+    bound = min(len(rows), len(set().union(*rows)))
     pivots: dict = {}  # leading col -> (leading entry, row)
     rank = 0
     for row in rows:
@@ -102,6 +113,8 @@ def rank_sparse(rows) -> int:
                         row = {k: v // g for k, v in row.items()}
                 pivots[c] = (b, row)
                 rank += 1
+                if rank == bound:
+                    return rank
                 break
             a, prow = pivot
             g = gcd(a, b)

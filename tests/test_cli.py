@@ -68,6 +68,23 @@ def test_oversized_scan_window_is_refused(capsys, mode):
                    "the limit of 2000000\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("cohomology", "--poly", "z1^2", "--mode", "structural"),
+     "the report would list 70000007 (degree, weight) slices, above the "
+     "limit of 2000000"),
+    (("homology", "--poly", "z1^2+z2^3", "--mode", "graded"),
+     "the scan window reaches weight 30000017, above the limit of 2000000"),
+])
+def test_huge_max_degree_is_refused_before_the_windows(capsys, argv,
+                                                        message):
+    # the cohomology windows of z1^2 never pass weight 7, but 10^7 + 1
+    # degrees of 7 weights each are too many slices; the homology
+    # windows of z1^2+z2^3 grow with p.  Both end in no time, without
+    # listing a window for each degree
+    code, out, err = run(capsys, *argv, "--max-degree", "10000000")
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
 def test_milnor_finite(capsys):
     code, out, _ = run(capsys, "milnor", "--catalog", "e8-curve")
     assert code == 0

@@ -17,6 +17,7 @@ from hochschild.engine import (
     _degree,
     _module_totals,
     _strand_blocks,
+    _top_degrees,
     _window,
     analyze,
     kernel_description,
@@ -261,6 +262,41 @@ def test_window_closed_form_matches_the_module_enumeration(case):
         for p in range(13):
             lo = lowest_module_shift(side, an.ws, p)
             assert _window(an, direction, p, 5) == (lo, lo + 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 12), min_size=n, max_size=n),
+    st.integers(1, 12), st.integers(0, 14))))
+@example(((2, 3, 9), 6, 13))
+def test_top_degrees_hold_the_highest_window(case):
+    weights, d, p_max = case
+    an = SimpleNamespace(ws=WeightSystem(tuple(weights), d, False))
+    degrees = _top_degrees(len(weights), p_max)
+    assert len(degrees) <= len(weights) + 4
+    for direction in ("cohomology", "homology"):
+        assert max(_window(an, direction, p, 5) for p in degrees) == max(
+            _window(an, direction, p, 5) for p in range(p_max + 1))
+
+
+def test_report_of_too_many_slices_is_refused_before_any_window(
+        monkeypatch):
+    # z1^2 has weight 1, degree 2 and cutoff 6: 7 slices a degree, and
+    # its cohomology windows stay below weight 8 at any p_max; the
+    # refusal is above the limit, not at it
+    f = parse_polynomial("z1^2")
+    monkeypatch.setattr(ideals, "MAX_STANDARD_MONOMIALS", 21)
+    assert len(analyze(f, p_max=2, mode="graded").degrees) == 3
+    listed = []
+    monkeypatch.setattr(engine, "_window",
+                        lambda *args: listed.append(args) or _window(*args))
+    for p_max, mode in ((3, "graded"), (10 ** 7, "structural")):
+        listed.clear()
+        with pytest.raises(ideals.WalkLimitError, match=(
+                "^the report would list %d \\(degree, weight\\) slices, "
+                "above the limit of 21$" % (7 * (p_max + 1)))):
+            analyze(f, p_max=p_max, mode=mode)
+        assert len(listed) <= 5
 
 
 def test_window_keeps_the_variable_count_check():

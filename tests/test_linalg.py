@@ -32,7 +32,9 @@ def test_sparse_rank_duplicate_rows():
 
 def test_sparse_rank_of_mixed_rows_leaves_them_unchanged():
     # all-int rows are read as given, the others are copied as ints;
-    # both kinds become pivots and both are reduced against either kind
+    # both kinds become pivots and both are reduced against either kind.
+    # The rows are reduced shortest first, but the caller's list keeps
+    # its order
     rows = [{0: 2, 3: -4},
             {1: 3, 2: 1},
             {0: 1, 1: 0, 3: -2},                        # half of row 0
@@ -42,8 +44,10 @@ def test_sparse_rank_of_mixed_rows_leaves_them_unchanged():
             {0: 3, 2: 4},                               # 6 times row 3
             {0: 0, 3: Fraction(5, 7)}]
     before = [dict(row) for row in rows]
+    ids = list(map(id, rows))
     dense = [[row.get(j, 0) for j in range(4)] for row in rows]
     assert rank_sparse(rows) == rank_dense(dense) == 4
+    assert list(map(id, rows)) == ids
     assert rows == before
     assert [[type(v) for v in row.values()] for row in rows] == \
         [[type(v) for v in row.values()] for row in before]
@@ -110,3 +114,77 @@ def test_sparse_rank_matches_dense_reference(shape, combos):
     dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
     assert rank_sparse(rows) == rank_dense(dense)
     assert rows == before
+
+
+class CountedRow(dict):
+    """A sparse row that counts the reads of its values."""
+
+    reads = 0
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+
+def test_sparse_rank_stops_at_the_bound_with_rows_unread():
+    # two keys: the two 1-entry rows are pivots for both, and the longer
+    # rows, each in their span, are never read
+    rows = [CountedRow({0: 2, 1: 3}), CountedRow({1: 5}),
+            CountedRow({0: 1, 1: -1}), CountedRow({0: 7})]
+    assert rank_sparse(rows) == 2
+    assert [row.reads for row in rows] == [0, 1, 0, 1]
+
+
+def test_sparse_rank_of_wide_rows_reaches_the_row_count():
+    # fewer rows than keys: the bound is the row count, and the last
+    # (longest) row is the one that reaches it
+    rows = [{0: 1, 1: 2, 2: 3, 3: 4}, {0: 1, 1: 1}, {1: 1, 2: -1}]
+    assert rank_sparse(rows) == 3
+    assert rank_sparse(rows[1:]) == 2
+
+
+def test_sparse_rank_with_a_zero_valued_key():
+    # key 2 holds only 0s: it counts towards the bound (3 rows, 3 keys)
+    # but the rank is 2, so the elimination has to run to the end
+    rows = [{0: 1, 2: 0}, {1: 1, 2: Fraction(0)}, {0: 1, 1: 1}]
+    assert rank_sparse(rows) == 2
+    assert rank_sparse([{0: 0}]) == 0
+    assert rank_sparse([{0: 1, 1: 0}, {0: -3}]) == 1
+
+
+def test_sparse_rank_of_a_generator():
+    rows = [{0: 1, 1: 2}, {1: 1}, {0: 2, 1: 5}, {2: Fraction(1, 3)}]
+    assert rank_sparse(dict(row) for row in rows) == 3
+    assert rank_sparse(row for row in ()) == 0
+
+
+tall_matrices = st.integers(1, 6).flatmap(
+    lambda c: st.tuples(
+        st.just(c),
+        st.lists(st.dictionaries(st.integers(0, c - 1), sparse_entries,
+                                 max_size=c), min_size=1, max_size=c),
+        st.lists(st.lists(st.sampled_from(
+            (0, 1, -1, 3, Fraction(1, 2), 2 ** 65))),
+            min_size=c + 1, max_size=c + 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_matrices, st.data())
+def test_sparse_rank_of_tall_matrices_under_row_permutations(shape, data):
+    # more rows than keys, the dependent rows (combinations of the
+    # drawn ones, zeros kept) first: the rank reaches its bound at
+    # different points, or never when the drawn rows are dependent
+    ncols, drawn, combos = shape
+    rows = []
+    for coefficients in combos:
+        combo = {}
+        for x, row in zip(coefficients, drawn):
+            for j, v in row.items():
+                combo[j] = combo.get(j, 0) + x * v
+        rows.append(combo)
+    rows += drawn
+    assert len(rows) > ncols
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    rank = rank_dense(dense)
+    assert rank_sparse(rows) == rank
+    assert rank_sparse(data.draw(st.permutations(rows))) == rank

@@ -7,8 +7,10 @@ catalog, stress and seeded sets do not: n = 1, the loop and the A1 node
 (no elimination route), a non-isolated f, Fraction, negative and
 non-unit coefficients, and the kernel patterns (Brieskorn-Pham, the D
 curve and the D surface) written with other coefficients.  `hh groebner`
-is pinned on ideals whose minimal bases have tails to interreduce, and
-`hh milnor` on some of the polynomials.
+is pinned on ideals whose minimal bases have tails to interreduce,
+`hh milnor` on some of the polynomials, and `hh bar-oracle`, the other
+caller of the sparse rank, for every k it accepts.  The last two
+polynomials are rank-heavy: their slices have up to 210 rows.
 
 New cases are pinned without touching the others; the command exits 1,
 writing nothing, if any existing pin would change:
@@ -55,6 +57,8 @@ POLYNOMIALS = (
     "2*z1^3+z2^3+5*z3^4",
     "z1^3+z2^3+z3^3+z1*z2*z3",
     "z1^3+1/2*z1^2*z2^2+z2^6+z3^3",
+    "z1^4+z2^4+z3^4+z1*z2*z3^2",
+    "z1^5+z2^5+z3^5+z1*z2*z3^3",
 )
 
 GROEBNER = (
@@ -78,7 +82,7 @@ MILNOR = (
 
 def cases() -> list:
     """Every polynomial both ways in each mode, p <= 6, then the
-    `groebner` and `milnor` cases.  Polynomials are passed as
+    `groebner`, `milnor` and `bar-oracle` cases.  Polynomials are passed as
     --poly=... or --gens=..., so a leading minus is not read as an
     option."""
     return ([[direction, "--poly=" + f, "--max-degree", "6", "--mode", mode]
@@ -86,7 +90,10 @@ def cases() -> list:
              for direction in ("cohomology", "homology")
              for mode in ("structural", "graded", "both")]
             + [["groebner"] + args for args in GROEBNER]
-            + [["milnor", "--poly=" + f] for f in MILNOR])
+            + [["milnor", "--poly=" + f] for f in MILNOR]
+            + [["bar-oracle", "--k", str(k), "--max-degree", "3",
+                "--format", fmt]
+               for k in range(1, 5) for fmt in ("json", "table")])
 
 
 def run(argv: list) -> list:
