@@ -628,8 +628,8 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     precondition failure becomes a note, the only kind of note.  A scan
     window that reaches past weight MAX_STANDARD_MONOMIALS, or windows
     that would hold more (degree, weight) slices than that, raise
-    `ideals.WalkLimitError` before anything is listed by weight, and
-    in the second case after listing at most n + 4 windows.
+    `ideals.WalkLimitError` before any window is listed: the top weight
+    is read from the at most n + 4 windows of `_top_degrees`.
     """
     if direction not in ("cohomology", "homology"):
         raise ValueError("direction must be cohomology or homology")
@@ -643,20 +643,20 @@ def analyze(f: Polynomial, direction: str = "cohomology", p_max: int = 6,
     if cutoff is None:
         cutoff = 3 * an.ws.degree
     limit = ideals.MAX_STANDARD_MONOMIALS
-    slices = (p_max + 1) * (cutoff + 1)
-    # past the slice limit, list only the windows that can reach highest
-    degrees = (range(p_max + 1) if slices <= limit
-               else _top_degrees(an.n, p_max))
-    windows = [_window(an, direction, p, cutoff) for p in degrees]
-    top = max(hi for _, hi in windows)
+    tops = {p: _window(an, direction, p, cutoff)
+            for p in _top_degrees(an.n, p_max)}
+    top = max(hi for _, hi in tops.values())
     if top > limit:
         raise ideals.WalkLimitError(
             "the scan window reaches weight %d, above the limit of %d"
             % (top, limit))
+    slices = (p_max + 1) * (cutoff + 1)
     if slices > limit:
         raise ideals.WalkLimitError(
             "the report would list %d (degree, weight) slices, above the "
             "limit of %d" % (slices, limit))
+    windows = [tops.get(p) or _window(an, direction, p, cutoff)
+               for p in range(p_max + 1)]
     notes: list = []
     classes = oracle = None
     if mode != "graded":

@@ -5,7 +5,7 @@ elimination that ranks the graded complex slices and the bar-complex
 differentials (both are mostly zero), and a dense Bareiss elimination,
 kept as the independent reference that the tests compare the sparse
 path against.  The sparse path eliminates the sparsest rows first and
-stops once the rank reaches min(#rows, #distinct keys), which no later
+stops once the rank reaches the number of distinct keys, which no later
 row can raise.  Rational entries are cleared of denominators row by row,
 which leaves the rank unchanged; the sparse path reads a row of nonzero
 ints as given.  The bar oracle's entries are ints, so Fraction rows
@@ -76,7 +76,7 @@ def rank_sparse(rows) -> int:
 
     Fraction-free elimination over the integers.  The rows are reduced
     in ascending order of their number of entries, and the elimination
-    stops once the rank reaches min(#rows, #distinct keys): the pivots
+    stops once the rank reaches the number of distinct keys: the pivots
     then span every coordinate a row uses, so every row left lies in
     their span (a key whose value is 0 only raises the bound).  The
     order changes which rows become pivots, never the rank.
@@ -93,7 +93,7 @@ def rank_sparse(rows) -> int:
     never modified.
     """
     rows = sorted(rows, key=len)
-    bound = min(len(rows), len(set().union(*rows)))
+    bound = len(set().union(*rows))
     pivots: dict = {}  # leading col -> (leading entry, row)
     rank = 0
     for row in rows:

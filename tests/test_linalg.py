@@ -136,8 +136,8 @@ def test_sparse_rank_stops_at_the_bound_with_rows_unread():
 
 
 def test_sparse_rank_of_wide_rows_reaches_the_row_count():
-    # fewer rows than keys: the bound is the row count, and the last
-    # (longest) row is the one that reaches it
+    # fewer rows than keys: the rank never reaches the key count, so
+    # every row is reduced, and the last (longest) one is a pivot
     rows = [{0: 1, 1: 2, 2: 3, 3: 4}, {0: 1, 1: 1}, {1: 1, 2: -1}]
     assert rank_sparse(rows) == 3
     assert rank_sparse(rows[1:]) == 2
