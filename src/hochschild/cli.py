@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from itertools import chain
@@ -394,11 +395,20 @@ def main(argv=None) -> int:
         "catalog": _run_catalog,
         "verify-invariants": _run_verify_invariants,
     }
+    # The handler runs with the cyclic collector paused: a report holds
+    # many long-lived objects and makes no cycles, so each collection
+    # would walk the whole heap and free nothing.  The collector is left
+    # as it was found on every exit.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def run() -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -140,25 +141,17 @@ def _positive_point(basis):
 def _consistent_weights(exps, n, bound):
     """Every (w, d) with f homogeneous of positive degree d, weights in
     1..bound and some weight equal to bound: the ones a search with
-    bound - 1 has not tried."""
+    bound - 1 has not tried.  A loop, not a recursive closure, which
+    would hold itself in a reference cycle."""
     out = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            degs = {sum(wi * e for wi, e in zip(prefix, a)) for a in exps}
-            if len(degs) == 1:
-                d = degs.pop()
-                if d > 0:
-                    out.append((tuple(prefix), d))
-            return
-        if len(prefix) == n - 1 and max(prefix, default=0) < bound:
-            choices = (bound,)
-        else:
-            choices = range(1, bound + 1)
-        for w in choices:
-            rec(prefix + [w])
-
-    rec([])
+    for w in product(range(1, bound + 1), repeat=n):
+        if bound not in w:
+            continue
+        degs = {sum(map(mul, w, a)) for a in exps}
+        if len(degs) == 1:
+            d = degs.pop()
+            if d > 0:
+                out.append((w, d))
     return out
 
 

@@ -272,9 +272,13 @@ def _runs(lead, weights, top: int) -> list:
     for m in lead:
         ending[max(j for j, e in enumerate(m) if e)].append(m)
     count = 0
-
-    def walk(prefix, weight):
-        nonlocal count
+    # (prefix, weight of prefix), the next to visit on top.  A stack, not
+    # a recursive closure: that would hold itself in a reference cycle,
+    # which `hh` commands, run with the cyclic collector paused, would
+    # keep until they end.
+    stack = [((), 0)]
+    while stack:
+        prefix, weight = stack.pop()
         i = len(prefix)
         w = weights[i]
         stop = (top - weight) // w + 1
@@ -282,9 +286,9 @@ def _runs(lead, weights, top: int) -> list:
             if m[i] < stop and all(map(le, m, prefix)):
                 stop = m[i]
         if i < n - 1:
-            for e in range(stop):
-                walk(prefix + (e,), weight + e * w)
-            return
+            for e in range(stop - 1, -1, -1):
+                stack.append((prefix + (e,), weight + e * w))
+            continue
         count += stop
         if count > MAX_STANDARD_MONOMIALS:
             raise WalkLimitError(
@@ -292,8 +296,6 @@ def _runs(lead, weights, top: int) -> list:
                 "least %d, above the limit of %d"
                 % (top, count, MAX_STANDARD_MONOMIALS))
         runs.append((prefix, weight, stop))
-
-    walk((), 0)
     return runs
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hochschild import cli
+from hochschild import cli, engine
 from hochschild.cli import _json, build_parser, main
 
 
@@ -522,3 +523,81 @@ def test_cli_import_and_poly_reports_load_no_bar_catalog_or_dataclasses():
         assert code == 0, argv
         assert "hochschild.bar" not in loaded, argv
         assert "hochschild.catalog" not in loaded, argv
+
+
+@pytest.fixture
+def collector():
+    """Re-enable the cyclic collector when the test ends, however it
+    ends, so that a failure cannot leave the rest of the run without
+    it."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("cohomology", "--catalog", "d4-surface", "--mode", "both"), 0),
+    (("cohomology", "--poly", "z1^7+z2^11+z3^13", "--max-degree", "2"), 0),
+    # underdetermined weights and a graded walk of a non-isolated f
+    (("cohomology", "--poly", "z1^2*z2", "--mode", "graded",
+      "--max-degree", "2"), 0),
+    # the loop: route search ends without a Koszul route
+    (("cohomology", "--poly", "z1^3*z2+z2^3*z3+z3^3*z1", "--mode",
+      "structural"), 1),
+    (("cohomology", "--poly", "z1^2", "--mode", "structural",
+      "--max-degree", "10000000"), 1),
+    (("groebner", "--gens", "z1^2*z2 + z2^3; z1^2 + 3*z2^2"), 0),
+    (("milnor", "--poly", "z1^3+z2^4"), 0),
+])
+def test_a_command_leaves_no_cyclic_garbage(capsys, collector, argv, code):
+    # `main` runs its handler with the collector paused, so a cycle made
+    # there would live until the process next collects.  The first run
+    # warms up: building the shared parser, on the first call in a
+    # process, leaves one-off argparse HelpFormatter cycles.
+    assert main(list(argv)) == code
+    gc.collect()
+    gc.disable()
+    assert main(list(argv)) == code
+    assert gc.collect() == 0
+
+
+def test_handler_runs_with_the_collector_paused(capsys, collector,
+                                                monkeypatch):
+    seen = []
+
+    def record(args):
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setattr(cli, "_run_weights", record)
+    gc.enable()
+    assert main(["weights", "--poly", "z1^2+z2^3"]) == 0
+    assert seen == [False] and gc.isenabled()
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("escapes the handler")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, exit_", [
+    (("weights", "--poly", "z1^2+z2^3"), 0),
+    (("cohomology", "--poly", "z1^2 + z1^3"), 1),        # CliError
+    # argparse's, before the handler runs
+    (("cohomology", "--poly", "z1^2", "--max-degree", "-1"), SystemExit),
+    # `analyze` is made to raise it, and it escapes `main`
+    (("cohomology", "--poly", "z1^2+z2^3"), RuntimeError),
+])
+def test_main_leaves_the_collector_as_it_found_it(capsys, collector,
+                                                  monkeypatch, enabled,
+                                                  argv, exit_):
+    if exit_ is RuntimeError:
+        monkeypatch.setattr(engine, "analyze", _raise)
+    (gc.enable if enabled else gc.disable)()
+    if isinstance(exit_, int):
+        assert main(list(argv)) == exit_
+    else:
+        with pytest.raises(exit_) as exc:
+            main(list(argv))
+        if exit_ is SystemExit:
+            assert exc.value.code == 2
+    assert gc.isenabled() is enabled
