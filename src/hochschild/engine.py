@@ -34,7 +34,11 @@ Two independent routes to the same numbers:
   blocks' ranks.  Block slices are assembled sparse from the
   multiplication maps M_i(u), d_i f times A_u into A_(u + d - w_i),
   which `Analysis._reduce_maps` reduces to positions in the bases of A,
-  a batch of weights at a time, column by column.
+  a batch of weights at a time, over a frontier of exponent offsets:
+  the products at one offset are read as one position column, and
+  those not standard step by f to lower offsets.  A step lowers an
+  offset in lex order, so taking the lex-highest offset first finds
+  every product complete, each reduced once.
 
   Block ranks are cached by the block's signature (see `_slice_map`),
   so a block that recurs, in another differential or in the 2-periodic
@@ -163,8 +167,10 @@ class Analysis:
             raise AssertionError("Euler identity fails for detected weights")
         self.gb_f = buchberger([f])
         self.A = GradedQuotient(self.gb_f, self.ws.weights)
-        # the one monic f as (leading exponents, tail scaled by -1): the
-        # reduction step of `_reduce_maps`
+        # the one monic f as (leading exponents, tail scaled by -1): in
+        # `_reduce_maps` a product divisible by the leading monomial steps
+        # to one lex-lower offset per tail term, so the frontier taken
+        # lex-highest first never returns to an offset it has taken
         (self._step,) = self.gb_f._divisors
         self.grad = f.gradient()
         std = ideals.standard_monomials(buchberger(self.grad), self.n)
@@ -228,39 +234,60 @@ class Analysis:
         integral coefficients int.  A is filled through the highest u;
         the position index must already reach u + d - w_i.
 
-        The batch's monomials, in ascending u, are read as exponent
-        columns: each term of d_i f gives one column of product
-        positions (`_positions`).  An image whose products are all
-        standard is read from those columns; distinct terms give
-        distinct products, so nothing sums.  When d_i f has one term,
-        the products not standard take one reduction step by f
-        column-wise, one column per tail term of f.  The images left
-        take `_image`.  Maps of equal content share one small int id,
-        and `self._interned[id]` is the map."""
+        The batch's monomials z^m, in ascending u, are reduced together
+        over a frontier: `pending` maps an exponent offset o to its
+        sources, each some images and their coefficients at the products
+        z^(m + o), one source per term of d_i f to begin with.  The
+        lex-highest offset is taken, its sources summed per image, and
+        one position column read (`_positions`): a standard product is a
+        term of its image, and any other must be divisible by lead(f),
+        and steps by f to one offset o - lead + t per tail term t.  As
+        t < lead in lex order, offsets only fall: a product is complete
+        when its offset is taken, each image meets an offset once, and
+        the positions within an image are distinct.  LookupError when a
+        product lies past the filled basis.  Maps of equal content share
+        one small int id, and `self._interned[id]` is the map."""
         us = sorted(us)
         self.A.basis(us[-1])
         bases, position = self.A.bases, self.A.position
         monos = [m for u in us for m in bases[u]]
-        grad = [(e, int_or_fraction(v))
-                for e, v in self.grad[i - 1].terms.items()]
-        vs = [v for _, v in grad]
-        rows = zip(*_positions(monos, [e for e, _ in grad], position))
-        images = [tuple(zip(row, vs)) if None not in row else None
-                  for row in rows]
-        missed = [j for j, image in enumerate(images) if image is None]
-        if missed and len(grad) == 1:
-            (e, v), = grad
-            lead, tail = self._step
-            step = [tuple(map(sub, map(add, e, t), lead)) for t, _ in tail]
-            cs = [int_or_fraction(v * c) for _, c in tail]
-            rows = zip(*_positions([monos[j] for j in missed], step,
-                                   position))
-            for j, row in zip(missed, rows):
-                if None not in row:
-                    images[j] = tuple(zip(row, cs))
-            missed = [j for j in missed if images[j] is None]
-        for j in missed:
-            images[j] = self._image(grad, monos[j])
+        lead, tail = self._step
+        images = [()] * len(monos)
+        pending = {e: [(range(len(monos)), repeat(int_or_fraction(v)))]
+                   for e, v in self.grad[i - 1].terms.items()}
+        while pending:
+            o = max(pending)
+            sources = pending.pop(o)
+            if len(sources) == 1:
+                (js, cs), = sources
+            else:
+                acc: dict = {}      # image -> summed coefficient
+                for js, cs in sources:
+                    for j, c in zip(js, cs):
+                        acc[j] = acc.get(j, 0) + c
+                js = [j for j, c in acc.items() if c]
+                cs = [int_or_fraction(acc[j]) for j in js]
+            missed, left = [], []
+            for j, c, r in zip(js, cs, _positions(map(monos.__getitem__, js),
+                                                  o, position)):
+                if r is not None:
+                    images[j] += ((r, c),)
+                    continue
+                a = tuple(map(add, monos[j], o))
+                if min(map(sub, a, lead)) < 0:
+                    raise LookupError("standard monomial %r lies above the "
+                                      "filled basis of A" % (a,))
+                missed.append(j)
+                left.append(c)
+            if not missed:
+                continue
+            for t, c in tail:
+                # one coefficient object per value, shared by its images:
+                # at large mu an int per image entry costs megabytes
+                scaled = {x: int_or_fraction(x * c) for x in set(left)}
+                step = tuple(map(sub, map(add, o, t), lead))
+                pending.setdefault(step, []).append(
+                    (missed, list(map(scaled.__getitem__, left))))
         ids, interned = self._ids, self._interned
         maps = self._maps[i - 1]
         maps.extend([None] * (us[-1] + 1 - len(maps)))
@@ -273,47 +300,6 @@ class Analysis:
                 mid = ids[content] = len(interned)
                 interned.append(content)
             maps[u] = mid
-
-    def _image(self, grad, mono) -> tuple:
-        """d_i f * z^mono, grad the terms of d_i f, term by term: a
-        standard product is read from the position index, any other
-        takes one reduction step by f, and the products still not
-        standard are reduced together by `ideals._reduce`.  LookupError
-        when a remainder lies past the filled basis."""
-        position = self.A.position
-        lead, tail = self._step
-        acc: dict = {}
-        rest: dict = {}     # non-standard tail products -> coefficient
-        for e, v in grad:
-            a = tuple(map(add, e, mono))
-            r = position.get(a)
-            if r is not None:
-                acc[r] = acc.get(r, 0) + v
-                continue
-            q = tuple(map(sub, a, lead))
-            if min(q) < 0:
-                raise LookupError("standard monomial %r lies above the "
-                                  "filled basis of A" % (a,))
-            for t, c in tail:
-                b = tuple(map(add, t, q))
-                r = position.get(b)
-                if r is not None:
-                    acc[r] = acc.get(r, 0) + v * c
-                    continue
-                x = rest.get(b, 0) + v * c
-                if x:
-                    rest[b] = x
-                else:
-                    del rest[b]
-        if rest:
-            rest = ideals._reduce(rest, (self._step,))
-        for b, c in rest.items():
-            r = position.get(b)
-            if r is None:
-                raise LookupError("standard monomial %r lies above the "
-                                  "filled basis of A" % (b,))
-            acc[r] = acc.get(r, 0) + c
-        return tuple((r, int_or_fraction(c)) for r, c in acc.items() if c)
 
     def oracle_dim(self, direction: str, windows: list) -> list:
         """One {s: dim} per degree p of `windows`, each a (lo, hi) scan
@@ -489,15 +475,13 @@ def _strand_blocks(columns) -> list:
     return blocks
 
 
-def _positions(monos, offsets, position) -> list:
-    """One column per offset o: the position of z^(m + o) in its
-    weight's basis for each monomial m of `monos`, None where the index
-    has none.  The monomials are read as one exponent column per
+def _positions(monos, o, position):
+    """The position of z^(m + o) in its weight's basis for each
+    monomial m of `monos`, None where the index has none, as an
+    iterator.  The monomials are read as one exponent column per
     variable, and each column is shifted whole."""
-    columns = list(zip(*monos))
-    return [map(position.get, zip(*[map(add, c, repeat(x)) if x else c
-                                     for c, x in zip(columns, o)]))
-            for o in offsets]
+    return map(position.get, zip(*[map(add, c, repeat(x)) if x else c
+                                   for c, x in zip(zip(*monos), o)]))
 
 
 def _module_totals(dims: list, terms, lo: int, hi: int) -> list:

@@ -480,9 +480,12 @@ def test_table_scan_ranks_each_differential_once_per_weight(monkeypatch,
                        for t in cx.modules[q].shifts), (k, s)
 
 
-# the third f has multi-term partials, a Fraction coefficient, and tail
-# products that one reduction step does not make standard; in the
-# fourth, d_1 f * z1*z2^30 takes one step to a standard product
+# each f reaches a product's normal form through a different part of
+# the offset frontier of `_reduce_maps`: in the first, d_1 f carries the
+# Fraction 3/2 through one reduction step by f; the third has two-term
+# partials, the Fraction 1/2 in the tail of f, and tail products that
+# one step leaves non-standard, which step again from a lower offset;
+# in the fourth, d_1 f * z1*z2^30 takes one step to a standard product
 _IMAGE_POLYS = ["1/2*z1^3+z2^5", "z1^7+z2^11+z3^13",
                 "z1^3+1/2*z1^2*z2^2+z2^6+z3^25", "z1^2+z2^2"]
 
@@ -520,7 +523,7 @@ def test_image_matches_normal_form(poly, exps, i):
         assert row == expected.terms
 
 
-def test_image_above_the_filled_basis_fails_loudly(monkeypatch):
+def test_image_above_the_filled_basis_fails_loudly():
     # z2^10 is standard, but the basis of A is filled only through the
     # domain weight 0
     an = Analysis(parse_polynomial("z1^7+z2^11+z3^13"))
@@ -532,32 +535,23 @@ def test_image_above_the_filled_basis_fails_loudly(monkeypatch):
                        "filled basis"):
         an._reduce_maps(1, [30])
     # A_5 is z1 alone, and z1 * 3/2*z1^2 takes one step to the tail
-    # product -3*z2^5, standard but past the filled weight 5: it goes
-    # to `ideals._reduce`, whose remainder z2^5 is not in the index
+    # product -3*z2^5, standard but past the filled weight 5, so not in
+    # the index
     an = Analysis(parse_polynomial("1/2*z1^3+z2^5"))
-    calls = []
-    reduce = ideals._reduce
-
-    def counting(terms, divisors):
-        calls.append(dict(terms))
-        return reduce(terms, divisors)
-
-    monkeypatch.setattr(ideals, "_reduce", counting)
     with pytest.raises(LookupError, match=r"\(0, 5\) lies above the "
                        "filled basis"):
         an._reduce_maps(1, [5])
     assert an.A.basis(5) == ((1, 0),)
-    assert calls == [{(0, 5): -3}]
 
 
-# the routes of `_reduce_maps` these f take: z1^7+z2^11+z3^13 reads
-# partials 2 and 3 straight from the position columns, and partial 1
-# takes the column step by f; 1/2*z1^3+z2^5 takes the column step with
-# the Fraction 3/2 in d_1 f; z1^3+1/2*z1^2*z2^2+z2^6+z3^25 has
-# two-term partials whose tail products reach the `ideals._reduce`
-# fallback; and in -z1*z2+z1*z3-z2^2-z2*z3 a sum of two products
-# cancels to 0
-_BATCH_POLYS = _IMAGE_POLYS + ["-z1*z2+z1*z3-z2^2-z2*z3"]
+# besides the above: z1^7+z2^11+z3^13 reads partials 2 and 3 at the
+# offsets of d_i f alone, and partial 1 takes one step by f; where two
+# sources of an image meet at one offset, they are summed: in
+# -z1*z2+z1*z3-z2^2-z2*z3 to 0, and in z1^3+z1^2*z2+z2^3, where the
+# term 2*z1^3*z2 of d_1 f * z1^2 meets the one-step image of 3*z1^4, to
+# -z1^3*z2, which steps again
+_BATCH_POLYS = _IMAGE_POLYS + ["-z1*z2+z1*z3-z2^2-z2*z3",
+                               "z1^3+z1^2*z2+z2^3"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -569,6 +563,7 @@ _BATCH_POLYS = _IMAGE_POLYS + ["-z1*z2+z1*z3-z2^2-z2*z3"]
 @example("z1^7+z2^11+z3^13", [[1, 0, 0], [2, 3, 1]], [1, 2], 1)
 @example("1/2*z1^3+z2^5", [[1, 0, 0], [2, 1, 0]], [1, 2, 4], 1)
 @example("-z1*z2+z1*z3-z2^2-z2*z3", [[1, 0, 0], [1, 1, 2]], [], 2)
+@example("z1^3+z1^2*z2+z2^3", [[2, 0, 0]], [0, 5], 1)
 def test_map_batch_matches_normal_form(poly, exps, extra, i):
     # one batch of several weights, the weights of drawn monomials and
     # arbitrary ones, so that some A_u are empty: every image of every
@@ -593,11 +588,11 @@ def test_map_batch_matches_normal_form(poly, exps, extra, i):
                 assert type(v) is (int if v.denominator == 1 else Fraction)
 
 
-def test_batch_above_the_filled_basis_fails_loudly(monkeypatch):
+def test_batch_above_the_filled_basis_fails_loudly():
     # in a batch of several weights only the highest u's products lie
     # past the filled basis; a reduction step keeps the weight, so they
-    # miss both column lookups and the per-image fallback raises, with
-    # the message of a one-weight batch
+    # stay out of the index however far they are reduced, and the batch
+    # raises with the message of a one-weight batch
     an = Analysis(parse_polynomial("z1^2+z2^2"))
     with pytest.raises(LookupError, match=r"\(1, 30\) lies above the "
                        "filled basis"):
@@ -606,44 +601,27 @@ def test_batch_above_the_filled_basis_fails_loudly(monkeypatch):
     # standard there, and d_1 f * z1 is past it
     an = Analysis(parse_polynomial("1/2*z1^3+z2^5"))
     an.A.basis(14)
-    calls = []
-    reduce = ideals._reduce
-
-    def counting(terms, divisors):
-        calls.append(dict(terms))
-        return reduce(terms, divisors)
-
-    monkeypatch.setattr(ideals, "_reduce", counting)
     with pytest.raises(LookupError, match=r"\(0, 5\) lies above the "
                        "filled basis"):
         an._reduce_maps(1, [5, 0, 3])
-    assert calls == [{(0, 5): -3}]
 
 
-def test_image_falls_back_only_for_products_that_stay_nonstandard(
+def test_products_that_one_step_leaves_nonstandard_need_no_division(
         monkeypatch):
-    # only the tail products one reduction step leaves non-standard reach
-    # `ideals._reduce`, at most one call per image of a map; none of
-    # them is in the position index, and the reports match a run
-    # without counting
+    # the two-term partials of this f have tail products that one
+    # reduction step by f leaves non-standard; the oracle reduces them
+    # by offset alone, never through `ideals._reduce`, and its report
+    # matches a fresh one
     f = parse_polynomial("z1^3+1/2*z1^2*z2^2+z2^6+z3^25")
-    fresh = analyze(f, p_max=4, mode="graded")
+    fresh = cli._report_json(analyze(f, p_max=4, mode="graded"))
     an = Analysis(f)
-    calls = []
-    reduce = ideals._reduce
 
-    def counting(terms, divisors):
-        calls.append(tuple(terms))
-        return reduce(terms, divisors)
+    def refuse(terms, divisors):
+        raise AssertionError("ideals._reduce called on %r" % (terms,))
 
-    monkeypatch.setattr(ideals, "_reduce", counting)
-    report = analyze(f, p_max=4, mode="graded", analysis=an)
-    assert calls
-    assert len(calls) <= sum(len(an._interned[mid]) for maps in an._maps
-                             for mid in maps if mid is not None)
-    assert not any(m in an.A.position for terms in calls for m in terms)
-    assert [deg.oracle_graded for deg in report.degrees] == \
-        [deg.oracle_graded for deg in fresh.degrees]
+    monkeypatch.setattr(ideals, "_reduce", refuse)
+    assert cli._report_json(analyze(f, p_max=4, mode="graded",
+                                    analysis=an)) == fresh
 
 
 # (direction, p_max, cutoff as a multiple of d, mode)
@@ -715,14 +693,17 @@ def test_oracle_matches_dense_reference_on_gapped_windows(poly, cutoff,
 
 
 # the first two have Fraction coefficients in d_i f or in the tail of
-# monic f, the others int coefficients only; in the last, the two terms
+# monic f, the others int coefficients only; in the fifth, the two terms
 # of d_1 f * z1 reach z1*z3 with opposite coefficients, one of them
-# after a reduction step, so an image drops a sum of 0
+# after a reduction step, so an image drops a sum of 0; in the last, a
+# term of d_1 f * z1^2 meets the one-step image of the other, and their
+# sum steps again
 @pytest.mark.parametrize("poly", ["1/2*z1^3+z2^5",
                                   "z1^3+1/2*z1^2*z2^2+z2^6+z3^25",
                                   "z1^4+z2^4+z3^4+z1*z2*z3^2",
                                   "z1^7+z2^11+z3^13",
-                                  "-z1*z2+z1*z3-z2^2-z2*z3"])
+                                  "-z1*z2+z1*z3-z2^2-z2*z3",
+                                  "z1^3+z1^2*z2+z2^3"])
 def test_map_batch_matches_one_weight_at_a_time(poly):
     # one batch over shuffled weights, empty A_u among them, reduces
     # every M_i(u) to the content of a batch of u alone
