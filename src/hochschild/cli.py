@@ -25,7 +25,12 @@ from .grading import (
     is_weighted_homogeneous,
 )
 from .ideals import INFINITE, WalkLimitError, buchberger, milnor_number
-from .parsing import ParseError, parse_polynomial, parse_polynomials
+from .parsing import (
+    ExpansionLimitError,
+    ParseError,
+    parse_polynomial,
+    parse_polynomials,
+)
 from .poly import Polynomial
 
 
@@ -47,6 +52,8 @@ def _resolve_poly(args) -> Polynomial:
             return parse_polynomial(args.poly)
         except ParseError as exc:
             raise CliError("parse error: %s" % exc, 2)
+        except ExpansionLimitError as exc:
+            raise CliError(str(exc), 1)
     raise CliError("one of --poly or --catalog is required", 2)
 
 
@@ -130,8 +137,6 @@ def _json(obj, pad: str = "") -> str:
     if t is dict:
         if not obj:
             return "{}"
-        if set(map(type, obj)) != {str}:
-            raise TypeError("dict keys must be str: %r" % (list(obj),))
         return "{\n%s\n%s}" % (",\n".join(
             [inner + _escape(k) + ": " + text
              for k, text in zip(obj, _items(obj.values(), inner))]), pad)
@@ -201,6 +206,8 @@ def _run_groebner(args) -> int:
                                   if s.strip()])
     except ParseError as exc:
         raise CliError("parse error: %s" % exc, 2)
+    except ExpansionLimitError as exc:
+        raise CliError(str(exc), 1)
     if not gens:
         raise CliError("no generators given", 2)
     if args.jacobian:

@@ -40,15 +40,16 @@ Two independent routes to the same numbers:
   offset in lex order, so taking the lex-highest offset first finds
   every product complete, each reduced once.
 
-  Block ranks are cached by the block's signature (see `_slice_map`),
-  so a block that recurs, in another differential or in the 2-periodic
-  tail, shares its tables: one by relative weight s - base, and one by
-  slice content, one map id per (domain component at shift t, term of
-  partial i), the id of M_i(s - t), maps of equal content sharing one
-  id.  The content key is complete: the signature fixes each
-  component's (row, i, k) terms and a map holds one image per domain
-  monomial, so two slices with one key are one matrix up to an
-  injective renumbering of rows, and have one rank.
+  Block ranks are cached by the block's signature, its column terms
+  scaled by each column's first k and its shifts relative to the first
+  domain shift `base`, so a block that recurs, in another differential
+  or in the 2-periodic tail, shares its tables: one by relative weight
+  s - base, and one by slice content, one map id per (domain component
+  at shift t, term of partial i), the id of M_i(s - t), maps of equal
+  content sharing one id.  The content key is complete: the signature
+  fixes each component's (row, i, k) terms and a map holds one image
+  per domain monomial, so two slices with one key are one matrix up to
+  an injective renumbering of rows, and have one rank.
 
 `_classify` returns one prediction per degree and `oracle_dim` one
 {s: dim} per degree.  When both run, `analyze` compares the two lists:
@@ -62,8 +63,8 @@ The report types (`Report`, `DegreeReport`, `KernelDescription`,
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, compress, repeat
-from operator import add, and_, mul, not_, sub
+from itertools import combinations, repeat
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from . import ideals
@@ -102,20 +103,6 @@ class Route(NamedTuple):
     """
     solved: int
     basis: tuple        # monomial exponent tuples, std(J) minus std(K)
-
-
-class _SliceMap(NamedTuple):
-    """One strand block of a differential as the oracle slices it: the
-    domain components of one connected piece of the differential and
-    the codomain components their entries hit, rows numbered within the
-    block.  Both rank tables are shared by blocks of equal signature and
-    by no others."""
-    ranks: dict       # s - base -> rank
-    contents: dict    # content key (see `_block_ranks`) -> rank
-    base: int         # first domain shift
-    dom: tuple        # domain component shifts
-    cod: tuple        # codomain component shifts
-    columns: tuple    # per domain component: (row, i, k / first k) terms
 
 
 class DegreeReport(NamedTuple):
@@ -176,8 +163,8 @@ class Analysis:
         std = ideals.standard_monomials(buchberger(self.grad), self.n)
         self.milnor = INFINITE if std is None else len(std)
         self.milnor_basis = std
-        # graded-oracle caches (see _slice_map and _reduce_maps)
-        self._tables: dict = {}   # signature -> (ranks, contents)
+        # graded-oracle caches (see _block_ranks and _reduce_maps)
+        self._tables: dict = {}   # signature -> (by s - base, by content)
         self._maps = [[] for _ in range(self.n)]   # per partial: u -> id
         self._ids = {(): 0}       # map content -> id; 0 for an empty domain
         self._interned = [()]     # id -> map content
@@ -205,25 +192,6 @@ class Analysis:
         return None
 
     # ---- graded oracle ------------------------------------------------
-
-    def _slice_map(self, columns, dom: tuple, cod: tuple) -> _SliceMap:
-        """Key a strand block by its content.  Each column's (row, i, k)
-        terms are divided by the column's first k, which scales the
-        column and leaves every slice rank unchanged.  The signature is
-        those terms plus the shifts relative to the first domain shift
-        `base`; the slice at weight s is then a function of the
-        signature and s - base, so blocks of equal signature share one
-        rank table keyed by s - base, and one keyed by slice content."""
-        base = dom[0]
-        normed = tuple(tuple((r, i, exact_quotient(k, col[0][2]))
-                             for r, i, k in col)
-                       for col in columns)
-        signature = (normed, tuple(t - base for t in dom),
-                     tuple(t - base for t in cod))
-        tables = self._tables.get(signature)
-        if tables is None:
-            tables = self._tables[signature] = ({}, {})
-        return _SliceMap(*tables, base, dom, cod, normed)
 
     def _reduce_maps(self, i: int, us) -> None:
         """Reduce M_i(u), multiplication by d_i f != 0 from A_u, for
@@ -357,13 +325,11 @@ class Analysis:
             if not todo:
                 continue
             src, tgt = cx.ends(k)
-            dom, cod = cx.modules[src].shifts, cx.modules[tgt].shifts
             ranks = [0] * len(todo)
-            for cs, rs, block in _strand_blocks(columns):
-                block = self._slice_map(block, tuple(dom[c] for c in cs),
-                                        tuple(cod[r] for r in rs))
+            for block in _strand_blocks(columns, cx.modules[src].shifts,
+                                        cx.modules[tgt].shifts):
                 ranks = list(map(add, ranks,
-                                 self._block_ranks(block, todo, dims)))
+                                 self._block_ranks(*block, todo, dims)))
             # one rank per weight from a through b, 0 where unranked,
             # read by slice under each end's window
             dense = [0] * (b - a + 1)
@@ -374,39 +340,46 @@ class Analysis:
         return [{s: dim for s, dim in enumerate(g, lo) if dim}
                 for (lo, _), g in zip(windows, graded)]
 
-    def _block_ranks(self, block: _SliceMap, todo: list, dims: list) -> list:
-        """The rank of a strand block's slice at each weight s of `todo`,
-        read from `block.ranks` by s - base; the missing weights are
-        ranked together and stored.  Rows are numbered by codomain
-        component, the one at shift t taking dims[s - t] rows from its
-        offset: a row is that offset plus an image position.
+    def _block_ranks(self, columns, dom: tuple, cod: tuple, todo: list,
+                     dims: list) -> list:
+        """The rank of a strand block's slice at each weight s of `todo`:
+        `columns` holds the block's (row, i, k) terms per domain
+        component, rows numbered within the block, and `dom` and `cod`
+        its domain and codomain component shifts.  Each column's terms
+        are divided by its first k, which scales the column and leaves
+        every slice rank unchanged.  The signature is those terms plus
+        the shifts relative to the first domain shift `base`; the slice
+        at weight s is then a function of the signature and s - base, so
+        blocks of equal signature share two rank tables in
+        `self._tables`: one by s - base, and one by slice content.
 
-        One dims column per domain shift and one per codomain shift,
-        zipped, screen the missing weights: a slice with no columns or
-        no rows has rank 0 and reduces no map.  For the others, every
-        map M_i(s - t) not yet reduced is reduced, one batch per
-        partial.  A slice's content key holds the id of M_i(s - t) per
-        domain component at shift t and (row, i, k) term, in column
-        order, 0 (the empty map) where s < t: one id column per
-        (component, term), zipped.  A known key gives the rank; a new
-        key's slice is assembled sparse from the interned maps, one
-        column per domain monomial, ranked and stored."""
-        table, base = block.ranks, block.base
+        The weights the first table misses are ranked together.  Every
+        map M_i(s - t) they read and not yet reduced is reduced, one
+        batch per partial.  A slice's content key holds the id of
+        M_i(s - t) per domain component at shift t and (row, i, k) term,
+        in column order, 0 (the empty map) where s < t: one id column
+        per (component, term), zipped.  A known key gives the rank; a
+        new key's slice is assembled sparse from the interned maps, one
+        column per domain monomial, ranked and stored.  Rows are
+        numbered by codomain component, the one at shift t taking
+        dims[s - t] rows from its offset: a row is that offset plus an
+        image position.  A slice with an empty domain reads only empty
+        maps and has no columns, so it is rank 0 with no elimination."""
+        base = dom[0]
+        columns = tuple(tuple((r, i, exact_quotient(k, col[0][2]))
+                              for r, i, k in col)
+                        for col in columns)
+        table, contents = self._tables.setdefault(
+            (columns, tuple(t - base for t in dom),
+             tuple(t - base for t in cod)), ({}, {}))
         ranks = [table.get(s - base) for s in todo]
         new = [s for s, rank in zip(todo, ranks) if rank is None]
         if not new:
             return ranks
-        dom, cod = ([[dims[s - t] if s >= t else 0 for s in new]
-                     for t in shifts] for shifts in (block.dom, block.cod))
-        screen = list(map(and_, map(any, zip(*dom)), map(any, zip(*cod))))
-        found = {}          # s -> rank, for the weights in new
-        for s in compress(new, map(not_, screen)):
-            table[s - base] = found[s] = 0
-        live = list(compress(new, screen))
         cache = self._maps
         need: dict = {}     # partial -> domain weights to reduce
-        for t, terms in zip(block.dom, block.columns):
-            us = [s - t for s in live if s >= t]
+        for t, terms in zip(dom, columns):
+            us = [s - t for s in new if s >= t]
             for _, i, _ in terms:
                 need.setdefault(i, set()).update(us)
         for i, us in need.items():
@@ -414,22 +387,22 @@ class Analysis:
             missing = [u for u in us if u >= len(maps) or maps[u] is None]
             if missing:
                 self._reduce_maps(i, missing)
-        keys = zip(*[[cache[i - 1][s - t] if s >= t else 0 for s in live]
-                     for t, terms in zip(block.dom, block.columns)
+        keys = zip(*[[cache[i - 1][s - t] if s >= t else 0 for s in new]
+                     for t, terms in zip(dom, columns)
                      for _, i, _ in terms])
-        contents, interned = block.contents, self._interned
-        for s, key in zip(live, keys):
+        interned = self._interned
+        for s, key in zip(new, keys):
             rank = contents.get(key)
             if rank is None:
                 offsets = []
                 count = 0
-                for t in block.cod:
+                for t in cod:
                     offsets.append(count)
                     if s >= t:
                         count += dims[s - t]
                 cols = []
                 ids = iter(key)
-                for terms in block.columns:
+                for terms in columns:
                     rows = [(offsets[r], k) for r, _, k in terms]
                     for images in zip(*[interned[next(ids)]
                                         for _ in terms]):
@@ -439,20 +412,21 @@ class Analysis:
                         if col:
                             cols.append(col)
                 rank = contents[key] = rank_sparse(cols) if cols else 0
-            table[s - base] = found[s] = rank
-        return [found[s] if rank is None else rank
+            table[s - base] = rank
+        return [table[s - base] if rank is None else rank
                 for s, rank in zip(todo, ranks)]
 
 
-def _strand_blocks(columns) -> list:
+def _strand_blocks(columns, dom, cod) -> list:
     """The strand blocks of a differential given as columns of
-    (row, i, k) terms, one column per domain component: the connected
-    pieces of the graph joining each domain component to the codomain
-    components its terms hit.  Returns (domain components, codomain
-    components, columns) per block, ordered by first domain component,
-    each column's rows renumbered by position among the block's
-    codomain components.  A zero column and a codomain component no
-    column hits add nothing to any rank and belong to no block."""
+    (row, i, k) terms, one column per domain component, its domain
+    components at shifts `dom` and codomain components at `cod`: the
+    connected pieces of the graph joining each domain component to the
+    codomain components its terms hit.  Returns (columns, domain shifts,
+    codomain shifts) per block, ordered by first domain component, each
+    column's rows renumbered by position among the block's codomain
+    components.  A zero column and a codomain component no column hits
+    add nothing to any rank and belong to no block."""
     pieces = []             # (domain components, codomain components)
     for c, terms in enumerate(columns):
         if not terms:
@@ -469,9 +443,9 @@ def _strand_blocks(columns) -> list:
     blocks = []
     for cs, rs in sorted((sorted(cs), sorted(rs)) for cs, rs in pieces):
         local = {r: j for j, r in enumerate(rs)}
-        blocks.append((tuple(cs), tuple(rs),
-                       tuple(tuple((local[r], i, k) for r, i, k in columns[c])
-                             for c in cs)))
+        blocks.append((tuple(tuple((local[r], i, k) for r, i, k in columns[c])
+                             for c in cs),
+                       tuple(dom[c] for c in cs), tuple(cod[r] for r in rs)))
     return blocks
 
 

@@ -11,12 +11,19 @@ index used) or x, y in invariant contexts; the two alphabets cannot be
 mixed, within one polynomial or across polynomials parsed together.
 Rationals are nat or nat/nat.  There is no implicit multiplication and
 no unary minus except a single leading sign.
+
+Powers and products are expanded, and an expansion too large to finish
+promptly is refused before it starts (`ExpansionLimitError`): a power
+of a t-term base to the k >= 2 whose bound C(k + t - 1, t - 1) on its
+terms passes MAX_POWER_TERMS, or a product whose factors' term pairs
+pass MAX_TERM_PAIRS.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .poly import Polynomial
 
@@ -24,10 +31,20 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z]\w*)"
                     r"|(?P<op>[-+*^()]))")
 
 
+# each keeps one expansion with integer coefficients to about a second
+# or less (2-core host, Python 3.11)
+MAX_POWER_TERMS = 1_000
+MAX_TERM_PAIRS = 1_000_000
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__("%s (at offset %d)" % (message, position))
         self.position = position
+
+
+class ExpansionLimitError(ValueError):
+    """A power or product would expand past its bound."""
 
 
 def _tokenize(text: str):
@@ -122,7 +139,13 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                result = result * self.factor()
+                rhs = self.factor()
+                pairs = len(result.terms) * len(rhs.terms)
+                if pairs > MAX_TERM_PAIRS:
+                    raise ExpansionLimitError(
+                        "the product at offset %d multiplies %d pairs of terms, "
+                        "above the limit of %d" % (pos, pairs, MAX_TERM_PAIRS))
+                result = result * rhs
             elif kind in ("name", "num") or (kind == "op" and value == "("):
                 raise ParseError("implicit multiplication is not allowed", pos)
             else:
@@ -137,7 +160,13 @@ class _Parser:
             if kind != "num" or "/" in value:
                 raise ParseError("exponent must be a natural number", pos)
             self.take()
-            return base ** int(value)
+            k, t = int(value), len(base.terms)
+            bound = comb(k + t - 1, t - 1) if k > 1 and t > 1 else 1
+            if bound > MAX_POWER_TERMS:
+                raise ExpansionLimitError(
+                    "the power at offset %d may expand to %d terms, above "
+                    "the limit of %d" % (pos, bound, MAX_POWER_TERMS))
+            return base ** k
         return base
 
     def base(self) -> Polynomial:

@@ -86,6 +86,27 @@ def test_huge_max_degree_is_refused_before_the_windows(capsys, argv,
     assert (code, out, err) == (1, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--poly", "(z1+z2+z3)^200"),
+    ("milnor", "--poly", "(z1+z2+z3)^200"),
+    ("groebner", "--gens", "z1^2; (z1+z2+z3)^200"),
+])
+def test_huge_power_is_refused_before_it_expands(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.endswith("may expand to 20301 terms, above the limit of "
+                        "1000\n")
+    assert err.count("\n") == 1 and err.startswith("error: the power at ")
+
+
+def test_huge_product_is_refused_before_it_expands(capsys):
+    cube = "*".join(["(z1+z2+z3)^43"] * 3)
+    code, out, err = run(capsys, "groebner", "--gens", cube)
+    assert (code, out, err) == (
+        1, "", "error: the product at offset 27 multiplies 3789720 pairs "
+        "of terms, above the limit of 1000000\n")
+
+
 def test_milnor_finite(capsys):
     code, out, _ = run(capsys, "milnor", "--catalog", "e8-curve")
     assert code == 0

@@ -381,14 +381,17 @@ def test_oracle_matches_dense_reference(monkeypatch, f, direction):
         rows.extend(cols)
         return rank_sparse(cols)
 
-    def recorded_block_ranks(self, block, todo, dims):
-        # the weights the block's relative-weight table misses
-        for s in todo:
-            if (block.ranks.get(s - block.base) is None
-                    and any(self.A.basis(s - t) for t in block.dom)
-                    and any(dims[s - t] for t in block.cod if s >= t)):
-                assembled.append(s)
-        return block_ranks(self, block, todo, dims)
+    def recorded_block_ranks(self, columns, dom, cod, todo, dims):
+        # the weights the call adds to its block's relative-weight
+        # table, which one call writes and no other table gains
+        before = {sig: set(table) for sig, (table, _) in self._tables.items()}
+        out = block_ranks(self, columns, dom, cod, todo, dims)
+        for sig, (table, _) in self._tables.items():
+            for s in (u + dom[0] for u in table.keys() - before.get(sig, ())):
+                if (any(self.A.basis(s - t) for t in dom)
+                        and any(dims[s - t] for t in cod if s >= t)):
+                    assembled.append(s)
+        return out
 
     monkeypatch.setattr(engine, "rank_sparse", recorded)
     monkeypatch.setattr(Analysis, "_block_ranks", recorded_block_ranks)
@@ -433,10 +436,10 @@ def test_table_scan_ranks_each_differential_once_per_weight(monkeypatch,
                                                             direction):
     f = parse_polynomial("z1^4+z2^4+z3^4+z1*z2*z3^2")
     scans = []          # direction per oracle_dim call
-    current = []        # k of the differential the scan is ranking
+    current = []        # k of the differential being ranked, block base
     ranked = set()      # (k, s) per weight s a block of diffs[k] is read at
     assembled = []      # (rank table, s - base) per block slice assembled
-    oracle_dim, slice_map = Analysis.oracle_dim, Analysis._slice_map
+    oracle_dim, block_ranks = Analysis.oracle_dim, Analysis._block_ranks
     ends = KoszulComplex.ends
 
     class RecordedTable:
@@ -447,9 +450,19 @@ def test_table_scan_ranks_each_differential_once_per_weight(monkeypatch,
             ranked.add((self.k, key + self.base))
             return self.table.get(key)
 
+        def __getitem__(self, key):
+            return self.table[key]
+
         def __setitem__(self, key, rank):
             assembled.append((id(self.table), key))
             self.table[key] = rank
+
+    class RecordedTables(dict):
+        # the block's relative-weight table, read and written through
+        # a RecordedTable for the differential being ranked
+        def setdefault(self, signature, tables):
+            table, contents = dict.setdefault(self, signature, tables)
+            return RecordedTable(table, *current), contents
 
     def recorded_oracle_dim(self, direction, windows):
         scans.append(direction)
@@ -460,14 +473,15 @@ def test_table_scan_ranks_each_differential_once_per_weight(monkeypatch,
         current[:] = [k]
         return ends(self, k)
 
-    def recorded_slice_map(self, columns, dom, cod):
-        sm = slice_map(self, columns, dom, cod)
-        return sm._replace(ranks=RecordedTable(sm.ranks, current[0], sm.base))
+    def recorded_block_ranks(self, columns, dom, cod, todo, dims):
+        current[1:] = [dom[0]]
+        return block_ranks(self, columns, dom, cod, todo, dims)
 
     monkeypatch.setattr(Analysis, "oracle_dim", recorded_oracle_dim)
-    monkeypatch.setattr(Analysis, "_slice_map", recorded_slice_map)
+    monkeypatch.setattr(Analysis, "_block_ranks", recorded_block_ranks)
     monkeypatch.setattr(KoszulComplex, "ends", recorded_ends)
     an = Analysis(f)
+    an._tables = RecordedTables()
     r = analyze(f, direction=direction, p_max=6, mode="graded", analysis=an)
     assert scans == [direction]
     assert assembled and len(set(assembled)) == len(assembled)
@@ -738,11 +752,13 @@ def test_strand_blocks_of_hand_built_columns():
     # hit by no column
     columns = (((1, 1, 2),), (), ((1, 2, -1), (5, 3, 4)),
                ((4, 1, 1), (0, 2, 3)))
-    assert _strand_blocks(columns) == [
-        ((0, 2), (1, 5), (((0, 1, 2),), ((0, 2, -1), (1, 3, 4)))),
-        ((3,), (0, 4), (((1, 1, 1), (0, 2, 3)),)),
+    # shifts 10 c on the domain side and -r on the codomain side
+    dom, cod = (0, 10, 20, 30), (0, -1, -2, -3, -4, -5)
+    assert _strand_blocks(columns, dom, cod) == [
+        ((((0, 1, 2),), ((0, 2, -1), (1, 3, 4))), (0, 20), (-1, -5)),
+        ((((1, 1, 1), (0, 2, 3)),), (30,), (0, -4)),
     ]
-    assert _strand_blocks(((), ())) == []
+    assert _strand_blocks(((), ()), (0, 1), (0,)) == []
 
 
 def _hand_built_analysis(basis, images):
@@ -792,9 +808,9 @@ def test_block_rank_content_key_is_complete(monkeypatch):
               (1, (2, 1)): y, (1, (1, 0)): x, (2, (1, 0)): y}
     an, dims = _hand_built_analysis(basis, images)
     columns = (((0, 1, 1),), ((0, 1, 1), (1, 2, 1)))
-    block = an._slice_map(columns, (0, 5), (-10, -10))
     weights, ranks = [2, 3, 6], [2, 2, 1]
-    assert an._block_ranks(block, weights, dims) == ranks
+    assert an._block_ranks(columns, (0, 5), (-10, -10), weights,
+                           dims) == ranks
     for s, rank in zip(weights, ranks):
         assert _fresh_slice_rank(an, columns, (0, 5), s, images) == rank
     # s = 3 has the content of s = 2 under other monomials: M_1(2) and
@@ -813,9 +829,24 @@ def test_block_rank_content_key_is_complete(monkeypatch):
         ((((0, 1, 1),), ((1, 1, 1),)), (-10, -10), 2),
         ((((0, 1, 1),), ((0, 1, 1),)), (-10,), 1)]
     for columns, cod, rank in signatures:
-        block = an._slice_map(columns, (0, 1), cod)
-        assert an._block_ranks(block, [2], dims) == [rank]
+        assert an._block_ranks(columns, (0, 1), cod, [2], dims) == [rank]
         assert _fresh_slice_rank(an, columns, (0, 1), 2, images) == rank
+    # four signatures, four pairs of rank tables, one slice in each
+    assert [(len(ranks), len(contents))
+            for ranks, contents in an._tables.values()] == [(1, 1)] * 4
+
+
+def test_block_rank_of_an_empty_domain_is_zero(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "rank_sparse", calls.append)
+    # at s = 2 the domain shifts 0 and 5 read A_2, which is empty, and
+    # A_(-3); the rows at weight 12 are there.  No image is given, so a
+    # product lookup would raise LookupError
+    an, dims = _hand_built_analysis(dict(_ROWS), {})
+    columns = (((0, 1, 1),), ((0, 1, 1), (1, 2, 1)))
+    assert an._block_ranks(columns, (0, 5), (-10, -10), [2], dims) == [0]
+    assert calls == []
+    assert an._maps[0][2] == 0
 
 
 def _seeded_weighted_homogeneous(seed, count):

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochschild.parsing import ParseError, parse_polynomial, parse_polynomials
+from hochschild.parsing import (
+    MAX_POWER_TERMS,
+    MAX_TERM_PAIRS,
+    ExpansionLimitError,
+    ParseError,
+    parse_polynomial,
+    parse_polynomials,
+)
 from hochschild.poly import Polynomial
 
 
@@ -102,6 +109,34 @@ def test_rejects_interior_unary_minus():
 def test_zero_denominator():
     with pytest.raises(ParseError):
         parse_polynomial("1/0")
+
+
+def test_power_is_refused_past_its_term_bound():
+    # C(k + 1, 1) = k + 1 terms bound (z1+z2)^k, C(k + 2, 2) (z1+z2+z3)^k
+    assert MAX_POWER_TERMS == 1000
+    assert len(parse_polynomial("(z1+z2)^999").terms) == 1000
+    assert len(parse_polynomial("(z1+z2+z3)^43").terms) == 990
+    with pytest.raises(ExpansionLimitError, match=(
+            r"^the power at offset 8 may expand to 1001 terms, above the "
+            r"limit of 1000$")):
+        parse_polynomial("(z1+z2)^1000")
+    # 20301 terms and 9 s with no bound; refused before any product
+    with pytest.raises(ExpansionLimitError, match="20301 terms"):
+        parse_polynomial("(z1+z2+z3)^200")
+    # one term, or an exponent below 2, expands to one term at most
+    assert parse_polynomial("z1^99999999999").terms == {(99999999999,): 1}
+    assert len(parse_polynomial("(z1+z2+z3)^1").terms) == 3
+
+
+def test_product_is_refused_past_its_term_pairs():
+    assert MAX_TERM_PAIRS == 1000000
+    # 990 * 990 pairs pass; a third factor pairs 3828 * 990 terms
+    square = "(z1+z2+z3)^43*(z1+z2+z3)^43"
+    assert len(parse_polynomial(square).terms) == 3828
+    with pytest.raises(ExpansionLimitError, match=(
+            r"^the product at offset 27 multiplies 3789720 pairs of terms, "
+            r"above the limit of 1000000$")):
+        parse_polynomial(square + "*(z1+z2+z3)^43")
 
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
