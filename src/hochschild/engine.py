@@ -33,12 +33,13 @@ Two independent routes to the same numbers:
   `Analysis._block_ranks` call; a slice's rank is the sum of its
   blocks' ranks.  Block slices are assembled sparse from the
   multiplication maps M_i(u), d_i f times A_u into A_(u + d - w_i),
-  which `Analysis._reduce_maps` reduces to positions in the bases of A,
-  a batch of weights at a time, over a frontier of exponent offsets:
-  the products at one offset are read as one position column, and
-  those not standard step by f to lower offsets.  A step lowers an
-  offset in lex order, so taking the lex-highest offset first finds
-  every product complete, each reduced once.
+  which `Analysis._reduce_maps` reduces to positions in the bases of A
+  before any block is ranked, every u a report reads in one call per
+  partial, over a frontier of exponent offsets: the products at one
+  offset are read as one position column, and those not standard step
+  by f to lower offsets.  A step lowers an offset in lex order, so
+  taking the lex-highest offset first finds every product complete,
+  each reduced once.
 
   Block ranks are cached by the block's signature, its column terms
   scaled by each column's first k and its shifts relative to the first
@@ -63,7 +64,7 @@ The report types (`Report`, `DegreeReport`, `KernelDescription`,
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import accumulate, combinations, repeat
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -193,18 +194,19 @@ class Analysis:
 
     # ---- graded oracle ------------------------------------------------
 
-    def _reduce_maps(self, i: int, us) -> None:
+    def _reduce_maps(self, i: int, last: int) -> None:
         """Reduce M_i(u), multiplication by d_i f != 0 from A_u, for
-        every u of `us`, and store its id at index u of
-        `self._maps[i - 1]` (the complex drops zero partials' terms).  A
-        map holds one image per monomial z^m of A_u, in basis order: the
-        normal form of d_i f * z^m as (position, coefficient) pairs,
-        integral coefficients int.  A is filled through the highest u;
-        the position index must already reach u + d - w_i.
+        every u from the first not yet reduced through `last`, and append
+        its id to `self._maps[i - 1]`, which so holds the id of M_i(u) at
+        index u (the complex drops zero partials' terms).  A map holds
+        one image per monomial z^m of A_u, in basis order: the normal
+        form of d_i f * z^m as (position, coefficient) pairs, integral
+        coefficients int.  A is filled through `last`; the position index
+        must already reach last + d - w_i.
 
-        The batch's monomials z^m, in ascending u, are reduced together
-        over a frontier: `pending` maps an exponent offset o to its
-        sources, each some images and their coefficients at the products
+        The monomials z^m, in ascending u, are reduced together over a
+        frontier: `pending` maps an exponent offset o to its sources,
+        each some images and their coefficients at the products
         z^(m + o), one source per term of d_i f to begin with.  The
         lex-highest offset is taken, its sources summed per image, and
         one position column read (`_positions`): a standard product is a
@@ -215,8 +217,9 @@ class Analysis:
         the positions within an image are distinct.  LookupError when a
         product lies past the filled basis.  Maps of equal content share
         one small int id, and `self._interned[id]` is the map."""
-        us = sorted(us)
-        self.A.basis(us[-1])
+        maps = self._maps[i - 1]
+        us = range(len(maps), last + 1)
+        self.A.basis(last)
         bases, position = self.A.bases, self.A.position
         monos = [m for u in us for m in bases[u]]
         lead, tail = self._step
@@ -257,8 +260,6 @@ class Analysis:
                 pending.setdefault(step, []).append(
                     (missed, list(map(scaled.__getitem__, left))))
         ids, interned = self._ids, self._interned
-        maps = self._maps[i - 1]
-        maps.extend([None] * (us[-1] + 1 - len(maps)))
         end = 0
         for u in us:
             start, end = end, end + len(bases[u])
@@ -267,7 +268,7 @@ class Analysis:
             if mid is None:
                 mid = ids[content] = len(interned)
                 interned.append(content)
-            maps[u] = mid
+            maps.append(mid)
 
     def oracle_dim(self, direction: str, windows: list) -> list:
         """One {s: dim} per degree p of `windows`, each a (lo, hi) scan
@@ -277,13 +278,18 @@ class Analysis:
         p + 1.
 
         The complex is built, checked and weighted through one degree
-        past the last window.  Each differential is ranked once, one
-        call per strand block, at the weights of its two ends' windows
-        where both ends' module totals are nonzero; elsewhere, and in a
-        gap between the two windows, its rank is 0.  A block's rank
-        tables are keyed by its signature and by slice content, never by
-        degree, so periodicity is not assumed: the 2-periodic tail hits
-        them because its blocks repeat."""
+        past the last window, and A filled through the highest weight
+        `top` a slice reads.  Three passes follow.  Every multiplication
+        map a slice reads is reduced, one `_reduce_maps` call per
+        nonzero partial.  Each differential is ranked once, one
+        `_block_ranks` call per strand block, into one {s: rank} at the
+        weights of its two ends' windows where both ends' module totals
+        are nonzero; elsewhere, and in a gap between the two windows,
+        its rank is 0.  Each slice is then read as its total less the
+        ranks on its two sides.  A block's rank tables are keyed by its
+        signature and by slice content, never by degree, so periodicity
+        is not assumed: the 2-periodic tail hits them because its blocks
+        repeat."""
         build = cochain_complex if direction == "cohomology" else chain_complex
         cx = build(self.f, len(windows))
         terms = cx.verify_entries()
@@ -303,42 +309,40 @@ class Analysis:
         top = max(hi - min(m.shifts) for m, (_, hi) in zip(cx.modules, spans))
         self.A.basis(top)
         dims = list(map(len, self.A.bases[:top + 1]))
+        # a term of d_i f joins shift t to shift t - (d - w_i), and every
+        # slice lies inside its codomain's span, so each M_i(u) a slice
+        # reads has u + d - w_i <= top: reduce them all, once per partial
+        d = self.ws.degree
+        for i, (g, w) in enumerate(zip(self.grad, self.ws.weights), 1):
+            if not g.is_zero():
+                self._reduce_maps(i, top - (d - w))
         totals = [(lo, _module_totals(dims, [(1, t) for t in m.shifts],
                                       lo, hi))
                   for m, (lo, hi) in zip(cx.modules, spans)]
-        graded = [column[lo - start:hi - start + 1]
-                  for (lo, hi), (start, column) in zip(windows, totals)]
+        ranks = []          # per differential: {s: rank} where ranked
         for k, columns in enumerate(terms):
-            ends = windows[k:k + 2]
             (near_lo, near), (far_lo, far) = totals[k], totals[k + 1]
-            # the weights from the lowest window bottom a through the
-            # highest window top b that lie in an end's window (a gap may
-            # part the two) and where both ends' totals are nonzero
-            a, b = min(lo for lo, _ in ends), max(hi for _, hi in ends)
-            inside = [False] * (b - a + 1)
-            for lo, hi in ends:
-                inside[lo - a:hi - a + 1] = [True] * (hi - lo + 1)
-            todo = [s for s, x, y, z in zip(range(a, b + 1), inside,
-                                            near[a - near_lo:],
-                                            far[a - far_lo:])
-                    if x and y and z]
+            # the weights in an end's window (a gap may part the two)
+            # where both ends' totals are nonzero
+            todo = sorted({s for lo, hi in windows[k:k + 2]
+                           for s in range(lo, hi + 1)
+                           if near[s - near_lo] and far[s - far_lo]})
+            rank = dict.fromkeys(todo, 0)
+            ranks.append(rank)
             if not todo:
                 continue
             src, tgt = cx.ends(k)
-            ranks = [0] * len(todo)
             for block in _strand_blocks(columns, cx.modules[src].shifts,
                                         cx.modules[tgt].shifts):
-                ranks = list(map(add, ranks,
-                                 self._block_ranks(*block, todo, dims)))
-            # one rank per weight from a through b, 0 where unranked,
-            # read by slice under each end's window
-            dense = [0] * (b - a + 1)
-            for s, rank in zip(todo, ranks):
-                dense[s - a] = rank
-            for (lo, hi), g in zip(ends, graded[k:k + 2]):
-                g[:] = map(sub, g, dense[lo - a:hi - a + 1])
-        return [{s: dim for s, dim in enumerate(g, lo) if dim}
-                for (lo, _), g in zip(windows, graded)]
+                for s, r in zip(todo, self._block_ranks(*block, todo, dims)):
+                    rank[s] += r
+        slices = []
+        for p, ((lo, hi), (start, column)) in enumerate(zip(windows, totals)):
+            below, above = ranks[p - 1] if p else {}, ranks[p]
+            slices.append({s: dim for s in range(lo, hi + 1)
+                           if (dim := column[s - start] - below.get(s, 0)
+                               - above.get(s, 0))})
+        return slices
 
     def _block_ranks(self, columns, dom: tuple, cod: tuple, todo: list,
                      dims: list) -> list:
@@ -353,18 +357,18 @@ class Analysis:
         blocks of equal signature share two rank tables in
         `self._tables`: one by s - base, and one by slice content.
 
-        The weights the first table misses are ranked together.  Every
-        map M_i(s - t) they read and not yet reduced is reduced, one
-        batch per partial.  A slice's content key holds the id of
-        M_i(s - t) per domain component at shift t and (row, i, k) term,
-        in column order, 0 (the empty map) where s < t: one id column
-        per (component, term), zipped.  A known key gives the rank; a
-        new key's slice is assembled sparse from the interned maps, one
-        column per domain monomial, ranked and stored.  Rows are
-        numbered by codomain component, the one at shift t taking
-        dims[s - t] rows from its offset: a row is that offset plus an
-        image position.  A slice with an empty domain reads only empty
-        maps and has no columns, so it is rank 0 with no elimination."""
+        The weights the first table misses are ranked together, from
+        maps `oracle_dim` has reduced; this method reduces none.  A
+        slice's content key holds the id of M_i(s - t) per domain
+        component at shift t and (row, i, k) term, in column order, 0
+        (the empty map) where s < t: one id column per (component,
+        term), zipped.  A known key gives the rank; a new key's slice is
+        assembled sparse from the interned maps, one column per domain
+        monomial, ranked and stored.  Rows are numbered by codomain
+        component, the one at shift t taking dims[s - t] rows from its
+        offset: a row is that offset plus an image position.  A slice
+        with an empty domain reads only empty maps and has no columns,
+        so it is rank 0 with no elimination."""
         base = dom[0]
         columns = tuple(tuple((r, i, exact_quotient(k, col[0][2]))
                               for r, i, k in col)
@@ -376,30 +380,16 @@ class Analysis:
         new = [s for s, rank in zip(todo, ranks) if rank is None]
         if not new:
             return ranks
-        cache = self._maps
-        need: dict = {}     # partial -> domain weights to reduce
-        for t, terms in zip(dom, columns):
-            us = [s - t for s in new if s >= t]
-            for _, i, _ in terms:
-                need.setdefault(i, set()).update(us)
-        for i, us in need.items():
-            maps = cache[i - 1]
-            missing = [u for u in us if u >= len(maps) or maps[u] is None]
-            if missing:
-                self._reduce_maps(i, missing)
-        keys = zip(*[[cache[i - 1][s - t] if s >= t else 0 for s in new]
+        maps = self._maps
+        keys = zip(*[[maps[i - 1][s - t] if s >= t else 0 for s in new]
                      for t, terms in zip(dom, columns)
                      for _, i, _ in terms])
         interned = self._interned
         for s, key in zip(new, keys):
             rank = contents.get(key)
             if rank is None:
-                offsets = []
-                count = 0
-                for t in cod:
-                    offsets.append(count)
-                    if s >= t:
-                        count += dims[s - t]
+                offsets = list(accumulate(
+                    (dims[s - t] if s >= t else 0 for t in cod), initial=0))
                 cols = []
                 ids = iter(key)
                 for terms in columns:

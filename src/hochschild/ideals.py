@@ -12,20 +12,21 @@ pushed once onto a heap keyed by the degree of its lcm, ties broken by
 the lcm itself; a set of the queued pairs serves the chain criterion.
 The selection order cannot change the output: both bases are unique.
 
-Reduction (`_reduce`) is the package's one reduction routine, shared
-by Buchberger, `GroebnerBasis.normal_form` and the graded oracle.  It
-works in place on one dict of terms: it pops the leading term and adds
-the scaled tail of the first divisor whose leading monomial divides it;
-the leading monomials cancel exactly, so no polynomial temporaries are
-built, and a chain of thousands of steps needs no recursion.  The
-oracle reads standard products from its own position index, takes one
-reduction step by f itself, and hands `_reduce` only the products that
-one step leaves non-standard.  `divide` keeps the textbook loop with
-quotients and is the reference for it.
+Reduction (`_reduce`) is the reduction routine of Buchberger,
+`GroebnerBasis.normal_form` and the interreduction of the reduced
+basis.  It works in place on one dict of terms: it pops the leading
+term and adds the scaled tail of the first divisor whose leading
+monomial divides it; the leading monomials cancel exactly, so no
+polynomial temporaries are built, and a chain of thousands of steps
+needs no recursion.  The graded oracle does not call it: it reduces by
+f alone, over a frontier of exponent offsets
+(`engine.Analysis._reduce_maps`).  `divide` keeps the textbook loop
+with quotients and is the reference for it.
 
 Every walk over standard monomials (`_runs`) is bounded: one that
 would pass `MAX_STANDARD_MONOMIALS` raises `WalkLimitError` before it
-builds a single standard monomial.
+builds a single standard monomial, and it holds at most one open
+iterator per coordinate.
 
 Intersections go through the usual auxiliary-variable trick: the new
 variable t comes first, so lex eliminates it; colon ideals divide an
@@ -272,13 +273,19 @@ def _runs(lead, weights, top: int) -> list:
     for m in lead:
         ending[max(j for j, e in enumerate(m) if e)].append(m)
     count = 0
-    # (prefix, weight of prefix), the next to visit on top.  A stack, not
-    # a recursive closure: that would hold itself in a reference cycle,
+    # one iterator per open coordinate, over its (prefix, weight of
+    # prefix) in ascending exponent, made as it is read: at most n
+    # iterators, however long a coordinate's range.  A loop, not a
+    # recursive closure: that would hold itself in a reference cycle,
     # which `hh` commands, run with the cyclic collector paused, would
     # keep until they end.
-    stack = [((), 0)]
+    stack = [iter([((), 0)])]
     while stack:
-        prefix, weight = stack.pop()
+        visit = next(stack[-1], None)
+        if visit is None:
+            stack.pop()
+            continue
+        prefix, weight = visit
         i = len(prefix)
         w = weights[i]
         stop = (top - weight) // w + 1
@@ -286,8 +293,8 @@ def _runs(lead, weights, top: int) -> list:
             if m[i] < stop and all(map(le, m, prefix)):
                 stop = m[i]
         if i < n - 1:
-            for e in range(stop - 1, -1, -1):
-                stack.append((prefix + (e,), weight + e * w))
+            stack.append(zip(map(prefix.__add__, zip(range(stop))),
+                             range(weight, weight + stop * w, w)))
             continue
         count += stop
         if count > MAX_STANDARD_MONOMIALS:

@@ -17,13 +17,30 @@ promptly is refused before it starts (`ExpansionLimitError`): a power
 of a t-term base to the k >= 2 whose bound C(k + t - 1, t - 1) on its
 terms passes MAX_POWER_TERMS, or a product whose factors' term pairs
 pass MAX_TERM_PAIRS.
+
+No coefficient of a parsed polynomial has a numerator or denominator
+of more than MAX_COEFFICIENT_DIGITS decimal digits, so every one can be
+printed.  A longer number literal is refused, and so is a power or a
+product whose coefficients may pass the bound, before it is computed,
+and a sum whose result does.  Each is read from bit lengths, the
+height h of a polynomial being ceil(log2) of the larger of L and
+max |c L| over its coefficients c, L their least common denominator: a
+product's coefficients are fractions of integers at most
+2^(h + h' + ceil(log2 of its term pairs)), a sum's at most
+2^(h + h' + 1), and those of a t-term base to the k at most
+2^(k (h + ceil(log2 t))).  A number at most 2^b has at most
+floor(b log10 2) + 1 digits.  The parser carries these bounds up from
+the literals, and only where one passes the limit does it take the
+operands' exact heights (`_height`) and refuse if the estimate from
+them passes too.  Those are upper bounds, so a result a little under
+the limit may be refused: 3^k is taken for 2^(2k).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .poly import Polynomial
 
@@ -35,6 +52,8 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z]\w*)"
 # or less (2-core host, Python 3.11)
 MAX_POWER_TERMS = 1_000
 MAX_TERM_PAIRS = 1_000_000
+# well under the 4,300 digits Python converts between int and str
+MAX_COEFFICIENT_DIGITS = 1_000
 
 
 class ParseError(ValueError):
@@ -44,7 +63,46 @@ class ParseError(ValueError):
 
 
 class ExpansionLimitError(ValueError):
-    """A power or product would expand past its bound."""
+    """A power or product would expand past its bound, or a coefficient
+    would pass MAX_COEFFICIENT_DIGITS."""
+
+
+def _integer(digits: str, pos: int) -> int:
+    """The number literal `digits`, refused past MAX_COEFFICIENT_DIGITS
+    before it is converted."""
+    size = len(digits.lstrip("0"))
+    if size > MAX_COEFFICIENT_DIGITS:
+        raise ExpansionLimitError(
+            "the number at offset %d has %d digits, above the limit of %d"
+            % (pos, size, MAX_COEFFICIENT_DIGITS))
+    return int(digits)
+
+
+def _height(p: Polynomial) -> int:
+    """ceil(log2) of the larger of L and max |c L| over the coefficients
+    c of p, L their least common denominator; 0 for p = 0."""
+    cs = p.terms.values()
+    den = lcm(*(c.denominator for c in cs))
+    top = max([den, *(abs(c.numerator) * (den // c.denominator) for c in cs)])
+    return (top - 1).bit_length()
+
+
+def _bounded(bits: int, height, what: str, pos: int) -> int:
+    """`bits`, an upper bound on the height of the `what` at offset
+    `pos`, while coefficients of at most 2^bits keep within
+    MAX_COEFFICIENT_DIGITS.  Past that, `height()`, the bound from the
+    operands' exact heights, and the `what` is refused if that passes
+    too.  30103 / 10^5 is just above log10 2."""
+    if bits * 30103 // 100_000 < MAX_COEFFICIENT_DIGITS:
+        return bits
+    bits = height()
+    digits = bits * 30103 // 100_000 + 1
+    if digits > MAX_COEFFICIENT_DIGITS:
+        raise ExpansionLimitError(
+            "the %s at offset %d may reach a coefficient of %d digits, "
+            "above the limit of %d"
+            % (what, pos, digits, MAX_COEFFICIENT_DIGITS))
+    return bits
 
 
 def _tokenize(text: str):
@@ -115,44 +173,51 @@ class _Parser:
             raise ParseError("expected %r" % op, pos)
         return self.take()
 
-    def expr(self) -> Polynomial:
+    # each returns its polynomial and an upper bound on its height
+
+    def expr(self) -> tuple:
         negate = False
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.take()
             negate = True
-        result = self.term()
+        result, bits = self.term()
         if negate:
             result = -result
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                rhs = self.term()
+                rhs, more = self.term()
                 result = result + rhs if value == "+" else result - rhs
+                bits = _bounded(bits + more + 1, lambda: _height(result),
+                                "sum", pos)
             else:
-                return result
+                return result, bits
 
-    def term(self) -> Polynomial:
-        result = self.factor()
+    def term(self) -> tuple:
+        result, bits = self.factor()
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                rhs = self.factor()
+                rhs, more = self.factor()
                 pairs = len(result.terms) * len(rhs.terms)
                 if pairs > MAX_TERM_PAIRS:
                     raise ExpansionLimitError(
                         "the product at offset %d multiplies %d pairs of terms, "
                         "above the limit of %d" % (pos, pairs, MAX_TERM_PAIRS))
+                extra = (pairs - 1).bit_length()
+                bits = _bounded(bits + more + extra, lambda: _height(result)
+                                + _height(rhs) + extra, "product", pos)
                 result = result * rhs
             elif kind in ("name", "num") or (kind == "op" and value == "("):
                 raise ParseError("implicit multiplication is not allowed", pos)
             else:
-                return result
+                return result, bits
 
-    def factor(self) -> Polynomial:
-        base = self.base()
+    def factor(self) -> tuple:
+        base, bits = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.take()
@@ -160,26 +225,31 @@ class _Parser:
             if kind != "num" or "/" in value:
                 raise ParseError("exponent must be a natural number", pos)
             self.take()
-            k, t = int(value), len(base.terms)
+            k, t = _integer(value, pos), len(base.terms)
             bound = comb(k + t - 1, t - 1) if k > 1 and t > 1 else 1
             if bound > MAX_POWER_TERMS:
                 raise ExpansionLimitError(
                     "the power at offset %d may expand to %d terms, above "
                     "the limit of %d" % (pos, bound, MAX_POWER_TERMS))
-            return base ** k
-        return base
+            extra = max(t - 1, 0).bit_length()
+            bits = _bounded(k * (bits + extra),
+                            lambda: k * (_height(base) + extra), "power", pos)
+            return base ** k, bits
+        return base, bits
 
-    def base(self) -> Polynomial:
+    def base(self) -> tuple:
         kind, value, pos = self.take()
         if kind == "num":
             if "/" in value:
-                a, b = value.split("/")
-                if int(b) == 0:
+                a, b = (_integer(x, pos) for x in value.split("/"))
+                if b == 0:
                     raise ParseError("zero denominator", pos)
-                return Polynomial.constant(self.n, Fraction(int(a), int(b)))
-            return Polynomial.constant(self.n, int(value))
+                return (Polynomial.constant(self.n, Fraction(a, b)),
+                        (max(a, b) - 1).bit_length())
+            a = _integer(value, pos)
+            return Polynomial.constant(self.n, a), max(a - 1, 0).bit_length()
         if kind == "name":
-            return Polynomial.variable(self.n, self.varmap[value] + 1)
+            return Polynomial.variable(self.n, self.varmap[value] + 1), 0
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -197,7 +267,7 @@ def parse_polynomials(texts) -> list:
         if len(toks) == 1:
             raise ParseError("empty expression", 0)
         parser = _Parser(toks, varmap, size)
-        out.append(parser.expr())
+        out.append(parser.expr()[0])
         kind, _, pos = parser.peek()
         if kind != "end":
             raise ParseError("trailing input", pos)

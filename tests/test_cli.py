@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,6 +106,44 @@ def test_huge_product_is_refused_before_it_expands(capsys):
     assert (code, out, err) == (
         1, "", "error: the product at offset 27 multiplies 3789720 pairs "
         "of terms, above the limit of 1000000\n")
+
+
+@pytest.mark.parametrize("poly, message", [
+    ("(3*z1)^99999999", "the power at offset 7 may reach a coefficient of "
+     "60206000 digits"),
+    ("(3*z1)^10000", "the power at offset 7 may reach a coefficient of "
+     "6021 digits"),
+    ("3^1200*3^1200*z1^2", "the product at offset 6 may reach a "
+     "coefficient of 1146 digits"),
+    ("7" * 5000 + "*z1^2", "the number at offset 0 has 5000 digits"),
+    ("1/" + "7" * 5000 + "*z1^2", "the number at offset 0 has 5000 digits"),
+])
+def test_huge_coefficient_is_refused_before_it_is_computed(capsys, poly,
+                                                          message):
+    # the first would compute for minutes, and the others used to end
+    # in a traceback: Python prints no int of more than 4300 digits
+    for argv in (("weights", "--poly", poly), ("groebner", "--gens", poly)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (
+            1, "", "error: %s, above the limit of 1000\n" % message)
+
+
+def test_near_limit_walk_is_refused_in_little_memory(capsys):
+    # z1^2+z2^2+z3^2 has about 4 * 10^6 standard monomials through
+    # weight 1999990, and the walk used to stack the 2 * 10^6 prefixes of
+    # one coordinate, 370 MB, before it counted the first run
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "cohomology", "--mode", "graded",
+                             "--max-degree", "0", "--poly", "z1^2+z2^2+z3^2",
+                             "--weight-cutoff", "1999990")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == ("error: the standard monomials of weight at most 1999990 "
+                   "number at least 3999981, above the limit of 2000000\n")
+    assert peak < 20 * 2 ** 20
 
 
 def test_milnor_finite(capsys):

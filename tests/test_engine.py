@@ -507,11 +507,19 @@ _IMAGE_POLYS = ["1/2*z1^3+z2^5", "z1^7+z2^11+z3^13",
 def _map_content(an, i, u):
     """The images of M_i(u) as {exponents: coefficient} dicts, one per
     monomial of `an.A.basis(u)`, positions mapped back through the basis
-    of the product weight; A is filled through that weight first."""
+    of the product weight; A is filled through that weight first.  The
+    maps are reduced by one call through u, and M_i(u) must equal its
+    content on a fresh Analysis that reduces it alone, after a call
+    through u - 1."""
     weight = u + an.ws.degree - an.ws.weights[i - 1]
     basis = an.A.basis(weight)
-    an._reduce_maps(i, [u])
+    an._reduce_maps(i, u)
     images = an._interned[an._maps[i - 1][u]]
+    alone = Analysis(an.f)
+    alone.A.basis(weight)
+    alone._reduce_maps(i, u - 1)
+    alone._reduce_maps(i, u)
+    assert alone._interned[alone._maps[i - 1][u]] == images
     assert len(images) == len(an.A.basis(u))
     for image in images:
         for _, v in image:
@@ -538,23 +546,28 @@ def test_image_matches_normal_form(poly, exps, i):
 
 
 def test_image_above_the_filled_basis_fails_loudly():
+    # one weight reduced alone: the maps below it are reduced first
     # z2^10 is standard, but the basis of A is filled only through the
     # domain weight 0
     an = Analysis(parse_polynomial("z1^7+z2^11+z3^13"))
     with pytest.raises(LookupError, match="above the filled basis"):
-        an._reduce_maps(2, [0])
+        an._reduce_maps(2, 0)
     # 2*z1*z2^30 is standard but lies past the filled weight 30
     an = Analysis(parse_polynomial("z1^2+z2^2"))
+    an.A.basis(30)
+    an._reduce_maps(1, 29)
     with pytest.raises(LookupError, match=r"\(1, 30\) lies above the "
                        "filled basis"):
-        an._reduce_maps(1, [30])
+        an._reduce_maps(1, 30)
     # A_5 is z1 alone, and z1 * 3/2*z1^2 takes one step to the tail
-    # product -3*z2^5, standard but past the filled weight 5, so not in
-    # the index
+    # product -3*z2^5, standard but past the filled weight 14, so not
+    # in the index
     an = Analysis(parse_polynomial("1/2*z1^3+z2^5"))
+    an.A.basis(14)
+    an._reduce_maps(1, 4)
     with pytest.raises(LookupError, match=r"\(0, 5\) lies above the "
                        "filled basis"):
-        an._reduce_maps(1, [5])
+        an._reduce_maps(1, 5)
     assert an.A.basis(5) == ((1, 0),)
 
 
@@ -579,16 +592,24 @@ _BATCH_POLYS = _IMAGE_POLYS + ["-z1*z2+z1*z3-z2^2-z2*z3",
 @example("-z1*z2+z1*z3-z2^2-z2*z3", [[1, 0, 0], [1, 1, 2]], [], 2)
 @example("z1^3+z1^2*z2+z2^3", [[2, 0, 0]], [0, 5], 1)
 def test_map_batch_matches_normal_form(poly, exps, extra, i):
-    # one batch of several weights, the weights of drawn monomials and
-    # arbitrary ones, so that some A_u are empty: every image of every
-    # M_i(u) is the normal form of d_i f times its monomial
+    # one call through the highest of several weights, the weights of
+    # drawn monomials and arbitrary ones, so that some A_u are empty:
+    # every image of every M_i(u) is the normal form of d_i f times its
+    # monomial, and every map equals its content when the calls run
+    # through each drawn weight in turn
     an = Analysis(parse_polynomial(poly))
     i = min(i, an.n)
     shift = an.ws.degree - an.ws.weights[i - 1]
     us = sorted({sum(w * e for w, e in zip(an.ws.weights, m[:an.n]))
                  for m in exps} | set(extra))
     an.A.basis(us[-1] + shift)
-    an._reduce_maps(i, us[::-1])
+    an._reduce_maps(i, us[-1])
+    steps = Analysis(an.f)
+    steps.A.basis(us[-1] + shift)
+    for u in us:
+        steps._reduce_maps(i, u)
+    assert [steps._interned[m] for m in steps._maps[i - 1]] == \
+        [an._interned[m] for m in an._maps[i - 1]]
     for u in us:
         images = an._interned[an._maps[i - 1][u]]
         assert len(images) == len(an.A.basis(u))
@@ -603,21 +624,21 @@ def test_map_batch_matches_normal_form(poly, exps, extra, i):
 
 
 def test_batch_above_the_filled_basis_fails_loudly():
-    # in a batch of several weights only the highest u's products lie
-    # past the filled basis; a reduction step keeps the weight, so they
-    # stay out of the index however far they are reduced, and the batch
-    # raises with the message of a one-weight batch
+    # in one call through several weights only the highest u's products
+    # lie past the filled basis; a reduction step keeps the weight, so
+    # they stay out of the index however far they are reduced, and the
+    # call raises with the message of a one-weight call
     an = Analysis(parse_polynomial("z1^2+z2^2"))
     with pytest.raises(LookupError, match=r"\(1, 30\) lies above the "
                        "filled basis"):
-        an._reduce_maps(1, [30, 3, 12])
+        an._reduce_maps(1, 30)
     # A is filled through weight 14: d_1 f * 1 and d_1 f * z2 are
     # standard there, and d_1 f * z1 is past it
     an = Analysis(parse_polynomial("1/2*z1^3+z2^5"))
     an.A.basis(14)
     with pytest.raises(LookupError, match=r"\(0, 5\) lies above the "
                        "filled basis"):
-        an._reduce_maps(1, [5, 0, 3])
+        an._reduce_maps(1, 5)
 
 
 def test_products_that_one_step_leaves_nonstandard_need_no_division(
@@ -719,21 +740,21 @@ def test_oracle_matches_dense_reference_on_gapped_windows(poly, cutoff,
                                   "-z1*z2+z1*z3-z2^2-z2*z3",
                                   "z1^3+z1^2*z2+z2^3"])
 def test_map_batch_matches_one_weight_at_a_time(poly):
-    # one batch over shuffled weights, empty A_u among them, reduces
-    # every M_i(u) to the content of a batch of u alone
+    # one call through the last weight, empty A_u among the weights,
+    # reduces every M_i(u) to the content of calls through each u in
+    # turn, each of which reduces u alone
     f = parse_polynomial(poly)
     batch, single = Analysis(f), Analysis(f)
     d = batch.ws.degree
-    weights = list(range(2 * d))
+    weights = range(2 * d)
     for an in (batch, single):
         an.A.basis(3 * d)
     kinds = set()
     for i in range(1, batch.n + 1):
-        shuffled = list(weights)
-        random.Random(i).shuffle(shuffled)
-        batch._reduce_maps(i, shuffled)
+        batch._reduce_maps(i, weights[-1])
         for u in weights:
-            single._reduce_maps(i, [u])
+            single._reduce_maps(i, u)
+        assert len(batch._maps[i - 1]) == len(single._maps[i - 1]) == 2 * d
         for u in weights:
             images = batch._interned[batch._maps[i - 1][u]]
             assert images == single._interned[single._maps[i - 1][u]]
@@ -744,6 +765,46 @@ def test_map_batch_matches_one_weight_at_a_time(poly):
                                              else Fraction)
                     kinds.add(type(v))
     assert kinds == ({int, Fraction} if "/" in poly else {int})
+
+
+@pytest.mark.parametrize("direction", ["cohomology", "homology"])
+@pytest.mark.parametrize("poly", ["z1^4+z2^4+z3^4+z1*z2*z3^2",
+                                  "z1^2+z3^45"])
+def test_oracle_reduces_each_partial_once_per_report(monkeypatch, poly,
+                                                     direction):
+    # every report of a shared Analysis reduces each nonzero partial's
+    # maps in one call, in partial order, before any block is ranked;
+    # d_2 f of the second f is 0, and a block rank that reduced a map
+    # would raise
+    reduce_maps, block_ranks = Analysis._reduce_maps, Analysis._block_ranks
+    calls = []
+    ranking = []
+
+    def recorded_reduce_maps(self, i, last):
+        if ranking:
+            raise AssertionError("_block_ranks reduced M_%d" % i)
+        calls.append(i)
+        return reduce_maps(self, i, last)
+
+    def recorded_block_ranks(self, *args):
+        ranking.append(True)
+        try:
+            return block_ranks(self, *args)
+        finally:
+            ranking.pop()
+
+    monkeypatch.setattr(Analysis, "_reduce_maps", recorded_reduce_maps)
+    monkeypatch.setattr(Analysis, "_block_ranks", recorded_block_ranks)
+    f = parse_polynomial(poly)
+    an = Analysis(f)
+    partials = [i for i, g in enumerate(an.grad, 1) if not g.is_zero()]
+    assert partials == ([1, 3] if poly == "z1^2+z3^45" else [1, 2, 3])
+    for p_max in (3, 6):
+        calls.clear()
+        analyze(f, direction=direction, p_max=p_max, mode="graded",
+                analysis=an)
+        assert calls == partials
+    assert None not in an._maps[0]
 
 
 def test_strand_blocks_of_hand_built_columns():
@@ -807,6 +868,9 @@ def test_block_rank_content_key_is_complete(monkeypatch):
     images = {(1, (2, 0)): x, (1, (1, 1)): y, (1, (3, 0)): x,
               (1, (2, 1)): y, (1, (1, 0)): x, (2, (1, 0)): y}
     an, dims = _hand_built_analysis(basis, images)
+    # s - t reaches 6 on partial 1 and 1 on partial 2
+    an._reduce_maps(1, 6)
+    an._reduce_maps(2, 1)
     columns = (((0, 1, 1),), ((0, 1, 1), (1, 2, 1)))
     weights, ranks = [2, 3, 6], [2, 2, 1]
     assert an._block_ranks(columns, (0, 5), (-10, -10), weights,
@@ -823,6 +887,8 @@ def test_block_rank_content_key_is_complete(monkeypatch):
     images = {(i, mono): x for i in (1, 2) for monos in basis.values()
               for mono in monos}
     an, dims = _hand_built_analysis(basis, images)
+    an._reduce_maps(1, 2)
+    an._reduce_maps(2, 2)
     signatures = [
         ((((0, 1, 1), (1, 2, 1)), ((0, 1, 1), (1, 2, 1))), (-10, -10), 1),
         ((((0, 1, 1), (1, 2, 1)), ((0, 1, 1), (1, 2, -1))), (-10, -10), 2),
@@ -843,6 +909,8 @@ def test_block_rank_of_an_empty_domain_is_zero(monkeypatch):
     # A_(-3); the rows at weight 12 are there.  No image is given, so a
     # product lookup would raise LookupError
     an, dims = _hand_built_analysis(dict(_ROWS), {})
+    an._reduce_maps(1, 2)
+    an._reduce_maps(2, 2)
     columns = (((0, 1, 1),), ((0, 1, 1), (1, 2, 1)))
     assert an._block_ranks(columns, (0, 5), (-10, -10), [2], dims) == [0]
     assert calls == []

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hochschild.parsing import (
+    MAX_COEFFICIENT_DIGITS,
     MAX_POWER_TERMS,
     MAX_TERM_PAIRS,
     ExpansionLimitError,
@@ -137,6 +138,68 @@ def test_product_is_refused_past_its_term_pairs():
             r"^the product at offset 27 multiplies 3789720 pairs of terms, "
             r"above the limit of 1000000$")):
         parse_polynomial(square + "*(z1+z2+z3)^43")
+
+
+def test_long_number_literal_is_refused_before_it_is_read():
+    # Python reads at most 4300 digits into an int; leading zeros do not
+    # count
+    assert MAX_COEFFICIENT_DIGITS == 1000
+    big = "7" * 1000
+    assert parse_polynomial(big).terms == {(0,): int(big)}
+    assert parse_polynomial("1/00" + big).terms == \
+        {(0,): Fraction(1, int(big))}
+    # a product's estimate is a bound in bits, and 7 * 10^999 has as
+    # many bits as some numbers of 1001 digits
+    assert parse_polynomial(big[1:] + "*z1").terms == {(1,): int(big[1:])}
+    for text, offset, digits in [("7" * 5000 + "*z1^2", 0, 5000),
+                                 ("z1^2+1/" + "7" * 5000, 5, 5000),
+                                 ("z1^2+" + "7" * 5000 + "/3", 5, 5000),
+                                 ("z1^" + "9" * 1001, 3, 1001)]:
+        with pytest.raises(ExpansionLimitError, match=(
+                r"^the number at offset %d has %d digits, above the limit "
+                r"of 1000$" % (offset, digits))):
+            parse_polynomial(text)
+
+
+def test_power_is_refused_past_its_coefficient_bound():
+    # a one-term base c to the k: c^k <= 2^(k ceil(log2 c)), so 3^k is
+    # estimated at 2k bits; (3*z1)^99999999 would compute for minutes,
+    # and a power of 4300 digits or more could not be printed
+    for text, offset, digits in [("(3*z1)^99999999", 7, 60206000),
+                                 ("(3*z1)^10000", 7, 6021),
+                                 ("3^5000*3^5000*z1^2", 2, 3011)]:
+        with pytest.raises(ExpansionLimitError, match=(
+                r"^the power at offset %d may reach a coefficient of %d "
+                r"digits, above the limit of 1000$" % (offset, digits))):
+            parse_polynomial(text)
+    assert parse_polynomial("2^3300*z1").terms == {(1,): 2 ** 3300}
+    assert parse_polynomial("z1^99999999999").terms == {(99999999999,): 1}
+    # a t-term base: the coefficients of its k-th power are at most
+    # (t max |c|)^k, binomials of 300 digits for (z1+z2)^999
+    top = max(parse_polynomial("(z1+z2)^999").terms.values())
+    assert len(str(top)) == 300
+    with pytest.raises(ExpansionLimitError, match="2406 digits"):
+        parse_polynomial("(99*z1+z2)^999")
+
+
+def test_product_and_sum_are_refused_past_the_coefficient_bound():
+    # 3^1200 has 573 digits, each factor passes, and the product may
+    # reach 1146
+    assert parse_polynomial("3^1200*z1").terms == {(1,): 3 ** 1200}
+    with pytest.raises(ExpansionLimitError, match=(
+            r"^the product at offset 6 may reach a coefficient of 1146 "
+            r"digits, above the limit of 1000$")):
+        parse_polynomial("3^1200*3^1200*z1^2")
+    # pairwise coprime denominators of 401 digits: the third term makes
+    # the common denominator pass 1000 digits
+    terms = ["1/%d*z%d" % (10 ** 400 + k, i)
+             for i, k in zip((1, 2, 3), (1, 0, -1))]
+    assert len(parse_polynomial("+".join(terms[:2])).terms) == 2
+    second = len(terms[0]) + 1 + len(terms[1])
+    with pytest.raises(ExpansionLimitError, match=(
+            r"^the sum at offset %d may reach a coefficient of 1201 digits, "
+            r"above the limit of 1000$" % second)):
+        parse_polynomial("+".join(terms))
 
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
