@@ -25,8 +25,8 @@ with quotients and is the reference for it.
 
 Every walk over standard monomials (`_runs`) is bounded: one that
 would pass `MAX_STANDARD_MONOMIALS` raises `WalkLimitError` before it
-builds a single standard monomial, and it holds at most one open
-iterator per coordinate.
+builds a single standard monomial, and it holds at most one frame per
+coordinate.
 
 Intersections go through the usual auxiliary-variable trick: the new
 variable t comes first, so lex eliminates it; colon ideals divide an
@@ -273,19 +273,15 @@ def _runs(lead, weights, top: int) -> list:
     for m in lead:
         ending[max(j for j, e in enumerate(m) if e)].append(m)
     count = 0
-    # one iterator per open coordinate, over its (prefix, weight of
-    # prefix) in ascending exponent, made as it is read: at most n
-    # iterators, however long a coordinate's range.  A loop, not a
-    # recursive closure: that would hold itself in a reference cycle,
-    # which `hh` commands, run with the cyclic collector paused, would
-    # keep until they end.
-    stack = [iter([((), 0)])]
-    while stack:
-        visit = next(stack[-1], None)
-        if visit is None:
-            stack.pop()
-            continue
-        prefix, weight = visit
+    # one frame [prefix, weight of prefix + (e,), next exponent e, stop]
+    # per open coordinate, the deepest on top: at most n - 1 frames,
+    # however long a coordinate's range.  A loop, not a recursive
+    # closure: that would hold itself in a reference cycle, which `hh`
+    # commands, run with the cyclic collector paused, would keep until
+    # they end.
+    stack = []
+    prefix, weight = (), 0
+    while True:
         i = len(prefix)
         w = weights[i]
         stop = (top - weight) // w + 1
@@ -293,17 +289,26 @@ def _runs(lead, weights, top: int) -> list:
             if m[i] < stop and all(map(le, m, prefix)):
                 stop = m[i]
         if i < n - 1:
-            stack.append(zip(map(prefix.__add__, zip(range(stop))),
-                             range(weight, weight + stop * w, w)))
-            continue
-        count += stop
-        if count > MAX_STANDARD_MONOMIALS:
-            raise WalkLimitError(
-                "the standard monomials of weight at most %d number at "
-                "least %d, above the limit of %d"
-                % (top, count, MAX_STANDARD_MONOMIALS))
-        runs.append((prefix, weight, stop))
-    return runs
+            stack.append([prefix, weight, 0, stop])
+        else:
+            count += stop
+            if count > MAX_STANDARD_MONOMIALS:
+                raise WalkLimitError(
+                    "the standard monomials of weight at most %d number at "
+                    "least %d, above the limit of %d"
+                    % (top, count, MAX_STANDARD_MONOMIALS))
+            runs.append((prefix, weight, stop))
+        while True:
+            if not stack:
+                return runs
+            frame = stack[-1]
+            prefix, weight, e, stop = frame
+            if e < stop:
+                break
+            stack.pop()
+        frame[1] += weights[len(prefix)]
+        frame[2] = e + 1
+        prefix += (e,)
 
 
 def staircase(lead: Sequence[tuple], weights: Sequence[int],

@@ -29,11 +29,9 @@ product's coefficients are fractions of integers at most
 2^(h + h' + ceil(log2 of its term pairs)), a sum's at most
 2^(h + h' + 1), and those of a t-term base to the k at most
 2^(k (h + ceil(log2 t))).  A number at most 2^b has at most
-floor(b log10 2) + 1 digits.  The parser carries these bounds up from
-the literals, and only where one passes the limit does it take the
-operands' exact heights (`_height`) and refuse if the estimate from
-them passes too.  Those are upper bounds, so a result a little under
-the limit may be refused: 3^k is taken for 2^(2k).
+floor(b log10 2) + 1 digits.  The heights are the operands' exact
+ones (`_height`), but the estimates are upper bounds, so a result a
+little under the limit may be refused: 3^k is taken for 2^(2k).
 """
 
 from __future__ import annotations
@@ -69,13 +67,14 @@ class ExpansionLimitError(ValueError):
 
 def _integer(digits: str, pos: int) -> int:
     """The number literal `digits`, refused past MAX_COEFFICIENT_DIGITS
-    before it is converted."""
-    size = len(digits.lstrip("0"))
-    if size > MAX_COEFFICIENT_DIGITS:
+    before it is converted.  Leading zeros are dropped first, as Python
+    counts them against its own limit on the digits it converts."""
+    digits = digits.lstrip("0")
+    if len(digits) > MAX_COEFFICIENT_DIGITS:
         raise ExpansionLimitError(
             "the number at offset %d has %d digits, above the limit of %d"
-            % (pos, size, MAX_COEFFICIENT_DIGITS))
-    return int(digits)
+            % (pos, len(digits), MAX_COEFFICIENT_DIGITS))
+    return int(digits or "0")
 
 
 def _height(p: Polynomial) -> int:
@@ -87,22 +86,16 @@ def _height(p: Polynomial) -> int:
     return (top - 1).bit_length()
 
 
-def _bounded(bits: int, height, what: str, pos: int) -> int:
-    """`bits`, an upper bound on the height of the `what` at offset
-    `pos`, while coefficients of at most 2^bits keep within
-    MAX_COEFFICIENT_DIGITS.  Past that, `height()`, the bound from the
-    operands' exact heights, and the `what` is refused if that passes
-    too.  30103 / 10^5 is just above log10 2."""
-    if bits * 30103 // 100_000 < MAX_COEFFICIENT_DIGITS:
-        return bits
-    bits = height()
+def _bound(bits: int, what: str, pos: int) -> None:
+    """Refuse the `what` at offset `pos` if its coefficients, fractions
+    of integers at most 2^bits, may pass MAX_COEFFICIENT_DIGITS.
+    30103 / 10^5 is just above log10 2."""
     digits = bits * 30103 // 100_000 + 1
     if digits > MAX_COEFFICIENT_DIGITS:
         raise ExpansionLimitError(
             "the %s at offset %d may reach a coefficient of %d digits, "
             "above the limit of %d"
             % (what, pos, digits, MAX_COEFFICIENT_DIGITS))
-    return bits
 
 
 def _tokenize(text: str):
@@ -173,51 +166,47 @@ class _Parser:
             raise ParseError("expected %r" % op, pos)
         return self.take()
 
-    # each returns its polynomial and an upper bound on its height
-
-    def expr(self) -> tuple:
+    def expr(self) -> Polynomial:
         negate = False
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.take()
             negate = True
-        result, bits = self.term()
+        result = self.term()
         if negate:
             result = -result
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                rhs, more = self.term()
+                rhs = self.term()
                 result = result + rhs if value == "+" else result - rhs
-                bits = _bounded(bits + more + 1, lambda: _height(result),
-                                "sum", pos)
+                _bound(_height(result), "sum", pos)
             else:
-                return result, bits
+                return result
 
-    def term(self) -> tuple:
-        result, bits = self.factor()
+    def term(self) -> Polynomial:
+        result = self.factor()
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                rhs, more = self.factor()
+                rhs = self.factor()
                 pairs = len(result.terms) * len(rhs.terms)
                 if pairs > MAX_TERM_PAIRS:
                     raise ExpansionLimitError(
                         "the product at offset %d multiplies %d pairs of terms, "
                         "above the limit of %d" % (pos, pairs, MAX_TERM_PAIRS))
-                extra = (pairs - 1).bit_length()
-                bits = _bounded(bits + more + extra, lambda: _height(result)
-                                + _height(rhs) + extra, "product", pos)
+                _bound(_height(result) + _height(rhs)
+                       + (pairs - 1).bit_length(), "product", pos)
                 result = result * rhs
             elif kind in ("name", "num") or (kind == "op" and value == "("):
                 raise ParseError("implicit multiplication is not allowed", pos)
             else:
-                return result, bits
+                return result
 
-    def factor(self) -> tuple:
-        base, bits = self.base()
+    def factor(self) -> Polynomial:
+        base = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.take()
@@ -231,25 +220,22 @@ class _Parser:
                 raise ExpansionLimitError(
                     "the power at offset %d may expand to %d terms, above "
                     "the limit of %d" % (pos, bound, MAX_POWER_TERMS))
-            extra = max(t - 1, 0).bit_length()
-            bits = _bounded(k * (bits + extra),
-                            lambda: k * (_height(base) + extra), "power", pos)
-            return base ** k, bits
-        return base, bits
+            _bound(k * (_height(base) + max(t - 1, 0).bit_length()),
+                   "power", pos)
+            return base ** k
+        return base
 
-    def base(self) -> tuple:
+    def base(self) -> Polynomial:
         kind, value, pos = self.take()
         if kind == "num":
             if "/" in value:
                 a, b = (_integer(x, pos) for x in value.split("/"))
                 if b == 0:
                     raise ParseError("zero denominator", pos)
-                return (Polynomial.constant(self.n, Fraction(a, b)),
-                        (max(a, b) - 1).bit_length())
-            a = _integer(value, pos)
-            return Polynomial.constant(self.n, a), max(a - 1, 0).bit_length()
+                return Polynomial.constant(self.n, Fraction(a, b))
+            return Polynomial.constant(self.n, _integer(value, pos))
         if kind == "name":
-            return Polynomial.variable(self.n, self.varmap[value] + 1), 0
+            return Polynomial.variable(self.n, self.varmap[value] + 1)
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -267,7 +253,7 @@ def parse_polynomials(texts) -> list:
         if len(toks) == 1:
             raise ParseError("empty expression", 0)
         parser = _Parser(toks, varmap, size)
-        out.append(parser.expr()[0])
+        out.append(parser.expr())
         kind, _, pos = parser.peek()
         if kind != "end":
             raise ParseError("trailing input", pos)

@@ -117,6 +117,8 @@ def test_huge_product_is_refused_before_it_expands(capsys):
      "coefficient of 1146 digits"),
     ("7" * 5000 + "*z1^2", "the number at offset 0 has 5000 digits"),
     ("1/" + "7" * 5000 + "*z1^2", "the number at offset 0 has 5000 digits"),
+    ("0" * 5000 + "7" * 1001 + "*z1^2",
+     "the number at offset 0 has 1001 digits"),
 ])
 def test_huge_coefficient_is_refused_before_it_is_computed(capsys, poly,
                                                           message):
@@ -126,6 +128,13 @@ def test_huge_coefficient_is_refused_before_it_is_computed(capsys, poly,
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (
             1, "", "error: %s, above the limit of 1000\n" % message)
+
+
+def test_leading_zeros_pass_the_digit_limit(capsys):
+    # Python would refuse to read the 5001 digits into an int
+    for argv in (("weights", "--poly"), ("groebner", "--gens")):
+        assert run(capsys, *argv, "0" * 5000 + "7*z1^2+z2^3") == \
+            run(capsys, *argv, "7*z1^2+z2^3")
 
 
 def test_near_limit_walk_is_refused_in_little_memory(capsys):

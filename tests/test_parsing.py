@@ -141,20 +141,27 @@ def test_product_is_refused_past_its_term_pairs():
 
 
 def test_long_number_literal_is_refused_before_it_is_read():
-    # Python reads at most 4300 digits into an int; leading zeros do not
-    # count
+    # Python reads at most 4300 digits into an int, leading zeros
+    # included; the limit counts the digits after them
     assert MAX_COEFFICIENT_DIGITS == 1000
     big = "7" * 1000
+    zeros = "0" * 5000
     assert parse_polynomial(big).terms == {(0,): int(big)}
     assert parse_polynomial("1/00" + big).terms == \
         {(0,): Fraction(1, int(big))}
+    assert parse_polynomial(zeros + "7/" + zeros + "3*z1^" + zeros + "2"
+                            ).terms == {(2,): Fraction(7, 3)}
+    assert parse_polynomial(zeros).terms == {}
     # a product's estimate is a bound in bits, and 7 * 10^999 has as
     # many bits as some numbers of 1001 digits
     assert parse_polynomial(big[1:] + "*z1").terms == {(1,): int(big[1:])}
     for text, offset, digits in [("7" * 5000 + "*z1^2", 0, 5000),
                                  ("z1^2+1/" + "7" * 5000, 5, 5000),
                                  ("z1^2+" + "7" * 5000 + "/3", 5, 5000),
-                                 ("z1^" + "9" * 1001, 3, 1001)]:
+                                 ("z1^" + "9" * 1001, 3, 1001),
+                                 (zeros + big + "7*z1", 0, 1001),
+                                 # other zero digits are counted
+                                 ("\u0660" * 5000 + "7", 0, 5001)]:
         with pytest.raises(ExpansionLimitError, match=(
                 r"^the number at offset %d has %d digits, above the limit "
                 r"of 1000$" % (offset, digits))):
