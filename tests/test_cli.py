@@ -130,13 +130,6 @@ def test_huge_coefficient_is_refused_before_it_is_computed(capsys, poly,
             1, "", "error: %s, above the limit of 1000\n" % message)
 
 
-def test_leading_zeros_pass_the_digit_limit(capsys):
-    # Python would refuse to read the 5001 digits into an int
-    for argv in (("weights", "--poly"), ("groebner", "--gens")):
-        assert run(capsys, *argv, "0" * 5000 + "7*z1^2+z2^3") == \
-            run(capsys, *argv, "7*z1^2+z2^3")
-
-
 def test_near_limit_walk_is_refused_in_little_memory(capsys):
     # z1^2+z2^2+z3^2 has about 4 * 10^6 standard monomials through
     # weight 1999990, and the walk used to stack the 2 * 10^6 prefixes of
