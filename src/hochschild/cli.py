@@ -24,7 +24,13 @@ from .grading import (
     detect_weights,
     is_weighted_homogeneous,
 )
-from .ideals import INFINITE, WalkLimitError, buchberger, milnor_number
+from .ideals import (
+    INFINITE,
+    CoefficientLimitError,
+    WalkLimitError,
+    buchberger,
+    milnor_number,
+)
 from .parsing import (
     ExpansionLimitError,
     ParseError,
@@ -186,7 +192,7 @@ def _run_homology_command(args, direction: str) -> int:
                                 cutoff=args.weight_cutoff,
                                 mode=args.mode)
     except (engine.PreconditionError, NotWeightedHomogeneousError,
-            WalkLimitError) as exc:
+            WalkLimitError, CoefficientLimitError) as exc:
         raise CliError(str(exc), 1)
     _emit(args, _report_json(report), lambda: _report_table(report))
     if report.crosscheck == "disagree":
@@ -216,10 +222,12 @@ def _run_groebner(args) -> int:
             extended.append(g)
             extended.extend(d for d in g.gradient() if not d.is_zero())
         gens = extended
-    gb = buchberger(gens)
-    payload = {"generators": [g.to_str() for g in gens],
-               "basis": [g.to_str() for g in gb]}
-    _emit(args, payload, lambda: "\n".join(g.to_str() for g in gb))
+    try:
+        basis = [g.to_str() for g in buchberger(gens)]
+    except CoefficientLimitError as exc:
+        raise CliError(str(exc), 1)
+    payload = {"generators": [g.to_str() for g in gens], "basis": basis}
+    _emit(args, payload, lambda: "\n".join(basis))
     return 0
 
 

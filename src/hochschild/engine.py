@@ -278,7 +278,8 @@ class Analysis:
         p + 1.
 
         The complex is built, checked and weighted through one degree
-        past the last window, and A filled through the highest weight
+        past the last window, each window's low edge checked against
+        its degree's lowest shift, and A filled through the highest weight
         `top` a slice reads.  Three passes follow.  Every multiplication
         map a slice reads is reduced, one `_reduce_maps` call per
         nonzero partial.  Each differential is ranked once, one
@@ -295,6 +296,14 @@ class Analysis:
         terms = cx.verify_entries()
         cx.verify_d_squared_zero(terms)
         cx.assign_weights(self.ws)
+        # both witnesses read the windows from `lowest_shift`: one that
+        # starts too high drops a slice from both, which their verdict
+        # cannot see, so each low edge is checked against the module
+        for p, (m, (lo, _)) in enumerate(zip(cx.modules, windows)):
+            if lo != min(m.shifts):
+                raise AssertionError(
+                    "degree %d: the scan window starts at weight %d, not at "
+                    "the lowest shift %d" % (p, lo, min(m.shifts)))
         # degree q is read on its own window and, as the far end of a
         # differential, on its neighbours' windows
         spans = []

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -73,13 +73,9 @@ def detect_weights(f: Polynomial) -> WeightSystem:
 def _coprime_integers(vec) -> list:
     """A rational vector times the positive factor that makes its
     entries coprime integers."""
-    denlcm = 1
-    for x in vec:
-        denlcm = denlcm * x.denominator // gcd(denlcm, x.denominator)
-    ints = [int(x * denlcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    den = lcm(*(x.denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints)
     return [x // g for x in ints]
 
 

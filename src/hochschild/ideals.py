@@ -12,6 +12,13 @@ pushed once onto a heap keyed by the degree of its lcm, ties broken by
 the lcm itself; a set of the queued pairs serves the chain criterion.
 The selection order cannot change the output: both bases are unique.
 
+Buchberger is bounded by the size of its coefficients, not by its
+number of pairs: a basis element, minimal or reduced, whose coefficient
+has a numerator or denominator of more than `MAX_COEFFICIENT_BITS` bits
+raises `CoefficientLimitError`.  A few trinomials in three variables
+reach thousands of bits within a second while only some dozens of
+pairs are reduced.
+
 Reduction (`_reduce`) is the reduction routine of Buchberger,
 `GroebnerBasis.normal_form` and the interreduction of the reduced
 basis.  It works in place on one dict of terms: it pops the leading
@@ -46,6 +53,7 @@ from .poly import (
     monomial_div,
     monomial_divides,
     monomial_mul,
+    trusted_polynomial,
 )
 
 
@@ -91,14 +99,39 @@ def divide(p: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     return DivisionResult(tuple(quotients), remainder)
 
 
+# A basis element's coefficients are refused past this many bits in a
+# numerator or denominator: 3,011 digits, under the 4,300 digits Python
+# converts between int and str.  No pinned input passes 25 bits.
+MAX_COEFFICIENT_BITS = 10_000
+
+
+class CoefficientLimitError(ValueError):
+    """A Groebner basis element would carry a coefficient past
+    MAX_COEFFICIENT_BITS."""
+
+
+def _bounded(coefficients) -> None:
+    """Raise `CoefficientLimitError` if a numerator or denominator among
+    `coefficients` has more than MAX_COEFFICIENT_BITS bits."""
+    top = max((max(abs(c.numerator), c.denominator) for c in coefficients),
+              default=1)
+    if top.bit_length() > MAX_COEFFICIENT_BITS:
+        raise CoefficientLimitError(
+            "a Groebner basis element has a coefficient of %d bits, above "
+            "the limit of %d" % (top.bit_length(), MAX_COEFFICIENT_BITS))
+
+
 def _divisor(terms: dict) -> tuple:
     """(leading exponents, tail) of a nonzero polynomial's terms, the
     tail scaled by -1/leading coefficient: subtracting c * z^q times the
-    monic divisor adds c * v at z^q * z^e for every tail term (e, v)."""
+    monic divisor adds c * v at z^q * z^e for every tail term (e, v).
+    The tail is `_bounded`."""
     lead = max(terms)
     lc = -terms[lead]
-    return lead, tuple((e, exact_quotient(v, lc))
-                       for e, v in terms.items() if e != lead)
+    tail = tuple((e, exact_quotient(v, lc))
+                 for e, v in terms.items() if e != lead)
+    _bounded(v for _, v in tail)
+    return lead, tail
 
 
 def _reduce(terms: dict, divisors) -> dict:
@@ -127,15 +160,6 @@ def _reduce(terms: dict, divisors) -> dict:
     return rem
 
 
-def _polynomial(n: int, terms: dict) -> Polynomial:
-    """Wrap a dict of nonzero coefficients, integral ones int, without
-    copying."""
-    p = Polynomial.__new__(Polynomial)
-    p.n = n
-    p.terms = terms
-    return p
-
-
 class GroebnerBasis:
     """Monic lex Groebner basis by descending leading monomial, held
     minimal in `_divisors`; `elements`, the reduced basis, reduces each
@@ -154,8 +178,9 @@ class GroebnerBasis:
             reduced = []
             for i, (lead, tail) in enumerate(ds):
                 terms = _reduce({e: -v for e, v in tail}, ds[:i] + ds[i + 1:])
+                _bounded(terms.values())
                 terms[lead] = 1
-                reduced.append(_polynomial(len(lead), terms))
+                reduced.append(trusted_polynomial(len(lead), terms))
             self._elements = tuple(reduced)
         return self._elements
 
@@ -163,7 +188,7 @@ class GroebnerBasis:
         return tuple(lead for lead, _ in self._divisors)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return _polynomial(p.n, _reduce(dict(p.terms), self._divisors))
+        return trusted_polynomial(p.n, _reduce(dict(p.terms), self._divisors))
 
     def __iter__(self):
         return iter(self.elements)
@@ -253,7 +278,7 @@ def _runs(lead, weights, top: int) -> list:
     length, of the last coordinate, in ascending lex order.  Empty when
     `lead` holds 1 or `top` is negative.
 
-    The walk fixes one exponent at a time and visits only the
+    The walk (`_walk`) fixes one exponent at a time and visits only the
     staircase.  Coordinate i stops at a cap: the least i-th exponent
     among the leading monomials whose last nonzero exponent is the i-th
     and whose earlier exponents divide the prefix, since from there on
@@ -268,47 +293,36 @@ def _runs(lead, weights, top: int) -> list:
     runs = []
     if top < 0 or any(not any(m) for m in lead):
         return runs
-    n = len(weights)
-    ending = [[] for _ in range(n)]
+    ending = [[] for _ in weights]
     for m in lead:
         ending[max(j for j, e in enumerate(m) if e)].append(m)
-    count = 0
-    # one frame [prefix, weight of prefix + (e,), next exponent e, stop]
-    # per open coordinate, the deepest on top: at most n - 1 frames,
-    # however long a coordinate's range.  A loop, not a recursive
-    # closure: that would hold itself in a reference cycle, which `hh`
-    # commands, run with the cyclic collector paused, would keep until
-    # they end.
-    stack = []
-    prefix, weight = (), 0
-    while True:
-        i = len(prefix)
-        w = weights[i]
-        stop = (top - weight) // w + 1
-        for m in ending[i]:
-            if m[i] < stop and all(map(le, m, prefix)):
-                stop = m[i]
-        if i < n - 1:
-            stack.append([prefix, weight, 0, stop])
-        else:
-            count += stop
-            if count > MAX_STANDARD_MONOMIALS:
-                raise WalkLimitError(
-                    "the standard monomials of weight at most %d number at "
-                    "least %d, above the limit of %d"
-                    % (top, count, MAX_STANDARD_MONOMIALS))
-            runs.append((prefix, weight, stop))
-        while True:
-            if not stack:
-                return runs
-            frame = stack[-1]
-            prefix, weight, e, stop = frame
-            if e < stop:
-                break
-            stack.pop()
-        frame[1] += weights[len(prefix)]
-        frame[2] = e + 1
-        prefix += (e,)
+    _walk((), 0, ending, weights, top, runs, 0)
+    return runs
+
+
+def _walk(prefix, weight, ending, weights, top, runs, count) -> int:
+    """Append the runs that extend `prefix`, of weight `weight`, and
+    return `count` plus their monomials: one frame per coordinate, and
+    no reference cycle, which a recursive closure would make and `hh`,
+    run with the cyclic collector paused, would keep until it ends."""
+    i = len(prefix)
+    w = weights[i]
+    stop = (top - weight) // w + 1
+    for m in ending[i]:
+        if m[i] < stop and all(map(le, m, prefix)):
+            stop = m[i]
+    if i < len(weights) - 1:
+        for e in range(stop):
+            count = _walk(prefix + (e,), weight + e * w, ending, weights,
+                          top, runs, count)
+        return count
+    count += stop
+    if count > MAX_STANDARD_MONOMIALS:
+        raise WalkLimitError(
+            "the standard monomials of weight at most %d number at least "
+            "%d, above the limit of %d" % (top, count, MAX_STANDARD_MONOMIALS))
+    runs.append((prefix, weight, stop))
+    return count
 
 
 def staircase(lead: Sequence[tuple], weights: Sequence[int],

@@ -17,8 +17,7 @@ modular arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .poly import exact_quotient, int_or_fraction
 
@@ -27,14 +26,8 @@ def _integer_rows(rows):
     """Scale each row by the lcm of its denominators; rank is unchanged."""
     out = []
     for row in rows:
-        denlcm = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                d = x.denominator
-            else:
-                d = 1
-            denlcm = denlcm * d // gcd(denlcm, d)
-        out.append([int(x * denlcm) for x in row])
+        den = lcm(*(x.denominator for x in row))
+        out.append([int(x * den) for x in row])
     return out
 
 
@@ -141,11 +134,7 @@ _is_int = int.__instancecheck__     # isinstance(v, int), for map
 def _integer_row(row) -> dict:
     """The nonzero entries of a sparse row times the lcm of their
     denominators, as ints, in a new dict."""
-    den = 1
-    for v in row.values():
-        d = v.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
+    den = lcm(*(v.denominator for v in row.values()))
     if den == 1:
         return {k: v.numerator for k, v in row.items() if v}
     return {k: v.numerator * (den // v.denominator)

@@ -155,18 +155,12 @@ class Polynomial:
                 acc[e] = s
             elif e in acc:
                 del acc[e]
-        p = Polynomial.__new__(Polynomial)
-        p.n = self.n
-        p.terms = _narrowed(acc)
-        return p
+        return trusted_polynomial(self.n, _narrowed(acc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Polynomial.__new__(Polynomial)
-        p.n = self.n
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return trusted_polynomial(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -191,10 +185,7 @@ class Polynomial:
                     acc[e] = s
                 elif e in acc:
                     del acc[e]
-        p = Polynomial.__new__(Polynomial)
-        p.n = self.n
-        p.terms = _narrowed(acc)
-        return p
+        return trusted_polynomial(self.n, _narrowed(acc))
 
     __rmul__ = __mul__
 
@@ -203,10 +194,8 @@ class Polynomial:
             raise ValueError("negative exponent")
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
-            p = Polynomial.__new__(Polynomial)
-            p.n = self.n
-            p.terms = {tuple([x * k for x in e]): int_or_fraction(c ** k)}
-            return p
+            return trusted_polynomial(
+                self.n, {tuple([x * k for x in e]): int_or_fraction(c ** k)})
         result = Polynomial.one(self.n)
         base = self
         while k:
@@ -285,3 +274,12 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%s)" % self.to_str()
+
+
+def trusted_polynomial(n: int, terms: dict) -> Polynomial:
+    """A polynomial on `terms`, a dict of nonzero coefficients, integral
+    ones int, taken as it is: neither copied nor checked."""
+    p = Polynomial.__new__(Polynomial)
+    p.n = n
+    p.terms = terms
+    return p

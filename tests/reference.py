@@ -98,3 +98,48 @@ def verify_infinite_part(degree, an, free_shift: int) -> bool:
             return False
         total += excess
     return total == (degree.finite_dim or 0)
+
+
+def prefix_counts(weights, top: int) -> list:
+    """The tables N_j of the closed-form position: counts[j][t] is the
+    number of monomials of weight t in z_(j+1)..z_n, 0-based j, for t
+    in 0..top; counts[n] holds the constant monomial alone."""
+    n = len(weights)
+    counts = [[0] * (top + 1) for _ in range(n + 1)]
+    counts[n][0] = 1
+    for j in reversed(range(n)):
+        w, row, below = weights[j], counts[j], counts[j + 1]
+        for t in range(top + 1):
+            row[t] = below[t] + (row[t - w] if t >= w else 0)
+    return counts
+
+
+def lex_below(v, s: int, weights, counts) -> int:
+    """L(v, s): the monomials of weight s lex-below the integer vector
+    v.  Those that first differ from v at coordinate j, all earlier ones
+    equal, count N_j(t) - N_j(t - v_j w_j), with t = s less the weight
+    of v's first j entries; no monomial agrees with v past a negative
+    entry."""
+    def count(j, t):
+        return counts[j][t] if t >= 0 else 0
+
+    total, t = 0, s
+    for j, (e, w) in enumerate(zip(v, weights)):
+        if e < 0:
+            break
+        total += count(j, t) - count(j, t - e * w)
+        t -= e * w
+    return total
+
+
+def closed_form_position(m, lead, weights, degree: int, counts) -> int:
+    """The position of the standard monomial m among those of its weight
+    s in C[z]/<f>, in ascending lex order, f weighted homogeneous of
+    degree `degree` with leading monomial z^lead:
+    pos(m) = L(m, s) - L(m - lead, s - degree).  The monomials lex-below
+    m that z^lead divides are z^lead * y with y lex-below m - lead, as
+    lex order is invariant under translation."""
+    s = sum(e * w for e, w in zip(m, weights))
+    return (lex_below(m, s, weights, counts)
+            - lex_below([e - a for e, a in zip(m, lead)], s - degree,
+                        weights, counts))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hochschild import cli, engine
+from hochschild import cli, engine, ideals
 from hochschild.cli import _json, build_parser, main
 
 
@@ -146,6 +146,37 @@ def test_near_limit_walk_is_refused_in_little_memory(capsys):
     assert err == ("error: the standard monomials of weight at most 1999990 "
                    "number at least 3999981, above the limit of 2000000\n")
     assert peak < 20 * 2 ** 20
+
+
+TRINOMIALS = ("-2*z1*z2^2*z3^2+3*z1*z3-3*z2^2*z3;"
+              "z1^2*z2^2*z3^2+z1^2*z2-z1*z3;"
+              "-7/3*z1^2*z2^2-2*z1*z3^2-3*z2^2*z3")
+
+
+def test_groebner_basis_with_a_huge_coefficient_is_refused(capsys):
+    # about 40 S-pairs in, a basis element already holds a coefficient
+    # of 16,533 bits; unbounded, the run did not end within 10 s
+    code, out, err = run(capsys, "groebner", "--gens=" + TRINOMIALS)
+    assert (code, out, err) == (
+        1, "", "error: a Groebner basis element has a coefficient of 16533 "
+        "bits, above the limit of 10000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("milnor", "--poly", "z1^3+z2^3+11*z1*z2"),
+    ("cohomology", "--poly", "z1^3+9*z2^3"),
+    ("homology", "--poly", "z1^3+9*z2^3", "--mode", "graded"),
+    ("cohomology", "--poly", "z1^3+9*z2^3", "--mode", "structural"),
+    # the minimal basis z1 - 3*z2, z2 - 3*z3 passes the bound, and the
+    # reduced basis's z1 - 9*z3 does not
+    ("groebner", "--gens", "z1-3*z2; z2-3*z3"),
+])
+def test_every_command_refuses_a_basis_past_the_coefficient_bound(
+        capsys, monkeypatch, argv):
+    monkeypatch.setattr(ideals, "MAX_COEFFICIENT_BITS", 3)
+    assert run(capsys, *argv) == (
+        1, "", "error: a Groebner basis element has a coefficient of 4 "
+        "bits, above the limit of 3\n")
 
 
 def test_milnor_finite(capsys):

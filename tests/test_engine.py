@@ -192,6 +192,23 @@ def test_a_slice_off_by_one_is_a_disagreement(monkeypatch, capsys,
     assert json.loads(out)["crosscheck"] == "disagree"
 
 
+@pytest.mark.parametrize("mode", ["graded", "both"])
+@pytest.mark.parametrize("direction", ["cohomology", "homology"])
+@pytest.mark.parametrize("poly", ["z1^2+z2^3", "z1^3+z2^4+z3^5",
+                                  "z1^2+z2^2*z3+z3^4"])
+def test_a_window_above_the_lowest_shift_is_caught(monkeypatch, poly,
+                                                   direction, mode):
+    # both witnesses read the windows from `lowest_shift`: starting one
+    # weight high drops the lowest slice from both, and the crosscheck
+    # still reads agree, so the oracle checks each low edge itself
+    lowest = engine.lowest_shift
+    monkeypatch.setattr(engine, "lowest_shift",
+                        lambda side, ws, p: lowest(side, ws, p) + 1)
+    with pytest.raises(AssertionError, match="lowest shift"):
+        analyze(parse_polynomial(poly), direction=direction, p_max=4,
+                mode=mode)
+
+
 # (f, direction, p_max, highest window top, walk top, monomials walked):
 # the walk reaches only the highest weight s - t the scan reads, well
 # below the homology windows' top

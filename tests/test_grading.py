@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hochschild import ideals
@@ -13,7 +13,11 @@ from hochschild.grading import (
 )
 from hochschild.ideals import WalkLimitError, buchberger
 from hochschild.poly import Polynomial
-from reference import exponents_of_weight
+from reference import (
+    closed_form_position,
+    exponents_of_weight,
+    prefix_counts,
+)
 
 
 def test_detect_weights_d_surface():
@@ -252,3 +256,40 @@ def test_position_index_survives_every_rewalk(case):
         assert quotient.position == expected
         assert all(quotient.position[m] == j for m, j in before.items())
         bases, before = list(quotient.bases), expected
+
+
+@st.composite
+def _weighted_homogeneous(draw):
+    """(f, weights, degree): one to four monomials of one weighted
+    degree with nonzero integer coefficients, n = 1..3."""
+    n = draw(st.integers(1, 3))
+    weights = tuple(draw(st.lists(st.integers(1, 4), min_size=n,
+                                  max_size=n)))
+    degree = draw(st.integers(1, 12).filter(
+        lambda d: exponents_of_weight(weights, d)))
+    monomials = draw(st.lists(
+        st.sampled_from(exponents_of_weight(weights, degree)),
+        min_size=1, max_size=4, unique=True))
+    coefficient = st.integers(-3, 3).filter(bool)
+    return (Polynomial(n, {e: draw(coefficient) for e in monomials}),
+            weights, degree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_weighted_homogeneous(), st.integers(0, 36))
+@example((Polynomial(2, {(2, 1): 1, (0, 5): 1}), (2, 1), 5), 30)
+@example((Polynomial(2, {(1, 1): 1}), (1, 1), 2), 20)
+def test_positions_match_the_closed_form(case, top):
+    # the Groebner basis of <f> is f made monic, so the standard
+    # monomials are those z^lead does not divide, and each position
+    # the walk's index holds has a closed form (see `reference`)
+    f, weights, degree = case
+    gb = buchberger([f])
+    (lead,) = gb.leading_exponents()
+    quotient = GradedQuotient(gb, weights)
+    quotient.basis(top)
+    counts = prefix_counts(weights, top)
+    assert len(quotient.position) == sum(map(len, quotient.bases))
+    for m, pos in quotient.position.items():
+        assert pos == closed_form_position(m, lead, weights, degree,
+                                           counts), (f, m)
