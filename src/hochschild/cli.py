@@ -63,44 +63,6 @@ def _resolve_poly(args) -> Polynomial:
     raise CliError("one of --poly or --catalog is required", 2)
 
 
-def _degree_json(deg: engine.DegreeReport) -> dict:
-    graded = deg.oracle_graded if deg.oracle_graded is not None \
-        else deg.expected_graded
-    return {
-        "p": deg.p,
-        "structure": deg.structure,
-        "finite_dim": deg.finite_dim,
-        "basis": list(deg.basis) if deg.basis is not None else None,
-        "graded_dims": [[s, graded[s]] for s in sorted(graded)]
-        if graded is not None else None,
-        "top_weight": deg.top_weight,
-        "window": list(deg.window),
-    }
-
-
-def _report_json(report: engine.Report) -> dict:
-    degrees = [_degree_json(d) for d in report.degrees]
-    out = {
-        "f": report.f.to_str(),
-        "weights": list(report.weights.weights),
-        "degree": report.weights.degree,
-        "milnor": "infinite" if report.milnor is INFINITE else report.milnor,
-        "cohomology": degrees if report.direction == "cohomology" else None,
-        "homology": degrees if report.direction == "homology" else None,
-        "crosscheck": report.crosscheck,
-    }
-    if report.kernel is not None:
-        out["kernel_generators"] = [
-            {"name": fam.name,
-             "vector": [g.to_str() for g in fam.vector],
-             "multipliers": fam.cofactor_monomials}
-            for fam in report.kernel.families]
-        out["kernel_verified"] = report.kernel.verified
-    if report.notes:
-        out["notes"] = list(report.notes)
-    return out
-
-
 def _report_table(report: engine.Report) -> str:
     lines = ["f = %s" % report.f.to_str(),
              "weights = %s, degree = %d" % (list(report.weights.weights),
@@ -131,38 +93,31 @@ _SCALARS = {
 
 def _json(obj, pad: str = "") -> str:
     """`obj` as `json.dumps(obj, indent=2)` writes it, nested at indent
-    `pad`, for the types reports are made of: dicts with str keys, lists
-    and tuples, str, int, bool and None.  Anything else raises
-    TypeError.  A list of equal-length rows of plain ints (the
-    `graded_dims` pairs) is written with one %-template."""
+    `pad`, for the types payloads are made of: dicts with str keys,
+    lists and tuples, str, int, bool and None.  Anything else raises
+    TypeError."""
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
     t = type(obj)
     inner = pad + "  "
     if t is dict:
-        if not obj:
-            return "{}"
-        return "{\n%s\n%s}" % (",\n".join(
-            [inner + _escape(k) + ": " + text
-             for k, text in zip(obj, _items(obj.values(), inner))]), pad)
+        return "{\n%s\n%s}" % (_members(obj, inner), pad) if obj else "{}"
     if t is not list and t is not tuple:
         raise TypeError("Object of type %s is not JSON serializable"
                         % t.__name__)
     if not obj:
         return "[]"
-    if t is list and set(map(type, obj)) == {list}:
-        widths = set(map(len, obj))
-        if len(widths) == 1 and 0 not in widths:
-            cells = tuple(chain.from_iterable(obj))
-            if set(map(type, cells)) == {int}:
-                row = "%s[\n%s\n%s]" % (
-                    inner, ",\n".join([inner + "  %d"] * widths.pop()), inner)
-                return "[\n%s\n%s]" % (
-                    ",\n".join([row] * len(obj)) % cells, pad)
     return "[\n%s\n%s]" % (",\n".join([inner + text
                                          for text in _items(obj, inner)]),
                            pad)
+
+
+def _members(obj: dict, pad: str) -> str:
+    """The members of the nonempty dict `obj` as `_json` writes them
+    inside its braces, each on a line of its own at indent `pad`."""
+    return ",\n".join([pad + _escape(k) + ": " + text
+                       for k, text in zip(obj, _items(obj.values(), pad))])
 
 
 def _items(values, pad: str) -> list:
@@ -173,6 +128,90 @@ def _items(values, pad: str) -> list:
         scalar = _SCALARS.get(type(v))
         out.append(scalar(v) if scalar else _json(v, pad))
     return out
+
+
+# One degree of a report, as `json.dumps(payload, indent=2)` writes it
+# in the report's list of degrees after the separator %s; the other %s
+# fields take JSON text.  _ROW is one [s, dim] row of its graded_dims.
+_DEGREE = """%s
+    {
+      "p": %d,
+      "structure": %s,
+      "finite_dim": %s,
+      "basis": %s,
+      "graded_dims": %s,
+      "top_weight": %s,
+      "window": [
+        %d,
+        %d
+      ]
+    }"""
+_ROW = """
+        [
+          %d,
+          %d
+        ]"""
+
+
+def _write_report(report: engine.Report) -> None:
+    """Print `report` as JSON, byte for byte what `json.dumps(payload,
+    indent=2)` prints of its payload (see `tests/reference.py`), one
+    degree at a time, so that the text of a large report is never held
+    whole.  The head and tail fields are written by `_json`; a degree is
+    written with `_DEGREE`, its graded dims with one row template, and
+    each distinct basis tuple (the classifier shares one among the
+    degrees of a finite source) is escaped once."""
+    head = {"f": report.f.to_str(),
+            "weights": list(report.weights.weights),
+            "degree": report.weights.degree,
+            "milnor": "infinite" if report.milnor is INFINITE
+            else report.milnor}
+    tail = {"crosscheck": report.crosscheck}
+    if report.kernel is not None:
+        tail["kernel_generators"] = [
+            {"name": fam.name,
+             "vector": [g.to_str() for g in fam.vector],
+             "multipliers": fam.cofactor_monomials}
+            for fam in report.kernel.families]
+        tail["kernel_verified"] = report.kernel.verified
+    if report.notes:
+        tail["notes"] = list(report.notes)
+    write = sys.stdout.write
+    write('{\n%s,\n  "cohomology": ' % _members(head, "  "))
+    if report.direction == "homology":
+        write('null,\n  "homology": ')
+    bases: dict = {}    # id of a basis tuple -> its JSON text
+    sep = "["
+    for deg in report.degrees:
+        labels = deg.basis
+        if labels is None:
+            basis = "null"
+        else:
+            basis = bases.get(id(labels))
+            if basis is None:
+                basis = bases[id(labels)] = "[\n        %s\n      ]" % (
+                    ",\n        ".join(map(_escape, labels))) \
+                    if labels else "[]"
+        graded = deg.oracle_graded if deg.oracle_graded is not None \
+            else deg.expected_graded
+        if graded:
+            rows = ("[%s\n      ]" % ",".join([_ROW] * len(graded))) % tuple(
+                chain.from_iterable(sorted(graded.items())))
+        else:
+            rows = "null" if graded is None else "[]"
+        lo, hi = deg.window
+        write(_DEGREE % (
+            sep, deg.p,
+            "null" if deg.structure is None else _escape(deg.structure),
+            "null" if deg.finite_dim is None else deg.finite_dim,
+            basis, rows,
+            "null" if deg.top_weight is None else deg.top_weight,
+            lo, hi))
+        sep = ","
+    write("\n  ]")
+    if report.direction == "cohomology":
+        write(',\n  "homology": null')
+    write(",\n%s\n}\n" % _members(tail, "  "))
 
 
 def _emit(args, payload, table):
@@ -194,7 +233,10 @@ def _run_homology_command(args, direction: str) -> int:
     except (engine.PreconditionError, NotWeightedHomogeneousError,
             WalkLimitError, CoefficientLimitError) as exc:
         raise CliError(str(exc), 1)
-    _emit(args, _report_json(report), lambda: _report_table(report))
+    if args.format == "table":
+        print(_report_table(report))
+    else:
+        _write_report(report)
     if report.crosscheck == "disagree":
         print("crosscheck disagreement between classifier and oracle",
               file=sys.stderr)

@@ -110,15 +110,23 @@ class CoefficientLimitError(ValueError):
     MAX_COEFFICIENT_BITS."""
 
 
-def _bounded(coefficients) -> None:
-    """Raise `CoefficientLimitError` if a numerator or denominator among
-    `coefficients` has more than MAX_COEFFICIENT_BITS bits."""
-    top = max((max(abs(c.numerator), c.denominator) for c in coefficients),
-              default=1)
-    if top.bit_length() > MAX_COEFFICIENT_BITS:
+def _bounded(terms) -> None:
+    """Raise `CoefficientLimitError` if a numerator or denominator of a
+    coefficient among `terms`, a collection of (exponents, coefficient)
+    pairs, has more than MAX_COEFFICIENT_BITS bits.  An int is measured
+    as it is; only a Fraction's numerator and denominator are read."""
+    limit = MAX_COEFFICIENT_BITS
+    for _, c in terms:
+        if type(c) is int:
+            if c.bit_length() <= limit:
+                continue
+        elif c.numerator.bit_length() <= limit \
+                and c.denominator.bit_length() <= limit:
+            continue
+        top = max(max(abs(v.numerator), v.denominator) for _, v in terms)
         raise CoefficientLimitError(
             "a Groebner basis element has a coefficient of %d bits, above "
-            "the limit of %d" % (top.bit_length(), MAX_COEFFICIENT_BITS))
+            "the limit of %d" % (top.bit_length(), limit))
 
 
 def _divisor(terms: dict) -> tuple:
@@ -130,7 +138,7 @@ def _divisor(terms: dict) -> tuple:
     lc = -terms[lead]
     tail = tuple((e, exact_quotient(v, lc))
                  for e, v in terms.items() if e != lead)
-    _bounded(v for _, v in tail)
+    _bounded(tail)
     return lead, tail
 
 
@@ -178,7 +186,7 @@ class GroebnerBasis:
             reduced = []
             for i, (lead, tail) in enumerate(ds):
                 terms = _reduce({e: -v for e, v in tail}, ds[:i] + ds[i + 1:])
-                _bounded(terms.values())
+                _bounded(terms.items())
                 terms[lead] = 1
                 reduced.append(trusted_polynomial(len(lead), terms))
             self._elements = tuple(reduced)

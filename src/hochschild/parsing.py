@@ -30,8 +30,13 @@ product's coefficients are fractions of integers at most
 2^(h + h' + 1), and those of a t-term base to the k at most
 2^(k (h + ceil(log2 t))).  A number at most 2^b has at most
 floor(b log10 2) + 1 digits.  The heights are the operands' exact
-ones (`_height`), but the estimates are upper bounds, so a result a
-little under the limit may be refused: 3^k is taken for 2^(2k).
+ones (`_height`), but the estimates are upper bounds: 3^k is taken for
+2^(2k).  So where an estimate passes the limit for a power of a
+one-term base c z^e, or for a product with a one-term factor, the
+result is computed and its digits counted (`_bound_exactly`), unless
+c^k is past the limit already by its lower bound 2^(k floor(log2))
+of the larger of c's numerator and denominator.  Those results have
+at most about twice the limit's digits.
 """
 
 from __future__ import annotations
@@ -86,16 +91,30 @@ def _height(p: Polynomial) -> int:
     return (top - 1).bit_length()
 
 
-def _bound(bits: int, what: str, pos: int) -> None:
-    """Refuse the `what` at offset `pos` if its coefficients, fractions
-    of integers at most 2^bits, may pass MAX_COEFFICIENT_DIGITS.
-    30103 / 10^5 is just above log10 2."""
-    digits = bits * 30103 // 100_000 + 1
+def _digits(bits: int) -> int:
+    """The most decimal digits of an integer at most 2^bits; 30103 / 10^5
+    is just above log10 2."""
+    return bits * 30103 // 100_000 + 1
+
+
+def _bound(digits: int, what: str, pos: int) -> None:
+    """Refuse the `what` at offset `pos` if its coefficients may have
+    `digits` digits, past MAX_COEFFICIENT_DIGITS."""
     if digits > MAX_COEFFICIENT_DIGITS:
         raise ExpansionLimitError(
             "the %s at offset %d may reach a coefficient of %d digits, "
             "above the limit of %d"
             % (what, pos, digits, MAX_COEFFICIENT_DIGITS))
+
+
+def _bound_exactly(p: Polynomial, what: str, pos: int) -> Polynomial:
+    """`p`, the `what` at offset `pos`, refused if a numerator or
+    denominator of its coefficients has more than MAX_COEFFICIENT_DIGITS
+    digits."""
+    top = max([max(abs(c.numerator), c.denominator)
+               for c in p.terms.values()], default=0)
+    _bound(len(str(top)), what, pos)
+    return p
 
 
 def _tokenize(text: str):
@@ -181,7 +200,7 @@ class _Parser:
                 self.take()
                 rhs = self.term()
                 result = result + rhs if value == "+" else result - rhs
-                _bound(_height(result), "sum", pos)
+                _bound(_digits(_height(result)), "sum", pos)
             else:
                 return result
 
@@ -197,9 +216,15 @@ class _Parser:
                     raise ExpansionLimitError(
                         "the product at offset %d multiplies %d pairs of terms, "
                         "above the limit of %d" % (pos, pairs, MAX_TERM_PAIRS))
-                _bound(_height(result) + _height(rhs)
-                       + (pairs - 1).bit_length(), "product", pos)
-                result = result * rhs
+                bits = (_height(result) + _height(rhs)
+                        + (pairs - 1).bit_length())
+                if 1 in (len(result.terms), len(rhs.terms)) \
+                        and _digits(bits) > MAX_COEFFICIENT_DIGITS:
+                    # c z^e times q: c times each coefficient of q
+                    result = _bound_exactly(result * rhs, "product", pos)
+                else:
+                    _bound(_digits(bits), "product", pos)
+                    result = result * rhs
             elif kind in ("name", "num") or (kind == "op" and value == "("):
                 raise ParseError("implicit multiplication is not allowed", pos)
             else:
@@ -220,8 +245,17 @@ class _Parser:
                 raise ExpansionLimitError(
                     "the power at offset %d may expand to %d terms, above "
                     "the limit of %d" % (pos, bound, MAX_POWER_TERMS))
-            _bound(k * (_height(base) + max(t - 1, 0).bit_length()),
-                   "power", pos)
+            bits = k * (_height(base) + max(t - 1, 0).bit_length())
+            if t == 1 and _digits(bits) > MAX_COEFFICIENT_DIGITS:
+                # (c z^e)^k: the numerator or denominator of c^k reaches
+                # 2^floor_bits, whose digits 30102 / 10^5, just under
+                # log10 2, bounds from below
+                (c,) = base.terms.values()
+                floor_bits = k * (max(abs(c.numerator),
+                                      c.denominator).bit_length() - 1)
+                if floor_bits * 30102 // 100_000 < MAX_COEFFICIENT_DIGITS:
+                    return _bound_exactly(base ** k, "power", pos)
+            _bound(_digits(bits), "power", pos)
             return base ** k
         return base
 

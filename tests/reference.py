@@ -4,7 +4,7 @@ package computes, and checks that only the tests run."""
 from __future__ import annotations
 
 from hochschild.engine import PreconditionError
-from hochschild.ideals import divide
+from hochschild.ideals import INFINITE, divide
 from hochschild.koszul import module, shift
 from hochschild.poly import (
     Polynomial,
@@ -143,3 +143,44 @@ def closed_form_position(m, lead, weights, degree: int, counts) -> int:
     return (lex_below(m, s, weights, counts)
             - lex_below([e - a for e, a in zip(m, lead)], s - degree,
                         weights, counts))
+
+
+def degree_payload(deg) -> dict:
+    """The JSON payload of one `engine.DegreeReport`."""
+    graded = deg.oracle_graded if deg.oracle_graded is not None \
+        else deg.expected_graded
+    return {
+        "p": deg.p,
+        "structure": deg.structure,
+        "finite_dim": deg.finite_dim,
+        "basis": list(deg.basis) if deg.basis is not None else None,
+        "graded_dims": [[s, graded[s]] for s in sorted(graded)]
+        if graded is not None else None,
+        "top_weight": deg.top_weight,
+        "window": list(deg.window),
+    }
+
+
+def report_payload(report) -> dict:
+    """The JSON payload of an `engine.Report`: `hh cohomology` and `hh
+    homology` print `json.dumps(report_payload(report), indent=2)`."""
+    degrees = [degree_payload(d) for d in report.degrees]
+    out = {
+        "f": report.f.to_str(),
+        "weights": list(report.weights.weights),
+        "degree": report.weights.degree,
+        "milnor": "infinite" if report.milnor is INFINITE else report.milnor,
+        "cohomology": degrees if report.direction == "cohomology" else None,
+        "homology": degrees if report.direction == "homology" else None,
+        "crosscheck": report.crosscheck,
+    }
+    if report.kernel is not None:
+        out["kernel_generators"] = [
+            {"name": fam.name,
+             "vector": [g.to_str() for g in fam.vector],
+             "multipliers": fam.cofactor_monomials}
+            for fam in report.kernel.families]
+        out["kernel_verified"] = report.kernel.verified
+    if report.notes:
+        out["notes"] = list(report.notes)
+    return out

@@ -1,9 +1,11 @@
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,11 @@ from hypothesis import strategies as st
 
 from hochschild import cli, engine, ideals
 from hochschild.cli import _json, build_parser, main
+from hochschild.grading import NotWeightedHomogeneousError
+from hochschild.parsing import parse_polynomial
+from hochschild.poly import Polynomial
+from reference import report_payload
+from test_series import weighted_homogeneous
 
 
 def run(capsys, *argv):
@@ -439,8 +446,8 @@ _texts = st.text(alphabet=st.sampled_from(
     'a"\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600')) | st.text(max_size=8)
 _ints = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
 _scalars = st.none() | st.booleans() | _ints | _texts
-# row shapes: equal-length int rows (the fast path) and rows that must
-# leave it, holding a bool, ragged or empty
+# row shapes: equal-length int rows, like a report's graded_dims, and
+# rows holding a bool, ragged or empty
 _int_rows = st.integers(1, 3).flatmap(lambda w: st.lists(
     st.lists(_ints, min_size=w, max_size=w), min_size=1, max_size=4))
 _mixed_rows = st.lists(st.lists(_ints | st.booleans(), max_size=3),
@@ -478,6 +485,10 @@ _ALL_COMMANDS = [
     ("homology", "--catalog", "e6-curve", "--max-degree", "4"),
     ("homology", "--catalog", "d4-surface", "--mode", "structural"),
     ("cohomology", "--poly", "z1^2*z2", "--max-degree", "2"),
+    # every basis null; one degree; a note
+    ("cohomology", "--catalog", "e6-curve", "--mode", "graded"),
+    ("homology", "--catalog", "d4-surface", "--max-degree", "0"),
+    ("homology", "--poly", "z1*z2", "--mode", "both"),
     ("groebner", "--gens", "z1^2*z2 + z2^3; z1^2 + 3*z2^2"),
     ("milnor", "--catalog", "e8-curve"),
     ("milnor", "--poly", "z1^2+z2^2+z3^2+z1*z2*z3"),
@@ -493,6 +504,53 @@ _ALL_COMMANDS = [
 def test_every_command_prints_json_dumps_bytes(capsys, argv):
     _, out, _ = run(capsys, *argv)
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_homogeneous(), st.sampled_from(["cohomology", "homology"]),
+       st.sampled_from(["structural", "graded", "both"]), st.integers(0, 4),
+       st.none() | st.integers(0, 12))
+@example(((1, 1), 2, Polynomial(2, {(1, 1): 1})), "homology", "both", 1, 0)
+@example(((1,), 1, Polynomial(1, {(1,): 1})), "cohomology", "structural", 2,
+         None)
+def test_report_writer_prints_the_reference_payload(case, direction, mode,
+                                                    p_max, cutoff):
+    # the streamed report is byte for byte json.dumps of the payload,
+    # for every mode, at cutoff 0, with notes, shared bases and, for a
+    # smooth f, empty ones; f is read back from its text, as the command
+    # sizes the ring by the variables the text names
+    f = parse_polynomial(case[2].to_str())
+    argv = [direction, "--poly=" + f.to_str(), "--mode", mode,
+            "--max-degree", str(p_max)]
+    if cutoff is not None:
+        argv += ["--weight-cutoff", str(cutoff)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    try:
+        report = engine.analyze(f, direction=direction, p_max=p_max,
+                                cutoff=cutoff, mode=mode)
+    except (engine.PreconditionError, NotWeightedHomogeneousError):
+        assert (code, out.getvalue()) == (1, "")
+        return
+    assert out.getvalue() == json.dumps(report_payload(report),
+                                        indent=2) + "\n"
+    assert code == (1 if report.notes else 0)
+
+
+def test_report_writer_sorts_rows_and_escapes_labels():
+    # the engine lists slices by rising weight and labels are plain
+    # monomials, but the writer does not rely on either
+    report = engine.analyze(parse_polynomial("z1^3+z2^2"), p_max=1)
+    shared = ("z\"1", "\u00e9\\")
+    report = report._replace(degrees=[
+        deg._replace(oracle_graded={5: 1, 0: 2, 3: 1}, basis=shared)
+        for deg in report.degrees])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._write_report(report)
+    assert out.getvalue() == json.dumps(report_payload(report),
+                                        indent=2) + "\n"
 
 
 def test_json_report_builds_no_table(capsys, monkeypatch):

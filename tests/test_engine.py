@@ -35,7 +35,11 @@ from hochschild.linalg import rank_dense, rank_sparse
 from hochschild.parsing import parse_polynomial
 from hochschild.poly import Polynomial
 from hochschild.series import poincare_dims
-from reference import lowest_module_shift, verify_infinite_part
+from reference import (
+    lowest_module_shift,
+    report_payload,
+    verify_infinite_part,
+)
 from test_koszul import _dense
 
 
@@ -665,15 +669,15 @@ def test_products_that_one_step_leaves_nonstandard_need_no_division(
     # by offset alone, never through `ideals._reduce`, and its report
     # matches a fresh one
     f = parse_polynomial("z1^3+1/2*z1^2*z2^2+z2^6+z3^25")
-    fresh = cli._report_json(analyze(f, p_max=4, mode="graded"))
+    fresh = report_payload(analyze(f, p_max=4, mode="graded"))
     an = Analysis(f)
 
     def refuse(terms, divisors):
         raise AssertionError("ideals._reduce called on %r" % (terms,))
 
     monkeypatch.setattr(ideals, "_reduce", refuse)
-    assert cli._report_json(analyze(f, p_max=4, mode="graded",
-                                    analysis=an)) == fresh
+    assert report_payload(analyze(f, p_max=4, mode="graded",
+                                  analysis=an)) == fresh
 
 
 # (direction, p_max, cutoff as a multiple of d, mode)
@@ -692,8 +696,8 @@ def test_shared_analysis_reports_match_fresh_ones(poly):
     for direction, p_max, cutoff, mode in _SHARED_RUNS:
         kwargs = dict(direction=direction, p_max=p_max,
                       cutoff=cutoff * shared.ws.degree, mode=mode)
-        assert cli._report_json(analyze(f, analysis=shared, **kwargs)) == \
-            cli._report_json(analyze(f, **kwargs))
+        assert report_payload(analyze(f, analysis=shared, **kwargs)) == \
+            report_payload(analyze(f, **kwargs))
         assert len(shared.A.bases) > walked
         walked = len(shared.A.bases)
 

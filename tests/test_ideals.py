@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from hochschild import ideals
 from hochschild.ideals import (
     INFINITE,
+    MAX_COEFFICIENT_BITS,
+    CoefficientLimitError,
     GroebnerBasis,
     WalkLimitError,
     buchberger,
@@ -155,6 +157,23 @@ def test_standard_monomials_refuses_a_walk_past_the_limit(monkeypatch):
         standard_monomials(buchberger([z1 ** 2, z1 * z2, z2 ** 4]), 2)
     # an infinite quotient is reported, not refused
     assert standard_monomials(buchberger([z1 ** 9]), 2) is None
+
+
+def test_coefficient_check_measures_numerators_and_denominators():
+    # at most MAX_COEFFICIENT_BITS bits in each numerator and denominator,
+    # of an int or a Fraction, of either sign; the message names the
+    # largest, which may follow the first past the limit
+    top = 2 ** MAX_COEFFICIENT_BITS
+    ideals._bounded([((0,), top - 1), ((1,), -(top - 1)),
+                     ((2,), Fraction(1 - top, top - 2)), ((3,), 7)])
+    ideals._bounded(())
+    message = ("^a Groebner basis element has a coefficient of %d bits, "
+               "above the limit of 10000$")
+    for past in (top, -top, Fraction(top, 3), Fraction(-1, top)):
+        with pytest.raises(CoefficientLimitError, match=message % 10001):
+            ideals._bounded([((0,), 1), ((1,), past), ((2,), Fraction(1, 3))])
+    with pytest.raises(CoefficientLimitError, match=message % 10002):
+        ideals._bounded([((0,), top), ((1,), Fraction(1, 2 * top))])
 
 
 def test_standard_monomials_limit_fires_before_the_walk():

@@ -152,9 +152,9 @@ def test_long_number_literal_is_refused_before_it_is_read():
     assert parse_polynomial(zeros + "7/" + zeros + "3*z1^" + zeros + "2"
                             ).terms == {(2,): Fraction(7, 3)}
     assert parse_polynomial(zeros).terms == {}
-    # a product's estimate is a bound in bits, and 7 * 10^999 has as
-    # many bits as some numbers of 1001 digits
-    assert parse_polynomial(big[1:] + "*z1").terms == {(1,): int(big[1:])}
+    # a literal of 1000 digits times z1 passes: a product with a one-term
+    # factor is bounded by its digits, not by its bits
+    assert parse_polynomial(big + "*z1").terms == {(1,): int(big)}
     for text, offset, digits in [("7" * 5000 + "*z1^2", 0, 5000),
                                  ("z1^2+1/" + "7" * 5000, 5, 5000),
                                  ("z1^2+" + "7" * 5000 + "/3", 5, 5000),
@@ -187,6 +187,39 @@ def test_power_is_refused_past_its_coefficient_bound():
     assert len(str(top)) == 300
     with pytest.raises(ExpansionLimitError, match="2406 digits"):
         parse_polynomial("(99*z1+z2)^999")
+
+
+def test_one_term_powers_and_products_are_bounded_by_their_digits(
+        monkeypatch):
+    # the estimates take 3^k for 2^(2k) and a literal of 1000 digits for
+    # 2^3322, so near the limit a power of a one-term base and a product
+    # with a one-term factor are computed and their digits counted
+    nines = "9" * 1000
+    assert len(str(3 ** 2095)) == 1000
+    assert parse_polynomial("3^2000*z1").terms == {(1,): 3 ** 2000}
+    assert parse_polynomial("3^2095*z1").terms == {(1,): 3 ** 2095}
+    assert parse_polynomial("(-1/3*z2)^2095").terms == \
+        {(0, 2095): Fraction(-1, 3 ** 2095)}
+    assert parse_polynomial(nines + "*z1").terms == {(1,): int(nines)}
+    assert parse_polynomial(nines + "*(z1+1)").terms == \
+        {(1,): int(nines), (0,): int(nines)}
+    for text, what, offset in [("3^2096*z1", "power", 2),
+                               ("(1/3*z1)^2096", "power", 9),
+                               ("3^2095*3*z1", "product", 6),
+                               (nines + "*(z1+10)", "product", 1000)]:
+        with pytest.raises(ExpansionLimitError, match=(
+                r"^the %s at offset %d may reach a coefficient of 1001 "
+                r"digits, above the limit of 1000$" % (what, offset))):
+            parse_polynomial(text)
+
+    # where c^k is past the limit by a lower bound, nothing is computed
+    def refuse(base, k):
+        raise AssertionError("computed %r^%d" % (base, k))
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    for text in ("(3*z1)^10000", "(3*z1)^99999999", "(1/3*z1)^10000"):
+        with pytest.raises(ExpansionLimitError, match="^the power at"):
+            parse_polynomial(text)
 
 
 def test_product_and_sum_are_refused_past_the_coefficient_bound():
