@@ -26,20 +26,22 @@ Two independent routes to the same numbers:
   ranks of the differentials joining p to p - 1 and p + 1.  Every
   differential is generated as (row, i, k) terms, the entry k * d_i f
   for an integer k (`verify_entries` checks their shape, and d^2 = 0 on
-  them).  One call scans every degree's window; each differential is
-  ranked once, where both ends' totals are nonzero, one strand block
-  (a connected piece of the graph joining domain to codomain components,
-  read from its entries) over all its weights per
-  `Analysis._block_ranks` call; a slice's rank is the sum of its
-  blocks' ranks.  Block slices are assembled sparse from the
-  multiplication maps M_i(u), d_i f times A_u into A_(u + d - w_i),
-  which `Analysis._reduce_maps` reduces to positions in the bases of A
-  before any block is ranked, every u a report reads in one call per
-  partial, over a frontier of exponent offsets: the products at one
-  offset are read as one position column, and those not standard step
-  by f to lower offsets.  A step lowers an offset in lex order, so
-  taking the lex-highest offset first finds every product complete,
-  each reduced once.
+  them).  One call scans every degree's window, its totals, ranks and
+  slices held as dense columns over the window's weights and combined
+  in whole-list passes; each differential is ranked once, where both
+  ends' totals are nonzero, one strand block (a connected piece of the
+  graph joining domain to codomain components, read from its entries)
+  over all its weights per `Analysis._block_ranks` call; a slice's
+  rank is the sum of its blocks' ranks.  Block slices are assembled
+  sparse from the multiplication maps M_i(u), d_i f times A_u into
+  A_(u + d - w_i), which `Analysis._reduce_maps` reduces to positions
+  in the bases of A before any block is ranked, every u a report reads
+  in one call per partial, over a frontier of exponent offsets: the
+  products at one offset are read as one position column, and those
+  not standard, checked divisible by lead(f) at once through their
+  exponent columns' least entries, step by f to lower offsets.  A step
+  lowers an offset in lex order, so taking the lex-highest offset
+  first finds every product complete, each reduced once.
 
   Block ranks are cached by the block's signature, its column terms
   scaled by each column's first k and its shifts relative to the first
@@ -64,8 +66,8 @@ The report types (`Report`, `DegreeReport`, `KernelDescription`,
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations, repeat
-from operator import add, mul, sub
+from itertools import accumulate, combinations, compress, repeat
+from operator import add, lt, mul, sub
 from typing import NamedTuple
 
 from . import ideals
@@ -211,12 +213,14 @@ class Analysis:
         lex-highest offset is taken, its sources summed per image, and
         one position column read (`_positions`): a standard product is a
         term of its image, and any other must be divisible by lead(f),
-        and steps by f to one offset o - lead + t per tail term t.  As
+        which is checked for the column's missed products at once, and
+        steps by f to one offset o - lead + t per tail term t.  As
         t < lead in lex order, offsets only fall: a product is complete
         when its offset is taken, each image meets an offset once, and
         the positions within an image are distinct.  LookupError when a
-        product lies past the filled basis.  Maps of equal content share
-        one small int id, and `self._interned[id]` is the map."""
+        product lies past the filled basis, naming the column's first
+        such product.  Maps of equal content share one small int id,
+        and `self._interned[id]` is the map."""
         maps = self._maps[i - 1]
         us = range(len(maps), last + 1)
         self.A.basis(last)
@@ -241,17 +245,23 @@ class Analysis:
             missed, left = [], []
             for j, c, r in zip(js, cs, _positions(map(monos.__getitem__, js),
                                                   o, position)):
-                if r is not None:
+                if r is None:
+                    missed.append(j)
+                    left.append(c)
+                else:
                     images[j] += ((r, c),)
-                    continue
-                a = tuple(map(add, monos[j], o))
-                if min(map(sub, a, lead)) < 0:
-                    raise LookupError("standard monomial %r lies above the "
-                                      "filled basis of A" % (a,))
-                missed.append(j)
-                left.append(c)
             if not missed:
                 continue
+            # lead(f) divides every missed product exactly when no entry
+            # of lead passes its exponent column's least entry plus the
+            # offset; if one does, the first product it fails is named
+            if any(map(lt, map(add, map(min, zip(*map(monos.__getitem__,
+                                                      missed))), o), lead)):
+                for j in missed:
+                    a = tuple(map(add, monos[j], o))
+                    if min(map(sub, a, lead)) < 0:
+                        raise LookupError("standard monomial %r lies above "
+                                          "the filled basis of A" % (a,))
             for t, c in tail:
                 # one coefficient object per value, shared by its images:
                 # at large mu an int per image entry costs megabytes
@@ -283,14 +293,14 @@ class Analysis:
         `top` a slice reads.  Three passes follow.  Every multiplication
         map a slice reads is reduced, one `_reduce_maps` call per
         nonzero partial.  Each differential is ranked once, one
-        `_block_ranks` call per strand block, into one {s: rank} at the
-        weights of its two ends' windows where both ends' module totals
-        are nonzero; elsewhere, and in a gap between the two windows,
-        its rank is 0.  Each slice is then read as its total less the
-        ranks on its two sides.  A block's rank tables are keyed by its
-        signature and by slice content, never by degree, so periodicity
-        is not assumed: the 2-periodic tail hits them because its blocks
-        repeat."""
+        `_block_ranks` call per strand block, at the weights of its two
+        ends' windows where both ends' module totals are nonzero, into
+        one dense rank column over the two windows, 0 elsewhere.  Each
+        slice column is then its total less the rank columns on its two
+        sides, and its nonzero weights, ascending, are its {s: dim}.
+        A block's rank tables are keyed by its signature and by slice
+        content, never by degree, so periodicity is not assumed: the
+        2-periodic tail hits them because its blocks repeat."""
         build = cochain_complex if direction == "cohomology" else chain_complex
         cx = build(self.f, len(windows))
         terms = cx.verify_entries()
@@ -328,29 +338,37 @@ class Analysis:
         totals = [(lo, _module_totals(dims, [(1, t) for t in m.shifts],
                                       lo, hi))
                   for m, (lo, hi) in zip(cx.modules, spans)]
-        ranks = []          # per differential: {s: rank} where ranked
+        ranks = []          # per differential: (a, rank at s = a..b)
         for k, columns in enumerate(terms):
+            # the weights of an end's window where both ends' totals are
+            # nonzero, read as their nonzero products (totals are >= 0):
+            # a gap between the two windows lies below the upper one's
+            # lowest shift, where its totals are 0
+            a = min(lo for lo, _ in windows[k:k + 2])
+            b = max(hi for _, hi in windows[k:k + 2])
             (near_lo, near), (far_lo, far) = totals[k], totals[k + 1]
-            # the weights in an end's window (a gap may part the two)
-            # where both ends' totals are nonzero
-            todo = sorted({s for lo, hi in windows[k:k + 2]
-                           for s in range(lo, hi + 1)
-                           if near[s - near_lo] and far[s - far_lo]})
-            rank = dict.fromkeys(todo, 0)
-            ranks.append(rank)
+            todo = list(compress(range(a, b + 1), map(
+                mul, near[a - near_lo:b - near_lo + 1],
+                far[a - far_lo:b - far_lo + 1])))
+            rank = [0] * (b - a + 1)
+            ranks.append((a, rank))
             if not todo:
                 continue
             src, tgt = cx.ends(k)
+            summed = [0] * len(todo)
             for block in _strand_blocks(columns, cx.modules[src].shifts,
                                         cx.modules[tgt].shifts):
-                for s, r in zip(todo, self._block_ranks(*block, todo, dims)):
-                    rank[s] += r
+                summed = list(map(add, summed,
+                                  self._block_ranks(*block, todo, dims)))
+            for s, r in compress(zip(todo, summed), summed):
+                rank[s - a] = r
         slices = []
-        for p, ((lo, hi), (start, column)) in enumerate(zip(windows, totals)):
-            below, above = ranks[p - 1] if p else {}, ranks[p]
-            slices.append({s: dim for s in range(lo, hi + 1)
-                           if (dim := column[s - start] - below.get(s, 0)
-                               - above.get(s, 0))})
+        for p, ((lo, hi), (start, total)) in enumerate(zip(windows, totals)):
+            column = total[lo - start:hi - start + 1]
+            for a, rank in ranks[max(p - 1, 0):p + 1]:
+                column = map(sub, column, rank[lo - a:hi - a + 1])
+            column = list(column)
+            slices.append(dict(compress(enumerate(column, lo), column)))
         return slices
 
     def _block_ranks(self, columns, dom: tuple, cod: tuple, todo: list,
@@ -385,7 +403,7 @@ class Analysis:
         table, contents = self._tables.setdefault(
             (columns, tuple(t - base for t in dom),
              tuple(t - base for t in cod)), ({}, {}))
-        ranks = [table.get(s - base) for s in todo]
+        ranks = list(map(table.get, map(sub, todo, repeat(base))))
         new = [s for s, rank in zip(todo, ranks) if rank is None]
         if not new:
             return ranks
@@ -565,7 +583,7 @@ def _classify(an: Analysis, direction: str, windows: list) -> list:
         for s, dim in finite.items():
             if lo <= s <= hi:
                 column[s - lo] += dim
-        expected = {s: val for s, val in enumerate(column, lo) if val}
+        expected = dict(compress(enumerate(column, lo), column))
         classes.append((structure, finite_dim, basis, top_weight, expected))
     return classes
 

@@ -21,15 +21,16 @@ pass MAX_TERM_PAIRS.
 No coefficient of a parsed polynomial has a numerator or denominator
 of more than MAX_COEFFICIENT_DIGITS decimal digits, so every one can be
 printed.  A longer number literal is refused, and so is a power or a
-product whose coefficients may pass the bound, before it is computed,
-and a sum whose result does.  Each is read from bit lengths, the
-height h of a polynomial being ceil(log2) of the larger of L and
-max |c L| over its coefficients c, L their least common denominator: a
-product's coefficients are fractions of integers at most
-2^(h + h' + ceil(log2 of its term pairs)), a sum's at most
-2^(h + h' + 1), and those of a t-term base to the k at most
-2^(k (h + ceil(log2 t))).  A number at most 2^b has at most
-floor(b log10 2) + 1 digits.  The heights are the operands' exact
+product whose coefficients may pass the bound, before it is computed.
+Every numerator and denominator of a polynomial is at most its top,
+the larger of L and max |c L| over its coefficients c, L their least
+common denominator, and a sum is refused once computed when its top
+has more digits than the bound.  Powers and products are read from
+bit lengths, the height h of a polynomial being ceil(log2) of its
+top: a product's coefficients are fractions of integers at most
+2^(h + h' + ceil(log2 of its term pairs)), and those of a t-term base
+to the k at most 2^(k (h + ceil(log2 t))).  A number at most 2^b has
+at most floor(b log10 2) + 1 digits.  The heights are the operands' exact
 ones (`_height`), but the estimates are upper bounds: 3^k is taken for
 2^(2k).  So where an estimate passes the limit for a power of a
 one-term base c z^e, or for a product with a one-term factor, the
@@ -57,6 +58,7 @@ MAX_POWER_TERMS = 1_000
 MAX_TERM_PAIRS = 1_000_000
 # well under the 4,300 digits Python converts between int and str
 MAX_COEFFICIENT_DIGITS = 1_000
+_LIMIT = 10 ** MAX_COEFFICIENT_DIGITS     # the least of 1,001 digits
 
 
 class ParseError(ValueError):
@@ -82,13 +84,18 @@ def _integer(digits: str, pos: int) -> int:
     return int(digits or "0")
 
 
-def _height(p: Polynomial) -> int:
-    """ceil(log2) of the larger of L and max |c L| over the coefficients
-    c of p, L their least common denominator; 0 for p = 0."""
+def _top(p: Polynomial) -> int:
+    """The larger of L and max |c L| over the coefficients c of p, L
+    their least common denominator; 1 for p = 0."""
     cs = p.terms.values()
     den = lcm(*(c.denominator for c in cs))
-    top = max([den, *(abs(c.numerator) * (den // c.denominator) for c in cs)])
-    return (top - 1).bit_length()
+    return max([den, *(abs(c.numerator) * (den // c.denominator)
+                       for c in cs)])
+
+
+def _height(p: Polynomial) -> int:
+    """ceil(log2) of `_top(p)`; 0 for p = 0."""
+    return (_top(p) - 1).bit_length()
 
 
 def _digits(bits: int) -> int:
@@ -200,7 +207,9 @@ class _Parser:
                 self.take()
                 rhs = self.term()
                 result = result + rhs if value == "+" else result - rhs
-                _bound(_digits(_height(result)), "sum", pos)
+                top = _top(result)
+                if top >= _LIMIT:
+                    _bound(len(str(top)), "sum", pos)
             else:
                 return result
 

@@ -515,6 +515,68 @@ def test_table_scan_ranks_each_differential_once_per_weight(monkeypatch,
                        for t in cx.modules[q].shifts), (k, s)
 
 
+@pytest.mark.parametrize("f, p_max, cutoff", [
+    (parse_polynomial("z1^7+z2^11+z3^13"), 12, 0),
+    (parse_polynomial("z1^2+z2^3+z3^5"), 48, None),
+    (catalog_instance("d5-curve").f, 6, None)],
+    ids=["brieskorn-7-11-13-cutoff-0", "e8-surface-p48", "d5-curve"])
+@pytest.mark.parametrize("direction", ["cohomology", "homology"])
+def test_oracle_ranks_exactly_where_both_totals_are_nonzero(
+        monkeypatch, f, p_max, cutoff, direction):
+    # ranking a weight whose slice has an empty end costs time and
+    # changes no report, so the weights each differential k is ranked
+    # at are pinned: those of windows[k] and windows[k + 1] where both
+    # ends' module totals, read from the closed-form dims of A, are
+    # nonzero, in ascending order; a differential with none is not
+    # ranked.  At cutoff 0 the cochain windows of the first f alternate
+    # between weights 0 and 858, so a gap parts the two ends' windows
+    calls = []              # (k, todo) per _block_ranks call
+    current = []            # k of the differential being ranked
+    block_ranks, ends = Analysis._block_ranks, KoszulComplex.ends
+
+    def recorded_ends(self, k):
+        current[:] = [k]
+        return ends(self, k)
+
+    def recorded_block_ranks(self, columns, dom, cod, todo, dims):
+        calls.append((current[0], list(todo)))
+        return block_ranks(self, columns, dom, cod, todo, dims)
+
+    monkeypatch.setattr(KoszulComplex, "ends", recorded_ends)
+    monkeypatch.setattr(Analysis, "_block_ranks", recorded_block_ranks)
+    r = analyze(f, direction=direction, p_max=p_max, cutoff=cutoff)
+    assert r.crosscheck == "agree"
+    windows = [deg.window for deg in r.degrees]
+    build = cochain_complex if direction == "cohomology" else chain_complex
+    cx = build(f, len(windows))
+    terms = cx.verify_entries()
+    cx.assign_weights(r.weights)
+    dims = poincare_dims(r.weights.weights, r.weights.degree,
+                         max(hi for _, hi in windows))
+
+    def total(q, s):
+        return sum(dims[s - t] for t in cx.modules[q].shifts if s >= t)
+
+    expected = {}
+    for k in range(len(windows)):
+        todo = sorted({s for lo, hi in windows[k:k + 2]
+                       for s in range(lo, hi + 1)
+                       if total(k, s) and total(k + 1, s)})
+        if todo and any(terms[k]):
+            expected[k] = todo
+    assert expected
+    for k, todo in calls:
+        assert all(map(int.__lt__, todo, todo[1:])), k
+        assert todo == expected.get(k), k
+    assert {k for k, _ in calls} == set(expected)
+    if cutoff == 0 and direction == "cohomology":
+        assert windows[:2] == [(0, 0), (858, 858)]
+    for deg in r.degrees:
+        for graded in (deg.oracle_graded, deg.expected_graded):
+            assert list(graded) == sorted(graded)
+            assert all(graded.values())
+
+
 # each f reaches a product's normal form through a different part of
 # the offset frontier of `_reduce_maps`: in the first, d_1 f carries the
 # Fraction 3/2 through one reduction step by f; the third has two-term
@@ -660,6 +722,19 @@ def test_batch_above_the_filled_basis_fails_loudly():
     with pytest.raises(LookupError, match=r"\(0, 5\) lies above the "
                        "filled basis"):
         an._reduce_maps(1, 5)
+
+
+def test_batch_guard_names_the_first_product_lead_f_fails():
+    # lead(f) = z1^2*z2, and A is filled through weight 6; at the offset
+    # of z1^2 in d_2 f = z1^2 + 4*z2^3, the first missed product
+    # z1^2*z2 is divisible by lead(f) and steps by f, and the next,
+    # z1^3 at weight 9, is standard past the filled basis: it passes
+    # lead(f) in z1 and fails it in z2
+    an = Analysis(parse_polynomial("z1^2*z2+z2^4"))
+    assert an._step[0] == (2, 1)
+    with pytest.raises(LookupError, match=r"^standard monomial \(3, 0\) "
+                       r"lies above the filled basis of A$"):
+        an._reduce_maps(2, 6)
 
 
 def test_products_that_one_step_leaves_nonstandard_need_no_division(

@@ -231,15 +231,27 @@ def test_product_and_sum_are_refused_past_the_coefficient_bound():
             r"digits, above the limit of 1000$")):
         parse_polynomial("3^1200*3^1200*z1^2")
     # pairwise coprime denominators of 401 digits: the third term makes
-    # the common denominator pass 1000 digits
+    # the common denominator pass 1000 digits, and it has 1200, as
+    # (10^400 + 1) 10^400 (10^400 - 1) = 10^1200 - 10^400
     terms = ["1/%d*z%d" % (10 ** 400 + k, i)
              for i, k in zip((1, 2, 3), (1, 0, -1))]
     assert len(parse_polynomial("+".join(terms[:2])).terms) == 2
     second = len(terms[0]) + 1 + len(terms[1])
     with pytest.raises(ExpansionLimitError, match=(
-            r"^the sum at offset %d may reach a coefficient of 1201 digits, "
+            r"^the sum at offset %d may reach a coefficient of 1200 digits, "
             r"above the limit of 1000$" % second)):
         parse_polynomial("+".join(terms))
+    # a sum is bounded by the digits of its result, not by its bits: a
+    # coefficient of 1000 digits passes, and one of 1001 is refused
+    nines = "9" * 1000
+    assert parse_polynomial(nines + "*z1+z2").terms == \
+        {(1, 0): int(nines), (0, 1): 1}
+    assert parse_polynomial("z2-" + nines + "*z1").terms == \
+        {(1, 0): -int(nines), (0, 1): 1}
+    with pytest.raises(ExpansionLimitError, match=(
+            r"^the sum at offset 1003 may reach a coefficient of 1001 "
+            r"digits, above the limit of 1000$")):
+        parse_polynomial(nines + "*z1+" + nines + "*z1")
 
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
