@@ -73,6 +73,16 @@ GROEBNER = (
     ["--gens=z1^2+z2^2*z3+z3^5", "--jacobian", "--format", "table"],
 )
 
+# long-tail graded reports: at p 12 most differentials are translates of
+# earlier ones, so the oracle ranks a few and reuses their rank columns
+# for the rest; mode graded has no crosscheck, so these pins alone guard
+# that reuse there
+TAILS = (
+    "z1^2+z2^3+z3^5",
+    "1/2*z1^3+z2^5",
+    "z1^4+z2^4+z3^4+z1*z2*z3^2",
+)
+
 MILNOR = (
     "z1^3*z2+z2^3*z3+z3^3*z1",
     "z1^2*z2",
@@ -83,14 +93,22 @@ MILNOR = (
 
 
 def cases() -> list:
-    """Every polynomial both ways in each mode, p <= 6, then the
-    `groebner`, `milnor` and `bar-oracle` cases.  Polynomials are passed as
+    """Every polynomial both ways in each mode, p <= 6, then the long
+    tails both ways in mode graded, p <= 12, at the default weight
+    cutoff, 0 and 1, then the `groebner`, `milnor` and `bar-oracle`
+    cases.  Polynomials are passed as
     --poly=... or --gens=..., so a leading minus is not read as an
     option."""
     return ([[direction, "--poly=" + f, "--max-degree", "6", "--mode", mode]
              for f in POLYNOMIALS
              for direction in ("cohomology", "homology")
              for mode in ("structural", "graded", "both")]
+            + [[direction, "--poly=" + f, "--max-degree", "12", "--mode",
+                "graded"] + cutoff
+               for f in TAILS
+               for direction in ("cohomology", "homology")
+               for cutoff in ([], ["--weight-cutoff", "0"],
+                              ["--weight-cutoff", "1"])]
             + [["groebner"] + args for args in GROEBNER]
             + [["milnor", "--poly=" + f] for f in MILNOR]
             + [["bar-oracle", "--k", str(k), "--max-degree", "3",
