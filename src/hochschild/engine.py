@@ -28,11 +28,11 @@ Two independent routes to the same numbers:
   for an integer k (`verify_entries` checks their shape, and d^2 = 0 on
   them).  One call scans every degree's window, its totals, ranks and
   slices held as dense columns over the window's weights and combined
-  in whole-list passes; each differential is ranked once, where both
-  ends' totals are nonzero, one strand block (a connected piece of the
-  graph joining domain to codomain components, read from its entries)
-  over all its weights per `Analysis._block_ranks` call; a slice's
-  rank is the sum of its blocks' ranks.  Block slices are assembled
+  in whole-list passes; each distinct differential is ranked once,
+  where both ends' totals are nonzero, one strand block (a connected
+  piece of the graph joining domain to codomain components, read from
+  its entries) over all its weights per `Analysis._block_ranks` call;
+  a slice's rank is the sum of its blocks' ranks.  Block slices are assembled
   sparse from the multiplication maps M_i(u), d_i f times A_u into
   A_(u + d - w_i), which `Analysis._reduce_maps` reduces to positions
   in the bases of A before any block is ranked, every u a report reads
@@ -43,16 +43,24 @@ Two independent routes to the same numbers:
   lowers an offset in lex order, so taking the lex-highest offset
   first finds every product complete, each reduced once.
 
-  Block ranks are cached by the block's signature, its column terms
-  scaled by each column's first k and its shifts relative to the first
-  domain shift `base`, so a block that recurs, in another differential
-  or in the 2-periodic tail, shares its tables: one by relative weight
-  s - base, and one by slice content, one map id per (domain component
-  at shift t, term of partial i), the id of M_i(s - t), maps of equal
-  content sharing one id.  The content key is complete: the signature
-  fixes each component's (row, i, k) terms and a map holds one image
-  per domain monomial, so two slices with one key are one matrix up to
-  an injective renumbering of rows, and have one rank.
+  Ranks are cached by what they read.  The rank of a differential at s
+  reads dims and maps at s - t only, t a shift, so `oracle_dim` keys
+  each differential by its column terms, each column scaled by its
+  first k, its domain and codomain shifts less a and its width b - a,
+  for a..b the weights of its two ends' windows: a differential whose
+  key recurs, as the 2-periodic tail's do (translated by d in
+  homology), takes the first one's whole rank column, and a module
+  whose shifts and span recur relative to the span's low edge takes
+  the first one's totals column.  Periodicity is not assumed; the tail
+  hits because its keys repeat.  Below that, each strand block's
+  signature, its terms and its shifts relative to its first domain
+  shift, keys one table of ranks by slice content, one map id per
+  (domain component at shift t, term of partial i), the id of
+  M_i(s - t), maps of equal content sharing one id.  The content key
+  is complete: the signature fixes each component's (row, i, k) terms
+  and a map holds one image per domain monomial, so two slices with
+  one key are one matrix up to an injective renumbering of rows, and
+  have one rank.
 
 `_classify` returns one prediction per degree and `oracle_dim` one
 {s: dim} per degree.  When both run, `analyze` compares the two lists:
@@ -65,6 +73,7 @@ The report types (`Report`, `DegreeReport`, `KernelDescription`,
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations, compress, repeat
 from operator import add, lt, mul, sub
@@ -80,7 +89,7 @@ from .grading import (
 from .ideals import INFINITE, buchberger
 from .koszul import chain_complex, cochain_complex, lowest_shift
 from .linalg import rank_sparse
-from .poly import Polynomial, exact_quotient, int_or_fraction, monomial_str
+from .poly import Polynomial, exact_quotient, int_or_fraction, monomial_strs
 from .series import poincare_dims
 
 
@@ -167,7 +176,7 @@ class Analysis:
         self.milnor = INFINITE if std is None else len(std)
         self.milnor_basis = std
         # graded-oracle caches (see _block_ranks and _reduce_maps)
-        self._tables: dict = {}   # signature -> (by s - base, by content)
+        self._tables: dict = {}   # block signature -> {content: rank}
         self._maps = [[] for _ in range(self.n)]   # per partial: u -> id
         self._ids = {(): 0}       # map content -> id; 0 for an empty domain
         self._interned = [()]     # id -> map content
@@ -292,15 +301,19 @@ class Analysis:
         its degree's lowest shift, and A filled through the highest weight
         `top` a slice reads.  Three passes follow.  Every multiplication
         map a slice reads is reduced, one `_reduce_maps` call per
-        nonzero partial.  Each differential is ranked once, one
+        nonzero partial.  Each distinct differential is ranked once, one
         `_block_ranks` call per strand block, at the weights of its two
         ends' windows where both ends' module totals are nonzero, into
         one dense rank column over the two windows, 0 elsewhere.  Each
         slice column is then its total less the rank columns on its two
         sides, and its nonzero weights, ascending, are its {s: dim}.
-        A block's rank tables are keyed by its signature and by slice
-        content, never by degree, so periodicity is not assumed: the
-        2-periodic tail hits them because its blocks repeat."""
+        Nothing is keyed by degree.  A module's totals column is shared
+        by every module of equal shifts and span relative to the span's
+        low edge, and a differential's rank column by every differential
+        of equal scaled columns, shifts relative to a and width b - a:
+        the rank at s reads dims and maps at s - t only.  The 2-periodic
+        tail hits both because its modules and differentials repeat, so
+        its differentials are ranked once per report each."""
         build = cochain_complex if direction == "cohomology" else chain_complex
         cx = build(self.f, len(windows))
         terms = cx.verify_entries()
@@ -335,29 +348,50 @@ class Analysis:
         for i, (g, w) in enumerate(zip(self.grad, self.ws.weights), 1):
             if not g.is_zero():
                 self._reduce_maps(i, top - (d - w))
-        totals = [(lo, _module_totals(dims, [(1, t) for t in m.shifts],
-                                      lo, hi))
-                  for m, (lo, hi) in zip(cx.modules, spans)]
+        # a total at s reads dims at s - t only, so it is a function of
+        # s - lo, and a module whose shifts and span recur relative to
+        # the span's low edge lo shares one totals column
+        modules: dict = {}  # (shifts - lo, hi - lo) -> totals over lo..hi
+        totals = []
+        for m, (lo, hi) in zip(cx.modules, spans):
+            key = (tuple(t - lo for t in m.shifts), hi - lo)
+            if key not in modules:
+                modules[key] = _module_totals(
+                    dims, [(1, t) for t in m.shifts], lo, hi)
+            totals.append((lo, modules[key]))
+        differentials: dict = {}    # relative differential -> rank column
         ranks = []          # per differential: (a, rank at s = a..b)
         for k, columns in enumerate(terms):
+            a = min(lo for lo, _ in windows[k:k + 2])
+            b = max(hi for _, hi in windows[k:k + 2])
+            src, tgt = cx.ends(k)
+            dom, cod = cx.modules[src].shifts, cx.modules[tgt].shifts
+            # dividing a column by its first k scales it and leaves every
+            # rank unchanged; the rank at s reads dims and maps at s - t
+            # only, so a differential whose scaled columns, shifts less a
+            # and width b - a recur has the rank column of the first
+            columns = tuple(tuple((r, i, exact_quotient(c, col[0][2]))
+                                  for r, i, c in col) for col in columns)
+            key = (columns, tuple(t - a for t in dom),
+                   tuple(t - a for t in cod), b - a)
+            rank = differentials.get(key)
+            if rank is not None:
+                ranks.append((a, rank))
+                continue
+            rank = differentials[key] = [0] * (b - a + 1)
+            ranks.append((a, rank))
             # the weights of an end's window where both ends' totals are
             # nonzero, read as their nonzero products (totals are >= 0):
             # a gap between the two windows lies below the upper one's
             # lowest shift, where its totals are 0
-            a = min(lo for lo, _ in windows[k:k + 2])
-            b = max(hi for _, hi in windows[k:k + 2])
             (near_lo, near), (far_lo, far) = totals[k], totals[k + 1]
             todo = list(compress(range(a, b + 1), map(
                 mul, near[a - near_lo:b - near_lo + 1],
                 far[a - far_lo:b - far_lo + 1])))
-            rank = [0] * (b - a + 1)
-            ranks.append((a, rank))
             if not todo:
                 continue
-            src, tgt = cx.ends(k)
             summed = [0] * len(todo)
-            for block in _strand_blocks(columns, cx.modules[src].shifts,
-                                        cx.modules[tgt].shifts):
+            for block in _strand_blocks(columns, dom, cod):
                 summed = list(map(add, summed,
                                   self._block_ranks(*block, todo, dims)))
             for s, r in compress(zip(todo, summed), summed):
@@ -375,44 +409,34 @@ class Analysis:
                      dims: list) -> list:
         """The rank of a strand block's slice at each weight s of `todo`:
         `columns` holds the block's (row, i, k) terms per domain
-        component, rows numbered within the block, and `dom` and `cod`
-        its domain and codomain component shifts.  Each column's terms
-        are divided by its first k, which scales the column and leaves
-        every slice rank unchanged.  The signature is those terms plus
-        the shifts relative to the first domain shift `base`; the slice
-        at weight s is then a function of the signature and s - base, so
-        blocks of equal signature share two rank tables in
-        `self._tables`: one by s - base, and one by slice content.
+        component, each column divided by its first k and rows numbered
+        within the block, and `dom` and `cod` its domain and codomain
+        component shifts.  The signature is those terms plus the shifts
+        relative to the first domain shift; blocks of equal signature
+        share one table in `self._tables`, of ranks by slice content.
 
-        The weights the first table misses are ranked together, from
-        maps `oracle_dim` has reduced; this method reduces none.  A
-        slice's content key holds the id of M_i(s - t) per domain
-        component at shift t and (row, i, k) term, in column order, 0
-        (the empty map) where s < t: one id column per (component,
-        term), zipped.  A known key gives the rank; a new key's slice is
-        assembled sparse from the interned maps, one column per domain
-        monomial, ranked and stored.  Rows are numbered by codomain
-        component, the one at shift t taking dims[s - t] rows from its
-        offset: a row is that offset plus an image position.  A slice
-        with an empty domain reads only empty maps and has no columns,
-        so it is rank 0 with no elimination."""
+        Slices are ranked from maps `oracle_dim` has reduced; this
+        method reduces none.  A slice's content key holds the id of
+        M_i(s - t) per domain component at shift t and (row, i, k) term,
+        in column order, 0 (the empty map) where s < t: one id column
+        per (component, term), zipped.  A known key gives the rank; a
+        new key's slice is assembled sparse from the interned maps, one
+        column per domain monomial, ranked and stored.  Rows are numbered
+        by codomain component, the one at shift t taking dims[s - t] rows
+        from its offset: a row is that offset plus an image position.  A
+        slice with an empty domain reads only empty maps and has no
+        columns, so it is rank 0 with no elimination."""
         base = dom[0]
-        columns = tuple(tuple((r, i, exact_quotient(k, col[0][2]))
-                              for r, i, k in col)
-                        for col in columns)
-        table, contents = self._tables.setdefault(
+        contents = self._tables.setdefault(
             (columns, tuple(t - base for t in dom),
-             tuple(t - base for t in cod)), ({}, {}))
-        ranks = list(map(table.get, map(sub, todo, repeat(base))))
-        new = [s for s, rank in zip(todo, ranks) if rank is None]
-        if not new:
-            return ranks
+             tuple(t - base for t in cod)), {})
         maps = self._maps
-        keys = zip(*[[maps[i - 1][s - t] if s >= t else 0 for s in new]
+        keys = zip(*[[maps[i - 1][s - t] if s >= t else 0 for s in todo]
                      for t, terms in zip(dom, columns)
                      for _, i, _ in terms])
         interned = self._interned
-        for s, key in zip(new, keys):
+        ranks = []
+        for s, key in zip(todo, keys):
             rank = contents.get(key)
             if rank is None:
                 offsets = list(accumulate(
@@ -429,9 +453,8 @@ class Analysis:
                         if col:
                             cols.append(col)
                 rank = contents[key] = rank_sparse(cols) if cols else 0
-            table[s - base] = rank
-        return [table[s - base] if rank is None else rank
-                for s, rank in zip(todo, ranks)]
+            ranks.append(rank)
+        return ranks
 
 
 def _strand_blocks(columns, dom, cod) -> list:
@@ -489,6 +512,15 @@ def _module_totals(dims: list, terms, lo: int, hi: int) -> list:
 
 
 # ---- classifier -------------------------------------------------------
+
+
+def _graded(weights, monomials) -> Counter:
+    """{t: number of monomials of weight t}, keys in order of first
+    occurrence, the weights summed one exponent column at a time."""
+    degrees = repeat(0, len(monomials))
+    for w, column in zip(weights, zip(*monomials)):
+        degrees = map(add, degrees, map(mul, column, repeat(w)))
+    return Counter(degrees)
 
 
 def _degree(an: Analysis, route: Route, direction: str, p: int) -> tuple:
@@ -567,12 +599,9 @@ def _classify(an: Analysis, direction: str, windows: list) -> list:
             if source not in parts:
                 monomials = (an.milnor_basis if source == "milnor"
                              else route.basis)
-                graded: dict = {}
-                for m in monomials:
-                    t = sum(map(mul, an.ws.weights, m))
-                    graded[t] = graded.get(t, 0) + 1
-                parts[source] = (len(monomials), graded,
-                                 tuple(map(monomial_str, monomials)))
+                parts[source] = (len(monomials),
+                                 _graded(an.ws.weights, monomials),
+                                 monomial_strs(monomials))
             finite_dim, graded, basis = parts[source]
             finite = {t + shift: dim for t, dim in graded.items()}
             top_weight = max(finite, default=None)

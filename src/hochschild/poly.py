@@ -67,14 +67,31 @@ def monomial_div(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _default_names(n: int) -> Sequence[str]:
+    return _NAMES if n <= len(_NAMES) else ["z%d" % (i + 1) for i in range(n)]
+
+
 def monomial_str(exps: Exponents, names: Sequence[str] | None = None) -> str:
     """The monomial z^exps in the syntax the expression parser accepts,
     e.g. "z1^2*z3" for (2, 0, 1), and "1" for the constant monomial."""
     if names is None:
-        names = _NAMES if len(exps) <= len(_NAMES) else \
-            ["z%d" % (i + 1) for i in range(len(exps))]
+        names = _default_names(len(exps))
     return "*".join(name if e == 1 else "%s^%d" % (name, e)
                     for name, e in zip(names, exps) if e) or "1"
+
+
+def monomial_strs(monomials: Sequence[Exponents]) -> tuple:
+    """`monomial_str` of each monomial, n alike, in one pass per
+    variable: each variable's column of exponents indexes its table of
+    power names ("", "z1*", "z1^2*", ...), the names are joined per
+    monomial and the trailing "*" is cut, "" becoming "1"."""
+    columns = list(zip(*monomials))
+    tables = [["", name + "*"]
+              + ["%s^%d*" % (name, e) for e in range(2, max(column) + 1)]
+              for name, column in zip(_default_names(len(columns)), columns)]
+    labels = map("".join, zip(*[map(table.__getitem__, column)
+                                for table, column in zip(tables, columns)]))
+    return tuple(label[:-1] or "1" for label in labels)
 
 
 class Polynomial:
