@@ -98,12 +98,3 @@ def bar_homology_dims(k: int, p_max: int) -> list:
     _guard(k, p_max)
     return _dims(k, [linalg.rank_sparse(_chain_columns(k, p + 1))
                      for p in range(p_max + 1)])
-
-
-def truncated_closed_form(k: int, p: int) -> int:
-    """dim HH^p(C[z]/<z^k>) = dim HH_p(C[z]/<z^k>): k in degree 0, k-1
-    in every higher degree (and 0 throughout for the smooth case k = 1
-    beyond degree 0)."""
-    if p == 0:
-        return k
-    return k - 1

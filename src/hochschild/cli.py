@@ -4,7 +4,9 @@ Commands: cohomology, homology, groebner, milnor, weights, bar-oracle,
 catalog, verify-invariants.  Output is deterministic JSON on stdout (or
 a plain table with --format table); diagnostics go to stderr.  Exit
 codes: 0 success, 1 computational precondition failure or crosscheck
-disagreement, 2 usage errors.  `bar` and `catalog` are imported by the
+disagreement, 2 usage errors.  `main` maps the refusals every command
+shares to their exit codes in one table: a ParseError exits 2, each
+class of `_REFUSALS` exits 1.  `bar` and `catalog` are imported by the
 commands that read them, so a `--poly` report loads neither.
 """
 
@@ -46,6 +48,14 @@ class CliError(Exception):
         self.code = code
 
 
+# Refusals that `main` maps to exit 1 for every command.  Two stay with
+# their handler as CliError: `hh milnor` refuses a constant f by a plain
+# ValueError, which caught here would hide bugs, and `bar` is imported
+# only by `hh bar-oracle`, so its ResourceLimitError cannot be named here.
+_REFUSALS = (engine.PreconditionError, NotWeightedHomogeneousError,
+             WalkLimitError, CoefficientLimitError, ExpansionLimitError)
+
+
 def _resolve_poly(args) -> Polynomial:
     if getattr(args, "catalog", None):
         from . import catalog
@@ -54,12 +64,7 @@ def _resolve_poly(args) -> Polynomial:
         except ValueError as exc:
             raise CliError(str(exc), 2)
     if getattr(args, "poly", None):
-        try:
-            return parse_polynomial(args.poly)
-        except ParseError as exc:
-            raise CliError("parse error: %s" % exc, 2)
-        except ExpansionLimitError as exc:
-            raise CliError(str(exc), 1)
+        return parse_polynomial(args.poly)
     raise CliError("one of --poly or --catalog is required", 2)
 
 
@@ -225,14 +230,8 @@ def _emit(args, payload, table):
 
 def _run_homology_command(args, direction: str) -> int:
     f = _resolve_poly(args)
-    try:
-        report = engine.analyze(f, direction=direction,
-                                p_max=args.max_degree,
-                                cutoff=args.weight_cutoff,
-                                mode=args.mode)
-    except (engine.PreconditionError, NotWeightedHomogeneousError,
-            WalkLimitError, CoefficientLimitError) as exc:
-        raise CliError(str(exc), 1)
+    report = engine.analyze(f, direction=direction, p_max=args.max_degree,
+                            cutoff=args.weight_cutoff, mode=args.mode)
     if args.format == "table":
         print(_report_table(report))
     else:
@@ -249,13 +248,8 @@ def _run_homology_command(args, direction: str) -> int:
 
 
 def _run_groebner(args) -> int:
-    try:
-        gens = parse_polynomials([s.strip() for s in args.gens.split(";")
-                                  if s.strip()])
-    except ParseError as exc:
-        raise CliError("parse error: %s" % exc, 2)
-    except ExpansionLimitError as exc:
-        raise CliError(str(exc), 1)
+    gens = parse_polynomials([s.strip() for s in args.gens.split(";")
+                              if s.strip()])
     if not gens:
         raise CliError("no generators given", 2)
     if args.jacobian:
@@ -264,10 +258,7 @@ def _run_groebner(args) -> int:
             extended.append(g)
             extended.extend(d for d in g.gradient() if not d.is_zero())
         gens = extended
-    try:
-        basis = [g.to_str() for g in buchberger(gens)]
-    except CoefficientLimitError as exc:
-        raise CliError(str(exc), 1)
+    basis = [g.to_str() for g in buchberger(gens)]
     payload = {"generators": [g.to_str() for g in gens], "basis": basis}
     _emit(args, payload, lambda: "\n".join(basis))
     return 0
@@ -293,10 +284,7 @@ def _run_milnor(args) -> int:
 
 def _run_weights(args) -> int:
     f = _resolve_poly(args)
-    try:
-        ws = detect_weights(f)
-    except NotWeightedHomogeneousError as exc:
-        raise CliError(str(exc), 1)
+    ws = detect_weights(f)
     payload = {"f": f.to_str(), "weights": list(ws.weights),
                "degree": ws.degree, "underdetermined": ws.underdetermined}
     _emit(args, payload,
@@ -463,6 +451,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
+    except ParseError as exc:
+        print("error: parse error: %s" % exc, file=sys.stderr)
+        return 2
+    except _REFUSALS as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     finally:
         if enabled:
             gc.enable()

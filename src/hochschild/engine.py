@@ -46,15 +46,17 @@ Two independent routes to the same numbers:
   Ranks are cached by what they read.  The rank of a differential at s
   reads dims and maps at s - t only, t a shift, so `oracle_dim` keys
   each differential by its column terms, each column scaled by its
-  first k, its domain and codomain shifts less a and its width b - a,
-  for a..b the weights of its two ends' windows: a differential whose
-  key recurs, as the 2-periodic tail's do (translated by d in
-  homology), takes the first one's whole rank column, and a module
+  first k, its domain shifts less a and its width b - a, for a..b the
+  weights of its two ends' windows (a term of d_i f joins domain shift
+  t to codomain shift t - (d - w_i), so the terms and domain shifts fix
+  every codomain shift a rank reads): a differential whose key
+  recurs, as the 2-periodic tail's do (translated by d in homology),
+  takes the first one's whole rank column, and a module
   whose shifts and span recur relative to the span's low edge takes
   the first one's totals column.  Periodicity is not assumed; the tail
   hits because its keys repeat.  Below that, each strand block's
-  signature, its terms and its shifts relative to its first domain
-  shift, keys one table of ranks by slice content, one map id per
+  signature, its terms and its domain shifts relative to the first,
+  keys one table of ranks by slice content, one map id per
   (domain component at shift t, term of partial i), the id of
   M_i(s - t), maps of equal content sharing one id.  The content key
   is complete: the signature fixes each component's (row, i, k) terms
@@ -310,10 +312,12 @@ class Analysis:
         Nothing is keyed by degree.  A module's totals column is shared
         by every module of equal shifts and span relative to the span's
         low edge, and a differential's rank column by every differential
-        of equal scaled columns, shifts relative to a and width b - a:
-        the rank at s reads dims and maps at s - t only.  The 2-periodic
-        tail hits both because its modules and differentials repeat, so
-        its differentials are ranked once per report each."""
+        of equal scaled columns, domain shifts relative to a and width
+        b - a: the rank at s reads dims and maps at s - t only, and each
+        term's codomain shift is its domain shift less d - w_i, as
+        `assign_weights` checks.  The 2-periodic tail hits both because
+        its modules and differentials repeat, so its differentials are
+        ranked once per report each."""
         build = cochain_complex if direction == "cohomology" else chain_complex
         cx = build(self.f, len(windows))
         terms = cx.verify_entries()
@@ -368,12 +372,11 @@ class Analysis:
             dom, cod = cx.modules[src].shifts, cx.modules[tgt].shifts
             # dividing a column by its first k scales it and leaves every
             # rank unchanged; the rank at s reads dims and maps at s - t
-            # only, so a differential whose scaled columns, shifts less a
-            # and width b - a recur has the rank column of the first
+            # only, so a differential whose scaled columns, domain shifts
+            # less a and width b - a recur has the rank column of the first
             columns = tuple(tuple((r, i, exact_quotient(c, col[0][2]))
                                   for r, i, c in col) for col in columns)
-            key = (columns, tuple(t - a for t in dom),
-                   tuple(t - a for t in cod), b - a)
+            key = (columns, tuple(t - a for t in dom), b - a)
             rank = differentials.get(key)
             if rank is not None:
                 ranks.append((a, rank))
@@ -411,9 +414,10 @@ class Analysis:
         `columns` holds the block's (row, i, k) terms per domain
         component, each column divided by its first k and rows numbered
         within the block, and `dom` and `cod` its domain and codomain
-        component shifts.  The signature is those terms plus the shifts
-        relative to the first domain shift; blocks of equal signature
-        share one table in `self._tables`, of ranks by slice content.
+        component shifts.  The signature is those terms plus the domain
+        shifts relative to the first, which fix `cod` (see `oracle_dim`);
+        blocks of equal signature share one table in `self._tables`, of
+        ranks by slice content.
 
         Slices are ranked from maps `oracle_dim` has reduced; this
         method reduces none.  A slice's content key holds the id of
@@ -428,8 +432,7 @@ class Analysis:
         columns, so it is rank 0 with no elimination."""
         base = dom[0]
         contents = self._tables.setdefault(
-            (columns, tuple(t - base for t in dom),
-             tuple(t - base for t in cod)), {})
+            (columns, tuple(t - base for t in dom)), {})
         maps = self._maps
         keys = zip(*[[maps[i - 1][s - t] if s >= t else 0 for s in todo]
                      for t, terms in zip(dom, columns)

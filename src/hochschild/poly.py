@@ -13,7 +13,7 @@ comparison of exponent tuples: leading terms and sorts use it directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 Exponents = tuple  # tuple[int, ...]
 _NAMES = tuple("z%d" % i for i in range(1, 10))   # default variable names
@@ -130,14 +130,6 @@ class Polynomial:
     def monomial(n: int, exps: Sequence[int], coeff=1) -> "Polynomial":
         return Polynomial(n, {tuple(exps): _coefficient(coeff)})
 
-    @staticmethod
-    def from_terms(n: int, terms: Iterable[tuple]) -> "Polynomial":
-        acc: dict = {}
-        for coeff, exps in terms:
-            exps = tuple(exps)
-            acc[exps] = acc.get(exps, 0) + _coefficient(coeff)
-        return Polynomial(n, acc)
-
     # predicates and accessors
 
     def is_zero(self) -> bool:
@@ -145,11 +137,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
 
     def leading_term(self) -> Term:
         """The lex-largest term."""

@@ -14,6 +14,30 @@ from hochschild.poly import (
 )
 
 
+def polynomial_from_terms(n: int, terms) -> Polynomial:
+    """The polynomial in n variables with the sum of the coefficients
+    listed for each exponent tuple, from (coefficient, exponents) pairs."""
+    acc: dict = {}
+    for coeff, exps in terms:
+        exps = tuple(exps)
+        acc[exps] = acc.get(exps, 0) + coeff
+    return Polynomial(n, acc)
+
+
+def total_degree(p: Polynomial) -> int:
+    """The largest total degree among the terms of the nonzero p."""
+    return max(map(sum, p.terms))
+
+
+def truncated_closed_form(k: int, p: int) -> int:
+    """dim HH^p(C[z]/<z^k>) = dim HH_p(C[z]/<z^k>): k in degree 0, k-1
+    in every higher degree (and 0 throughout for the smooth case k = 1
+    beyond degree 0)."""
+    if p == 0:
+        return k
+    return k - 1
+
+
 def monomial_lcm(a, b) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 

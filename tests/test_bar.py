@@ -8,8 +8,8 @@ from hochschild.bar import (
     _cochain_columns,
     bar_cohomology_dims,
     bar_homology_dims,
-    truncated_closed_form,
 )
+from reference import truncated_closed_form
 
 
 def _composite(outer, inner, outer_keys):

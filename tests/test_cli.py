@@ -304,10 +304,17 @@ def test_verify_invariants_all(capsys):
     assert all(r["relation_holds"] for r in results)
 
 
-def test_parse_error_is_usage_error(capsys):
-    code, out, err = run(capsys, "milnor", "--poly", "2z1")
-    assert code == 2
-    assert out == "" and "parse error" in err
+@pytest.mark.parametrize("argv, message", [
+    (("milnor", "--poly", "2z1"),
+     "implicit multiplication is not allowed (at offset 1)"),
+    *[((command, "--poly", "z1^"), "exponent must be a natural number "
+       "(at offset 3)")
+      for command in ("cohomology", "homology", "milnor", "weights")],
+    (("groebner", "--gens", "z1^2; z1^"), "exponent must be a natural "
+     "number (at offset 3)"),
+])
+def test_parse_error_is_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", "error: parse error: %s\n" % message)
 
 
 def test_precondition_error_exit_code(capsys):
@@ -338,6 +345,88 @@ def test_non_isolated_cohomology_exit_code(capsys, mode):
     else:
         assert (code, err) == (0, "")
         assert "notes" not in payload
+
+
+# Each command's computation, by the name `cli` reaches it through: the
+# refusal table in `main` must give every one the same exit code
+_COMPUTATIONS = [
+    (("cohomology", "--poly", "z1^3+z2^2"), "hochschild.engine.analyze"),
+    (("homology", "--poly", "z1^3+z2^2"), "hochschild.engine.analyze"),
+    (("groebner", "--gens", "z1^2"), "hochschild.cli.buchberger"),
+    (("milnor", "--poly", "z1^3"), "hochschild.cli.milnor_number"),
+    (("weights", "--poly", "z1^3"), "hochschild.cli.detect_weights"),
+    (("weights", "--poly", "z1^3"), "hochschild.cli.parse_polynomial"),
+    (("groebner", "--gens", "z1^2"), "hochschild.cli.parse_polynomials"),
+]
+
+
+def _raiser(exc):
+    def raise_(*args, **kwargs):
+        raise exc
+    return raise_
+
+
+@pytest.mark.parametrize("refusal", cli._REFUSALS,
+                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("argv, target", _COMPUTATIONS,
+                         ids=lambda v: v if type(v) is str else v[0])
+def test_every_refusal_exits_1_with_one_line(capsys, monkeypatch, argv,
+                                             target, refusal):
+    monkeypatch.setattr(target, _raiser(refusal("refused here")))
+    assert run(capsys, *argv) == (1, "", "error: refused here\n")
+
+
+@pytest.mark.parametrize("argv, target", _COMPUTATIONS,
+                         ids=lambda v: v if type(v) is str else v[0])
+def test_a_bug_in_a_handler_is_not_a_refusal(monkeypatch, argv, target):
+    # the table names its classes: an AssertionError, such as a failed
+    # internal check, still escapes `main` with its traceback
+    monkeypatch.setattr(target, _raiser(AssertionError("a bug")))
+    with pytest.raises(AssertionError, match="a bug"):
+        main(list(argv))
+
+
+@st.composite
+def poly_texts(draw):
+    """Short polynomial texts: up to 3 terms in z1..z3, exponents up to
+    6, some with a stray token put in anywhere, so that parse errors
+    and refusals come up as well as reports."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = draw(st.sampled_from(["", "2*", "-", "1/2*", "7"]))
+        powers = draw(st.lists(st.tuples(st.integers(1, 3),
+                                         st.integers(0, 6)),
+                               min_size=1, max_size=3))
+        terms.append(coeff + "*".join("z%d^%d" % vp for vp in powers))
+    text = "+".join(terms)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        token = draw(st.sampled_from(
+            ["+", "-", "*", "^", "(", ")", "/", "0", "z4", "x", " ", "^-1"]))
+        text = text[:at] + token + text[at:]
+    return text
+
+
+_STRUCTURAL = ("cohomology", "--mode", "structural", "--max-degree", "2")
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_texts(), st.sampled_from([("weights",), _STRUCTURAL]))
+@example("z1^2*z2", _STRUCTURAL)
+@example("z1^", ("weights",))
+@example("5", ("weights",))
+def test_every_text_exits_0_1_or_2_without_a_traceback(text, command):
+    # a traceback would escape `main` and fail the test; a refusal or a
+    # parse error is one line on stderr and nothing on stdout
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*command, "--poly=" + text])
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == ""
+        lines = err.getvalue().split("\n")
+        assert len(lines) == 2 and lines[0].startswith("error: ") \
+            and lines[1] == "", err.getvalue()
 
 
 def test_missing_poly_is_usage_error(capsys):
@@ -732,7 +821,7 @@ def _raise(*args, **kwargs):
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("argv, exit_", [
     (("weights", "--poly", "z1^2+z2^3"), 0),
-    (("cohomology", "--poly", "z1^2 + z1^3"), 1),        # CliError
+    (("cohomology", "--poly", "z1^2 + z1^3"), 1),        # a refusal
     # argparse's, before the handler runs
     (("cohomology", "--poly", "z1^2", "--max-degree", "-1"), SystemExit),
     # `analyze` is made to raise it, and it escapes `main`
