@@ -56,13 +56,19 @@ _REFUSALS = (engine.PreconditionError, NotWeightedHomogeneousError,
              WalkLimitError, CoefficientLimitError, ExpansionLimitError)
 
 
+def _catalog_entry(name: str):
+    """The catalog entry called `name`; a name the catalog refuses
+    exits 2."""
+    from . import catalog
+    try:
+        return catalog.catalog_instance(name)
+    except ValueError as exc:
+        raise CliError(str(exc), 2)
+
+
 def _resolve_poly(args) -> Polynomial:
     if getattr(args, "catalog", None):
-        from . import catalog
-        try:
-            return catalog.catalog_instance(args.catalog).f
-        except ValueError as exc:
-            raise CliError(str(exc), 2)
+        return _catalog_entry(args.catalog).f
     if getattr(args, "poly", None):
         return parse_polynomial(args.poly)
     raise CliError("one of --poly or --catalog is required", 2)
@@ -113,26 +119,15 @@ def _json(obj, pad: str = "") -> str:
                         % t.__name__)
     if not obj:
         return "[]"
-    return "[\n%s\n%s]" % (",\n".join([inner + text
-                                         for text in _items(obj, inner)]),
-                           pad)
+    return "[\n%s\n%s]" % (",\n".join([inner + _json(v, inner)
+                                         for v in obj]), pad)
 
 
 def _members(obj: dict, pad: str) -> str:
     """The members of the nonempty dict `obj` as `_json` writes them
     inside its braces, each on a line of its own at indent `pad`."""
-    return ",\n".join([pad + _escape(k) + ": " + text
-                       for k, text in zip(obj, _items(obj.values(), pad))])
-
-
-def _items(values, pad: str) -> list:
-    """The JSON text of each of `values` at indent `pad`: scalars are
-    written here, containers by `_json`."""
-    out = []
-    for v in values:
-        scalar = _SCALARS.get(type(v))
-        out.append(scalar(v) if scalar else _json(v, pad))
-    return out
+    return ",\n".join([pad + _escape(k) + ": " + _json(v, pad)
+                       for k, v in obj.items()])
 
 
 # One degree of a report, as `json.dumps(payload, indent=2)` writes it
@@ -313,10 +308,7 @@ def _run_bar_oracle(args) -> int:
 def _run_catalog(args) -> int:
     from . import catalog
     if args.name:
-        try:
-            entry = catalog.catalog_instance(args.name)
-        except ValueError as exc:
-            raise CliError(str(exc), 2)
+        entry = _catalog_entry(args.name)
         payload = {"name": entry.name, "family": entry.family,
                    "variant": entry.variant, "k": entry.k,
                    "f": entry.f.to_str(),
@@ -341,10 +333,7 @@ def _run_verify_invariants(args) -> int:
     results = []
     ok = True
     for name in names:
-        try:
-            entry = catalog.catalog_instance(name)
-        except ValueError as exc:
-            raise CliError(str(exc), 2)
+        entry = _catalog_entry(name)
         if entry.invariants is None:
             raise CliError("%s has no invariant data" % name, 2)
         holds = catalog.verify_invariant_relation(entry)

@@ -1,25 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Two rank routines, both in integer arithmetic and fraction-free: a sparse
-elimination that ranks the graded complex slices and the bar-complex
-differentials (both are mostly zero), and a dense Bareiss elimination,
-kept as the independent reference that the tests compare the sparse
-path against.  The sparse path eliminates the sparsest rows first and
-stops once the rank reaches the number of distinct keys, which no later
-row can raise.  Rational entries are cleared of denominators row by row,
-which leaves the rank unchanged; the sparse path reads a row of nonzero
-ints as given.  The bar oracle's entries are ints, so Fraction rows
-reach `rank_sparse` only from the graded oracle, where a slice entry is
-not integral (as for f with a non-integral coefficient).  `nullspace`
-divides only through `poly.exact_quotient`.  No floating point and no
-modular arithmetic.
+Two eliminations, both in integer arithmetic and fraction-free: a
+sparse one that ranks the graded complex slices and the bar-complex
+differentials (both are mostly zero), and a dense Bareiss echelon,
+`_echelon`.  The echelon serves `nullspace`, which finds the weights of
+f, and `rank_dense`, kept as the independent reference that the tests
+compare the sparse path against.  The sparse path eliminates the
+sparsest rows first and stops once the rank reaches the number of
+distinct keys, which no later row can raise.  Rational entries are
+cleared of denominators row by row, which leaves the rank unchanged;
+the sparse path reads a row of nonzero ints as given.  The bar oracle's
+entries are ints, so Fraction rows reach `rank_sparse` only from the
+graded oracle, where a slice entry is not integral (as for f with a
+non-integral coefficient).  `nullspace` back-substitutes, dividing only
+through `poly.exact_quotient`.  No floating point and no modular
+arithmetic.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
-from .poly import exact_quotient, int_or_fraction
+from .poly import exact_quotient
 
 
 def _integer_rows(rows):
@@ -31,37 +34,40 @@ def _integer_rows(rows):
     return out
 
 
-def rank_dense(rows) -> int:
-    """Rank via Bareiss fraction-free elimination with pivoting."""
-    if not rows or not rows[0]:
-        return 0
+def _echelon(rows):
+    """(m, pivots): a row echelon form m of the dense matrix `rows`, by
+    Bareiss fraction-free elimination with pivoting over its integer
+    rows, and the pivot column of each of m's leading rows.  The pivot
+    columns are those where the column space grows, fixed by the
+    matrix."""
     m = _integer_rows(rows)
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots: list = []
     prev = 1
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
         if piv is None:
-            col += 1
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
+        m[rank], m[piv] = m[piv], m[rank]
+        mk = m[rank]
+        p = mk[col]
         for r in range(rank + 1, nrows):
             mr = m[r]
-            mk = m[rank]
             factor = mr[col]
             for c in range(col, ncols):
                 mr[c] = (p * mr[c] - factor * mk[c]) // prev
         prev = p
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return m, pivots
+
+
+def rank_dense(rows) -> int:
+    """Rank via Bareiss fraction-free elimination with pivoting: the
+    number of pivots of `_echelon`."""
+    return len(_echelon(rows)[1])
 
 
 def rank_sparse(rows) -> int:
@@ -143,40 +149,29 @@ def _integer_row(row) -> dict:
 
 def nullspace(rows):
     """Basis of the right nullspace of a small dense matrix of int or
-    Fraction entries, by Gauss-Jordan elimination; each pivot row is
-    normalised with `exact_quotient`.  Basis entries are ints where
-    integral and Fractions otherwise."""
-    if not rows:
-        return []
-    m = [list(row) for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [exact_quotient(x, p) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    Fraction entries: one vector per non-pivot column of `_echelon`,
+    1 there and 0 at the other non-pivot columns, its pivot entries by
+    back-substitution, last pivot first.  The vector is kept as ints
+    over a common denominator: the pivot p of a row whose later entries
+    sum to s against the vector scales both by p / gcd(p, s), which
+    makes the solved entry -s / gcd(p, s) an int.  Each entry is
+    divided by the denominator at the end, through `exact_quotient`, so
+    basis entries are ints where integral and Fractions otherwise."""
+    m, pivots = _echelon(rows)
+    ncols = len(m[0]) if m else 0
     basis = []
-    for fc in free_cols:
+    for free in range(ncols):
+        if free in pivots:
+            continue
         vec = [0] * ncols
-        vec[fc] = 1
-        for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -int_or_fraction(m[row_idx][fc])
-        basis.append(vec)
+        vec[free] = den = 1
+        for row, col in reversed(list(zip(m, pivots))):
+            p = row[col]
+            s = sum(map(mul, row[col + 1:], vec[col + 1:]))
+            g = gcd(s, p) if p > 0 else -gcd(s, p)
+            if g != p:
+                vec = [x * (p // g) for x in vec]
+                den *= p // g
+            vec[col] = -s // g
+        basis.append([exact_quotient(x, den) for x in vec])
     return basis

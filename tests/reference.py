@@ -9,6 +9,7 @@ from hochschild.koszul import module, shift
 from hochschild.poly import (
     Polynomial,
     exact_quotient,
+    int_or_fraction,
     monomial_div,
     monomial_divides,
 )
@@ -27,6 +28,27 @@ def polynomial_from_terms(n: int, terms) -> Polynomial:
 def total_degree(p: Polynomial) -> int:
     """The largest total degree among the terms of the nonzero p."""
     return max(map(sum, p.terms))
+
+
+# Arnold's 14 exceptional unimodal singularities in z1, z2, z3, each
+# with its Milnor number, the subscript of its name (Arnold, Gusein-Zade
+# and Varchenko, Singularities of Differentiable Maps I, 1985)
+ARNOLD_14 = {
+    "E12": ("z1^3+z2^7+z3^2", 12),
+    "E13": ("z1^3+z1*z2^5+z3^2", 13),
+    "E14": ("z1^3+z2^8+z3^2", 14),
+    "Z11": ("z1^3*z2+z2^5+z3^2", 11),
+    "Z12": ("z1^3*z2+z1*z2^4+z3^2", 12),
+    "Z13": ("z1^3*z2+z2^6+z3^2", 13),
+    "W12": ("z1^4+z2^5+z3^2", 12),
+    "W13": ("z1^4+z1*z2^4+z3^2", 13),
+    "Q10": ("z1^3+z2^4+z2*z3^2", 10),
+    "Q11": ("z1^3+z2^2*z3+z1*z3^3", 11),
+    "Q12": ("z1^3+z2^5+z2*z3^2", 12),
+    "S11": ("z1^4+z2^2*z3+z1*z3^2", 11),
+    "S12": ("z1^2*z2+z2^2*z3+z1*z3^3", 12),
+    "U12": ("z1^3+z2^3+z3^4", 12),
+}
 
 
 def truncated_closed_form(k: int, p: int) -> int:
@@ -208,3 +230,46 @@ def report_payload(report) -> dict:
     if report.notes:
         out["notes"] = list(report.notes)
     return out
+
+
+def gauss_jordan_nullspace(rows) -> list:
+    """Basis of the right nullspace of a small dense matrix of int or
+    Fraction entries, by Gauss-Jordan elimination over the entries as
+    given: each pivot row is normalised with `exact_quotient`, one
+    vector per free column, 1 there and 0 at the other free columns.
+    Entries are ints where integral and Fractions otherwise."""
+    if not rows:
+        return []
+    m = [list(row) for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        m[r] = [exact_quotient(x, p) for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row_idx, pc in enumerate(pivot_cols):
+            vec[pc] = -int_or_fraction(m[row_idx][fc])
+        basis.append(vec)
+    return basis

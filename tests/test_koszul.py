@@ -319,3 +319,29 @@ def test_verify_entries_drops_the_terms_of_a_zero_partial():
                                for col in cols) for cols in cx.diffs]
         cx.verify_d_squared_zero(terms)
         cx.assign_weights(detect_weights(f))
+
+
+def _relative(column):
+    """A column with each k divided by its first: the chain side's
+    factor m, which the power shift raises, divides out."""
+    return tuple((r, i, Fraction(k, column[0][2])) for r, i, k in column)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_layout_recurs_two_degrees_up(n):
+    # from p = n - 1 on, module p + 2 is module p with each power
+    # raised by 1, and diffs[p + 2] is diffs[p]: as it is on the cochain
+    # side, up to each column's factor on the chain side.  Below, the
+    # two-degrees-up module has a component more
+    f = Polynomial(n, {tuple(2 * (a == b) for b in range(n)): 1
+                       for a in range(n)})
+    for build, same in ((cochain_complex, tuple), (chain_complex, _relative)):
+        cx = build(f, 14)
+        layout = [m.elements for m in cx.modules]
+        for p in range(n - 1, 12):
+            assert layout[p + 2] == tuple(
+                BasisElement(e.power + 1, e.odd) for e in layout[p]), p
+            assert list(map(same, cx.diffs[p + 2])) == \
+                list(map(same, cx.diffs[p])), p
+        if n > 1:
+            assert len(layout[n]) > len(layout[n - 2])

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hochschild.linalg import nullspace, rank_dense, rank_sparse
+from reference import gauss_jordan_nullspace
 
 
 def test_rank_of_identity():
@@ -80,9 +81,32 @@ def test_dense_and_sparse_ranks_agree(m):
 @settings(max_examples=40, deadline=None)
 @given(matrices)
 def test_rank_plus_nullity(m):
-    ncols = len(m[0])
-    basis = nullspace(m)
-    assert rank_dense(m) + len(basis) == ncols
+    # rank_dense and nullspace share one echelon, so the rank is the
+    # sparse one: the two counts come from independent eliminations
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in m]
+    assert rank_sparse(sparse) + len(nullspace(m)) == len(m[0])
+
+
+mixed_entries = st.one_of(st.just(0), st.integers(-4, 4), entries)
+mixed_matrices = st.integers(1, 6).flatmap(
+    lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.lists(st.lists(mixed_entries, min_size=c, max_size=c),
+                           min_size=r, max_size=r)))
+
+
+def _typed(basis):
+    return [[(type(x), x) for x in vec] for vec in basis]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices)
+@example([[2, 4, 6], [1, 2, 3]])
+@example([[0, 0], [0, 0]])
+@example([[Fraction(1, 2), 3, 0, -1], [0, 0, 2, Fraction(-2, 3)]])
+def test_nullspace_matches_gauss_jordan_reference(m):
+    # the same basis, entry for entry and int or Fraction alike: the
+    # weights' Fourier-Motzkin fallback reads it as it is
+    assert _typed(nullspace(m)) == _typed(gauss_jordan_nullspace(m))
 
 
 sparse_entries = st.one_of(
