@@ -38,6 +38,17 @@ d^2 = 0 verification.  `verify_entries` checks the shape of every term;
 differentials on those terms: in every composite entry, the integer
 coefficient of each product d_i f * d_j f (i <= j) must cancel.  That is
 formal cancellation, so it implies the composite vanishes in C[z].
+
+Once per shape.  The layout, the terms and d^2 = 0 depend on the
+direction, n and which partials of f are 0, never on the coefficients
+or weights of f, nor on p_max (`module` and `_differential` read no
+other degree).  The graded oracle keeps one checked layout per key
+(direction, n, zero partials) in its process-wide shape cache
+(`engine._LAYOUTS`): one entry per key, holding the longest complex
+asked for of that shape, which a request for more degrees rebuilds and
+re-checks in full.  So `verify_entries` and `verify_d_squared_zero` run
+once per shape, while `assign_weights`, the shifts and each term's
+weight check, runs for every report.
 """
 
 from __future__ import annotations
