@@ -26,32 +26,26 @@ Two independent routes to the same numbers:
   ranks of the differentials joining p to p - 1 and p + 1.  Every
   differential is generated as (row, i, k) terms, the entry k * d_i f
   for an integer k (`verify_entries` checks their shape, and d^2 = 0 on
-  them).  A complex's layout, terms, scaled columns and strand blocks
-  depend only on its direction, n and which partials of f are 0, so the
-  process-wide shape cache `_LAYOUTS` holds them once per key
-  (direction, n, zero partials): the term-shape and d^2 = 0 checks run
-  on a shape's first build, and again on a report that asks for more
-  degrees than its entry holds, whose longer build replaces the entry.
-  With one entry per key the cache never holds more than the longest
-  complex asked for of each shape, and nothing of f or its weights.
-  Shifts are computed for every report, and every term's weight checked
-  against them (`assign_weights`).  One call scans every degree's
-  window, its totals, ranks and slices held as dense columns over the
-  window's weights and combined in whole-list passes; each distinct
-  differential is ranked once, where both ends' totals are nonzero, one
-  strand block (a connected piece of the graph joining domain to
-  codomain components, read from its entries) over all its weights per
-  `Analysis._block_ranks` call; a slice's rank is the sum of its blocks'
-  ranks.  Block slices are assembled sparse from the multiplication maps
-  M_i(u), d_i f times A_u into A_(u + d - w_i), which
-  `Analysis._reduce_maps` reduces to positions in the bases of A before
-  any block is ranked, every u a report reads in one call per partial,
-  over a frontier of exponent offsets: the products at one offset are
-  read as one position column, and those not standard, checked divisible
-  by lead(f) at once through their exponent columns' least entries, step
-  by f to lower offsets.  A step lowers an offset in lex order, so
-  taking the lex-highest offset first finds every product complete, each
-  reduced once.
+  them).  Every report builds and checks its own complex; within it
+  the cochain tail's repeated differential object is checked and
+  scaled once, and strand blocks are found once per distinct scaled
+  columns.  One call scans every degree's window, its totals, ranks
+  and slices held as dense columns over the window's weights and
+  combined in whole-list passes; each distinct differential is ranked
+  once, where both ends' totals are nonzero, one strand block (a
+  connected piece of the graph joining domain to codomain components,
+  read from its entries) over all its weights per
+  `Analysis._block_ranks` call; a slice's rank is the sum of its
+  blocks' ranks.  Block slices are assembled sparse from the
+  multiplication maps M_i(u), d_i f times A_u into
+  A_(u + d - w_i), which `Analysis._reduce_maps` reduces to positions
+  in the bases of A before any block is ranked, every u a report reads
+  in one call per partial, over a frontier of exponent offsets: the
+  products at one offset are read as one position column, and those
+  not standard, checked divisible by lead(f) at once through their
+  exponent columns' least entries, step by f to lower offsets.  A step
+  lowers an offset in lex order, so taking the lex-highest offset
+  first finds every product complete, each reduced once.
 
   Ranks are cached by what they read.  The rank of a differential at s
   reads dims and maps at s - t only, t a shift, so `oracle_dim` keys
@@ -99,12 +93,7 @@ from .grading import (
     euler_identity_holds,
 )
 from .ideals import INFINITE, buchberger
-from .koszul import (
-    KoszulComplex,
-    chain_complex,
-    cochain_complex,
-    lowest_shift,
-)
+from .koszul import chain_complex, cochain_complex, lowest_shift
 from .linalg import rank_sparse
 from .poly import Polynomial, exact_quotient, int_or_fraction, monomial_strs
 from .series import poincare_dims
@@ -171,8 +160,7 @@ class KernelDescription(NamedTuple):
 class Analysis:
     """Shared exact data for one hypersurface f: weights, the Groebner
     basis of f, the graded quotient A, the Milnor number and the graded
-    oracle's caches; `oracle_dim` reads the Koszul layouts from the
-    shape cache (`_layout`) and weights them."""
+    oracle's caches; `oracle_dim` builds the Koszul complexes."""
 
     def __init__(self, f: Polynomial):
         if f.is_zero() or f.is_constant():
@@ -314,10 +302,9 @@ class Analysis:
         less the ranks of the differentials joining p to p - 1 and to
         p + 1.
 
-        The complex's checked layout through one degree past the last
-        window is read from the shape cache (`_layout`) and weighted by
-        `assign_weights`, each window's low edge checked against its
-        degree's lowest shift, and A filled through the highest weight
+        The complex is built, checked and weighted through one degree
+        past the last window, each window's low edge checked against
+        its degree's lowest shift, and A filled through the highest weight
         `top` a slice reads.  Three passes follow.  Every multiplication
         map a slice reads is reduced, one `_reduce_maps` call per
         nonzero partial.  Each distinct differential is ranked once, one
@@ -335,11 +322,10 @@ class Analysis:
         `assign_weights` checks.  The 2-periodic tail hits both because
         its modules and differentials repeat, so its differentials are
         ranked once per report each."""
-        # the checked terms stand for the differentials: the dropped
-        # terms of a zero partial are zero entries, which carry no weight
-        layout = _layout(self, direction, len(windows))
-        cx = KoszulComplex(layout.direction, self.f, layout.modules,
-                           layout.terms)
+        build = cochain_complex if direction == "cohomology" else chain_complex
+        cx = build(self.f, len(windows))
+        terms = cx.verify_entries()
+        cx.verify_d_squared_zero(terms)
         cx.assign_weights(self.ws)
         # both witnesses read the windows from `lowest_shift`: one that
         # starts too high drops a slice from both, which their verdict
@@ -383,16 +369,24 @@ class Analysis:
             totals.append((lo, modules[key]))
         differentials: dict = {}    # relative differential -> rank column
         ranks = []          # per differential: (a, rank at s = a..b)
-        for k, (columns, blocks) in enumerate(zip(layout.scaled,
-                                                  layout.blocks)):
+        scaled: dict = {}   # id of a differential's terms -> scaled columns
+        split: dict = {}    # scaled columns -> strand blocks, by index
+        for k, columns in enumerate(terms):
             a = min(lo for lo, _ in windows[k:k + 2])
             b = max(hi for _, hi in windows[k:k + 2])
             src, tgt = cx.ends(k)
             dom, cod = cx.modules[src].shifts, cx.modules[tgt].shifts
-            # each column is divided by its first k, which leaves every
-            # rank unchanged; the rank at s reads dims and maps at s - t
-            # only, so a differential whose scaled columns, domain shifts
-            # less a and width b - a recur has the rank column of the first
+            # dividing a column by its first k scales it and leaves every
+            # rank unchanged, once per terms object (the cochain tail's
+            # repeat); the rank at s reads dims and maps at s - t only, so
+            # a differential whose scaled columns, domain shifts less a
+            # and width b - a recur has the rank column of the first
+            if id(columns) not in scaled:
+                scaled[id(columns)] = tuple([
+                    col if not col or col[0][2] == 1 else
+                    tuple([(r, i, exact_quotient(c, col[0][2]))
+                           for r, i, c in col]) for col in columns])
+            columns = scaled[id(columns)]
             key = (columns, tuple(t - a for t in dom), b - a)
             rank = differentials.get(key)
             if rank is not None:
@@ -410,11 +404,16 @@ class Analysis:
                 far[a - far_lo:b - far_lo + 1])))
             if not todo:
                 continue
+            # a block's components depend on the scaled columns alone:
+            # found once per report as indices, read as shifts here
+            if columns not in split:
+                split[columns] = _strand_blocks(
+                    columns, range(len(dom)), range(len(cod)))
             summed = [0] * len(todo)
-            for block, ds, rs in blocks:
+            for block, cs, rs in split[columns]:
                 summed = list(map(add, summed, self._block_ranks(
-                    block, tuple(dom[c] for c in ds),
-                    tuple(cod[r] for r in rs), todo, dims)))
+                    block, tuple(map(dom.__getitem__, cs)),
+                    tuple(map(cod.__getitem__, rs)), todo, dims)))
             for s, r in compress(zip(todo, summed), summed):
                 rank[s - a] = r
         slices = []
@@ -508,60 +507,6 @@ def _strand_blocks(columns, dom, cod) -> list:
                              for c in cs),
                        tuple(dom[c] for c in cs), tuple(cod[r] for r in rs)))
     return blocks
-
-
-class _Layout(NamedTuple):
-    """The checked layout of one Koszul complex shape: what the oracle
-    reads of a complex that depends neither on f's coefficients nor on
-    its weights.  Per differential, `terms` holds its verified columns
-    of (row, i, k) terms without the terms of zero partials, `scaled`
-    those columns each divided by its first k, and `blocks` the strand
-    blocks of the scaled columns as (block columns, domain component
-    indices, codomain component indices)."""
-    direction: str      # "cochain" | "chain"
-    modules: tuple      # FreeModule per degree, shifts None
-    terms: tuple
-    scaled: tuple
-    blocks: tuple
-
-
-# the shape cache: (direction, n, zero partials) -> _Layout, one entry per
-# key, holding the longest complex asked for so far
-_LAYOUTS: dict = {}
-
-
-def _layout(an: Analysis, direction: str, p_max: int) -> _Layout:
-    """The checked layout of degrees 0..p_max for the complex of
-    `an.f` in `direction`, read from `_LAYOUTS`.  The layout and the
-    terms depend only on n, the direction and which partials are 0, and
-    not on p_max (`koszul.module` and `koszul._differential` read no
-    other degree), so a cached entry at least as long is read as a
-    prefix.  A longer request builds the complex through
-    `cochain_complex` or `chain_complex`, checks its terms' shape and
-    d^2 = 0, scales and splits it, and replaces the entry."""
-    zero = tuple(i for i, g in enumerate(an.grad, 1) if g.is_zero())
-    key = (direction, an.n, zero)
-    layout = _LAYOUTS.get(key)
-    if layout is None or len(layout.terms) < p_max:
-        build = cochain_complex if direction == "cohomology" else chain_complex
-        cx = build(an.f, p_max)
-        terms = tuple(cx.verify_entries())
-        cx.verify_d_squared_zero(terms)
-        scaled = tuple(tuple(tuple((r, i, exact_quotient(c, col[0][2]))
-                                   for r, i, c in col) for col in columns)
-                       for columns in terms)
-        # component indices in place of shifts: each block names its
-        # components, and each report reads their shifts
-        blocks = tuple(
-            tuple(_strand_blocks(columns, range(len(columns)), range(len(
-                cx.modules[cx.ends(k)[1]].elements))))
-            for k, columns in enumerate(scaled))
-        layout = _LAYOUTS[key] = _Layout(cx.direction, tuple(cx.modules),
-                                         terms, scaled, blocks)
-    return layout._replace(modules=layout.modules[:p_max + 1],
-                           terms=layout.terms[:p_max],
-                           scaled=layout.scaled[:p_max],
-                           blocks=layout.blocks[:p_max])
 
 
 def _positions(monos, o, position):

@@ -39,20 +39,19 @@ differentials on those terms: in every composite entry, the integer
 coefficient of each product d_i f * d_j f (i <= j) must cancel.  That is
 formal cancellation, so it implies the composite vanishes in C[z].
 
-Once per shape.  The layout, the terms and d^2 = 0 depend on the
-direction, n and which partials of f are 0, never on the coefficients
-or weights of f, nor on p_max (`module` and `_differential` read no
-other degree).  The graded oracle keeps one checked layout per key
-(direction, n, zero partials) in its process-wide shape cache
-(`engine._LAYOUTS`): one entry per key, holding the longest complex
-asked for of that shape, which a request for more degrees rebuilds and
-re-checks in full.  So `verify_entries` and `verify_d_squared_zero` run
-once per shape, while `assign_weights`, the shifts and each term's
-weight check, runs for every report.
+Within one complex.  A differential's rows, partials and signs depend
+only on the odd sets of its two modules (`_pattern`); its k are those
+signs times 1 on the cochain side and times the source power m on the
+chain side.  From p = n - 1 on, module p + 2 has the odd sets of module
+p, so `_build` reads each pattern once per complex, and on the cochain
+side one differential object stands at every other degree of the tail,
+which `verify_entries` checks once.  Nothing is kept between complexes:
+every complex is built and checked in full.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import combinations
 from typing import NamedTuple
 
@@ -77,6 +76,7 @@ class KoszulComplex:
         self.direction = direction
         self.f = f
         self.n = f.n
+        self.grad = f.gradient()
         self.modules = list(modules)
         self.diffs = list(diffs)
 
@@ -90,20 +90,33 @@ class KoszulComplex:
         increasing down a column, so no two terms share an entry
         (`engine.Analysis._block_ranks` assigns entries, not sums).
         Returns each differential's columns without the terms whose
-        d_i f is 0."""
-        zero = {i for i, g in enumerate(self.f.gradient(), 1) if g.is_zero()}
+        d_i f is 0.  A differential object listed at two degrees of
+        equal target height is the same input: it is checked once, and
+        its columns are returned as one object at both."""
+        zero = {i for i, g in enumerate(self.grad, 1) if g.is_zero()}
         out = []
+        checked: dict = {}  # (id, target height) -> returned columns
         for p, columns in enumerate(self.diffs):
             height = len(self.modules[self.ends(p)[1]].elements)
-            for column in columns:
-                rows = [r for r, _, _ in column]
-                if any(a >= b for a, b in zip(rows, rows[1:])) or any(
-                        type(k) is not int or not k or not 1 <= i <= self.n
-                        or not 0 <= r < height for r, i, k in column):
+            key = (id(columns), height)
+            if key in checked:
+                out.append(checked[key])
+                continue
+            flat = [t for column in columns for t in column]
+            if flat:
+                rows, idx, ks = zip(*flat)
+                if (set(map(type, ks)) != {int} or 0 in ks
+                        or min(idx) < 1 or max(idx) > self.n
+                        or min(rows) < 0 or max(rows) >= height
+                        or any(a[0] >= b[0] for column in columns
+                               for a, b in zip(column, column[1:]))):
                     raise AssertionError("differential %d: malformed "
-                                         "column %r" % (p, column))
-            out.append(tuple(tuple(t for t in column if t[1] not in zero)
-                             for column in columns))
+                                         "columns %r" % (p, columns))
+            if zero:
+                columns = tuple(tuple(t for t in column if t[1] not in zero)
+                                for column in columns)
+            checked[key] = columns
+            out.append(columns)
         return out
 
     def verify_d_squared_zero(self, terms) -> None:
@@ -131,11 +144,17 @@ class KoszulComplex:
         Each term (row, i, k) of a column c is validated against the
         shifts: a nonzero d_i f must have weight shift_dom[c] -
         shift_cod[row]."""
-        new_modules = [FreeModule(m.elements,
-                                  tuple(shift(self.direction, ws, e)
-                                        for e in m.elements))
+        # a shift is additive over generators: the even generator's
+        # weight times the power, plus the odd set's, read once per set
+        even = shift(self.direction, ws, BasisElement(1, ()))
+        odd = {s: shift(self.direction, ws, BasisElement(0, s))
+               for j in range(self.n + 1)
+               for s in combinations(range(1, self.n + 1), j)}
+        new_modules = [FreeModule(m.elements, tuple([even * power + odd[s]
+                                                     for power, s in
+                                                     m.elements]))
                        for m in self.modules]
-        degs = [g.weighted_degrees(ws.weights) for g in self.f.gradient()]
+        degs = [g.weighted_degrees(ws.weights) for g in self.grad]
         for p, columns in enumerate(self.diffs):
             src, tgt = self.ends(p)
             dom, cod = new_modules[src].shifts, new_modules[tgt].shifts
@@ -185,34 +204,54 @@ def lowest_shift(direction: str, ws: WeightSystem, p: int) -> int:
     return min((p - j) // 2 * d + sum(w[:j]) for j in js)
 
 
-def _differential(direction: str, n: int, source: tuple, target: tuple):
-    """d from source to target: one column per source element, each a
-    tuple of (row, i, k) terms sorted by row, standing for the entry
-    k * d_i f."""
-    row_of = {e: r for r, e in enumerate(target)}
+def _pattern(direction: str, n: int, source: tuple, target: tuple):
+    """The sign pattern of d from modules of odd sets `source` to
+    `target`: one column per source odd set, each a tuple of
+    (row, i, sign) terms sorted by row.  The odd sets of a module are
+    distinct, so a row is the place of its odd set in `target`.  On the
+    chain side a source set as large as the target's largest has no
+    enlargement there (its power is 0, or it holds all of 1..n) and an
+    empty column; every other set has all of its enlargements."""
+    row_of = {odd: r for r, odd in enumerate(target)}
+    top = max(map(len, target))
     columns = []
-    for m, odd in source:
+    for odd in source:
         if direction == "cochain":
             j = len(odd)
-            terms = [(row_of[m + 1, odd[:k] + odd[k + 1:]], i,
-                      (-1) ** (j - 1 - k))
+            terms = [(row_of[odd[:k] + odd[k + 1:]], i, (-1) ** (j - 1 - k))
                      for k, i in enumerate(odd)]
+        elif len(odd) >= top:
+            terms = []
         else:
-            terms = [(row_of[m - 1, tuple(sorted(odd + (i,)))], i,
-                      (-1) ** sum(x < i for x in odd) * m)
-                     for i in range(1, n + 1) if m and i not in odd]
+            # xi_i moves past the x < i of S, to place bisect(S, i)
+            terms = [(row_of[odd[:at] + (i,) + odd[at:]], i, (-1) ** at)
+                     for i in range(1, n + 1) if i not in odd
+                     for at in (bisect(odd, i),)]
         columns.append(tuple(sorted(terms)))
     return tuple(columns)
 
 
 def _build(direction: str, f: Polynomial, p_max: int) -> KoszulComplex:
+    """The complex through degree p_max: each differential is its sign
+    pattern (`_pattern`), read once per pair of odd-set lists, times
+    each column's factor, 1 on the cochain side and the source power m
+    on the chain side, where a column of power 0 is empty."""
     _check_variables(f.n)
     layout = [module(f.n, p) for p in range(p_max + 1)]
+    odds = [tuple(e.odd for e in elements) for elements in layout]
+    patterns: dict = {}
     diffs = []
-    for lower, upper in zip(layout, layout[1:]):
-        source, target = ((lower, upper) if direction == "cochain"
-                          else (upper, lower))
-        diffs.append(_differential(direction, f.n, source, target))
+    for p in range(p_max):
+        source, target = (p, p + 1) if direction == "cochain" else (p + 1, p)
+        key = (odds[source], odds[target])
+        if key not in patterns:
+            patterns[key] = _pattern(direction, f.n, *key)
+        pattern = patterns[key]
+        if direction == "chain":
+            pattern = tuple([tuple([(r, i, sign * m) for r, i, sign in column])
+                             if m else () for column, (m, _) in
+                             zip(pattern, layout[source])])
+        diffs.append(pattern)
     return KoszulComplex(direction, f, [FreeModule(e, None) for e in layout],
                          diffs)
 

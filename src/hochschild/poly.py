@@ -13,6 +13,7 @@ comparison of exponent tuples: leading terms and sorts use it directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 Exponents = tuple  # tuple[int, ...]
@@ -238,7 +239,7 @@ class Polynomial:
         return tuple(self.diff(i) for i in range(1, self.n + 1))
 
     def weighted_degrees(self, weights: Sequence[int]) -> set:
-        return {sum(w * e for w, e in zip(weights, exps)) for exps in self.terms}
+        return {sum(map(mul, weights, exps)) for exps in self.terms}
 
     def is_weighted_homogeneous(self, weights: Sequence[int]) -> bool:
         return len(self.weighted_degrees(weights)) <= 1

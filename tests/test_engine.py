@@ -954,136 +954,34 @@ def test_oracle_reduces_each_partial_once_per_report(monkeypatch, poly,
     assert None not in an._maps[0]
 
 
-@pytest.fixture
-def cold_layouts():
-    """An empty shape cache, emptied again afterwards: a layout built
-    under a test's monkeypatch must not reach another test."""
-    engine._LAYOUTS.clear()
-    yield engine._LAYOUTS
-    engine._LAYOUTS.clear()
-
-
-def _counted_builds(monkeypatch) -> list:
-    """Record (f, direction, p_max) per complex `engine._layout` builds,
-    f as its string."""
-    builds = []
-    for name in ("cochain_complex", "chain_complex"):
-        def counted(f, p_max, build=getattr(engine, name)):
-            cx = build(f, p_max)
-            builds.append((f.to_str(), cx.direction, p_max))
-            return cx
-        monkeypatch.setattr(engine, name, counted)
-    return builds
-
-
-# (poly, direction, p_max, mode): a zero partial (d_2 f = 0), n = 1, an
-# n = 2 and an n = 3 catalog member, and z1^2+z2^3+z3^5 at p 48 after
-# p 6, then at p 6 again: its shape is rebuilt longer, then read as a
-# prefix
-_SHAPE_CASES = [
-    ("z1^2+z3^3", "cohomology", 6, "graded"),
-    ("z1^2+z3^3", "homology", 6, "graded"),
-    ("z1^5", "cohomology", 6, "both"),
-    ("z1^5", "homology", 6, "both"),
-    (catalog_instance("d5-curve").f.to_str(), "cohomology", 6, "both"),
-    (catalog_instance("e7-curve").f.to_str(), "homology", 6, "both"),
-    (catalog_instance("e7-surface").f.to_str(), "homology", 6, "both"),
-    ("z1^2+z2^3+z3^5", "cohomology", 6, "both"),
-    ("z1^2+z2^3+z3^5", "cohomology", 48, "both"),
-    ("z1^2+z2^3+z3^5", "cohomology", 6, "both"),
-]
-
-
-def _shape_report(case) -> str:
-    poly, direction, p_max, mode = case
-    report = analyze(parse_polynomial(poly), direction=direction,
-                     p_max=p_max, mode=mode)
-    return json.dumps(report_payload(report))
-
-
-def test_warm_layouts_give_the_reports_of_cold_ones(monkeypatch,
-                                                    cold_layouts):
-    # each report with the cache emptied first, then the cases in order
-    # and in reverse from an empty cache, twice: every report equal
-    cold = []
-    for case in _SHAPE_CASES:
-        cold_layouts.clear()
-        cold.append(_shape_report(case))
-    builds = _counted_builds(monkeypatch)
-    for order in (list(range(len(_SHAPE_CASES))),
-                  list(reversed(range(len(_SHAPE_CASES))))):
-        cold_layouts.clear()
-        builds.clear()
-        for _ in range(2):
-            assert [_shape_report(_SHAPE_CASES[j]) for j in order] == \
-                [cold[j] for j in order]
-        # one build per shape on the first run and none on the second,
-        # but for z1^2+z2^3+z3^5's shape: its p 48 report rebuilds it
-        # longer, through degree 49, and its next p 6 report reads a
-        # prefix (the oracle builds one degree past the last window)
-        assert len(cold_layouts) == 8
-        assert len(builds) == 9
-        e8 = parse_polynomial("z1^2+z2^3+z3^5").to_str()
-        assert [b for b in builds if b[0] == e8] == \
-            [(e8, "cochain", 7), (e8, "cochain", 49)]
-        assert len(cold_layouts["cohomology", 3, ()].terms) == 49
-
-
-def test_layout_checks_still_fire(monkeypatch, cold_layouts):
-    builds = _counted_builds(monkeypatch)
+@pytest.mark.parametrize("direction", ["cohomology", "homology"])
+def test_every_report_checks_its_own_complex(monkeypatch, direction):
+    # nothing of a layout outlives its report: a sign-flip mutant of the
+    # sign pattern fails d^2 = 0 in the report after a clean one, and a
+    # shift one too high on each component with an odd generator fails
+    # the weight check of the report after that
     f = parse_polynomial("z1^3+z2^4+z3^5")
-    differential = koszul._differential
+    analyze(f, direction=direction, mode="graded")
+    pattern = koszul._pattern
 
-    def flipped(direction, n, source, target):
+    def flipped(*args):
         # the last term of every column with two or more changes sign
-        columns = []
-        for column in differential(direction, n, source, target):
-            if len(column) > 1:
-                r, i, k = column[-1]
-                column = column[:-1] + ((r, i, -k),)
-            columns.append(column)
-        return tuple(columns)
+        return tuple(column[:-1] + ((column[-1][0], column[-1][1],
+                                     -column[-1][2]),)
+                     if len(column) > 1 else column
+                     for column in pattern(*args))
 
-    for direction in ("cohomology", "homology"):
-        with monkeypatch.context() as m:
-            m.setattr(koszul, "_differential", flipped)
-            with pytest.raises(AssertionError, match="d o d"):
-                analyze(f, direction=direction, mode="graded")
-    # a failed check caches nothing
-    assert not cold_layouts
-    # warm: a shift one too high on every component with an odd
-    # generator fails the next report's weight check, with no build
-    analyze(f, mode="graded")
-    builds.clear()
+    with monkeypatch.context() as m:
+        m.setattr(koszul, "_pattern", flipped)
+        with pytest.raises(AssertionError, match="d o d"):
+            analyze(f, direction=direction, mode="graded")
+    analyze(f, direction=direction, mode="graded")
     shift = koszul.shift
     monkeypatch.setattr(koszul, "shift", lambda direction, ws, e:
                         shift(direction, ws, e) + bool(e.odd))
     with pytest.raises(AssertionError, match="has weight"):
-        analyze(parse_polynomial("z1^2+z2^3+z3^7"), mode="graded")
-    assert builds == []
-
-
-def test_one_layout_per_shape_holds_no_f(cold_layouts):
-    # two f of one shape, different weights, degrees and coefficients:
-    # the second report reads the first one's entry and writes nothing
-    analyze(parse_polynomial("z1^3+z2^4"), mode="graded")
-    (key, entry), = cold_layouts.items()
-    analyze(parse_polynomial("2*z1^2*z2+z2^7"), mode="graded")
-    assert key == ("cohomology", 2, ())
-    assert list(cold_layouts) == [key] and cold_layouts[key] is entry
-
-    def leaves(x):
-        if isinstance(x, tuple):
-            for y in x:
-                yield from leaves(y)
-        else:
-            yield x
-
-    # tuples all the way down, ints and the direction at the leaves: no
-    # Polynomial, no weight system, no list or dict
-    assert {type(v) for v in leaves(entry)} == {str, int, type(None)}
-    # every module's shifts are None: no shift is cached
-    assert all(m.shifts is None for m in entry.modules)
+        analyze(parse_polynomial("z1^2+z2^3+z3^7"), direction=direction,
+                mode="graded")
 
 
 def test_strand_blocks_of_hand_built_columns():

@@ -4,7 +4,12 @@ from itertools import combinations
 import pytest
 
 from hochschild.grading import detect_weights
-from hochschild.koszul import BasisElement, chain_complex, cochain_complex
+from hochschild.koszul import (
+    BasisElement,
+    chain_complex,
+    cochain_complex,
+    shift,
+)
 from hochschild.poly import Polynomial
 
 
@@ -345,3 +350,56 @@ def test_layout_recurs_two_degrees_up(n):
                 list(map(same, cx.diffs[p])), p
         if n > 1:
             assert len(layout[n]) > len(layout[n - 2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cochain_tail_shares_one_object_checked_once(n):
+    # one object stands at every other degree of the cochain tail, and
+    # `verify_entries` returns its checked columns as one object there
+    f = Polynomial(n, {tuple(3 * (a == b) for b in range(n)): 1
+                       for a in range(n)})
+    cx = cochain_complex(f, 12)
+    terms = cx.verify_entries()
+    for p in range(n - 1, 10):
+        assert cx.diffs[p + 2] is cx.diffs[p], p
+        assert terms[p + 2] is terms[p], p
+    cx.verify_d_squared_zero(terms)
+    # the chain side shares the pattern, not the object: the factor m
+    # of each column differs two degrees up
+    chn = chain_complex(f, 12)
+    assert all(chn.diffs[p + 2] is not chn.diffs[p] for p in range(10))
+
+
+def test_a_flip_in_a_shared_differential_and_in_a_copy_are_caught():
+    # a sign flipped in the object the tail shares breaks d^2 = 0 at
+    # each degree it stands at; a flipped copy at one degree alone is
+    # checked on its own and caught there
+    f = d_surface()
+    cx = cochain_complex(f, 8)
+    shared = cx.diffs[3]
+    assert cx.diffs[5] is shared
+    flipped = tuple(column[:-1] + ((column[-1][0], column[-1][1],
+                                    -column[-1][2]),) if column else column
+                    for column in shared)
+    for degrees in ((3, 5, 7), (5,)):
+        cx = cochain_complex(f, 8)
+        for p in degrees:
+            cx.diffs[p] = flipped
+        with pytest.raises(AssertionError, match="d o d"):
+            cx.verify_d_squared_zero(cx.verify_entries())
+
+
+@pytest.mark.parametrize("build", [cochain_complex, chain_complex])
+@pytest.mark.parametrize("f", [d_curve(5), d_surface(5),
+                               Polynomial(1, {(6,): 1}),
+                               Polynomial(3, {(5, 0, 0): 1, (0, 4, 0): 1,
+                                              (0, 0, 7): 1})])
+def test_shifts_are_the_shift_rule_of_every_element(build, f):
+    # `assign_weights` reads a shift as the even generator's weight
+    # times the power plus the odd set's: each must be `shift` itself
+    ws = detect_weights(f)
+    cx = build(f, 9)
+    cx.assign_weights(ws)
+    for m in cx.modules:
+        assert m.shifts == tuple(shift(cx.direction, ws, e)
+                                 for e in m.elements)
