@@ -25,12 +25,11 @@ Two independent routes to the same numbers:
   slice of degree p is its module total sum_t dim A_(s - t) minus the
   ranks of the differentials joining p to p - 1 and p + 1.  Every
   differential is generated as (row, i, k) terms, the entry k * d_i f
-  for an integer k (`verify_entries` checks their shape, and d^2 = 0 on
-  them).  Every report builds and checks its own complex; within it
-  the cochain tail's repeated differential object is checked and
-  scaled once, and strand blocks are found once per distinct scaled
-  columns.  One call scans every degree's window, its totals, ranks
-  and slices held as dense columns over the window's weights and
+  for an integer k, with no term where d_i f is 0 (`verify_entries`
+  checks their shape, and d^2 = 0 on them).  Every report builds and
+  checks its own complex, and finds strand blocks once per distinct
+  scaled columns.  One call scans every degree's window, its totals,
+  ranks and slices held as dense columns over the window's weights and
   combined in whole-list passes; each distinct differential is ranked
   once, where both ends' totals are nonzero, one strand block (a
   connected piece of the graph joining domain to codomain components,
@@ -215,7 +214,7 @@ class Analysis:
         """Reduce M_i(u), multiplication by d_i f != 0 from A_u, for
         every u from the first not yet reduced through `last`, and append
         its id to `self._maps[i - 1]`, which so holds the id of M_i(u) at
-        index u (the complex drops zero partials' terms).  A map holds
+        index u (the complex has no term of a zero partial).  A map holds
         one image per monomial z^m of A_u, in basis order: the normal
         form of d_i f * z^m as (position, coefficient) pairs, integral
         coefficients int.  A is filled through `last`; the position index
@@ -369,7 +368,6 @@ class Analysis:
             totals.append((lo, modules[key]))
         differentials: dict = {}    # relative differential -> rank column
         ranks = []          # per differential: (a, rank at s = a..b)
-        scaled: dict = {}   # id of a differential's terms -> scaled columns
         split: dict = {}    # scaled columns -> strand blocks, by index
         for k, columns in enumerate(terms):
             a = min(lo for lo, _ in windows[k:k + 2])
@@ -377,16 +375,12 @@ class Analysis:
             src, tgt = cx.ends(k)
             dom, cod = cx.modules[src].shifts, cx.modules[tgt].shifts
             # dividing a column by its first k scales it and leaves every
-            # rank unchanged, once per terms object (the cochain tail's
-            # repeat); the rank at s reads dims and maps at s - t only, so
-            # a differential whose scaled columns, domain shifts less a
-            # and width b - a recur has the rank column of the first
-            if id(columns) not in scaled:
-                scaled[id(columns)] = tuple([
-                    col if not col or col[0][2] == 1 else
-                    tuple([(r, i, exact_quotient(c, col[0][2]))
-                           for r, i, c in col]) for col in columns])
-            columns = scaled[id(columns)]
+            # rank unchanged; the rank at s reads dims and maps at s - t
+            # only, so a differential whose scaled columns, domain shifts
+            # less a and width b - a recur has the rank column of the first
+            columns = tuple([col if not col or col[0][2] == 1 else
+                             tuple([(r, i, exact_quotient(c, col[0][2]))
+                                    for r, i, c in col]) for col in columns])
             key = (columns, tuple(t - a for t in dom), b - a)
             rank = differentials.get(key)
             if rank is not None:
@@ -407,8 +401,7 @@ class Analysis:
             # a block's components depend on the scaled columns alone:
             # found once per report as indices, read as shifts here
             if columns not in split:
-                split[columns] = _strand_blocks(
-                    columns, range(len(dom)), range(len(cod)))
+                split[columns] = _strand_blocks(columns)
             summed = [0] * len(todo)
             for block, cs, rs in split[columns]:
                 summed = list(map(add, summed, self._block_ranks(
@@ -477,16 +470,16 @@ class Analysis:
         return ranks
 
 
-def _strand_blocks(columns, dom, cod) -> list:
+def _strand_blocks(columns) -> list:
     """The strand blocks of a differential given as columns of
-    (row, i, k) terms, one column per domain component, its domain
-    components at shifts `dom` and codomain components at `cod`: the
-    connected pieces of the graph joining each domain component to the
-    codomain components its terms hit.  Returns (columns, domain shifts,
-    codomain shifts) per block, ordered by first domain component, each
-    column's rows renumbered by position among the block's codomain
-    components.  A zero column and a codomain component no column hits
-    add nothing to any rank and belong to no block."""
+    (row, i, k) terms, one column per domain component: the connected
+    pieces of the graph joining each domain component to the codomain
+    components its terms hit.  Returns (columns, domain components,
+    codomain components) per block, components as indices, ordered by
+    first domain component, each column's rows renumbered by position
+    among the block's codomain components.  A zero column and a
+    codomain component no column hits add nothing to any rank and
+    belong to no block."""
     pieces = []             # (domain components, codomain components)
     for c, terms in enumerate(columns):
         if not terms:
@@ -504,8 +497,7 @@ def _strand_blocks(columns, dom, cod) -> list:
     for cs, rs in sorted((sorted(cs), sorted(rs)) for cs, rs in pieces):
         local = {r: j for j, r in enumerate(rs)}
         blocks.append((tuple(tuple((local[r], i, k) for r, i, k in columns[c])
-                             for c in cs),
-                       tuple(dom[c] for c in cs), tuple(cod[r] for r in rs)))
+                             for c in cs), tuple(cs), tuple(rs)))
     return blocks
 
 

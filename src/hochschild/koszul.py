@@ -29,30 +29,25 @@ Adv. Math. 95, 1992).  Both are generated from one rule:
 Every differential entry is an integer multiple k * d_i f of a partial
 derivative of f, and that is how it is stored: a differential is a tuple
 of columns, one per source component, each a tuple of (row, i, k) terms
-sorted by row.  Modules are listed by homological degree 0..p_max.  For
-the cochain complex diffs[p] maps modules[p] to modules[p+1]; for the
-chain complex diffs[p] maps modules[p+1] to modules[p].
+sorted by row.  A term whose d_i f is 0 is an exact zero entry and is
+never built, so a column holds the nonzero entries only.  Modules are
+listed by homological degree 0..p_max.  For the cochain complex
+diffs[p] maps modules[p] to modules[p+1]; for the chain complex diffs[p]
+maps modules[p+1] to modules[p].
 
 d^2 = 0 verification.  `verify_entries` checks the shape of every term;
 `verify_d_squared_zero` then checks each composite of consecutive
 differentials on those terms: in every composite entry, the integer
 coefficient of each product d_i f * d_j f (i <= j) must cancel.  That is
 formal cancellation, so it implies the composite vanishes in C[z].
-
-Within one complex.  A differential's rows, partials and signs depend
-only on the odd sets of its two modules (`_pattern`); its k are those
-signs times 1 on the cochain side and times the source power m on the
-chain side.  From p = n - 1 on, module p + 2 has the odd sets of module
-p, so `_build` reads each pattern once per complex, and on the cochain
-side one differential object stands at every other degree of the tail,
-which `verify_entries` checks once.  Nothing is kept between complexes:
-every complex is built and checked in full.
+Every complex is built and checked in full; nothing is kept between
+complexes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 from .grading import WeightSystem
@@ -76,7 +71,6 @@ class KoszulComplex:
         self.direction = direction
         self.f = f
         self.n = f.n
-        self.grad = f.gradient()
         self.modules = list(modules)
         self.diffs = list(diffs)
 
@@ -89,19 +83,9 @@ class KoszulComplex:
         nonzero int, 1 <= i <= n, row inside the target, rows strictly
         increasing down a column, so no two terms share an entry
         (`engine.Analysis._block_ranks` assigns entries, not sums).
-        Returns each differential's columns without the terms whose
-        d_i f is 0.  A differential object listed at two degrees of
-        equal target height is the same input: it is checked once, and
-        its columns are returned as one object at both."""
-        zero = {i for i, g in enumerate(self.grad, 1) if g.is_zero()}
-        out = []
-        checked: dict = {}  # (id, target height) -> returned columns
+        Returns the differentials, checked."""
         for p, columns in enumerate(self.diffs):
             height = len(self.modules[self.ends(p)[1]].elements)
-            key = (id(columns), height)
-            if key in checked:
-                out.append(checked[key])
-                continue
             flat = [t for column in columns for t in column]
             if flat:
                 rows, idx, ks = zip(*flat)
@@ -112,12 +96,7 @@ class KoszulComplex:
                                for a, b in zip(column, column[1:]))):
                     raise AssertionError("differential %d: malformed "
                                          "columns %r" % (p, columns))
-            if zero:
-                columns = tuple(tuple(t for t in column if t[1] not in zero)
-                                for column in columns)
-            checked[key] = columns
-            out.append(columns)
-        return out
+        return self.diffs
 
     def verify_d_squared_zero(self, terms) -> None:
         """Consecutive composites vanish: in every entry of every
@@ -142,8 +121,9 @@ class KoszulComplex:
     def assign_weights(self, ws: WeightSystem) -> None:
         """Attach internal weights by the shift rule (see `shift`).
         Each term (row, i, k) of a column c is validated against the
-        shifts: a nonzero d_i f must have weight shift_dom[c] -
-        shift_cod[row]."""
+        shifts: d_i f must have weight shift_dom[c] - shift_cod[row].
+        The weights of d_i f are w.e - w_i over the terms z^e of f with
+        e_i > 0: e -> e - (unit i) is injective, so none cancel."""
         # a shift is additive over generators: the even generator's
         # weight times the power, plus the odd set's, read once per set
         even = shift(self.direction, ws, BasisElement(1, ()))
@@ -154,14 +134,16 @@ class KoszulComplex:
                                                      for power, s in
                                                      m.elements]))
                        for m in self.modules]
-        degs = [g.weighted_degrees(ws.weights) for g in self.grad]
+        w = ws.weights
+        degs = [{sum(map(mul, w, e)) - w[i] for e in self.f.terms if e[i]}
+                for i in range(self.n)]
         for p, columns in enumerate(self.diffs):
             src, tgt = self.ends(p)
             dom, cod = new_modules[src].shifts, new_modules[tgt].shifts
             for c, column in enumerate(columns):
                 for r, i, k in column:
                     expected = dom[c] - cod[r]
-                    if degs[i - 1] and degs[i - 1] != {expected}:
+                    if degs[i - 1] != {expected}:
                         raise AssertionError(
                             "entry (%d,%d) of differential %d has weight %s, "
                             "expected %d" % (r, c, p, degs[i - 1], expected))
@@ -204,54 +186,37 @@ def lowest_shift(direction: str, ws: WeightSystem, p: int) -> int:
     return min((p - j) // 2 * d + sum(w[:j]) for j in js)
 
 
-def _pattern(direction: str, n: int, source: tuple, target: tuple):
-    """The sign pattern of d from modules of odd sets `source` to
-    `target`: one column per source odd set, each a tuple of
-    (row, i, sign) terms sorted by row.  The odd sets of a module are
-    distinct, so a row is the place of its odd set in `target`.  On the
-    chain side a source set as large as the target's largest has no
-    enlargement there (its power is 0, or it holds all of 1..n) and an
-    empty column; every other set has all of its enlargements."""
-    row_of = {odd: r for r, odd in enumerate(target)}
-    top = max(map(len, target))
+def _differential(direction: str, n: int, source: tuple, target: tuple,
+                  zero: set) -> tuple:
+    """d from source to target: one column per source element, each a
+    tuple of (row, i, k) terms sorted by row, standing for the entry
+    k * d_i f, with no term for an i in `zero`, where d_i f is 0."""
+    row_of = {e: r for r, e in enumerate(target)}
     columns = []
-    for odd in source:
+    for m, odd in source:
         if direction == "cochain":
             j = len(odd)
-            terms = [(row_of[odd[:k] + odd[k + 1:]], i, (-1) ** (j - 1 - k))
-                     for k, i in enumerate(odd)]
-        elif len(odd) >= top:
-            terms = []
+            terms = [(row_of[m + 1, odd[:k] + odd[k + 1:]], i,
+                      (-1) ** (j - 1 - k))
+                     for k, i in enumerate(odd) if i not in zero]
         else:
-            # xi_i moves past the x < i of S, to place bisect(S, i)
-            terms = [(row_of[odd[:at] + (i,) + odd[at:]], i, (-1) ** at)
-                     for i in range(1, n + 1) if i not in odd
-                     for at in (bisect(odd, i),)]
+            terms = [(row_of[m - 1, tuple(sorted(odd + (i,)))], i,
+                      (-1) ** sum(x < i for x in odd) * m)
+                     for i in range(1, n + 1)
+                     if m and i not in odd and i not in zero]
         columns.append(tuple(sorted(terms)))
     return tuple(columns)
 
 
 def _build(direction: str, f: Polynomial, p_max: int) -> KoszulComplex:
-    """The complex through degree p_max: each differential is its sign
-    pattern (`_pattern`), read once per pair of odd-set lists, times
-    each column's factor, 1 on the cochain side and the source power m
-    on the chain side, where a column of power 0 is empty."""
     _check_variables(f.n)
+    zero = {i for i in range(1, f.n + 1) if not any(e[i - 1] for e in f.terms)}
     layout = [module(f.n, p) for p in range(p_max + 1)]
-    odds = [tuple(e.odd for e in elements) for elements in layout]
-    patterns: dict = {}
     diffs = []
-    for p in range(p_max):
-        source, target = (p, p + 1) if direction == "cochain" else (p + 1, p)
-        key = (odds[source], odds[target])
-        if key not in patterns:
-            patterns[key] = _pattern(direction, f.n, *key)
-        pattern = patterns[key]
-        if direction == "chain":
-            pattern = tuple([tuple([(r, i, sign * m) for r, i, sign in column])
-                             if m else () for column, (m, _) in
-                             zip(pattern, layout[source])])
-        diffs.append(pattern)
+    for lower, upper in zip(layout, layout[1:]):
+        source, target = ((lower, upper) if direction == "cochain"
+                          else (upper, lower))
+        diffs.append(_differential(direction, f.n, source, target, zero))
     return KoszulComplex(direction, f, [FreeModule(e, None) for e in layout],
                          diffs)
 

@@ -957,22 +957,22 @@ def test_oracle_reduces_each_partial_once_per_report(monkeypatch, poly,
 @pytest.mark.parametrize("direction", ["cohomology", "homology"])
 def test_every_report_checks_its_own_complex(monkeypatch, direction):
     # nothing of a layout outlives its report: a sign-flip mutant of the
-    # sign pattern fails d^2 = 0 in the report after a clean one, and a
+    # differentials fails d^2 = 0 in the report after a clean one, and a
     # shift one too high on each component with an odd generator fails
     # the weight check of the report after that
     f = parse_polynomial("z1^3+z2^4+z3^5")
     analyze(f, direction=direction, mode="graded")
-    pattern = koszul._pattern
+    differential = koszul._differential
 
     def flipped(*args):
         # the last term of every column with two or more changes sign
         return tuple(column[:-1] + ((column[-1][0], column[-1][1],
                                      -column[-1][2]),)
                      if len(column) > 1 else column
-                     for column in pattern(*args))
+                     for column in differential(*args))
 
     with monkeypatch.context() as m:
-        m.setattr(koszul, "_pattern", flipped)
+        m.setattr(koszul, "_differential", flipped)
         with pytest.raises(AssertionError, match="d o d"):
             analyze(f, direction=direction, mode="graded")
     analyze(f, direction=direction, mode="graded")
@@ -990,13 +990,11 @@ def test_strand_blocks_of_hand_built_columns():
     # hit by no column
     columns = (((1, 1, 2),), (), ((1, 2, -1), (5, 3, 4)),
                ((4, 1, 1), (0, 2, 3)))
-    # shifts 10 c on the domain side and -r on the codomain side
-    dom, cod = (0, 10, 20, 30), (0, -1, -2, -3, -4, -5)
-    assert _strand_blocks(columns, dom, cod) == [
-        ((((0, 1, 2),), ((0, 2, -1), (1, 3, 4))), (0, 20), (-1, -5)),
-        ((((1, 1, 1), (0, 2, 3)),), (30,), (0, -4)),
+    assert _strand_blocks(columns) == [
+        ((((0, 1, 2),), ((0, 2, -1), (1, 3, 4))), (0, 2), (1, 5)),
+        ((((1, 1, 1), (0, 2, 3)),), (3,), (0, 4)),
     ]
-    assert _strand_blocks(((), ()), (0, 1), (0,)) == []
+    assert _strand_blocks(((), ())) == []
 
 
 def _hand_built_analysis(basis, images):

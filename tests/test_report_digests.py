@@ -13,6 +13,9 @@ caller of the sparse rank, for every k it accepts.  The last two
 polynomials are rank-heavy: at p <= 6 their largest slices have 114
 rows and 150 keys (the first) and 165 rows and 225 keys (the second),
 and their tallest 138 rows and 58 keys and 210 rows and 90 keys.
+Two graded reports have an f with a zero partial (`z1^2+z3^3` and
+`z1*z3^2+z3^4`, where d_2 f = 0), so their Koszul complexes are built
+without any term of d_2 f.
 
 New cases are pinned without touching the others; the command exits 1,
 writing nothing, if any existing pin would change:
@@ -83,6 +86,12 @@ TAILS = (
     "z1^4+z2^4+z3^4+z1*z2*z3^2",
 )
 
+# f with a zero partial, d_2 f = 0, both ways in mode graded at p <= 6
+ZERO_PARTIALS = (
+    "z1^2+z3^3",
+    "z1*z3^2+z3^4",
+)
+
 MILNOR = (
     "z1^3*z2+z2^3*z3+z3^3*z1",
     "z1^2*z2",
@@ -95,10 +104,10 @@ MILNOR = (
 def cases() -> list:
     """Every polynomial both ways in each mode, p <= 6, then the long
     tails both ways in mode graded, p <= 12, at the default weight
-    cutoff, 0 and 1, then the `groebner`, `milnor` and `bar-oracle`
-    cases.  Polynomials are passed as
-    --poly=... or --gens=..., so a leading minus is not read as an
-    option."""
+    cutoff, 0 and 1, then the zero-partial f both ways in mode graded,
+    p <= 6, then the `groebner`, `milnor` and `bar-oracle` cases.
+    Polynomials are passed as --poly=... or --gens=..., so a leading
+    minus is not read as an option."""
     return ([[direction, "--poly=" + f, "--max-degree", "6", "--mode", mode]
              for f in POLYNOMIALS
              for direction in ("cohomology", "homology")
@@ -109,6 +118,10 @@ def cases() -> list:
                for direction in ("cohomology", "homology")
                for cutoff in ([], ["--weight-cutoff", "0"],
                               ["--weight-cutoff", "1"])]
+            + [[direction, "--poly=" + f, "--max-degree", "6", "--mode",
+                "graded"]
+               for f in ZERO_PARTIALS
+               for direction in ("cohomology", "homology")]
             + [["groebner"] + args for args in GROEBNER]
             + [["milnor", "--poly=" + f] for f in MILNOR]
             + [["bar-oracle", "--k", str(k), "--max-degree", "3",
