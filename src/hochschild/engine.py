@@ -35,9 +35,13 @@ Two independent routes to the same numbers:
   connected piece of the graph joining domain to codomain components,
   read from its entries) over all its weights per
   `Analysis._block_ranks` call; a slice's rank is the sum of its
-  blocks' ranks.  Block slices are assembled sparse from the
-  multiplication maps M_i(u), d_i f times A_u into
-  A_(u + d - w_i), which `Analysis._reduce_maps` reduces to positions
+  blocks' ranks.  Block slices are assembled sparse, one column per
+  domain monomial, from the multiplication maps M_i(u), d_i f times A_u
+  into A_(u + d - w_i): a domain component of one term (its k is 1, as
+  each column is scaled by its first k) takes each nonempty image as
+  its column, copied whole where its codomain component's rows start
+  at 0, and only a component of several terms sums its images per
+  monomial.  `Analysis._reduce_maps` reduces the maps to positions
   in the bases of A before any block is ranked, every u a report reads
   in one call per partial, over a frontier of exponent offsets: the
   products at one offset are read as one position column, and those
@@ -80,7 +84,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, combinations, compress, repeat
+from itertools import combinations, compress, repeat
 from operator import add, lt, mul, sub
 from typing import NamedTuple
 
@@ -435,11 +439,17 @@ class Analysis:
         in column order, 0 (the empty map) where s < t: one id column
         per (component, term), zipped.  A known key gives the rank; a
         new key's slice is assembled sparse from the interned maps, one
-        column per domain monomial, ranked and stored.  Rows are numbered
-        by codomain component, the one at shift t taking dims[s - t] rows
-        from its offset: a row is that offset plus an image position.  A
-        slice with an empty domain reads only empty maps and has no
-        columns, so it is rank 0 with no elimination."""
+        column per domain monomial with a nonempty image, ranked and
+        stored.  Rows are numbered by codomain component, the one at
+        shift t taking dims[s - t] rows from its offset: a row is that
+        offset plus an image position.  Each component's (row, k) terms
+        are read once per call and the offsets once per slice.  A
+        component of one term has k = 1, so each image is its column:
+        copied as a dict where the offset is 0, its positions moved by
+        the offset elsewhere; a component of several terms sums its
+        images times their k per monomial.  A slice with an empty domain
+        reads only empty maps and has no columns, so it is rank 0 with no
+        elimination."""
         base = dom[0]
         contents = self._tables.setdefault(
             (columns, tuple(t - base for t in dom)), {})
@@ -448,23 +458,39 @@ class Analysis:
                      for t, terms in zip(dom, columns)
                      for _, i, _ in terms])
         interned = self._interned
+        # per domain component, its (row, k) terms, read once per call
+        components = [[(r, k) for r, _, k in terms] for terms in columns]
         ranks = []
         for s, key in zip(todo, keys):
             rank = contents.get(key)
             if rank is None:
-                offsets = list(accumulate(
-                    (dims[s - t] if s >= t else 0 for t in cod), initial=0))
+                offsets, end = [], 0
+                for t in cod:
+                    offsets.append(end)
+                    if s >= t:
+                        end += dims[s - t]
                 cols = []
                 ids = iter(key)
-                for terms in columns:
-                    rows = [(offsets[r], k) for r, _, k in terms]
-                    for images in zip(*[interned[next(ids)]
-                                        for _ in terms]):
-                        col = {offset + pos: k * v
-                               for (offset, k), image in zip(rows, images)
-                               for pos, v in image}
-                        if col:
-                            cols.append(col)
+                for rows in components:
+                    if len(rows) == 1:
+                        # one term, whose k is 1: each image is its
+                        # column, its positions moved by the offset
+                        offset = offsets[rows[0][0]]
+                        images = interned[next(ids)]
+                        if offset:
+                            cols += [{offset + pos: v for pos, v in image}
+                                     for image in images if image]
+                        else:
+                            cols += map(dict, filter(None, images))
+                    else:
+                        rows = [(offsets[r], k) for r, k in rows]
+                        for images in zip(*[interned[next(ids)]
+                                            for _ in rows]):
+                            col = {offset + pos: k * v
+                                   for (offset, k), image in zip(rows, images)
+                                   for pos, v in image}
+                            if col:
+                                cols.append(col)
                 rank = contents[key] = rank_sparse(cols) if cols else 0
             ranks.append(rank)
         return ranks

@@ -80,9 +80,11 @@ def rank_sparse(rows) -> int:
     their span (a key whose value is 0 only raises the bound).  The
     order changes which rows become pivots, never the rank.
 
-    A row whose entries are all nonzero ints is read as given; any other
-    row is first copied without its zeros and scaled by the lcm of its
-    denominators, which leaves the rank unchanged.  A row is reduced
+    A row whose entries are all nonzero ints is read as given: its
+    entries are nonzero and their sum is an int, as a sum with a
+    Fraction or a float among its terms is a Fraction or a float.  Any
+    other row is first copied without its zeros and scaled by the lcm of
+    its denominators, which leaves the rank unchanged.  A row is reduced
     against the pivot rows found so far: with a and b the pivot's and
     the row's leading entries divided by their gcd, r := a*r - b*pivot
     clears the leading column exactly.  A row read as given is copied
@@ -97,7 +99,7 @@ def rank_sparse(rows) -> int:
     rank = 0
     for row in rows:
         values = row.values()
-        owned = 0 in values or not all(map(_is_int, values))
+        owned = not all(values) or type(sum(values)) is not int
         if owned:
             row = _integer_row(row)
         while row:
@@ -132,9 +134,6 @@ def rank_sparse(rows) -> int:
                 else:
                     del row[k]
     return rank
-
-
-_is_int = int.__instancecheck__     # isinstance(v, int), for map
 
 
 def _integer_row(row) -> dict:

@@ -273,3 +273,30 @@ def gauss_jordan_nullspace(rows) -> list:
             vec[pc] = -int_or_fraction(m[row_idx][fc])
         basis.append(vec)
     return basis
+
+
+def read_as_given(values) -> bool:
+    """Whether `linalg.rank_sparse` reads a row with these values as
+    given, tested entry by entry: no entry is 0 and every entry is an
+    int."""
+    return not (0 in values or not all(isinstance(v, int) for v in values))
+
+
+def block_slice_columns(columns, offsets, key, interned) -> list:
+    """The sparse columns of a strand block's slice, assembled one
+    comprehension per domain monomial: `columns` holds the block's
+    (row, i, k) terms per domain component, `offsets[r]` is the first
+    row of codomain component r, and `key` the slice's content key, the
+    id of the map each term reads in column order, `interned[id]` that
+    map's images.  An empty column is left out."""
+    cols = []
+    ids = iter(key)
+    for terms in columns:
+        rows = [(offsets[r], k) for r, _, k in terms]
+        for images in zip(*[interned[next(ids)] for _ in terms]):
+            col = {offset + pos: k * v
+                   for (offset, k), image in zip(rows, images)
+                   for pos, v in image}
+            if col:
+                cols.append(col)
+    return cols

@@ -37,6 +37,7 @@ from hochschild.parsing import parse_polynomial
 from hochschild.poly import Polynomial, monomial_str, monomial_strs
 from hochschild.series import poincare_dims
 from reference import (
+    block_slice_columns,
     lowest_module_shift,
     report_payload,
     verify_infinite_part,
@@ -1089,6 +1090,41 @@ def test_block_rank_of_an_empty_domain_is_zero(monkeypatch):
     assert an._block_ranks(columns, (0, 5), (-10, -10), [2], dims) == [0]
     assert calls == []
     assert an._maps[0][2] == 0
+
+
+def test_block_slice_assembly_matches_the_reference(monkeypatch):
+    calls = []
+
+    def recorded(cols):
+        calls.append(cols)
+        return rank_sparse(cols)
+
+    monkeypatch.setattr(engine, "rank_sparse", recorded)
+    x, y = ((0, 1),), ((1, 1),)
+    # one block at s = 2 and s = 3, its two codomain components taking
+    # the two rows at weight s + 10 each: component 0 is one term at
+    # offset 0, component 1 one term at offset 2, and component 2 two
+    # terms, the second scaled by 2, which join the block
+    basis = {2: [(2, 0), (1, 1)], 3: [(3, 0), (2, 1)], **_ROWS}
+    images = {(1, (2, 0)): x, (1, (1, 1)): y, (1, (3, 0)): y,
+              (1, (2, 1)): y, (2, (2, 0)): y, (2, (1, 1)): x,
+              (2, (3, 0)): x, (2, (2, 1)): x}
+    an, dims = _hand_built_analysis(basis, images)
+    an._reduce_maps(1, 3)
+    an._reduce_maps(2, 3)
+    columns = (((0, 1, 1),), ((1, 1, 1),), ((0, 1, 1), (1, 2, 2)))
+    dom, cod, weights = (0, 0, 0), (-10, -10), [2, 3]
+    assert an._block_ranks(columns, dom, cod, weights, dims) == [4, 3]
+    # each slice is ranked once, from the columns the reference
+    # assembles one comprehension per domain monomial, in its order
+    assert len(calls) == 2
+    for s, cols in zip(weights, calls):
+        key = [an._maps[i - 1][s] for terms in columns for _, i, _ in terms]
+        reference = block_slice_columns(columns, [0, dims[s + 10]], key,
+                                        an._interned)
+        assert cols == reference
+        assert rank_sparse(reference) == \
+            _fresh_slice_rank(an, columns, dom, s, images)
 
 
 def _seeded_weighted_homogeneous(seed, count):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hochschild.linalg import nullspace, rank_dense, rank_sparse
-from reference import gauss_jordan_nullspace
+from reference import gauss_jordan_nullspace, read_as_given
 
 
 def test_rank_of_identity():
@@ -157,6 +157,41 @@ def test_sparse_rank_stops_at_the_bound_with_rows_unread():
             CountedRow({0: 1, 1: -1}), CountedRow({0: 7})]
     assert rank_sparse(rows) == 2
     assert [row.reads for row in rows] == [0, 1, 0, 1]
+
+
+class ItemsCountedRow(dict):
+    """A sparse row that counts the reads of its items, which
+    `rank_sparse` makes only to copy a row it does not read as given."""
+
+    reads = 0
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+
+predicate_entries = st.one_of(
+    st.integers(-4, 4),
+    st.booleans(),
+    st.integers(2 ** 65, 2 ** 66).flatmap(lambda x: st.sampled_from((x, -x))),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    st.integers(-4, 4).map(Fraction),
+    st.sampled_from((0, Fraction(0), False)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(predicate_entries, max_size=6))
+@example([])
+@example([2 ** 65, -(2 ** 65)])
+@example([Fraction(1, 2), Fraction(1, 2)])
+@example([True, 3, Fraction(0)])
+def test_sparse_rank_reads_a_row_as_given_by_the_reference_test(values):
+    # a row rank_sparse reads as given is never copied; any other row
+    # is copied as ints, through one read of its items
+    row = ItemsCountedRow(enumerate(values))
+    assert rank_sparse([row]) == int(any(values))
+    assert row.reads == (not read_as_given(row.values()))
 
 
 def test_sparse_rank_of_wide_rows_reaches_the_row_count():
