@@ -38,10 +38,10 @@ Two independent routes to the same numbers:
   blocks' ranks.  Block slices are assembled sparse, one column per
   domain monomial, from the multiplication maps M_i(u), d_i f times A_u
   into A_(u + d - w_i): a domain component of one term (its k is 1, as
-  each column is scaled by its first k) takes each nonempty image as
-  its column, copied whole where its codomain component's rows start
-  at 0, and only a component of several terms sums its images per
-  monomial.  `Analysis._reduce_maps` reduces the maps to positions
+  each column is scaled by its first k) whose codomain component's rows
+  start at 0 takes each nonempty image as its column, copied whole, and
+  every other component sums its images per monomial.
+  `Analysis._reduce_maps` reduces the maps to positions
   in the bases of A before any block is ranked, every u a report reads
   in one call per partial, over a frontier of exponent offsets: the
   products at one offset are read as one position column, and those
@@ -444,12 +444,12 @@ class Analysis:
         shift t taking dims[s - t] rows from its offset: a row is that
         offset plus an image position.  Each component's (row, k) terms
         are read once per call and the offsets once per slice.  A
-        component of one term has k = 1, so each image is its column:
-        copied as a dict where the offset is 0, its positions moved by
-        the offset elsewhere; a component of several terms sums its
-        images times their k per monomial.  A slice with an empty domain
-        reads only empty maps and has no columns, so it is rank 0 with no
-        elimination."""
+        component of one term has k = 1, so where its codomain
+        component's offset is 0 each nonempty image is copied as its
+        column; every other component sums its images times their k,
+        moved by their offsets, per monomial.  A slice with an empty
+        domain reads only empty maps and has no columns, so it is rank 0
+        with no elimination."""
         base = dom[0]
         contents = self._tables.setdefault(
             (columns, tuple(t - base for t in dom)), {})
@@ -472,16 +472,10 @@ class Analysis:
                 cols = []
                 ids = iter(key)
                 for rows in components:
-                    if len(rows) == 1:
-                        # one term, whose k is 1: each image is its
-                        # column, its positions moved by the offset
-                        offset = offsets[rows[0][0]]
-                        images = interned[next(ids)]
-                        if offset:
-                            cols += [{offset + pos: v for pos, v in image}
-                                     for image in images if image]
-                        else:
-                            cols += map(dict, filter(None, images))
+                    if len(rows) == 1 and not offsets[rows[0][0]]:
+                        # one term (k is 1) at offset 0: each nonempty
+                        # image is its column as it stands
+                        cols += map(dict, filter(None, interned[next(ids)]))
                     else:
                         rows = [(offsets[r], k) for r, k in rows]
                         for images in zip(*[interned[next(ids)]

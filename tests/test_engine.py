@@ -1103,8 +1103,9 @@ def test_block_slice_assembly_matches_the_reference(monkeypatch):
     x, y = ((0, 1),), ((1, 1),)
     # one block at s = 2 and s = 3, its two codomain components taking
     # the two rows at weight s + 10 each: component 0 is one term at
-    # offset 0, component 1 one term at offset 2, and component 2 two
-    # terms, the second scaled by 2, which join the block
+    # offset 0, whose images are copied as they stand, component 1 one
+    # term at offset 2, and component 2 two terms, the second scaled by
+    # 2, which join the block; the last two are summed per monomial
     basis = {2: [(2, 0), (1, 1)], 3: [(3, 0), (2, 1)], **_ROWS}
     images = {(1, (2, 0)): x, (1, (1, 1)): y, (1, (3, 0)): y,
               (1, (2, 1)): y, (2, (2, 0)): y, (2, (1, 1)): x,
